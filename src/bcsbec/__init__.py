@@ -2,7 +2,7 @@
 
 Modules
 -------
-core        model parameters, unit systems, dispersion, form factor, critical coupling
+core        model parameters, dispersion, form factor, critical coupling
 quadrature  adaptive radial quadrature for isotropic 3D momentum integrals
 gap         gap/number self-consistency, two-body bound state, coupling sweeps
 coherent    overlaps, pair-collective-mode diagnostics, exact Fock oracle,
@@ -16,7 +16,7 @@ cli         command-line interface
 
 __version__ = "0.1.0"
 
-from .core import PhysicalParams, UnitSystem, critical_coupling, dispersion, nsr_form_factor
+from .core import PhysicalParams, critical_coupling, dispersion, nsr_form_factor
 from .quadrature import QuadratureSpec
 from .gap import (
     GapSolution,
@@ -71,7 +71,6 @@ from .checks import CheckResult, list_checks, run_checks
 __all__ = [
     "__version__",
     "PhysicalParams",
-    "UnitSystem",
     "QuadratureSpec",
     "GapSolution",
     "critical_coupling",

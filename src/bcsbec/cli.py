@@ -17,8 +17,10 @@ energies reported in eV.  Charging and hopping energies are entered in
 micro-eV in physical mode, matching the scales of junction arrays.
 Densities are always entered in units of k0^3.
 
-Exit codes: 0 success, 1 check failure, 2 solver non-convergence,
-3 invalid configuration.
+Exit codes: 0 success, 1 check failure, 2 solver non-convergence, a
+numeric failure (RuntimeError, ValueError) or an output file that cannot
+be written (OSError), 3 invalid configuration.  Any other exception is a
+bug and propagates with a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,6 @@ from .chain import (
     charging_energy,
     odlro,
     oscillator_oracle,
-    sigma_phi2,
     coherence_classify,
 )
 from .coherent import (
@@ -57,7 +58,7 @@ from .coherent import (
 from .core import PhysicalParams, critical_coupling
 from .diagram import critical_hopping, refine_hopping_boundary, sweep_diagram
 from .gap import bound_state_energy, solve_self_consistent, sweep_coupling
-from .checks import CHECK_NAMES, list_checks, run_checks
+from .checks import list_checks, run_checks
 from .runio import write_csv, write_meta
 
 __all__ = ["main"]
@@ -94,6 +95,8 @@ class RunConfig:
     tol_gap: float
     tol_number: float
     params: dict = field(default_factory=dict)
+    # not part of the echo: the sidecar's wall clock counts from here
+    started: float = field(default_factory=time.monotonic)
 
     def echo(self) -> dict:
         payload = {
@@ -106,6 +109,9 @@ class RunConfig:
         }
         payload.update(self.params)
         return payload
+
+    def solver_tolerances(self) -> dict:
+        return {"tol_gap": self.tol_gap, "tol_number": self.tol_number}
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -138,7 +144,6 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    subparsers = {}
 
     p = sub.add_parser("gap-sweep", parents=[parent], help="coupling sweep of the gap equations")
     p.add_argument("--n", type=float, default=2e-2, help="density in k0^3 units")
@@ -146,12 +151,10 @@ def build_parser():
     p.add_argument("--u-max", type=float, default=4.0, help="upper U/U_c")
     p.add_argument("--points", type=int, default=50, help="grid points")
     p.add_argument("--k0", type=float, default=1.41, help="k0 in 1/Angstrom (physical mode)")
-    subparsers["gap-sweep"] = p
 
     p = sub.add_parser("bound-state", parents=[parent], help="two-body bound-state energy")
     p.add_argument("--u", type=float, default=2.0, help="coupling in U/U_c")
     p.add_argument("--k0", type=float, default=1.41)
-    subparsers["bound-state"] = p
 
     p = sub.add_parser("phase-diagram", parents=[parent], help="regime labels over (U, E_c, G)")
     p.add_argument("--n", type=float, default=2e-2)
@@ -164,14 +167,12 @@ def build_parser():
     p.add_argument("--g-max", type=float, default=None, help="hopping grid end")
     p.add_argument("--g-points", type=int, default=12)
     p.add_argument("--k0", type=float, default=1.41)
-    subparsers["phase-diagram"] = p
 
     p = sub.add_parser("overlap", parents=[parent], help="multimode overlap decay with mode count")
     p.add_argument("--theta", type=float, default=0.25 * math.pi, help="pairing angle")
     p.add_argument("--dphi", type=float, default=0.5 * math.pi, help="phase rotation")
     p.add_argument("--alpha", type=float, default=0.3, help="bosonic amplitude per mode")
     p.add_argument("--m-max", type=int, default=200, help="largest mode count")
-    subparsers["overlap"] = p
 
     p = sub.add_parser("eta", parents=[parent], help="bosonization statistics of a solved state")
     p.add_argument("--u", type=float, default=2.0, help="coupling in U/U_c")
@@ -181,12 +182,10 @@ def build_parser():
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--convention", choices=("half-angle", "literal"), default="half-angle")
     p.add_argument("--k0", type=float, default=1.41)
-    subparsers["eta"] = p
 
     p = sub.add_parser("oracle", parents=[parent], help="exact finite-mode oracle comparison")
     p.add_argument("--modes", type=int, default=8, help="pair modes (<= 12)")
     p.add_argument("--dphi", type=float, default=1.0)
-    subparsers["oracle"] = p
 
     p = sub.add_parser("pegg-barnett", parents=[parent], help="phase-operator commutator ladder")
     p.add_argument("--s", type=int, default=64, help="base dimension minus one")
@@ -195,7 +194,6 @@ def build_parser():
     p.add_argument("--state-phase", type=float, default=None,
                    help="probe-state phase (default theta0 + pi)")
     p.add_argument("--rungs", type=int, default=3, help="doubling ladder length")
-    subparsers["pegg-barnett"] = p
 
     p = sub.add_parser("chain", parents=[parent], help="segment chain: variances and ODLRO decay")
     p.add_argument("--ec", type=float, default=None,
@@ -208,7 +206,6 @@ def build_parser():
     p.add_argument("--segments", type=int, default=8)
     p.add_argument("--delta-bar", type=float, default=1.0,
                    help="uniform per-segment correlation amplitude")
-    subparsers["chain"] = p
 
     p = sub.add_parser("phase-lock", parents=[parent], help="seeded descent of the quartic free energy")
     p.add_argument("--modes", type=int, default=3, help="mode count (2..6)")
@@ -217,16 +214,14 @@ def build_parser():
     p.add_argument("--step", type=float, default=1e-2)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-steps", type=int, default=100000)
-    subparsers["phase-lock"] = p
 
     p = sub.add_parser("checks", parents=[parent], help="run the self-check inventory")
     p.add_argument("--list", action="store_true", help="list checks without running")
     p.add_argument("--pegg-barnett-s", type=int, default=64)
     p.add_argument("--pegg-barnett-omega", type=float, default=4.0)
     p.set_defaults(seed=1234)
-    subparsers["checks"] = p
 
-    return parser, subparsers
+    return parser, sub.choices
 
 
 # ---- config file handling ------------------------------------------------
@@ -310,11 +305,35 @@ def _input_energy(cfg: RunConfig, value: float) -> float:
     return value
 
 
+# ---- output --------------------------------------------------------------
+
+
+def _emit(cfg: RunConfig, stem: str, tables, tolerances: dict,
+          extra: dict | None = None) -> list:
+    """Write each (csv name, header, rows) table, then the JSON sidecar.
+
+    The sidecar `<stem>.meta.json` hashes every CSV of the run and records
+    the wall clock since the run started.  Returns the CSV paths in order.
+    """
+    out = Path(cfg.out)
+    csv_paths = [write_csv(out / name, header, rows) for name, header, rows in tables]
+    write_meta(
+        out / f"{stem}.meta.json",
+        config=cfg.echo(),
+        version=__version__,
+        unit_mode=cfg.units,
+        tolerances=tolerances,
+        wall_clock_s=time.monotonic() - cfg.started,
+        csv_paths=csv_paths,
+        extra=extra,
+    )
+    return csv_paths
+
+
 # ---- subcommand implementations -----------------------------------------
 
 
 def cmd_gap_sweep(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     params = _make_params(cfg)
     n = cfg.params["n"] * params.k0**3
     if cfg.params["points"] < 1:
@@ -326,7 +345,7 @@ def cmd_gap_sweep(cfg: RunConfig) -> int:
     solutions = sweep_coupling(
         ratios * u_c, n, params, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
     )
-    eps_f = params_fermi_energy(params, n)
+    eps_f = replace(params, n=n).fermi_energy()
     rows = []
     for ratio, sol in zip(ratios, solutions):
         rows.append(
@@ -340,29 +359,17 @@ def cmd_gap_sweep(cfg: RunConfig) -> int:
                 sol.converged,
             )
         )
-    out = Path(cfg.out)
-    csv_path = write_csv(
-        out / "gap_sweep.csv",
-        (
-            "U_over_Uc",
-            "mu_over_epsF",
-            "Delta0_over_epsF",
-            "Delta0_over_eps0",
-            "residual_gap",
-            "residual_number",
-            "converged",
-        ),
-        rows,
+    header = (
+        "U_over_Uc",
+        "mu_over_epsF",
+        "Delta0_over_epsF",
+        "Delta0_over_eps0",
+        "residual_gap",
+        "residual_number",
+        "converged",
     )
-    write_meta(
-        out / "gap_sweep.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={"tol_gap": cfg.tol_gap, "tol_number": cfg.tol_number},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path],
-    )
+    [csv_path] = _emit(cfg, "gap_sweep", [("gap_sweep.csv", header, rows)],
+                       cfg.solver_tolerances())
     failed = [i for i, sol in enumerate(solutions) if not sol.converged]
     if failed:
         print(f"gap-sweep: {len(failed)} of {len(solutions)} points not converged",
@@ -372,13 +379,7 @@ def cmd_gap_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def params_fermi_energy(params: PhysicalParams, n: float) -> float:
-    k_f = (3.0 * math.pi**2 * n) ** (1.0 / 3.0)
-    return params.half_hbar2_over_m * k_f**2
-
-
 def cmd_bound_state(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     params = _make_params(cfg)
     ratio = cfg.params["u"]
     if ratio <= 0.0:
@@ -387,21 +388,9 @@ def cmd_bound_state(cfg: RunConfig) -> int:
     energy = bound_state_energy(ratio * u_c, params)
     exists = energy is not None
     row = (ratio, int(exists), energy / params.eps0 if exists else None)
-    out = Path(cfg.out)
-    csv_path = write_csv(
-        out / "bound_state.csv",
-        ("U_over_Uc", "has_bound_state", "E_b_over_eps0"),
-        [row],
-    )
-    write_meta(
-        out / "bound_state.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={"tol_gap": cfg.tol_gap, "tol_number": cfg.tol_number},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path],
-    )
+    _emit(cfg, "bound_state",
+          [("bound_state.csv", ("U_over_Uc", "has_bound_state", "E_b_over_eps0"), [row])],
+          cfg.solver_tolerances())
     if exists:
         print(f"bound-state: E_b = {energy / params.eps0:.12g} eps0 at U/U_c = {ratio}")
     else:
@@ -410,7 +399,6 @@ def cmd_bound_state(cfg: RunConfig) -> int:
 
 
 def cmd_phase_diagram(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     params = _make_params(cfg)
     physical = cfg.units == "physical"
     n = cfg.params["n"] * params.k0**3
@@ -456,22 +444,17 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
                 cell.converged,
             )
         )
-    out = Path(cfg.out)
-    csv_path = write_csv(
-        out / "phase_diagram.csv",
-        (
-            "U_over_Uc",
-            "mu",
-            "Delta0",
-            "E_c",
-            "G",
-            "E_J",
-            "sigma_phi2",
-            "pairing",
-            "coherence",
-            "converged",
-        ),
-        rows,
+    header = (
+        "U_over_Uc",
+        "mu",
+        "Delta0",
+        "E_c",
+        "G",
+        "E_J",
+        "sigma_phi2",
+        "pairing",
+        "coherence",
+        "converged",
     )
 
     boundary_rows = []
@@ -480,23 +463,17 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
         if cell.converged and cell.U not in seen:
             seen[cell.U] = cell
     for u_value, cell in seen.items():
-        g_star = critical_hopping(u_value, n, e_c, params=params,
-                                  solution=_solution_view(cell))
+        g_star = critical_hopping(u_value, n, e_c, params=params, solution=cell.solution)
         g_bis = refine_hopping_boundary(cell.Delta0, e_c, u_value)
         boundary_rows.append((u_value / u_c, cell.mu, g_star, g_bis))
-    boundary_path = write_csv(
-        out / "boundary.csv",
-        ("U_over_Uc", "mu", "G_star", "G_star_bisect"),
-        boundary_rows,
-    )
-    write_meta(
-        out / "phase_diagram.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={"tol_gap": cfg.tol_gap, "tol_number": cfg.tol_number},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path, boundary_path],
+    csv_path, boundary_path = _emit(
+        cfg,
+        "phase_diagram",
+        [
+            ("phase_diagram.csv", header, rows),
+            ("boundary.csv", ("U_over_Uc", "mu", "G_star", "G_star_bisect"), boundary_rows),
+        ],
+        cfg.solver_tolerances(),
         extra={"energy_unit": _energy_unit(cfg)},
     )
     bad = [c for c in cells if not c.converged]
@@ -508,24 +485,7 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _solution_view(cell):
-    """Adapter: present a DiagramCell's solved fields as a GapSolution."""
-    from .gap import GapSolution
-
-    return GapSolution(
-        U=cell.U,
-        n=cell.n,
-        mu=cell.mu,
-        Delta0=cell.Delta0,
-        residual_gap=0.0,
-        residual_number=0.0,
-        iterations=0,
-        converged=cell.converged,
-    )
-
-
 def cmd_overlap(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     theta = cfg.params["theta"]
     dphi = cfg.params["dphi"]
     alpha = cfg.params["alpha"]
@@ -546,20 +506,11 @@ def cmd_overlap(cfg: RunConfig) -> int:
             (m, value.real, value.imag, abs(value), prev_log - log_abs, abs(bose))
         )
         prev_log = log_abs
-    out = Path(cfg.out)
-    csv_path = write_csv(
-        out / "overlap.csv",
-        ("M", "bcs_re", "bcs_im", "bcs_abs", "bcs_rate", "bec_abs"),
-        rows,
-    )
-    write_meta(
-        out / "overlap.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path],
+    [csv_path] = _emit(
+        cfg,
+        "overlap",
+        [("overlap.csv", ("M", "bcs_re", "bcs_im", "bcs_abs", "bcs_rate", "bec_abs"), rows)],
+        {},
         extra={"rate_exact": rate_exact},
     )
     print(f"overlap: per-mode decay rate {rate_exact:.12g} -> {csv_path}")
@@ -567,7 +518,6 @@ def cmd_overlap(cfg: RunConfig) -> int:
 
 
 def cmd_eta(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     params = _make_params(cfg)
     n = cfg.params["n"] * params.k0**3
     ratio = cfg.params["u"]
@@ -589,28 +539,22 @@ def cmd_eta(cfg: RunConfig) -> int:
         convention=cfg.params["convention"],
     )
     stats = eta_statistics(ens)
-    out = Path(cfg.out)
-    csv_path = write_csv(
-        out / "eta.csv",
-        ("U_over_Uc", "mu", "Delta0", "modes", "Omega", "eta_mean", "eta_variance"),
-        [(
-            ratio,
-            solution.mu,
-            solution.Delta0,
-            ens.n_modes,
-            ens.Omega,
-            stats["mean"],
-            stats["variance"],
-        )],
+    row = (
+        ratio,
+        solution.mu,
+        solution.Delta0,
+        ens.n_modes,
+        ens.Omega,
+        stats["mean"],
+        stats["variance"],
     )
-    write_meta(
-        out / "eta.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={"tol_gap": cfg.tol_gap, "tol_number": cfg.tol_number},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path],
+    [csv_path] = _emit(
+        cfg,
+        "eta",
+        [("eta.csv",
+          ("U_over_Uc", "mu", "Delta0", "modes", "Omega", "eta_mean", "eta_variance"),
+          [row])],
+        cfg.solver_tolerances(),
         extra={
             "angle_convention": cfg.params["convention"],
             "note": "finite k-grid sample of the continuum; statistics are grid relative",
@@ -621,7 +565,6 @@ def cmd_eta(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     modes = cfg.params["modes"]
     if not 1 <= modes <= 12:
         raise ConfigError("modes must lie in 1..12")
@@ -636,37 +579,25 @@ def cmd_oracle(cfg: RunConfig) -> int:
     )
     grid = 0.3 + 1e-3 * np.arange(-3, 4)
     np_dev = number_phase_derivative_check(oracle, 2 * (modes // 2), grid)
-    out = Path(cfg.out)
-    csv_path = write_csv(
-        out / "oracle.csv",
-        (
-            "modes",
-            "eta_mean_analytic",
-            "eta_mean_oracle",
-            "eta_var_analytic",
-            "eta_var_oracle",
-            "overlap_abs_dev",
-            "number_phase_dev",
-        ),
-        [(
-            modes,
-            stats["mean"],
-            moments["mean"],
-            stats["variance"],
-            moments["variance"],
-            overlap_dev,
-            np_dev,
-        )],
+    header = (
+        "modes",
+        "eta_mean_analytic",
+        "eta_mean_oracle",
+        "eta_var_analytic",
+        "eta_var_oracle",
+        "overlap_abs_dev",
+        "number_phase_dev",
     )
-    write_meta(
-        out / "oracle.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path],
+    row = (
+        modes,
+        stats["mean"],
+        moments["mean"],
+        stats["variance"],
+        moments["variance"],
+        overlap_dev,
+        np_dev,
     )
+    [csv_path] = _emit(cfg, "oracle", [("oracle.csv", header, [row])], {})
     print(
         f"oracle: eta mean dev {abs(stats['mean'] - moments['mean']):.3e}, "
         f"overlap dev {overlap_dev:.3e} -> {csv_path}"
@@ -675,7 +606,6 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 
 def cmd_pegg_barnett(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     s = cfg.params["s"]
     rungs = cfg.params["rungs"]
     if s < 1 or rungs < 1:
@@ -705,28 +635,19 @@ def cmd_pegg_barnett(cfg: RunConfig) -> int:
                 report.truncation_warning,
             )
         )
-    out = Path(cfg.out)
-    csv_path = write_csv(
-        out / "pegg_barnett.csv",
-        ("s", "comm_re", "comm_im", "deviation", "truncation_error", "warned"),
-        rows,
-    )
-    write_meta(
-        out / "pegg_barnett.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path],
+    [csv_path] = _emit(
+        cfg,
+        "pegg_barnett",
+        [("pegg_barnett.csv",
+          ("s", "comm_re", "comm_im", "deviation", "truncation_error", "warned"),
+          rows)],
+        {},
     )
     print(f"pegg-barnett: deviation {rows[0][3]:.6e} at s={s} -> {csv_path}")
     return EXIT_OK
 
 
 def cmd_chain(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
-    physical = cfg.units == "physical"
     geometry = (
         cfg.params["epsilon_r"],
         cfg.params["area_um2"],
@@ -771,8 +692,6 @@ def cmd_chain(cfg: RunConfig) -> int:
             odlro(0, r, bars, 0.0) if r == 0 else 0.0
         )
         rows.append((r, rho))
-    out = Path(cfg.out)
-    csv_path = write_csv(out / "chain.csv", ("separation", "rho"), rows)
     oracle = None
     if e_j > 0.0:
         result = oscillator_oracle(e_c, e_j)
@@ -781,14 +700,11 @@ def cmd_chain(cfg: RunConfig) -> int:
             "variance": result.variance,
             "variance_literal_closed_form": math.sqrt(8.0 * e_c / e_j),
         }
-    write_meta(
-        out / "chain.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path],
+    [csv_path] = _emit(
+        cfg,
+        "chain",
+        [("chain.csv", ("separation", "rho"), rows)],
+        {},
         extra={
             "E_c": e_c,
             "E_J": e_j,
@@ -808,7 +724,6 @@ def cmd_chain(cfg: RunConfig) -> int:
 
 
 def cmd_phase_lock(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     modes = cfg.params["modes"]
     if not 2 <= modes <= 6:
         raise ConfigError("modes must lie in 2..6")
@@ -825,16 +740,11 @@ def cmd_phase_lock(cfg: RunConfig) -> int:
     rows = [
         (k, result.phases[k], result.amplitudes[k]) for k in range(modes)
     ]
-    out = Path(cfg.out)
-    csv_path = write_csv(out / "phase_lock.csv", ("mode", "phase", "amplitude"), rows)
-    write_meta(
-        out / "phase_lock.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={"descent_tol": cfg.params["tol"]},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[csv_path],
+    [csv_path] = _emit(
+        cfg,
+        "phase_lock",
+        [("phase_lock.csv", ("mode", "phase", "amplitude"), rows)],
+        {"descent_tol": cfg.params["tol"]},
         extra={
             "gradient_norm": result.gradient_norm,
             "steps": result.steps,
@@ -859,7 +769,6 @@ def cmd_phase_lock(cfg: RunConfig) -> int:
 
 
 def cmd_checks(cfg: RunConfig) -> int:
-    t0 = time.monotonic()
     if cfg.params["list"]:
         for name, description in list_checks():
             print(f"{name}: {description}")
@@ -872,15 +781,11 @@ def cmd_checks(cfg: RunConfig) -> int:
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.detail}")
-    out = Path(cfg.out)
-    write_meta(
-        out / "checks.meta.json",
-        config=cfg.echo(),
-        version=__version__,
-        unit_mode=cfg.units,
-        tolerances={},
-        wall_clock_s=time.monotonic() - t0,
-        csv_paths=[],
+    _emit(
+        cfg,
+        "checks",
+        [],
+        {},
         extra={
             r.name: {"passed": r.passed, "measured": r.measured} for r in results
         },
@@ -908,14 +813,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
+    parser, command_parsers = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             file_values = _typed_config(
-                _read_config_file(args.config), subparsers[args.command]
+                _read_config_file(args.config), command_parsers[args.command]
             )
-            subparsers[args.command].set_defaults(**file_values)
+            command_parsers[args.command].set_defaults(**file_values)
             args = parser.parse_args(argv)
         cfg = _to_runconfig(args)
         if cfg.tol_gap <= 0.0 or cfg.tol_number <= 0.0:
@@ -929,7 +834,7 @@ def main(argv=None) -> int:
         # --help/--version to 0); fold into the return-code contract.
         code = exc.code
         return code if isinstance(code, int) else EXIT_INVALID_CONFIG
-    except Exception as exc:  # solver and numeric failures
+    except (RuntimeError, ValueError, OSError) as exc:  # solver, numeric, output
         print(f"bcsbec: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
 

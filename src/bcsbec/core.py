@@ -1,4 +1,4 @@
-"""Model parameters, unit systems, and single-particle ingredients.
+"""Model parameters and single-particle ingredients.
 
 The model is a three-dimensional attractive Fermi gas with a separable
 interaction regularized by the form factor
@@ -23,7 +23,7 @@ and can also be derived from a lattice via m = hbar^2/(a^2 t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import constants as _const
@@ -31,7 +31,6 @@ from scipy import constants as _const
 __all__ = [
     "HBAR2_OVER_2ME_EV_A2",
     "PhysicalParams",
-    "UnitSystem",
     "dispersion",
     "nsr_form_factor",
     "critical_coupling",
@@ -111,47 +110,6 @@ class PhysicalParams:
 
     def fermi_energy(self) -> float:
         return self.half_hbar2_over_m * self.fermi_momentum() ** 2
-
-
-@dataclass
-class UnitSystem:
-    """Conversion between a physical parameter set and its dimensionless twin.
-
-    energy_scale is eps0 in the physical unit, length_scale is 1/k0.  The
-    round trip to_dimensionless -> to_physical is the identity to rounding.
-    """
-
-    mode: str = "dimensionless"     # "dimensionless" or "physical"
-    energy_scale: float = 1.0       # eps0 expressed in the physical energy unit
-    length_scale: float = 1.0       # 1/k0 expressed in the physical length unit
-
-    def __post_init__(self):
-        if self.mode not in ("dimensionless", "physical"):
-            raise ValueError("mode must be 'dimensionless' or 'physical'")
-        if self.energy_scale <= 0 or self.length_scale <= 0:
-            raise ValueError("scales must be positive")
-
-    @classmethod
-    def for_params(cls, params: PhysicalParams, mode: str = "physical") -> "UnitSystem":
-        return cls(mode=mode, energy_scale=params.eps0, length_scale=1.0 / params.k0)
-
-    def energy_to_dimensionless(self, e):
-        return np.asarray(e, dtype=float) / self.energy_scale
-
-    def energy_to_physical(self, e):
-        return np.asarray(e, dtype=float) * self.energy_scale
-
-    def momentum_to_dimensionless(self, k):
-        return np.asarray(k, dtype=float) * self.length_scale
-
-    def momentum_to_physical(self, k):
-        return np.asarray(k, dtype=float) / self.length_scale
-
-    def density_to_dimensionless(self, n):
-        return np.asarray(n, dtype=float) * self.length_scale**3
-
-    def density_to_physical(self, n):
-        return np.asarray(n, dtype=float) / self.length_scale**3
 
 
 def dispersion(k, params: PhysicalParams, form: str = "continuum"):

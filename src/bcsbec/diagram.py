@@ -64,6 +64,7 @@ class DiagramCell:
     label: RegimeLabel | None = None
     converged: bool = False
     note: str = ""
+    solution: GapSolution | None = None   # None when the solve failed
 
 
 def _pairing_label(mu: float, energy_scale: float, rtol: float) -> str:
@@ -92,8 +93,10 @@ def classify_point(
     """Solve (or reuse) the gap equations at (U, n) and label the cell.
 
     A pre-solved GapSolution may be passed to reuse one solve across many
-    (E_c, G) cells.  Solver non-convergence is propagated as an unlabeled
-    cell carrying the diagnostics, never an exception.
+    (E_c, G) cells; the cell keeps the solution it was classified from.
+    Solver non-convergence and numeric failures (RuntimeError, ValueError)
+    come back as an unlabeled cell carrying the diagnostics; any other
+    exception is a bug and propagates.
     """
     if E_c <= 0.0:
         raise ValueError("E_c must be positive")
@@ -105,9 +108,10 @@ def classify_point(
     if solution is None:
         try:
             solution = solve_self_consistent(U, n, params, quad=quad)
-        except Exception as exc:  # propagate as diagnostics, not a raise
+        except (RuntimeError, ValueError) as exc:  # numeric failure, not a bug
             cell.note = f"solver failed: {exc}"
             return cell
+    cell.solution = solution
     cell.mu = solution.mu
     cell.Delta0 = solution.Delta0
     cell.converged = solution.converged
@@ -218,7 +222,7 @@ def sweep_diagram(
             )
             if solution.converged:
                 guess = (solution.mu, solution.Delta0)
-        except Exception as exc:
+        except (RuntimeError, ValueError) as exc:
             solution = None
             note = f"solver failed: {exc}"
         for E_c in E_c_grid:

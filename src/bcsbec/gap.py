@@ -29,7 +29,7 @@ lower end of the mu bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -101,14 +101,19 @@ def _breakpoints(mu, Delta0, params: PhysicalParams):
     return [p for p in pts if p > 0]
 
 
-def _both_integrals(mu, Delta0, U, n, params, quad):
+def _integrals(mu, Delta0, params, quad, column=None):
+    """Gap and occupancy integrals, or only the one picked by `column`.
+
+    A single column is integrated on its own: adaptive refinement follows
+    every component it is given, so slicing a two-column result would
+    refine different panels and cost more integrand points.
+    """
+    f = _pair_integrand(mu, Delta0, params)
     vals, _, _ = radial_integral(
-        _pair_integrand(mu, Delta0, params), quad, k0=params.k0,
+        f if column is None else (lambda k: f(k)[:, column]), quad, k0=params.k0,
         breakpoints=_breakpoints(mu, Delta0, params),
     )
-    rg = 1.0 - 0.5 * U * vals[0]
-    rn = (n - vals[1]) / n
-    return rg, rn
+    return vals if column is None else float(vals[0])
 
 
 def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams,
@@ -122,12 +127,7 @@ def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams,
         raise ValueError("Delta0 must be nonnegative")
     if U <= 0:
         raise ValueError("U must be positive")
-    quad = quad or QuadratureSpec()
-    vals, _, _ = radial_integral(
-        lambda k: _pair_integrand(mu, Delta0, params)(k)[:, 0], quad, k0=params.k0,
-        breakpoints=_breakpoints(mu, Delta0, params),
-    )
-    return float(1.0 - 0.5 * U * vals[0])
+    return 1.0 - 0.5 * U * _integrals(mu, Delta0, params, quad or QuadratureSpec(), 0)
 
 
 def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams,
@@ -137,28 +137,7 @@ def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams,
         raise ValueError("Delta0 must be nonnegative")
     if n <= 0:
         raise ValueError("density must be positive")
-    quad = quad or QuadratureSpec()
-    vals, _, _ = radial_integral(
-        lambda k: _pair_integrand(mu, Delta0, params)(k)[:, 1], quad, k0=params.k0,
-        breakpoints=_breakpoints(mu, Delta0, params),
-    )
-    return float((n - vals[0]) / n)
-
-
-def _density(mu, Delta0, params, quad):
-    vals, _, _ = radial_integral(
-        lambda k: _pair_integrand(mu, Delta0, params)(k)[:, 1], quad, k0=params.k0,
-        breakpoints=_breakpoints(mu, Delta0, params),
-    )
-    return float(vals[0])
-
-
-def _gap_resid_only(Delta0, mu, U, params, quad):
-    vals, _, _ = radial_integral(
-        lambda k: _pair_integrand(mu, Delta0, params)(k)[:, 0], quad, k0=params.k0,
-        breakpoints=_breakpoints(mu, Delta0, params),
-    )
-    return 1.0 - 0.5 * U * vals[0]
+    return (n - _integrals(mu, Delta0, params, quad or QuadratureSpec(), 1)) / n
 
 
 def _delta_at_mu(mu, U, params, quad, guess=None):
@@ -180,7 +159,7 @@ def _delta_at_mu(mu, U, params, quad, guess=None):
     iters = 0
 
     def r(D):
-        return _gap_resid_only(D, mu, U, params, quad)
+        return gap_residual(D, mu, U, params, quad)
 
     lo_pt = hi_pt = None
     if mu <= 0:
@@ -237,15 +216,20 @@ def _newton_polish(mu, Delta0, U, n, params, quad, tol_gap, tol_number, max_step
     scale = max(abs(mu), params.eps0)
     dscale = max(Delta0, 1e-3 * params.eps0)
     it = 0
-    rg, rn = _both_integrals(mu, Delta0, U, n, params, quad)
+
+    def residuals(mu, Delta0):
+        gap, density = _integrals(mu, Delta0, params, quad)
+        return 1.0 - 0.5 * U * gap, (n - density) / n
+
+    rg, rn = residuals(mu, Delta0)
     for _ in range(max_steps):
         it += 1
         if abs(rg) <= 0.05 * tol_gap and abs(rn) <= 0.05 * tol_number:
             break
         hm = 1e-6 * scale
         hd = 1e-6 * dscale
-        rg_m, rn_m = _both_integrals(mu + hm, Delta0, U, n, params, quad)
-        rg_d, rn_d = _both_integrals(mu, Delta0 + hd, U, n, params, quad)
+        rg_m, rn_m = residuals(mu + hm, Delta0)
+        rg_d, rn_d = residuals(mu, Delta0 + hd)
         J = np.array([[(rg_m - rg) / hm, (rg_d - rg) / hd],
                       [(rn_m - rn) / hm, (rn_d - rn) / hd]])
         try:
@@ -261,7 +245,7 @@ def _newton_polish(mu, Delta0, U, n, params, quad, tol_gap, tol_number, max_step
         if new_D <= 0:
             break
         mu, Delta0 = new_mu, new_D
-        rg, rn = _both_integrals(mu, Delta0, U, n, params, quad)
+        rg, rn = residuals(mu, Delta0)
         scale = max(abs(mu), params.eps0)
         dscale = max(Delta0, 1e-3 * params.eps0)
     return mu, Delta0, rg, rn, it
@@ -306,7 +290,7 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams,
         D, its = _delta_at_mu(mu, U, params, quad, guess=running_guess[0])
         if D > 0:
             running_guess[0] = D
-        return _density(mu, D, params, quad) - n, D, its + 1
+        return _integrals(mu, D, params, quad, 1) - n, D, its + 1
 
     e_hi, D_hi, its = excess(mu_hi)
     iterations += its

@@ -1,12 +1,15 @@
 """Command-line contract: exit codes, files, config handling, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from bcsbec.checks import CHECK_NAMES
 from bcsbec.cli import main
+from bcsbec.quadrature import QuadratureError
 
 
 def run(argv):
@@ -75,6 +78,73 @@ def test_non_convergence_exits_two(tmp_path):
     code = run(["phase-lock", "--modes", "3", "--seed", "0", "--max-steps", "5",
                 "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise QuadratureError("panel budget exhausted")
+
+    monkeypatch.setattr("bcsbec.cli.sweep_coupling", fail)
+    assert run(["gap-sweep", "--out", str(tmp_path)]) == 2
+    assert "panel budget exhausted" in capsys.readouterr().err
+
+
+def test_bug_propagates_from_main(tmp_path, monkeypatch):
+    def bug(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr("bcsbec.cli.sweep_coupling", bug)
+    with pytest.raises(TypeError):
+        run(["gap-sweep", "--out", str(tmp_path)])
+
+
+def test_unwritable_output_exits_two(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["bound-state", "--out", str(blocker / "sub")]) == 2
+
+
+SOLVER_TOLERANCES = {"tol_gap": 1e-10, "tol_number": 1e-8}
+
+# (argv, sidecar stem, tolerances, results keys or None for no results block)
+SIDECAR_CASES = [
+    (["gap-sweep", "--points", "2"], "gap_sweep", SOLVER_TOLERANCES, None),
+    (["bound-state"], "bound_state", SOLVER_TOLERANCES, None),
+    (["phase-diagram", "--u-points", "2", "--g-points", "2"], "phase_diagram",
+     SOLVER_TOLERANCES, {"energy_unit"}),
+    (["overlap", "--m-max", "3"], "overlap", {}, {"rate_exact"}),
+    (["eta", "--k-points", "32"], "eta", SOLVER_TOLERANCES,
+     {"angle_convention", "note"}),
+    (["oracle", "--modes", "4"], "oracle", {}, None),
+    (["pegg-barnett", "--s", "16", "--rungs", "2"], "pegg_barnett", {}, None),
+    (["chain", "--ec", "1", "--ej", "4", "--segments", "4"], "chain", {},
+     {"E_c", "E_J", "energy_unit", "sigma2", "variance_oscillator",
+      "variance_gaussian_form", "factor_discrepancy", "coherence", "oscillator_oracle"}),
+    (["phase-lock", "--seed", "6"], "phase_lock", {"descent_tol": 1e-10},
+     {"gradient_norm", "steps", "converged", "equal_phase_residual", "phase_spread",
+      "min_amplitude"}),
+    (["checks", "--pegg-barnett-s", "32"], "checks", {}, set(CHECK_NAMES)),
+]
+
+
+@pytest.mark.parametrize("argv, stem, tolerances, results", SIDECAR_CASES,
+                         ids=[case[0][0] for case in SIDECAR_CASES])
+def test_sidecar_contract(tmp_path, argv, stem, tolerances, results):
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    meta_name = f"{stem}.meta.json"
+    csvs = sorted(p.name for p in tmp_path.iterdir() if p.name != meta_name)
+    assert all(name.endswith(".csv") for name in csvs)
+    meta = json.loads((tmp_path / meta_name).read_text())
+    assert sorted(meta["files"]) == csvs
+    for name in csvs:
+        data = (tmp_path / name).read_bytes()
+        assert meta["files"][name] == {
+            "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    assert meta["tolerances"] == tolerances
+    if results is None:
+        assert "results" not in meta
+    else:
+        assert set(meta["results"]) == results
 
 
 def test_config_file_precedence(tmp_path):

@@ -1,4 +1,4 @@
-"""Parameters, unit conversions, dispersion, and the threshold coupling."""
+"""Parameters in both unit modes, dispersion, and the threshold coupling."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from bcsbec.core import (
     HBAR2_OVER_2ME_EV_A2,
     PhysicalParams,
-    UnitSystem,
     critical_coupling,
     dispersion,
     nsr_form_factor,
@@ -101,23 +100,3 @@ def test_critical_coupling_scaling():
     assert critical_coupling(p) == pytest.approx(
         8.0 * np.pi * p.half_hbar2_over_m / 1.41, rel=1e-15
     )
-
-
-def test_unit_system_round_trip():
-    p = PhysicalParams.free_electron(k0=1.41)
-    units = UnitSystem.for_params(p)
-    e = 0.37
-    assert units.energy_to_physical(units.energy_to_dimensionless(e)) == pytest.approx(e, rel=1e-15)
-    k = 2.2
-    assert units.momentum_to_physical(units.momentum_to_dimensionless(k)) == pytest.approx(k, rel=1e-15)
-    n = 5e-3
-    assert units.density_to_physical(units.density_to_dimensionless(n)) == pytest.approx(n, rel=1e-15)
-    # density in k0^3 units: n_dimless = n_phys / k0^3
-    assert units.density_to_dimensionless(1.0) == pytest.approx(1.0 / 1.41**3, rel=1e-15)
-
-
-def test_unit_system_validation():
-    with pytest.raises(ValueError):
-        UnitSystem(mode="other")
-    with pytest.raises(ValueError):
-        UnitSystem(energy_scale=0.0)

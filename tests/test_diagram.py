@@ -11,6 +11,7 @@ from bcsbec.diagram import (
     sweep_diagram,
 )
 from bcsbec.gap import GapSolution, solve_self_consistent
+from bcsbec.quadrature import QuadratureError
 
 N_REF = 2e-2
 
@@ -100,6 +101,11 @@ def test_sweep_shapes_and_order(params):
     )
     assert [c.G for c in cells[:3]] == pytest.approx(list(g_grid), rel=1e-15)
     assert all(c.converged for c in cells)
+    # each cell carries the real solution it was classified from
+    for c in cells:
+        assert c.solution.converged
+        assert c.solution.iterations > 0
+        assert (c.solution.mu, c.solution.Delta0) == (c.mu, c.Delta0)
     # a 1x1x1 sweep reduces to classify_point
     single = sweep_diagram(u_grid[:1], ec_grid, g_grid[:1], N_REF, params=params)[0]
     sol = solve_self_consistent(u_grid[0], N_REF, params)
@@ -107,6 +113,31 @@ def test_sweep_shapes_and_order(params):
                             params=params, solution=sol)
     assert single.label == direct.label
     assert single.mu == pytest.approx(direct.mu, abs=1e-10)
+
+
+def test_numeric_solver_failure_gives_unlabeled_cells(params, monkeypatch):
+    def fail(*args, **kwargs):
+        raise QuadratureError("panel budget exhausted")
+
+    monkeypatch.setattr("bcsbec.diagram.solve_self_consistent", fail)
+    cells = sweep_diagram([1.0, 2.0], [1e-5], [1e-3, 1e-2], N_REF, params=params)
+    assert len(cells) == 4
+    for cell in cells:
+        assert cell.label is None and not cell.converged and cell.solution is None
+        assert cell.note == "solver failed: panel budget exhausted"
+    cell = classify_point(1.0, N_REF, 1e-5, 1e-2, params=params)
+    assert cell.label is None and cell.note.startswith("solver failed")
+
+
+def test_solver_bug_propagates(params, monkeypatch):
+    def bug(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr("bcsbec.diagram.solve_self_consistent", bug)
+    with pytest.raises(TypeError):
+        sweep_diagram([1.0], [1e-5], [1e-2], N_REF, params=params)
+    with pytest.raises(TypeError):
+        classify_point(1.0, N_REF, 1e-5, 1e-2, params=params)
 
 
 def test_boundary_monotone_in_coupling(params):
