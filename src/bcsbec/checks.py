@@ -126,7 +126,11 @@ def check_number_phase(seed: int = 7, h: float = 1e-3) -> CheckResult:
 def check_pegg_barnett(
     s: int = 64, Omega: float = 4.0, rungs: int = 3
 ) -> CheckResult:
-    """Commutator convergence toward -i on a doubling ladder in s."""
+    """Commutator deviation from -i on a doubling ladder in s.
+
+    The deviation falls toward a nonzero floor, not to zero; see
+    bcsbec.coherent.phase_operator.
+    """
     devs = []
     warned = False
     for level in range(rungs):

@@ -17,10 +17,10 @@ energies reported in eV.  Charging and hopping energies are entered in
 micro-eV in physical mode, matching the scales of junction arrays.
 Densities are always entered in units of k0^3.
 
-Exit codes: 0 success, 1 check failure, 2 solver non-convergence, a
-numeric failure (RuntimeError, ValueError) or an output file that cannot
-be written (OSError), 3 invalid configuration.  Any other exception is a
-bug and propagates with a traceback.
+Exit codes: 0 success, 1 check failure, 2 solver non-convergence or a
+numeric failure (RuntimeError, ValueError), 3 invalid configuration,
+including an output file that cannot be written (OSError).  Any other
+exception is a bug and propagates with a traceback.
 """
 
 from __future__ import annotations
@@ -834,7 +834,10 @@ def main(argv=None) -> int:
         # --help/--version to 0); fold into the return-code contract.
         code = exc.code
         return code if isinstance(code, int) else EXIT_INVALID_CONFIG
-    except (RuntimeError, ValueError, OSError) as exc:  # solver, numeric, output
+    except OSError as exc:  # an --out that cannot be written
+        print(f"bcsbec: invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CONFIG
+    except (RuntimeError, ValueError) as exc:  # solver, numeric
         print(f"bcsbec: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
 

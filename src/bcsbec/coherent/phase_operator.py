@@ -7,11 +7,19 @@ The s+1 phase states
 
 form an orthonormal basis, and the phase operator is the spectral sum
 theta_hat = sum_m theta_m |theta_m><theta_m|.  It is Hermitian at every
-finite s, e^{i theta_hat} is exactly unitary, and on states contained well
-inside the branch window [theta0, theta0 + 2 pi) the commutator with the
-number operator approaches the canonical value,
+finite s and e^{i theta_hat} is exactly unitary.  The expectation of its
+commutator with the number operator does not reach the canonical value -i
+as s -> infinity, even on states |psi> = sum_n c_n |n> contained well
+inside the branch window [theta0, theta0 + 2 pi).  The deviation
+|<[theta_hat, N]> + i| tends to the floor
 
-    <[theta_hat, N]> -> -i   as s -> infinity.
+    (s+1) |<theta0|psi>|^2 = |sum_n c_n e^{-i n theta0}|^2,
+
+the weight of the state on the branch-cut phase state, and only the excess
+over that floor falls, as O(s^-2).  For the default probe (Omega = 4, phase
+antipodal to the cut) the floor is 1.1223066e-3; the deviation is
+1.12296e-3 at s = 64 and 1.12232e-3 at s = 512, and the excess shrinks by
+3.94, 3.97 and 3.98 per doubling of s over that range.
 
 The convergence report evaluates that expectation on a coherent state of
 mean occupation Omega truncated to the s+1 levels (renormalized, with the

@@ -74,23 +74,29 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def _panel_estimates(f, a, b, nodes):
-    """Low- and high-order Gauss-Legendre estimates on panels [a_i, b_i].
+def _panel_nodes(a, b, nodes):
+    """Points of the n- and 2n-node Gauss-Legendre rules on panels [a_i, b_i].
 
-    a, b are 1D arrays of panel edges; f maps a 1D point array to an array of
-    shape (npts, nf).  Returns (high, err) of shape (npanels, nf).
+    a, b are 1D arrays of panel edges.  Returns (points, half): the flat point
+    array that `_panel_sums` expects values at, and the panel half widths.
     """
-    x1, w1 = _gl_nodes(nodes)
-    x2, w2 = _gl_nodes(2 * nodes)
+    x1, _ = _gl_nodes(nodes)
+    x2, _ = _gl_nodes(2 * nodes)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     pts1 = mid[:, None] + half[:, None] * x1[None, :]
     pts2 = mid[:, None] + half[:, None] * x2[None, :]
-    npan = a.size
-    allpts = np.concatenate([pts1.ravel(), pts2.ravel()])
-    vals = np.asarray(f(allpts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
+    return np.concatenate([pts1.ravel(), pts2.ravel()]), half
+
+
+def _panel_sums(vals, half, nodes):
+    """High-order estimates and embedded errors from values at `_panel_nodes`.
+
+    vals has shape (npts, nf).  Returns (high, err) of shape (npanels, nf).
+    """
+    _, w1 = _gl_nodes(nodes)
+    _, w2 = _gl_nodes(2 * nodes)
+    npan = half.size
     nf = vals.shape[1]
     v1 = vals[: npan * nodes].reshape(npan, nodes, nf)
     v2 = vals[npan * nodes:].reshape(npan, 2 * nodes, nf)
@@ -101,11 +107,15 @@ def _panel_estimates(f, a, b, nodes):
     return hi, np.abs(hi - lo)
 
 
-def _adaptive(f, edges, spec: QuadratureSpec):
-    """Refine panels with edges `edges` until every component converges."""
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    vals, errs = _panel_estimates(f, a, b, spec.nodes)
+def _adaptive(f, edges, first, spec: QuadratureSpec):
+    """Refine panels with edges `edges` until every component converges.
+
+    `first` holds f at the `_panel_nodes` of the initial panels, so the
+    caller can evaluate the first wave of several regions in one call.
+    """
+    a = edges[:-1]
+    b = edges[1:]
+    vals, errs = _panel_sums(first, 0.5 * (b - a), spec.nodes)
     while True:
         total = vals.sum(axis=0)
         err_tot = errs.sum(axis=0)
@@ -129,8 +139,9 @@ def _adaptive(f, edges, spec: QuadratureSpec):
         mid = 0.5 * (ra + rb)
         new_a = np.concatenate([a[~refine], ra, mid])
         new_b = np.concatenate([b[~refine], mid, rb])
-        new_vals, new_errs = _panel_estimates(f, np.concatenate([ra, mid]),
-                                              np.concatenate([mid, rb]), spec.nodes)
+        pts, half = _panel_nodes(np.concatenate([ra, mid]), np.concatenate([mid, rb]),
+                                 spec.nodes)
+        new_vals, new_errs = _panel_sums(f(pts), half, spec.nodes)
         keep_vals = vals[~refine]
         keep_errs = errs[~refine]
         a, b = new_a, new_b
@@ -139,16 +150,38 @@ def _adaptive(f, edges, spec: QuadratureSpec):
 
 
 def _initial_edges(lo, hi, breakpoints, count):
-    pts = [lo, hi]
+    """Edges of `count` initial panels on [lo, hi], seeded by the breakpoints.
+
+    The breakpoints inside (lo, hi) become edges; then the longest segment
+    (the first one on ties) is halved until there are `count` panels.  The
+    returned array is shared between calls and therefore read-only.
+    """
+    pts = {lo, hi}
     if breakpoints is not None:
-        pts += [p for p in np.atleast_1d(breakpoints) if lo < p < hi]
-    edges = np.array(sorted(set(pts)))
-    # split longest segments until the requested initial panel count is reached
-    while edges.size - 1 < count:
-        lengths = np.diff(edges)
-        i = int(np.argmax(lengths))
-        edges = np.insert(edges, i + 1, 0.5 * (edges[i] + edges[i + 1]))
+        pts.update(float(p) for p in np.atleast_1d(breakpoints) if lo < p < hi)
+    return _split_edges(tuple(sorted(pts)), count)
+
+
+@lru_cache(maxsize=256)
+def _split_edges(seeds, count):
+    # list inserts on a few dozen floats: numpy's per-call overhead would
+    # dominate at this size
+    edges = list(seeds)
+    while len(edges) - 1 < count:
+        i = max(range(len(edges) - 1), key=lambda j: edges[j + 1] - edges[j])
+        edges.insert(i + 1, 0.5 * (edges[i] + edges[i + 1]))
+    edges = np.array(edges, dtype=float)
+    edges.flags.writeable = False
     return edges
+
+
+@lru_cache(maxsize=32)
+def _tail_nodes(count, nodes):
+    """Initial tail edges on (0, 1] and their first-wave nodes, read-only."""
+    edges = _initial_edges(0.0, 1.0, None, count)
+    u, _ = _panel_nodes(edges[:-1], edges[1:], nodes)
+    u.flags.writeable = False
+    return edges, u
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None):
@@ -156,7 +189,9 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, k0: float = 1.0, breakpoint
 
     f maps a 1D array of k values to shape (npts,) or (npts, nf).  Returns
     (value, error_estimate, tail_value), each of shape (nf,).  The direct
-    region is [0, k_max*k0]; the tail uses u = k_max*k0/k on (0, 1].
+    region is [0, k_max*k0]; the tail uses u = k_max*k0/k on (0, 1].  The
+    first wave of both regions is evaluated in one call of f; refinement
+    waves call f per region.
     """
     kc = spec.k_max * k0
 
@@ -164,15 +199,16 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, k0: float = 1.0, breakpoint
         v = np.asarray(f(k), dtype=float)
         return v[:, None] if v.ndim == 1 else v
 
-    edges = _initial_edges(0.0, kc, breakpoints, spec.panels)
-    direct, err_d = _adaptive(f2, edges, spec)
-
     def tail_integrand(u):
-        k = kc / u
-        return f2(k) * (kc / u**2)[:, None]
+        return f2(kc / u) * (kc / u**2)[:, None]
 
-    tail_edges = _initial_edges(0.0, 1.0, None, max(2, spec.panels // 4))
-    tail, err_t = _adaptive(tail_integrand, tail_edges, spec)
+    edges = _initial_edges(0.0, kc, breakpoints, spec.panels)
+    tail_edges, u = _tail_nodes(max(2, spec.panels // 4), spec.nodes)
+    k, _ = _panel_nodes(edges[:-1], edges[1:], spec.nodes)
+    first = f2(np.concatenate([k, kc / u]))
+    direct, err_d = _adaptive(f2, edges, first[: k.size], spec)
+    tail, err_t = _adaptive(tail_integrand, tail_edges,
+                            first[k.size:] * (kc / u**2)[:, None], spec)
     return direct + tail, err_d + err_t, tail
 
 

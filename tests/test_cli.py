@@ -98,10 +98,10 @@ def test_bug_propagates_from_main(tmp_path, monkeypatch):
         run(["gap-sweep", "--out", str(tmp_path)])
 
 
-def test_unwritable_output_exits_two(tmp_path):
+def test_unwritable_output_exits_three(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    assert run(["bound-state", "--out", str(blocker / "sub")]) == 2
+    assert run(["bound-state", "--out", str(blocker / "sub")]) == 3
 
 
 SOLVER_TOLERANCES = {"tol_gap": 1e-10, "tol_number": 1e-8}

@@ -2,13 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bcsbec.gap
+from bcsbec.core import PhysicalParams, critical_coupling
+from bcsbec.gap import sweep_coupling
 from bcsbec.quadrature import (
     QuadratureError,
     QuadratureSpec,
+    _initial_edges,
     integrate_semi_infinite,
     radial_integral,
 )
+
+
+def reference_initial_edges(lo, hi, breakpoints, count):
+    """The original array-insert edge builder, kept as the oracle."""
+    pts = [lo, hi]
+    if breakpoints is not None:
+        pts += [p for p in np.atleast_1d(breakpoints) if lo < p < hi]
+    edges = np.array(sorted(set(pts)))
+    while edges.size - 1 < count:
+        lengths = np.diff(edges)
+        i = int(np.argmax(lengths))
+        edges = np.insert(edges, i + 1, 0.5 * (edges[i] + edges[i + 1]))
+    return edges
 
 
 def test_exponential_moment():
@@ -96,3 +115,49 @@ def test_spec_validation():
         QuadratureSpec(k_max=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(tol_abs=0.0, tol_rel=0.0)
+
+
+_point = st.one_of(
+    st.floats(-10.0, 60.0, allow_nan=False),
+    st.sampled_from([0.0, 1.0, 3.0, 10.0, 40.0, -0.5, 45.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hi=st.sampled_from([1.0, 12.5, 40.0]),
+    breakpoints=st.one_of(st.none(), st.lists(_point, max_size=12).map(lambda p: p + p[:3])),
+    count=st.integers(1, 40),
+)
+def test_initial_edges_match_array_insert_oracle(hi, breakpoints, count):
+    # points outside (0, hi), duplicated points and ties between segment
+    # lengths must all give exactly the oracle's edges
+    edges = _initial_edges(0.0, hi, breakpoints, count)
+    assert np.array_equal(edges, reference_initial_edges(0.0, hi, breakpoints, count))
+
+
+def test_initial_edges_are_memoised_read_only():
+    edges = _initial_edges(0.0, 40.0, [0.3, 1.0, 3.0, 10.0], 16)
+    assert _initial_edges(0.0, 40.0, (10.0, 3.0, 1.0, 0.3, 50.0), 16) is edges
+    with pytest.raises(ValueError):
+        edges[1] = 0.5
+
+
+def test_default_sweep_panel_set(monkeypatch):
+    # the default 50-point sweep at n = 0.02 takes exactly this many
+    # integrand points; a kernel change that moves the panels shows here
+    points = 0
+
+    def counting(f, *args, **kwargs):
+        def counted(k):
+            nonlocal points
+            points += len(k)
+            return f(k)
+
+        return radial_integral(counted, *args, **kwargs)
+
+    monkeypatch.setattr(bcsbec.gap, "radial_integral", counting)
+    params = PhysicalParams.dimensionless()
+    sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * critical_coupling(params), 0.02, params)
+    assert all(s.converged for s in sols)
+    assert points == 549_360
