@@ -31,7 +31,6 @@ from .coherent import (
     BosonEnsemble,
     FockOracle,
     PairEnsemble,
-    PeggBarnettOperators,
     PeggBarnettReport,
     PhaseLockResult,
     bcs_overlap,
@@ -85,7 +84,6 @@ __all__ = [
     "BosonEnsemble",
     "FockOracle",
     "PairEnsemble",
-    "PeggBarnettOperators",
     "PeggBarnettReport",
     "PhaseLockResult",
     "bcs_overlap",

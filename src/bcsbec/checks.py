@@ -129,27 +129,34 @@ def check_pegg_barnett(
     """Commutator deviation from -i on a doubling ladder in s.
 
     The deviation falls toward a nonzero floor, not to zero; see
-    bcsbec.coherent.phase_operator.
+    bcsbec.coherent.phase_operator.  Besides the strict decrease, the
+    excess over each rung's floor must shrink by 3.5-4.5x per doubling,
+    the O(s^-2) rate.
     """
-    devs = []
-    warned = False
-    for level in range(rungs):
-        _, report = pegg_barnett(s * (1 << level), 0.0, Omega)
-        devs.append(report.deviation_from_canonical)
-        warned = warned or report.truncation_warning
+    ladder = [s * (1 << level) for level in range(rungs)]
+    reports = [pegg_barnett(s_level, 0.0, Omega) for s_level in ladder]
+    devs = [r.deviation_from_canonical for r in reports]
+    floors = [r.floor for r in reports]
+    warned = any(r.truncation_warning for r in reports)
     monotone = all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
-    passed = devs[0] <= 0.05 and monotone
+    excess = [dev - floor for dev, floor in zip(devs, floors)]
+    ratios = [excess[i] / excess[i + 1] for i in range(len(excess) - 1)]
+    ratios_ok = all(3.5 <= ratio <= 4.5 for ratio in ratios)
+    passed = devs[0] <= 0.05 and monotone and ratios_ok
     return CheckResult(
         name="pegg-barnett",
         passed=passed,
         measured={
             "deviations": devs,
-            "s_ladder": [s * (1 << level) for level in range(rungs)],
+            "floors": floors,
+            "excess_ratios": ratios,
+            "s_ladder": ladder,
             "truncation_warning": warned,
         },
         detail=(
             f"deviation {devs[0]:.3e} at s={s} (tol 0.05), "
-            f"strictly decreasing={monotone}"
+            f"strictly decreasing={monotone}, floor {floors[-1]:.7e}, "
+            f"excess ratios {[round(r, 2) for r in ratios]} (tol 3.5-4.5)"
             + (", truncation warning raised" if warned else "")
         ),
     )
@@ -261,7 +268,7 @@ CHECK_NAMES = {
     "overlap-decay": "paired-overlap per-mode decay rate vs closed form",
     "eta-oracle": "analytic eta statistics vs exact finite-mode oracle",
     "number-phase": "number operator as 2i d/dphi on bra amplitudes",
-    "pegg-barnett": "phase-number commutator converges toward -i",
+    "pegg-barnett": "phase-number commutator deviation falls to its branch-cut floor",
     "phase-lock": "equal-phase stationarity and seeded descent locking",
     "oscillator-oracle": "grid oscillator vs literal closed form",
     "odlro-slope": "ODLRO decay slope and coherence boundary",

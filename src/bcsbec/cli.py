@@ -617,7 +617,7 @@ def cmd_pegg_barnett(cfg: RunConfig) -> int:
         s_level = s * (1 << level)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            _, report = pegg_barnett(
+            report = pegg_barnett(
                 s_level,
                 cfg.params["theta0"],
                 cfg.params["omega"],

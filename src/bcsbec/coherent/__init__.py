@@ -12,11 +12,7 @@ Subpackage layout:
 from .ensembles import PairEnsemble, BosonEnsemble, random_pair_ensemble
 from .overlaps import bec_overlap, bcs_overlap, eta_statistics
 from .fock import FockOracle, build_fock_oracle, number_phase_derivative_check
-from .phase_operator import (
-    PeggBarnettOperators,
-    PeggBarnettReport,
-    pegg_barnett,
-)
+from .phase_operator import PeggBarnettReport, pegg_barnett
 from .phase_locking import (
     PhaseLockResult,
     box_mode_tensor,
@@ -35,7 +31,6 @@ __all__ = [
     "FockOracle",
     "build_fock_oracle",
     "number_phase_derivative_check",
-    "PeggBarnettOperators",
     "PeggBarnettReport",
     "pegg_barnett",
     "PhaseLockResult",

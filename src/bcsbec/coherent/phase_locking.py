@@ -14,6 +14,17 @@ term vanishes identically.  Whether it is a minimum depends on the sign of
 g (attractive g < 0 lowers F at equal phases; for g > 0 minimality is not
 asserted here, only stationarity).
 
+In complex amplitudes z_n = alpha_n e^{i phi_n} the quartic term is
+(1/2) Re(conj(z (x) z) . G2 (z (x) z)), with g reshaped to the M^2 x M^2
+matrix G2[(n m), (t s)], and one mat-vec gives every derivative: with
+
+    h = (G2 (z (x) z)).reshape(M, M) conj(z),   q = e^{-i phi} h,
+
+dF/dphi = 2 alpha Im q, dF/dalpha = 2 E alpha + 2 Re q, and the quartic
+term equals (1/2) sum alpha Re q.  The real (alpha, phi) formulas with M^4
+phase and amplitude-product tensors survive only as the oracle in the
+tests.
+
 For 1D box modes u_n(x) = sqrt(2/L) sin(n pi x / L) the quartic tensor
 g_{nmts} = g0 int u_n u_m u_t u_s dx obeys a parity selection rule: the
 integral vanishes unless n+m+t+s is even.  The free energy is therefore
@@ -81,22 +92,25 @@ def box_mode_energies(M: int, length: float = 10.0) -> np.ndarray:
     return (n * np.pi / length) ** 2 / 2.0
 
 
-def _phase_tensor(phases: np.ndarray) -> np.ndarray:
-    """P[n,m,t,s] = phi_t + phi_s - phi_n - phi_m."""
-    return (
-        -phases[:, None, None, None]
-        - phases[None, :, None, None]
-        + phases[None, None, :, None]
-        + phases[None, None, None, :]
-    )
+def _coupling_matrix(g, M: int) -> np.ndarray:
+    """g reshaped to G2[(n m), (t s)], checked against the mode count."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (M, M, M, M):
+        raise ValueError("coupling tensor shape does not match mode count")
+    return g.reshape(M * M, M * M)
 
 
-def _amplitude_products(amplitudes: np.ndarray) -> np.ndarray:
+def _gradients(phases, amplitudes, G2, energies=0.0):
+    """(dF/dphi, dF/dalpha, quartic term) from q; see the module docstring."""
+    M = phases.size
+    rotor = np.exp(1j * phases)
+    z = amplitudes * rotor
+    h = (G2 @ (z[:, None] * z).ravel()).reshape(M, M) @ z.conj()
+    q = rotor.conj() * h
     return (
-        amplitudes[:, None, None, None]
-        * amplitudes[None, :, None, None]
-        * amplitudes[None, None, :, None]
-        * amplitudes[None, None, None, :]
+        2.0 * amplitudes * q.imag,
+        2.0 * energies * amplitudes + 2.0 * q.real,
+        0.5 * float(amplitudes @ q.real),
     )
 
 
@@ -104,53 +118,28 @@ def free_energy(phases, amplitudes, g, energies=None) -> float:
     """Quartic free energy at the given configuration."""
     phases = np.asarray(phases, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
-    quartic = 0.5 * float(
-        np.sum(g * _amplitude_products(amplitudes) * np.cos(_phase_tensor(phases)))
-    )
+    _, _, quartic = _gradients(phases, amplitudes, _coupling_matrix(g, phases.size))
     if energies is None:
         return quartic
     return float(np.sum(np.asarray(energies) * amplitudes**2)) + quartic
 
 
 def phase_gradient(phases, amplitudes, g) -> np.ndarray:
-    """dF/dphi_r for the quartic term (the quadratic term is phase free).
-
-    Differentiating the cosine gives -sin(P) times +1 for each appearance
-    of phi_r in the t or s slot and -1 for the n or m slots.
-    """
+    """dF/dphi_r for the quartic term (the quadratic term is phase free)."""
     phases = np.asarray(phases, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
-    M = phases.size
-    g = np.asarray(g, dtype=float)
-    if g.shape != (M, M, M, M):
-        raise ValueError("coupling tensor shape does not match mode count")
-    GS = g * _amplitude_products(amplitudes) * np.sin(_phase_tensor(phases))
-    return 0.5 * (
-        -(GS.sum(axis=(0, 1, 3)) + GS.sum(axis=(0, 1, 2)))
-        + GS.sum(axis=(1, 2, 3))
-        + GS.sum(axis=(0, 2, 3))
-    )
+    dphi, _, _ = _gradients(phases, amplitudes, _coupling_matrix(g, phases.size))
+    return dphi
 
 
 def equal_phase_residual(amplitudes, g) -> float:
     """Norm of the phase gradient at equal phases (zero to rounding).
 
-    Holds for any real symmetric tensor: every sine factor is sin(0).
+    Holds for any real symmetric tensor: q is real when every phase is 0.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     grad = phase_gradient(np.zeros(amplitudes.size), amplitudes, g)
     return float(np.linalg.norm(grad))
-
-
-def _amplitude_gradient(amplitudes, g, C, energies) -> np.ndarray:
-    CC = g * C
-    a = amplitudes
-    return 2.0 * energies * a + 0.5 * (
-        np.einsum("rmts,m,t,s->r", CC, a, a, a)
-        + np.einsum("nrts,n,t,s->r", CC, a, a, a)
-        + np.einsum("nmrs,n,m,s->r", CC, a, a, a)
-        + np.einsum("nmtr,n,m,t->r", CC, a, a, a)
-    )
 
 
 @dataclass
@@ -171,15 +160,12 @@ class PhaseLockResult:
 
 def variational_phase_lock(
     M: int,
-    basis: str = "box",
     g_sign: float = -1.0,
     seed: int = 0,
     length: float = 10.0,
-    coupling_strength: float = 1.0,
     step: float = 1e-2,
     tol: float = 1e-10,
     max_steps: int = 100_000,
-    quad_points: int = 2049,
 ) -> PhaseLockResult:
     """Seeded gradient descent of the quartic free energy (box basis).
 
@@ -194,14 +180,13 @@ def variational_phase_lock(
     """
     if not 2 <= M <= 6:
         raise ValueError("M must be between 2 and 6")
-    if basis != "box":
-        raise ValueError(f"unsupported basis {basis!r}; only 'box' is provided")
     if g_sign not in (-1.0, 1.0, -1, 1):
         raise ValueError("g_sign must be +1 (repulsive) or -1 (attractive)")
     if step <= 0.0 or tol <= 0.0 or max_steps < 1:
         raise ValueError("step, tol, max_steps must be positive")
 
-    g = float(g_sign) * coupling_strength * box_mode_tensor(M, length, quad_points)
+    g = float(g_sign) * box_mode_tensor(M, length)
+    G2 = g.reshape(M * M, M * M)
     energies = box_mode_energies(M, length)
 
     rng = np.random.default_rng(seed)
@@ -216,25 +201,15 @@ def variational_phase_lock(
     steps = 0
     converged = False
     for steps in range(1, max_steps + 1):
-        P = _phase_tensor(phases)
-        aa = _amplitude_products(amplitudes)
-        GS = g * aa * np.sin(P)
-        dphi = 0.5 * (
-            -(GS.sum(axis=(0, 1, 3)) + GS.sum(axis=(0, 1, 2)))
-            + GS.sum(axis=(1, 2, 3))
-            + GS.sum(axis=(0, 2, 3))
-        )
-        damp = _amplitude_gradient(amplitudes, g, np.cos(P), energies)
-        damp_t = damp - amplitudes * np.dot(damp, amplitudes) / norm_target
-        gradient_norm = float(
-            np.sqrt(np.sum(dphi**2) + np.sum(damp_t**2))
-        )
+        dphi, damp, _ = _gradients(phases, amplitudes, G2, energies)
+        damp_t = damp - amplitudes * (damp @ amplitudes) / norm_target
+        gradient_norm = float(np.sqrt(dphi @ dphi + damp_t @ damp_t))
         if gradient_norm < tol:
             converged = True
             break
         phases = phases - step * dphi
         amplitudes = np.abs(amplitudes - step * damp_t)
-        amplitudes *= np.sqrt(norm_target / np.sum(amplitudes**2))
+        amplitudes *= np.sqrt(norm_target / (amplitudes @ amplitudes))
 
     diffs = np.angle(np.exp(1j * (phases[:, None] - phases[None, :])))
     return PhaseLockResult(

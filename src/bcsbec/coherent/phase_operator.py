@@ -7,11 +7,27 @@ The s+1 phase states
 
 form an orthonormal basis, and the phase operator is the spectral sum
 theta_hat = sum_m theta_m |theta_m><theta_m|.  It is Hermitian at every
-finite s and e^{i theta_hat} is exactly unitary.  The expectation of its
-commutator with the number operator does not reach the canonical value -i
-as s -> infinity, even on states |psi> = sum_n c_n |n> contained well
-inside the branch window [theta0, theta0 + 2 pi).  The deviation
-|<[theta_hat, N]> + i| tends to the floor
+finite s and e^{i theta_hat} is exactly unitary.  Its number-basis matrix
+elements have a closed form (Pegg & Barnett, Phys. Rev. A 39, 1665
+(1989)): they depend only on d = n - n', and for d != 0
+
+    <n|theta_hat|n'> = theta_d = e^{i d theta0} (2 pi/(s+1)) / (e^{2 pi i d/(s+1)} - 1)
+                               = -i (pi/(s+1)) e^{i d (theta0 - pi/(s+1))} / sin(pi d/(s+1)),
+
+the second form being the one evaluated.  The commutator with N is
+<n|[theta_hat, N]|n'> = -d theta_d, so on |psi> = sum_n c_n |n>
+
+    <psi|[theta_hat, N]|psi> = sum_{d != 0} theta_d (-d) R(d),
+    R(d) = sum_n conj(c_n) c_{n-d},
+
+a Toeplitz sum over the autocorrelation R of the coefficients, computed
+in O(s^2) without forming any (s+1)^2 matrix.  The dense spectral build
+survives only as the oracle in the tests.
+
+The expectation does not reach the canonical value -i as s -> infinity,
+even on states contained well inside the branch window
+[theta0, theta0 + 2 pi).  The deviation |<[theta_hat, N]> + i| tends to
+the floor
 
     (s+1) |<theta0|psi>|^2 = |sum_n c_n e^{-i n theta0}|^2,
 
@@ -23,12 +39,13 @@ antipodal to the cut) the floor is 1.1223066e-3; the deviation is
 
 The convergence report evaluates that expectation on a coherent state of
 mean occupation Omega truncated to the s+1 levels (renormalized, with the
-discarded tail weight reported).  The state's phase defaults to
-theta0 + pi, antipodal to the branch cut: a state centered on the cut sees
-the 2 pi jump of the phase eigenvalues and the commutator expectation is
-off by order unity, which is a property of the branch choice rather than
-of the truncation.  Number-state weights are accumulated in log space
-(gammaln) so large Omega does not overflow the factorials.
+discarded tail weight reported), together with the floor.  The state's
+phase defaults to theta0 + pi, antipodal to the branch cut: a state
+centered on the cut sees the 2 pi jump of the phase eigenvalues and the
+commutator expectation is off by order unity, which is a property of the
+branch choice rather than of the truncation.  Number-state weights are
+accumulated in log space (gammaln) so large Omega does not overflow the
+factorials.
 """
 
 from __future__ import annotations
@@ -39,22 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["PeggBarnettOperators", "PeggBarnettReport", "pegg_barnett"]
-
-
-@dataclass
-class PeggBarnettOperators:
-    """Finite-dimensional phase operators in the number basis."""
-
-    dim: int
-    theta0: float
-    exp_itheta: np.ndarray
-    theta_op: np.ndarray
-    number_op: np.ndarray
-
-    @property
-    def s(self) -> int:
-        return self.dim - 1
+__all__ = ["PeggBarnettReport", "pegg_barnett"]
 
 
 @dataclass
@@ -65,6 +67,7 @@ class PeggBarnettReport:
     state_phase: float
     commutator_expectation: complex
     deviation_from_canonical: float
+    floor: float
     truncation_error: float
     truncation_warning: bool
 
@@ -74,8 +77,8 @@ def pegg_barnett(
     theta0: float = 0.0,
     Omega: float = 4.0,
     state_phase: float | None = None,
-) -> tuple[PeggBarnettOperators, PeggBarnettReport]:
-    """Build the (s+1)-level phase operators and the commutator report.
+) -> PeggBarnettReport:
+    """Commutator report of the (s+1)-level phase operator.
 
     Parameters
     ----------
@@ -85,31 +88,17 @@ def pegg_barnett(
     state_phase : phase of the probe state; defaults to theta0 + pi so the
         state sits antipodal to the branch cut.
 
-    Returns the operators and a report of <alpha|[theta_hat, N]|alpha>,
-    its distance from the canonical -i, and the truncated tail weight.
-    A warning fires when Omega is within a factor 4 of s: the coherent
-    tail then leaks past the truncation and the report is unreliable.
+    Returns a report of <alpha|[theta_hat, N]|alpha>, its distance from
+    the canonical -i, the floor (s+1)|<theta0|alpha>|^2 that distance
+    tends to, and the truncated tail weight.  A warning fires when Omega
+    is within a factor 4 of s: the coherent tail then leaks past the
+    truncation and the report is unreliable.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     if Omega <= 0.0:
         raise ValueError("Omega must be positive")
     dim = s + 1
-    n = np.arange(dim)
-    theta_m = theta0 + 2.0 * np.pi * n / dim
-
-    # columns of V are the phase states in the number basis
-    V = np.exp(1j * np.outer(n, theta_m)) / np.sqrt(dim)
-    theta_op = (V * theta_m) @ V.conj().T
-    exp_itheta = (V * np.exp(1j * theta_m)) @ V.conj().T
-    number_op = np.diag(n.astype(float))
-    ops = PeggBarnettOperators(
-        dim=dim,
-        theta0=float(theta0),
-        exp_itheta=exp_itheta,
-        theta_op=theta_op,
-        number_op=number_op,
-    )
 
     warn = Omega >= s / 4.0
     if warn:
@@ -122,19 +111,28 @@ def pegg_barnett(
 
     if state_phase is None:
         state_phase = theta0 + np.pi
+    n = np.arange(dim)
     log_weight = -0.5 * Omega + 0.5 * n * np.log(Omega) - 0.5 * gammaln(n + 1.0)
     coeff = np.exp(log_weight) * np.exp(1j * n * state_phase)
     truncation_error = float(1.0 - np.sum(np.abs(coeff) ** 2))
     coeff = coeff / np.linalg.norm(coeff)
 
-    comm = theta_op @ number_op - number_op @ theta_op
-    value = complex(coeff.conj() @ comm @ coeff)
-    report = PeggBarnettReport(
+    d = np.arange(-s, dim)
+    d = d[d != 0]
+    theta_d = (
+        -1j * (np.pi / dim) * np.exp(1j * d * (theta0 - np.pi / dim))
+        / np.sin(np.pi * d / dim)
+    )
+    # np.correlate(c, c, "full")[k] = sum_n c_{n+k-s} conj(c_n); reversed,
+    # entry d+s is R(d) = sum_n conj(c_n) c_{n-d}
+    R = np.correlate(coeff, coeff, "full")[::-1]
+    value = complex(np.sum(theta_d * -d * R[d + s]))
+    return PeggBarnettReport(
         Omega=float(Omega),
         state_phase=float(state_phase),
         commutator_expectation=value,
         deviation_from_canonical=float(abs(value + 1j)),
+        floor=float(abs(np.sum(coeff * np.exp(-1j * n * theta0))) ** 2),
         truncation_error=truncation_error,
         truncation_warning=bool(warn),
     )
-    return ops, report

@@ -17,8 +17,7 @@ pairs to a condensate of tightly bound molecules.
 Two unit modes are supported.  In dimensionless mode hbar = 1, k0 = 1 and
 eps0 = hbar^2 k0^2 / (2m) = 1 (so m = 1/2); energies are quoted in eps0,
 momenta in k0, densities in k0^3.  In physical mode energies are in eV and
-lengths in Angstrom; the effective mass defaults to the free-electron value
-and can also be derived from a lattice via m = hbar^2/(a^2 t).
+lengths in Angstrom, with the free-electron mass.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ class PhysicalParams:
 
     k0: float = 1.0            # form-factor momentum scale (inverse length)
     half_hbar2_over_m: float = 1.0   # hbar^2/(2m) in energy*length^2
-    t: float | None = None     # lattice hopping energy, optional
-    a: float | None = None     # lattice constant, optional
     U: float | None = None     # attraction strength (energy*volume), optional
     n: float | None = None     # particle density (1/volume), optional
 
@@ -61,15 +58,6 @@ class PhysicalParams:
             raise ValueError("k0 must be positive")
         if self.half_hbar2_over_m <= 0:
             raise ValueError("hbar^2/(2m) must be positive")
-        if self.t is not None and self.a is not None:
-            # consistency: continuum mass from the lattice, m = hbar^2/(a^2 t),
-            # i.e. hbar^2/(2m) = a^2 t / 2 exactly.
-            derived = 0.5 * self.a**2 * self.t
-            if not np.isclose(derived, self.half_hbar2_over_m, rtol=1e-12, atol=0.0):
-                raise ValueError(
-                    "inconsistent lattice parameters: a^2*t/2 = %r but hbar^2/(2m) = %r"
-                    % (derived, self.half_hbar2_over_m)
-                )
         if self.n is not None and self.n <= 0:
             raise ValueError("density must be positive")
 
@@ -77,14 +65,6 @@ class PhysicalParams:
     def dimensionless(cls, U: float | None = None, n: float | None = None) -> "PhysicalParams":
         """hbar = k0 = eps0 = 1 (hence m = 1/2)."""
         return cls(k0=1.0, half_hbar2_over_m=1.0, U=U, n=n)
-
-    @classmethod
-    def from_lattice(cls, t: float, a: float, k0: float,
-                     U: float | None = None, n: float | None = None) -> "PhysicalParams":
-        """Mass from a cubic lattice: m = hbar^2/(a^2 t)."""
-        if t <= 0 or a <= 0:
-            raise ValueError("t and a must be positive")
-        return cls(k0=k0, half_hbar2_over_m=0.5 * a**2 * t, t=t, a=a, U=U, n=n)
 
     @classmethod
     def free_electron(cls, k0: float, U: float | None = None,
@@ -97,11 +77,6 @@ class PhysicalParams:
         """Form-factor energy scale hbar^2 k0^2/(2m)."""
         return self.half_hbar2_over_m * self.k0**2
 
-    @property
-    def mass(self) -> float:
-        """m in units where hbar = 1 (i.e. 1/(2 * half_hbar2_over_m))."""
-        return 1.0 / (2.0 * self.half_hbar2_over_m)
-
     def fermi_momentum(self) -> float:
         """k_F = (3 pi^2 n)^(1/3), both spin projections filled."""
         if self.n is None:
@@ -112,25 +87,12 @@ class PhysicalParams:
         return self.half_hbar2_over_m * self.fermi_momentum() ** 2
 
 
-def dispersion(k, params: PhysicalParams, form: str = "continuum"):
-    """Single-particle kinetic energy.
-
-    form = "continuum": eps_k = hbar^2 k^2 / (2m) for momentum magnitude k.
-    form = "lattice":   eps_k = t * sum_i (1 - cos(k_i a)) for a per-axis
-    wavevector (a scalar is treated as (k, 0, 0)).  The two agree to relative
-    order (ka)^2/12 for small ka once m = hbar^2/(a^2 t).
-    """
+def dispersion(k, params: PhysicalParams):
+    """Single-particle kinetic energy eps_k = hbar^2 k^2 / (2m) at momentum magnitude k."""
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
-        raise ValueError("negative wavevector component")
-    if form == "continuum":
-        return params.half_hbar2_over_m * k**2
-    if form == "lattice":
-        if params.t is None or params.a is None:
-            raise ValueError("lattice form requires t and a")
-        comps = np.atleast_1d(k)
-        return params.t * np.sum(1.0 - np.cos(comps * params.a), axis=-1 if comps.ndim > 1 else 0)
-    raise ValueError("form must be 'continuum' or 'lattice'")
+        raise ValueError("negative momentum magnitude")
+    return params.half_hbar2_over_m * k**2
 
 
 def nsr_form_factor(k, k0: float = 1.0):

@@ -66,8 +66,8 @@ class GapSolution:
     note: str = ""
 
 
-def _pair_integrand(mu, Delta0, params: PhysicalParams):
-    """Vector integrand (gap, occupancy) without the radial weight."""
+def _pair_integrand(mu, Delta0, params: PhysicalParams, column=None):
+    """Integrand (gap, occupancy) without the radial weight, or only `column`."""
     h2m = params.half_hbar2_over_m
     k0 = params.k0
 
@@ -76,11 +76,14 @@ def _pair_integrand(mu, Delta0, params: PhysicalParams):
         g2 = 1.0 / (1.0 + (k / k0) ** 2)
         y2 = Delta0 * Delta0 * g2
         xi = np.sqrt(eps * eps + y2)
-        gap = g2 / xi
+        if column == 0:
+            return g2 / xi
         # occupancy 1 - eps/xi in a cancellation-free form for eps > 0
         with np.errstate(invalid="ignore", divide="ignore"):
             occ = np.where(eps > 0.0, y2 / (xi * (xi + eps)), 1.0 - eps / np.maximum(xi, 1e-300))
-        return np.stack([gap, occ], axis=1)
+        if column == 1:
+            return occ
+        return np.stack([g2 / xi, occ], axis=1)
 
     return f
 
@@ -108,9 +111,8 @@ def _integrals(mu, Delta0, params, quad, column=None):
     every component it is given, so slicing a two-column result would
     refine different panels and cost more integrand points.
     """
-    f = _pair_integrand(mu, Delta0, params)
     vals, _, _ = radial_integral(
-        f if column is None else (lambda k: f(k)[:, column]), quad, k0=params.k0,
+        _pair_integrand(mu, Delta0, params, column), quad, k0=params.k0,
         breakpoints=_breakpoints(mu, Delta0, params),
     )
     return vals if column is None else float(vals[0])

@@ -15,7 +15,6 @@ from bcsbec.core import (
 def test_dimensionless_scales():
     p = PhysicalParams.dimensionless()
     assert p.eps0 == 1.0
-    assert p.mass == 0.5
     assert critical_coupling(p) == pytest.approx(8.0 * np.pi, rel=1e-15)
 
 
@@ -44,15 +43,6 @@ def test_validation():
         PhysicalParams(k0=1.0, half_hbar2_over_m=-1.0)
     with pytest.raises(ValueError):
         PhysicalParams(k0=1.0, n=-1.0)
-    # inconsistent lattice-derived mass
-    with pytest.raises(ValueError):
-        PhysicalParams(k0=1.0, half_hbar2_over_m=1.0, t=1.0, a=1.0)
-
-
-def test_from_lattice_consistency():
-    p = PhysicalParams.from_lattice(t=2.0, a=3.0, k0=0.7)
-    assert p.half_hbar2_over_m == pytest.approx(0.5 * 9.0 * 2.0, rel=1e-15)
-    assert p.mass == pytest.approx(1.0 / (9.0 * 2.0), rel=1e-15)
 
 
 def test_dispersion_continuum():
@@ -61,26 +51,6 @@ def test_dispersion_continuum():
     assert np.allclose(dispersion(k, p), k**2)
     with pytest.raises(ValueError):
         dispersion(np.array([-1.0]), p)
-
-
-def test_dispersion_lattice_small_k_limit():
-    t, a = 1.7, 0.9
-    p = PhysicalParams.from_lattice(t=t, a=a, k0=1.0)
-    k = 0.1 / a  # ka = 0.1
-    cont = dispersion(np.array([k]), p, form="continuum")[0]
-    latt = dispersion(np.array([k]), p, form="lattice")
-    rel = abs(float(latt) - cont) / cont
-    # leading correction is (ka)^2/12
-    assert rel < (k * a) ** 2 / 10.0
-    assert rel == pytest.approx((k * a) ** 2 / 12.0, rel=0.05)
-
-
-def test_dispersion_lattice_requires_parameters():
-    p = PhysicalParams.dimensionless()
-    with pytest.raises(ValueError):
-        dispersion(np.array([0.1]), p, form="lattice")
-    with pytest.raises(ValueError):
-        dispersion(np.array([0.1]), p, form="nope")
 
 
 def test_form_factor():

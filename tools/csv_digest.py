@@ -1,8 +1,9 @@
 """Digest the outputs of a fixed set of bcsbec CLI runs.
 
-Runs every subcommand once with its default arguments, and the unit-aware
-subcommands in both unit modes, all in one process, and prints one line per
-output:
+Runs every subcommand once with its default arguments, the unit-aware
+subcommands in both unit modes, and a few fixed non-default runs (the
+benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
+seed), all in one process, and prints one line per output:
 
     <argv>  <file>  <sha256>
 
@@ -46,7 +47,9 @@ INVOCATIONS = (
     ["overlap"],
     ["oracle"],
     ["pegg-barnett"],
+    ["pegg-barnett", "--s", "64", "--rungs", "5"],
     ["phase-lock", "--seed", "6"],
+    ["phase-lock", "--seed", "20"],
     ["phase-lock", "--max-steps", "5"],
     ["checks"],
 )
