@@ -45,16 +45,13 @@ from .coherent import (
     variational_phase_lock,
 )
 from .chain import (
-    ChainConstituents,
     ChainGroundState,
-    ChainSpec,
     OscillatorResult,
     charging_energy,
     coherence_classify,
     josephson_energy,
     odlro,
     oscillator_oracle,
-    segment_delta_bar,
     sigma_phi2,
 )
 from .diagram import (
@@ -96,16 +93,13 @@ __all__ = [
     "pegg_barnett",
     "random_pair_ensemble",
     "variational_phase_lock",
-    "ChainConstituents",
     "ChainGroundState",
-    "ChainSpec",
     "OscillatorResult",
     "charging_energy",
     "coherence_classify",
     "josephson_energy",
     "odlro",
     "oscillator_oracle",
-    "segment_delta_bar",
     "sigma_phi2",
     "DiagramCell",
     "RegimeLabel",

@@ -36,7 +36,7 @@ flag, and the grid oracle below adjudicates the literal Hamiltonian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import constants as _const
@@ -45,14 +45,11 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "charging_energy",
     "josephson_energy",
-    "segment_delta_bar",
     "sigma_phi2",
     "odlro",
     "OscillatorResult",
     "oscillator_oracle",
     "coherence_classify",
-    "ChainConstituents",
-    "ChainSpec",
     "ChainGroundState",
 ]
 
@@ -82,13 +79,6 @@ def josephson_energy(G: float, U: float, Delta_j: float, Delta_j1: float) -> flo
     return G * G * U * Delta_j * Delta_j1 / (Delta_j + Delta_j1)
 
 
-def segment_delta_bar(U: float, Delta_j: float, N_j: float) -> float:
-    """Per-segment correlation amplitude Delta_bar = U Delta_j / N_j."""
-    if N_j <= 0.0:
-        raise ValueError("segment particle number must be positive")
-    return U * Delta_j / N_j
-
-
 def sigma_phi2(E_c: float, E_J: float) -> float:
     """Relative-phase variance sqrt(2 E_c / E_J) (classification form).
 
@@ -104,25 +94,19 @@ def sigma_phi2(E_c: float, E_J: float) -> float:
     return math.sqrt(2.0 * E_c / E_J)
 
 
-def odlro(
-    j: int,
-    l: int,
-    Delta_bars,
-    sigma2: float,
-    unit_self_correlation: bool = False,
-) -> float:
+def odlro(j: int, l: int, Delta_bars, sigma2: float) -> float:
     """Segment-pair correlation 2 pi Dbar_j Dbar_l exp(-|j-l| sigma2).
 
-    The 2 pi prefactor is kept as printed; unit_self_correlation drops it
-    so that rho_jj = Dbar_j^2 for callers who want normalized decay.
+    The 2 pi prefactor is kept as printed.  sigma2 = inf (E_J = 0, see
+    sigma_phi2) leaves only the self-correlation, rho_jl = 0 for j != l.
     """
     bars = np.atleast_1d(np.asarray(Delta_bars, dtype=float))
     if not (0 <= j < bars.size and 0 <= l < bars.size):
         raise ValueError("segment indices outside the chain")
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be >= 0")
-    prefactor = 1.0 if unit_self_correlation else 2.0 * math.pi
-    return float(prefactor * bars[j] * bars[l] * math.exp(-abs(j - l) * sigma2))
+    decay = 1.0 if j == l else math.exp(-abs(j - l) * sigma2)
+    return float(2.0 * math.pi * bars[j] * bars[l] * decay)
 
 
 @dataclass
@@ -201,65 +185,6 @@ def coherence_classify(E_c: float, E_J: float, rtol: float = 1e-9) -> str:
 
 
 @dataclass
-class ChainConstituents:
-    """Microscopic inputs that determine (E_c, E_J) of a uniform chain."""
-
-    G: float
-    U: float
-    Delta: tuple
-    epsilon: float | None = None
-    S: float | None = None
-    d: float | None = None
-
-
-@dataclass
-class ChainSpec:
-    """Validated chain parameters, optionally tied to constituents.
-
-    When constituents are attached, every junction's recomputed E_J must
-    match the stored scalar to 1e-12 relative (so attached chains are
-    E_J-uniform by construction; heterogeneous amplitude profiles enter
-    the ODLRO correlations directly, not through ChainSpec).  Capacitance
-    inputs, when present, must likewise reproduce E_c.
-    """
-
-    N: int
-    E_c: float
-    E_J: float
-    constituents: ChainConstituents | None = None
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("a chain needs at least two segments")
-        if self.E_c <= 0.0:
-            raise ValueError("E_c must be positive")
-        if self.E_J < 0.0:
-            raise ValueError("E_J must be >= 0")
-        con = self.constituents
-        if con is None:
-            return
-        deltas = tuple(float(v) for v in con.Delta)
-        if len(deltas) != self.N:
-            raise ValueError("constituents must carry one Delta per segment")
-        for j in range(self.N - 1):
-            ej = josephson_energy(con.G, con.U, deltas[j], deltas[j + 1])
-            if abs(ej - self.E_J) > 1e-12 * max(abs(self.E_J), 1e-300):
-                raise ValueError(
-                    f"junction {j}: E_J from constituents {ej!r} does not "
-                    f"match stored {self.E_J!r}"
-                )
-        geometry = (con.epsilon, con.S, con.d)
-        if any(v is not None for v in geometry):
-            if any(v is None for v in geometry):
-                raise ValueError("epsilon, S, d must be supplied together")
-            ec = charging_energy(con.epsilon, con.S, con.d)
-            if abs(ec - self.E_c) > 1e-12 * abs(self.E_c):
-                raise ValueError(
-                    f"E_c from geometry {ec!r} does not match stored {self.E_c!r}"
-                )
-
-
-@dataclass
 class ChainGroundState:
     """Harmonic ground-state summary with all three variance conventions.
 
@@ -267,32 +192,26 @@ class ChainGroundState:
     oscillator Hamiltonian gives sqrt(8 E_c/E_J); the Gaussian form with
     width parameter sqrt(E_J/(8 E_c)) gives sqrt(E_c/(2 E_J)).  They
     differ by fixed factors, so factor_discrepancy is set whenever
-    E_J > 0.  The mean relative phase is exactly zero by symmetry.
+    E_J > 0.
     """
 
     sigma2: float
     variance_oscillator: float
     variance_gaussian_form: float
-    width_parameter: float
-    mean_phase_difference: float
     factor_discrepancy: bool
 
     @classmethod
-    def for_chain(cls, spec: ChainSpec) -> "ChainGroundState":
-        s2 = sigma_phi2(spec.E_c, spec.E_J)
-        if spec.E_J == 0.0:
+    def for_chain(cls, E_c: float, E_J: float) -> "ChainGroundState":
+        s2 = sigma_phi2(E_c, E_J)
+        if E_J == 0.0:
             osc = math.inf
             gauss = math.inf
-            width = 0.0
         else:
-            osc = math.sqrt(8.0 * spec.E_c / spec.E_J)
-            gauss = math.sqrt(spec.E_c / (2.0 * spec.E_J))
-            width = math.sqrt(spec.E_J / (8.0 * spec.E_c))
+            osc = math.sqrt(8.0 * E_c / E_J)
+            gauss = math.sqrt(E_c / (2.0 * E_J))
         return cls(
             sigma2=s2,
             variance_oscillator=osc,
             variance_gaussian_form=gauss,
-            width_parameter=width,
-            mean_phase_difference=0.0,
-            factor_discrepancy=bool(spec.E_J > 0.0),
+            factor_discrepancy=bool(E_J > 0.0),
         )

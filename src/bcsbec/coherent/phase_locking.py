@@ -69,6 +69,8 @@ def box_mode_tensor(M: int, length: float = 10.0, points: int = 2049) -> np.ndar
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    if not 0.0 < length < np.inf:
+        raise ValueError("length must be positive and finite")
     if points < 3 or points % 2 == 0:
         raise ValueError("points must be odd and >= 3")
     x = np.linspace(0.0, length, points)
@@ -182,7 +184,7 @@ def variational_phase_lock(
         raise ValueError("M must be between 2 and 6")
     if g_sign not in (-1.0, 1.0, -1, 1):
         raise ValueError("g_sign must be +1 (repulsive) or -1 (attractive)")
-    if step <= 0.0 or tol <= 0.0 or max_steps < 1:
+    if not (step > 0.0 and tol > 0.0 and max_steps >= 1):
         raise ValueError("step, tol, max_steps must be positive")
 
     g = float(g_sign) * box_mode_tensor(M, length)

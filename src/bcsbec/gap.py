@@ -339,8 +339,8 @@ def bound_state_energy(U: float, params: PhysicalParams) -> float | None:
     U_c = critical_coupling(params).  Returns None for U < U_c, exactly 0.0
     at U = U_c (threshold) and the closed form above it.
     """
-    if U <= 0:
-        raise ValueError("U must be positive")
+    if not 0 < U < np.inf:
+        raise ValueError("U must be positive and finite")
     Uc = critical_coupling(params)
     if U < Uc:
         return None

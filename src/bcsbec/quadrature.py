@@ -38,7 +38,6 @@ class QuadratureSpec:
     converged integral by less than tol_rel (both runs refine to tolerance).
     """
 
-    scheme: str = "adaptive-gauss-legendre"
     panels: int = 16          # initial panel count on [0, k_max]
     k_max: float = 40.0       # direct/tail boundary, units of k0
     tol_abs: float = 1e-14

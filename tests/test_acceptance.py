@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from bcsbec.chain import ChainGroundState, ChainSpec, josephson_energy
+from bcsbec.chain import ChainGroundState, josephson_energy
 from bcsbec.checks import (
     check_eta_oracle,
     check_number_phase,
@@ -216,7 +216,7 @@ def test_09_chain_variances_and_odlro(acceptance_report):
     t0 = time.monotonic()
     slope = check_odlro_slope()
     osc = check_oscillator_oracle()
-    ground = ChainGroundState.for_chain(ChainSpec(N=4, E_c=1.0, E_J=2.0))
+    ground = ChainGroundState.for_chain(1.0, 2.0)
     conventions = (
         ground.sigma2 == pytest.approx(1.0, rel=1e-12)
         and ground.variance_oscillator == pytest.approx(2.0, rel=1e-12)

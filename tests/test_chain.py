@@ -7,15 +7,12 @@ import pytest
 from scipy import constants as const
 
 from bcsbec.chain import (
-    ChainConstituents,
     ChainGroundState,
-    ChainSpec,
     charging_energy,
     coherence_classify,
     josephson_energy,
     odlro,
     oscillator_oracle,
-    segment_delta_bar,
     sigma_phi2,
 )
 
@@ -53,12 +50,6 @@ def test_josephson_energy_arithmetic():
         josephson_energy(0.1, 1.0, 0.0, 1.0)
 
 
-def test_segment_delta_bar():
-    assert segment_delta_bar(2.0, 1.5, 6.0) == pytest.approx(0.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        segment_delta_bar(2.0, 1.5, 0.0)
-
-
 def test_sigma_phi2():
     assert sigma_phi2(1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
     assert sigma_phi2(2.0, 1.0) == pytest.approx(2.0, rel=1e-15)
@@ -76,16 +67,16 @@ def test_odlro_decay_slope():
     rho = np.array([odlro(0, r, bars, sigma2) for r in separations])
     slope = np.polyfit(separations, np.log(rho), 1)[0]
     assert abs(slope + sigma2) <= 1e-12
-    # self-correlation keeps the stated 2 pi prefactor unless asked otherwise
+    # self-correlation keeps the stated 2 pi prefactor
     assert rho[0] == pytest.approx(2.0 * np.pi * 1.3**2, rel=1e-14)
-    assert odlro(0, 0, bars, sigma2, unit_self_correlation=True) == pytest.approx(
-        1.3**2, rel=1e-14
-    )
 
 
 def test_odlro_symmetry_and_validation():
     bars = np.array([1.0, 0.5, 2.0])
     assert odlro(0, 2, bars, 0.3) == pytest.approx(odlro(2, 0, bars, 0.3), rel=1e-15)
+    # the incoherent limit sigma2 = inf keeps only the self-correlation
+    assert odlro(0, 0, bars, math.inf) == 2.0 * math.pi
+    assert odlro(0, 2, bars, math.inf) == 0.0
     with pytest.raises(ValueError):
         odlro(0, 3, bars, 0.3)
     with pytest.raises(ValueError):
@@ -126,74 +117,13 @@ def test_coherence_classification():
         assert coherence_classify(1.0 * factor, 1.0 * factor) == "local"
 
 
-def test_chain_spec_validation():
-    with pytest.raises(ValueError):
-        ChainSpec(N=1, E_c=1.0, E_J=1.0)
-    with pytest.raises(ValueError):
-        ChainSpec(N=3, E_c=0.0, E_J=1.0)
-    with pytest.raises(ValueError):
-        ChainSpec(N=3, E_c=1.0, E_J=-1.0)
-
-
-def test_chain_spec_consistent_constituents():
-    g, u, delta0 = 0.2, 2.0, 1.5
-    deltas = (delta0 / u,) * 4
-    ej = josephson_energy(g, u, deltas[0], deltas[1])
-    spec = ChainSpec(
-        N=4, E_c=1e-5, E_J=ej,
-        constituents=ChainConstituents(G=g, U=u, Delta=deltas),
-    )
-    assert spec.E_J == ej
-    with pytest.raises(ValueError):
-        ChainSpec(
-            N=4, E_c=1e-5, E_J=2.0 * ej,
-            constituents=ChainConstituents(G=g, U=u, Delta=deltas),
-        )
-    with pytest.raises(ValueError):
-        ChainSpec(
-            N=3, E_c=1e-5, E_J=ej,
-            constituents=ChainConstituents(G=g, U=u, Delta=deltas),
-        )
-
-
-def test_chain_spec_geometry_consistency():
-    e_c = charging_energy(const.epsilon_0, 1e-12, 1e-9)
-    g, u = 0.1, 2.0
-    deltas = (1.0, 1.0)
-    ej = josephson_energy(g, u, 1.0, 1.0)
-    spec = ChainSpec(
-        N=2, E_c=e_c, E_J=ej,
-        constituents=ChainConstituents(
-            G=g, U=u, Delta=deltas, epsilon=const.epsilon_0, S=1e-12, d=1e-9
-        ),
-    )
-    assert spec.E_c == e_c
-    with pytest.raises(ValueError):
-        ChainSpec(
-            N=2, E_c=2.0 * e_c, E_J=ej,
-            constituents=ChainConstituents(
-                G=g, U=u, Delta=deltas, epsilon=const.epsilon_0, S=1e-12, d=1e-9
-            ),
-        )
-    with pytest.raises(ValueError):
-        ChainSpec(
-            N=2, E_c=e_c, E_J=ej,
-            constituents=ChainConstituents(
-                G=g, U=u, Delta=deltas, epsilon=const.epsilon_0, S=1e-12
-            ),
-        )
-
-
 def test_ground_state_reports_all_three_variance_conventions():
-    spec = ChainSpec(N=4, E_c=1.0, E_J=2.0)
-    gs = ChainGroundState.for_chain(spec)
+    gs = ChainGroundState.for_chain(1.0, 2.0)
     assert gs.sigma2 == pytest.approx(1.0, rel=1e-15)
     assert gs.variance_oscillator == pytest.approx(2.0, rel=1e-15)
     assert gs.variance_gaussian_form == pytest.approx(0.5, rel=1e-15)
-    assert gs.width_parameter == pytest.approx(0.5, rel=1e-15)
-    assert gs.mean_phase_difference == 0.0
     assert gs.factor_discrepancy
-    incoherent = ChainGroundState.for_chain(ChainSpec(N=4, E_c=1.0, E_J=0.0))
+    incoherent = ChainGroundState.for_chain(1.0, 0.0)
     assert incoherent.sigma2 == math.inf
     assert incoherent.variance_oscillator == math.inf
     assert not incoherent.factor_discrepancy

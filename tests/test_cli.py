@@ -1,14 +1,19 @@
 """Command-line contract: exit codes, files, config handling, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bcsbec.checks import CHECK_NAMES
-from bcsbec.cli import main
+from bcsbec.cli import _Range, build_parser, main
 from bcsbec.quadrature import QuadratureError
 
 
@@ -72,6 +77,108 @@ def test_invalid_configuration_exits_three(tmp_path):
     assert run([]) == 3
     assert run(["gap-sweep", "--points", "xyz"]) == 3
     assert run(["gap-sweep", "--tol-gap", "-1.0"]) == 3
+
+
+# flag values outside their declared range: the argparse type must reject
+# each before a library ValueError (exit 2) or a silent accept (exit 0)
+BAD_VALUES = [
+    *([command, "--n", value] for command in ("gap-sweep", "eta", "phase-diagram")
+      for value in ("0", "-1")),
+    ["gap-sweep", "--tol-gap", "nan"],
+    ["gap-sweep", "--u-max", "nan"],
+    ["overlap", "--alpha", "-1"],
+    ["pegg-barnett", "--omega", "0"],
+    ["pegg-barnett", "--omega", "-1"],
+    ["chain", "--epsilon-r", "-1", "--area-um2", "1", "--spacing-nm", "1", "--ej", "1"],
+    ["phase-lock", "--step", "-1"],
+    ["phase-lock", "--tol", "-1"],
+    ["phase-lock", "--max-steps", "0"],
+    ["phase-lock", "--length", "-1"],
+    ["phase-lock", "--step", "nan"],
+    ["phase-lock", "--length", "0"],
+    ["checks", "--pegg-barnett-s", "0"],
+    ["checks", "--pegg-barnett-omega", "-1"],
+    ["bound-state", "--u", "nan"],
+    ["bound-state", "--u", "inf"],
+    ["bound-state", "--k0", "-1"],
+    ["oracle", "--dphi", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES, ids=[" ".join(argv) for argv in BAD_VALUES])
+def test_out_of_range_value_exits_three(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("gap-sweep", "points = 0"),
+    ("gap-sweep", "n = nan"),
+    ("pegg-barnett", "omega = -1"),
+])
+def test_config_file_values_are_range_checked(tmp_path, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["overlap", "--theta=0"],
+    ["overlap", f"--theta={0.5 * math.pi!r}"],
+    ["overlap", "--alpha=0"],
+    ["phase-diagram", "--g-min=0"],
+    ["chain", "--ej=0"],
+    ["chain", "--segments=2"],
+    ["chain", "--delta-bar=-1"],
+    ["oracle", "--modes=12"],
+    ["phase-lock", "--modes=6"],
+])
+def test_range_edges_parse(argv):
+    parser, _ = build_parser()
+    parser.parse_args(argv)
+
+
+RANGED_FLAGS = [
+    (command, action.option_strings[0], action.type)
+    for command, sub in build_parser()[1].items()
+    for action in sub._actions
+    if isinstance(action.type, _Range)
+]
+
+
+@st.composite
+def out_of_range_flags(draw):
+    command, flag, bounds = draw(st.sampled_from(RANGED_FLAGS))
+    if bounds.kind is int:
+        values = [st.integers(max_value=bounds.lo - 1)]
+        if bounds.hi < math.inf:
+            values.append(st.integers(min_value=bounds.hi + 1))
+    else:
+        values = [st.sampled_from(["nan", "inf", "-inf", "1e400"])]
+        finite = {"allow_nan": False, "allow_infinity": False}
+        if bounds.lo > -math.inf:
+            top = bounds.lo if bounds.open_lo else math.nextafter(bounds.lo, -math.inf)
+            values.append(st.floats(max_value=top, **finite).map(repr))
+        if bounds.hi < math.inf:
+            values.append(st.floats(min_value=math.nextafter(bounds.hi, math.inf),
+                                    **finite).map(repr))
+    return [command, f"{flag}={draw(st.one_of(values))}"]
+
+
+@given(argv=out_of_range_flags())
+def test_any_out_of_range_flag_exits_three_at_parse_time(tmp_path_factory, argv):
+    parser, _ = build_parser()
+    out = tmp_path_factory.getbasetemp() / "never-written"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert run([*argv, "--out", str(out)]) == 3
+    assert exc.value.code == 3
+    assert "need a finite" in err.getvalue()
+    assert not out.exists()
 
 
 def test_non_convergence_exits_two(tmp_path):

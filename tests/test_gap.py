@@ -9,6 +9,8 @@ The same grid, with a Brent root-find, solves the two-body bound-state
 equation as the oracle for the closed form that bound_state_energy returns.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -193,6 +195,9 @@ def test_validation_errors(params):
         number_residual(-0.1, 0.0, REFERENCE_N, params)
     with pytest.raises(ValueError):
         number_residual(0.1, 0.0, 0.0, params)
+    for U in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bound_state_energy(U, params)
 
 
 def test_sweep_records_failures_inline(params):

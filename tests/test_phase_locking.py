@@ -6,6 +6,7 @@ The library computes every gradient from one mat-vec on z (x) z.  The real
 and `oracle_descent` is the descent loop on top of them.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -219,3 +220,12 @@ def test_validation():
         variational_phase_lock(7)
     with pytest.raises(ValueError):
         variational_phase_lock(3, g_sign=0.5)
+    for length in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            variational_phase_lock(3, length=length)
+        with pytest.raises(ValueError):
+            box_mode_tensor(3, length)
+    for bad in ({"step": math.nan}, {"step": -1.0}, {"tol": math.nan}, {"tol": -1.0},
+                {"max_steps": 0}):
+        with pytest.raises(ValueError):
+            variational_phase_lock(3, **bad)

@@ -3,7 +3,8 @@
 Runs every subcommand once with its default arguments, the unit-aware
 subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
-seed), all in one process, and prints one line per output:
+seed, the incoherent E_J = 0 chain and a chain sized by its junction
+geometry), all in one process, and prints one line per output:
 
     <argv>  <file>  <sha256>
 
@@ -17,7 +18,7 @@ checkouts produce the same outputs exactly when their digests are equal:
     diff old.txt new.txt
 
 --src selects the `bcsbec` package to run (default: src/ of this checkout).
-The whole set runs in about 6 s on a 2-vCPU x86-64 VM.
+The whole set runs in about 3 s on a 2-vCPU x86-64 VM.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ INVOCATIONS = (
       for units in ("dimensionless", "physical")),
     ["bound-state", "--u", "0.8"],
     ["bound-state", "--u", "1"],
+    ["chain", "--ec", "1", "--ej", "0"],
+    ["chain", "--ej", "3", "--epsilon-r", "10", "--area-um2", "0.1", "--spacing-nm", "2",
+     "--units", "physical"],
     ["overlap"],
     ["oracle"],
     ["pegg-barnett"],
