@@ -63,6 +63,8 @@ def charging_energy(epsilon: float, S: float, d: float) -> float:
     if epsilon <= 0.0 or S <= 0.0 or d <= 0.0:
         raise ValueError("epsilon, S, d must all be positive")
     capacitance = epsilon * S / d
+    if capacitance == 0.0:
+        raise ValueError("capacitance epsilon S / d underflows to 0")
     return _const.e**2 / (2.0 * capacitance)
 
 

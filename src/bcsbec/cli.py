@@ -32,7 +32,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,36 +124,6 @@ _POSITIVE = _Range(lo=0.0, open_lo=True)
 _NON_NEGATIVE = _Range(lo=0.0)
 
 
-@dataclass
-class RunConfig:
-    """Everything needed to reproduce one run."""
-
-    command: str
-    units: str
-    out: str
-    seed: int
-    tol_gap: float
-    tol_number: float
-    params: dict = field(default_factory=dict)
-    # not part of the echo: the sidecar's wall clock counts from here
-    started: float = field(default_factory=time.monotonic)
-
-    def echo(self) -> dict:
-        payload = {
-            "command": self.command,
-            "units": self.units,
-            "out": self.out,
-            "seed": self.seed,
-            "tol_gap": self.tol_gap,
-            "tol_number": self.tol_number,
-        }
-        payload.update(self.params)
-        return payload
-
-    def solver_tolerances(self) -> dict:
-        return {"tol_gap": self.tol_gap, "tol_number": self.tol_number}
-
-
 def _common_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -165,7 +135,7 @@ def _common_parent() -> argparse.ArgumentParser:
     parent.add_argument("--out", default=".", help="output directory")
     parent.add_argument("--config", default=None, help="key = value config file")
     parent.add_argument(
-        "--seed", type=int, default=0, help="seed for variational descent"
+        "--seed", type=_Range(int, 0), default=0, help="seed for variational descent"
     )
     parent.add_argument(
         "--tol-gap", type=_POSITIVE, default=1e-10, help="gap residual tolerance"
@@ -312,33 +282,22 @@ def _typed_config(values: dict, subparser) -> dict:
     return typed
 
 
-_COMMON_KEYS = ("units", "out", "seed", "tol_gap", "tol_number")
-
-
-def _to_runconfig(args: argparse.Namespace) -> RunConfig:
-    payload = vars(args).copy()
-    payload.pop("config", None)
-    command = payload.pop("command")
-    common = {key: payload.pop(key) for key in _COMMON_KEYS}
-    return RunConfig(command=command, params=payload, **common)
-
-
 # ---- unit helpers --------------------------------------------------------
 
 
-def _make_params(cfg: RunConfig) -> PhysicalParams:
+def _make_params(cfg: argparse.Namespace) -> PhysicalParams:
     if cfg.units == "physical":
-        return PhysicalParams.free_electron(k0=cfg.params["k0"])
+        return PhysicalParams.free_electron(k0=cfg.k0)
     return PhysicalParams.dimensionless()
 
 
-def _energy_unit(cfg: RunConfig) -> str:
+def _energy_unit(cfg: argparse.Namespace) -> str:
     return "eV" if cfg.units == "physical" else "eps0"
 
 
-def _input_energy(cfg: RunConfig, key: str) -> float:
+def _input_energy(cfg: argparse.Namespace, key: str) -> float:
     """Energy flag `key` in the internal unit; unset, its unit-mode default."""
-    value = cfg.params[key]
+    value = getattr(cfg, key)
     if value is None:
         value = _ENERGY_DEFAULTS[key][cfg.units]
     if cfg.units == "physical":
@@ -349,18 +308,23 @@ def _input_energy(cfg: RunConfig, key: str) -> float:
 # ---- output --------------------------------------------------------------
 
 
-def _emit(cfg: RunConfig, stem: str, tables, tolerances: dict,
+def _solver_tolerances(cfg: argparse.Namespace) -> dict:
+    return {"tol_gap": cfg.tol_gap, "tol_number": cfg.tol_number}
+
+
+def _emit(cfg: argparse.Namespace, stem: str, tables, tolerances: dict,
           extra: dict | None = None) -> list:
     """Write each (csv name, header, rows) table, then the JSON sidecar.
 
-    The sidecar `<stem>.meta.json` hashes every CSV of the run and records
-    the wall clock since the run started.  Returns the CSV paths in order.
+    The sidecar `<stem>.meta.json` echoes the parsed flags, hashes every
+    CSV of the run and records the wall clock since `cfg.started`, the end
+    of argument parsing.  Returns the CSV paths in order.
     """
     out = Path(cfg.out)
     csv_paths = [write_csv(out / name, header, rows) for name, header, rows in tables]
     write_meta(
         out / f"{stem}.meta.json",
-        config=cfg.echo(),
+        config={k: v for k, v in vars(cfg).items() if k not in ("config", "started")},
         version=__version__,
         unit_mode=cfg.units,
         tolerances=tolerances,
@@ -374,13 +338,13 @@ def _emit(cfg: RunConfig, stem: str, tables, tolerances: dict,
 # ---- subcommand implementations -----------------------------------------
 
 
-def cmd_gap_sweep(cfg: RunConfig) -> int:
+def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
     params = _make_params(cfg)
-    n = cfg.params["n"] * params.k0**3
-    if cfg.params["u_max"] < cfg.params["u_min"]:
+    n = cfg.n * params.k0**3
+    if cfg.u_max < cfg.u_min:
         raise ConfigError("need u-min <= u-max")
     u_c = critical_coupling(params)
-    ratios = np.linspace(cfg.params["u_min"], cfg.params["u_max"], cfg.params["points"])
+    ratios = np.linspace(cfg.u_min, cfg.u_max, cfg.points)
     solutions = sweep_coupling(
         ratios * u_c, n, params, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
     )
@@ -408,7 +372,7 @@ def cmd_gap_sweep(cfg: RunConfig) -> int:
         "converged",
     )
     [csv_path] = _emit(cfg, "gap_sweep", [("gap_sweep.csv", header, rows)],
-                       cfg.solver_tolerances())
+                       _solver_tolerances(cfg))
     failed = [i for i, sol in enumerate(solutions) if not sol.converged]
     if failed:
         print(f"gap-sweep: {len(failed)} of {len(solutions)} points not converged",
@@ -418,16 +382,16 @@ def cmd_gap_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bound_state(cfg: RunConfig) -> int:
+def cmd_bound_state(cfg: argparse.Namespace) -> int:
     params = _make_params(cfg)
-    ratio = cfg.params["u"]
+    ratio = cfg.u
     u_c = critical_coupling(params)
     energy = bound_state_energy(ratio * u_c, params)
     exists = energy is not None
     row = (ratio, int(exists), energy / params.eps0 if exists else None)
     _emit(cfg, "bound_state",
           [("bound_state.csv", ("U_over_Uc", "has_bound_state", "E_b_over_eps0"), [row])],
-          cfg.solver_tolerances())
+          _solver_tolerances(cfg))
     if exists:
         print(f"bound-state: E_b = {energy / params.eps0:.12g} eps0 at U/U_c = {ratio}")
     else:
@@ -435,19 +399,19 @@ def cmd_bound_state(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_phase_diagram(cfg: RunConfig) -> int:
+def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
     params = _make_params(cfg)
-    n = cfg.params["n"] * params.k0**3
+    n = cfg.n * params.k0**3
     e_c = _input_energy(cfg, "ec")
     g_min, g_max = _input_energy(cfg, "g_min"), _input_energy(cfg, "g_max")
     if not g_min < g_max:
         raise ConfigError("need g-min < g-max")
-    if cfg.params["u_max"] < cfg.params["u_min"]:
+    if cfg.u_max < cfg.u_min:
         raise ConfigError("need u-min <= u-max")
 
     u_c = critical_coupling(params)
-    ratios = np.linspace(cfg.params["u_min"], cfg.params["u_max"], cfg.params["u_points"])
-    g_grid = np.linspace(g_min, g_max, cfg.params["g_points"])
+    ratios = np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
+    g_grid = np.linspace(g_min, g_max, cfg.g_points)
     cells = sweep_diagram(ratios * u_c, [e_c], g_grid, n, params=params)
 
     rows = []
@@ -485,7 +449,7 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
         if cell.converged and cell.U not in seen:
             seen[cell.U] = cell
     for u_value, cell in seen.items():
-        g_star = critical_hopping(u_value, n, e_c, params=params, solution=cell.solution)
+        g_star = critical_hopping(cell.solution, e_c, params)
         g_bis = refine_hopping_boundary(cell.Delta0, e_c, u_value)
         boundary_rows.append((u_value / u_c, cell.mu, g_star, g_bis))
     csv_path, boundary_path = _emit(
@@ -495,7 +459,7 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
             ("phase_diagram.csv", header, rows),
             ("boundary.csv", ("U_over_Uc", "mu", "G_star", "G_star_bisect"), boundary_rows),
         ],
-        cfg.solver_tolerances(),
+        _solver_tolerances(cfg),
         extra={"energy_unit": _energy_unit(cfg)},
     )
     bad = [c for c in cells if not c.converged]
@@ -507,11 +471,11 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_overlap(cfg: RunConfig) -> int:
-    theta = cfg.params["theta"]
-    dphi = cfg.params["dphi"]
-    alpha = cfg.params["alpha"]
-    m_max = cfg.params["m_max"]
+def cmd_overlap(cfg: argparse.Namespace) -> int:
+    theta = cfg.theta
+    dphi = cfg.dphi
+    alpha = cfg.alpha
+    m_max = cfg.m_max
     factor = math.cos(theta) ** 2 + complex(math.cos(dphi), math.sin(dphi)) * math.sin(theta) ** 2
     rate_exact = -math.log(abs(factor)) if abs(factor) > 0.0 else math.inf
     rows = []
@@ -535,10 +499,10 @@ def cmd_overlap(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_eta(cfg: RunConfig) -> int:
+def cmd_eta(cfg: argparse.Namespace) -> int:
     params = _make_params(cfg)
-    n = cfg.params["n"] * params.k0**3
-    ratio = cfg.params["u"]
+    n = cfg.n * params.k0**3
+    ratio = cfg.u
     u_value = ratio * critical_coupling(params)
     solution = solve_self_consistent(
         u_value, n, params, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
@@ -546,11 +510,11 @@ def cmd_eta(cfg: RunConfig) -> int:
     if not solution.converged:
         print("eta: gap solver did not converge", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
-    count = cfg.params["k_points"]
-    k_grid = (np.arange(count) + 0.5) * (cfg.params["k_max"] * params.k0 / count)
+    count = cfg.k_points
+    k_grid = (np.arange(count) + 0.5) * (cfg.k_max * params.k0 / count)
     ens = PairEnsemble.from_gap_solution(
-        solution, params, k_grid, phi=cfg.params["phi"],
-        convention=cfg.params["convention"],
+        solution, params, k_grid, phi=cfg.phi,
+        convention=cfg.convention,
     )
     stats = eta_statistics(ens)
     row = (
@@ -568,9 +532,9 @@ def cmd_eta(cfg: RunConfig) -> int:
         [("eta.csv",
           ("U_over_Uc", "mu", "Delta0", "modes", "Omega", "eta_mean", "eta_variance"),
           [row])],
-        cfg.solver_tolerances(),
+        _solver_tolerances(cfg),
         extra={
-            "angle_convention": cfg.params["convention"],
+            "angle_convention": cfg.convention,
             "note": "finite k-grid sample of the continuum; statistics are grid relative",
         },
     )
@@ -578,14 +542,14 @@ def cmd_eta(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    modes = cfg.params["modes"]
+def cmd_oracle(cfg: argparse.Namespace) -> int:
+    modes = cfg.modes
     rng = np.random.default_rng(cfg.seed)
     ens = random_pair_ensemble(modes, rng)
     stats = eta_statistics(ens)
     oracle = build_fock_oracle(ens)
     moments = oracle.eta_moments()
-    dphi = cfg.params["dphi"]
+    dphi = cfg.dphi
     overlap_dev = abs(
         bcs_overlap(ens.theta, dphi) - oracle.overlap(ens.phi, ens.phi + dphi)
     )
@@ -617,9 +581,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_pegg_barnett(cfg: RunConfig) -> int:
-    s = cfg.params["s"]
-    rungs = cfg.params["rungs"]
+def cmd_pegg_barnett(cfg: argparse.Namespace) -> int:
+    s = cfg.s
+    rungs = cfg.rungs
     rows = []
     for level in range(rungs):
         s_level = s * (1 << level)
@@ -627,9 +591,9 @@ def cmd_pegg_barnett(cfg: RunConfig) -> int:
             warnings.simplefilter("always")
             report = pegg_barnett(
                 s_level,
-                cfg.params["theta0"],
-                cfg.params["omega"],
-                state_phase=cfg.params["state_phase"],
+                cfg.theta0,
+                cfg.omega,
+                state_phase=cfg.state_phase,
             )
         for warning in caught:
             print(f"pegg-barnett: warning: {warning.message}", file=sys.stderr)
@@ -655,9 +619,9 @@ def cmd_pegg_barnett(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_chain(cfg: RunConfig) -> int:
-    geometry = [cfg.params[key] for key in ("epsilon_r", "area_um2", "spacing_nm")]
-    e_c = cfg.params["ec"]
+def cmd_chain(cfg: argparse.Namespace) -> int:
+    geometry = [cfg.epsilon_r, cfg.area_um2, cfg.spacing_nm]
+    e_c = cfg.ec
     if any(v is not None for v in geometry):
         if e_c is not None:
             raise ConfigError("give either --ec or the geometry trio, not both")
@@ -672,13 +636,13 @@ def cmd_chain(cfg: RunConfig) -> int:
         raise ConfigError("chain needs --ec or the geometry trio")
     else:
         e_c = _input_energy(cfg, "ec")
-    if cfg.params["ej"] is None:
+    if cfg.ej is None:
         raise ConfigError("chain needs --ej")
     e_j = _input_energy(cfg, "ej")
 
     ground = ChainGroundState.for_chain(e_c, e_j)
     label = coherence_classify(e_c, e_j)
-    bars = np.full(cfg.params["segments"], cfg.params["delta_bar"])
+    bars = np.full(cfg.segments, cfg.delta_bar)
     rows = [(r, odlro(0, r, bars, ground.sigma2)) for r in range(bars.size)]
     oracle = None
     if e_j > 0.0:
@@ -711,17 +675,17 @@ def cmd_chain(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_phase_lock(cfg: RunConfig) -> int:
-    modes = cfg.params["modes"]
-    sign = -1.0 if cfg.params["sign"] == "attractive" else 1.0
+def cmd_phase_lock(cfg: argparse.Namespace) -> int:
+    modes = cfg.modes
+    sign = -1.0 if cfg.sign == "attractive" else 1.0
     result = variational_phase_lock(
         modes,
         g_sign=sign,
         seed=cfg.seed,
-        length=cfg.params["length"],
-        step=cfg.params["step"],
-        tol=cfg.params["tol"],
-        max_steps=cfg.params["max_steps"],
+        length=cfg.length,
+        step=cfg.step,
+        tol=cfg.tol,
+        max_steps=cfg.max_steps,
     )
     rows = [
         (k, result.phases[k], result.amplitudes[k]) for k in range(modes)
@@ -730,7 +694,7 @@ def cmd_phase_lock(cfg: RunConfig) -> int:
         cfg,
         "phase_lock",
         [("phase_lock.csv", ("mode", "phase", "amplitude"), rows)],
-        {"descent_tol": cfg.params["tol"]},
+        {"descent_tol": cfg.tol},
         extra={
             "gradient_norm": result.gradient_norm,
             "steps": result.steps,
@@ -754,15 +718,15 @@ def cmd_phase_lock(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_checks(cfg: RunConfig) -> int:
-    if cfg.params["list"]:
+def cmd_checks(cfg: argparse.Namespace) -> int:
+    if cfg.list:
         for name, description in list_checks():
             print(f"{name}: {description}")
         return EXIT_OK
     results = run_checks(
         seed=cfg.seed,
-        pegg_barnett_s=cfg.params["pegg_barnett_s"],
-        pegg_barnett_omega=cfg.params["pegg_barnett_omega"],
+        pegg_barnett_s=cfg.pegg_barnett_s,
+        pegg_barnett_omega=cfg.pegg_barnett_omega,
     )
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -808,8 +772,8 @@ def main(argv=None) -> int:
             )
             command_parsers[args.command].set_defaults(**file_values)
             args = parser.parse_args(argv)
-        cfg = _to_runconfig(args)
-        return _COMMANDS[cfg.command](cfg)
+        args.started = time.monotonic()
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"bcsbec: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

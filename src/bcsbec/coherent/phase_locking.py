@@ -37,9 +37,9 @@ must choose seeds that land in it.
 
 Descent runs on phases and amplitudes jointly; the amplitude gradient is
 projected onto the sphere sum alpha^2 = M, which removes the chemical
-potential from the problem (it only enforces that norm), and the fixed
-hyperparameters (step 1e-2, gradient-norm stop 1e-10, budget 1e5) make
-every trajectory reproducible from its seed.
+potential from the problem (it only enforces that norm).  Given the step,
+gradient-norm stop and budget (defaults 1e-2, 1e-10 and 1e5, which the CLI
+sets), every trajectory is reproducible from its seed.
 """
 
 from __future__ import annotations

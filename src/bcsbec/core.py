@@ -50,7 +50,6 @@ class PhysicalParams:
 
     k0: float = 1.0            # form-factor momentum scale (inverse length)
     half_hbar2_over_m: float = 1.0   # hbar^2/(2m) in energy*length^2
-    U: float | None = None     # attraction strength (energy*volume), optional
     n: float | None = None     # particle density (1/volume), optional
 
     def __post_init__(self):
@@ -62,15 +61,14 @@ class PhysicalParams:
             raise ValueError("density must be positive")
 
     @classmethod
-    def dimensionless(cls, U: float | None = None, n: float | None = None) -> "PhysicalParams":
+    def dimensionless(cls, n: float | None = None) -> "PhysicalParams":
         """hbar = k0 = eps0 = 1 (hence m = 1/2)."""
-        return cls(k0=1.0, half_hbar2_over_m=1.0, U=U, n=n)
+        return cls(k0=1.0, half_hbar2_over_m=1.0, n=n)
 
     @classmethod
-    def free_electron(cls, k0: float, U: float | None = None,
-                      n: float | None = None) -> "PhysicalParams":
+    def free_electron(cls, k0: float, n: float | None = None) -> "PhysicalParams":
         """Physical mode with the free-electron mass; eV and Angstrom units."""
-        return cls(k0=k0, half_hbar2_over_m=HBAR2_OVER_2ME_EV_A2, U=U, n=n)
+        return cls(k0=k0, half_hbar2_over_m=HBAR2_OVER_2ME_EV_A2, n=n)
 
     @property
     def eps0(self) -> float:

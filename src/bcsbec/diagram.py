@@ -26,7 +26,6 @@ import numpy as np
 from .chain import coherence_classify, josephson_energy, sigma_phi2
 from .core import PhysicalParams
 from .gap import GapSolution, solve_self_consistent
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "RegimeLabel",
@@ -39,6 +38,8 @@ __all__ = [
 
 # Delta0 below this fraction of eps0 cannot support a finite boundary G*
 _DELTA_RESOLUTION_REL = 1e-12
+# |mu| at or below this fraction of eps0 is labeled the pairing boundary
+_MU_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class DiagramCell:
     solution: GapSolution | None = None   # None when the solve failed
 
 
-def _pairing_label(mu: float, energy_scale: float, rtol: float) -> str:
-    if abs(mu) <= rtol * energy_scale:
+def _pairing_label(mu: float, energy_scale: float) -> str:
+    if abs(mu) <= _MU_RTOL * energy_scale:
         return "boundary"
     return "BCS" if mu > 0.0 else "BEC"
 
@@ -80,63 +81,36 @@ def _equal_segment_ej(G: float, U: float, Delta0: float) -> float:
     return josephson_energy(G, U, Delta0 / U, Delta0 / U)
 
 
-def classify_point(
-    U: float,
-    n: float,
-    E_c: float,
-    G: float,
-    params: PhysicalParams | None = None,
-    quad: QuadratureSpec | None = None,
-    solution: GapSolution | None = None,
-    mu_rtol: float = 1e-9,
-) -> DiagramCell:
-    """Solve (or reuse) the gap equations at (U, n) and label the cell.
+def classify_point(solution: GapSolution, E_c: float, G: float,
+                   params: PhysicalParams) -> DiagramCell:
+    """Label the cell (E_c, G) at the coupling and density of `solution`.
 
-    A pre-solved GapSolution may be passed to reuse one solve across many
-    (E_c, G) cells; the cell keeps the solution it was classified from.
-    Solver non-convergence and numeric failures (RuntimeError, ValueError)
-    come back as an unlabeled cell carrying the diagnostics; any other
-    exception is a bug and propagates.
+    One solve is reused across many (E_c, G) cells; the cell keeps the
+    solution it was classified from.  An unconverged solution comes back
+    as an unlabeled cell carrying the solver's note.
     """
     if E_c <= 0.0:
         raise ValueError("E_c must be positive")
     if G < 0.0:
         raise ValueError("G must be >= 0")
-    if params is None:
-        params = PhysicalParams.dimensionless(U=U, n=n)
-    cell = DiagramCell(U=U, n=n, E_c=E_c, G=G)
-    if solution is None:
-        try:
-            solution = solve_self_consistent(U, n, params, quad=quad)
-        except (RuntimeError, ValueError) as exc:  # numeric failure, not a bug
-            cell.note = f"solver failed: {exc}"
-            return cell
-    cell.solution = solution
-    cell.mu = solution.mu
-    cell.Delta0 = solution.Delta0
-    cell.converged = solution.converged
+    U = solution.U
+    cell = DiagramCell(U=U, n=solution.n, E_c=E_c, G=G, mu=solution.mu,
+                       Delta0=solution.Delta0, converged=solution.converged,
+                       solution=solution)
     if not solution.converged:
         cell.note = solution.note or "solver did not converge"
         return cell
     cell.E_J = _equal_segment_ej(G, U, solution.Delta0)
     cell.sigma2 = sigma_phi2(E_c, cell.E_J)
     cell.label = RegimeLabel(
-        pairing=_pairing_label(solution.mu, params.eps0, mu_rtol),
+        pairing=_pairing_label(solution.mu, params.eps0),
         coherence=coherence_classify(E_c, cell.E_J),
     )
-    if solution.note:
-        cell.note = solution.note
+    cell.note = solution.note
     return cell
 
 
-def critical_hopping(
-    U: float,
-    n: float,
-    E_c: float,
-    params: PhysicalParams | None = None,
-    quad: QuadratureSpec | None = None,
-    solution: GapSolution | None = None,
-) -> float:
+def critical_hopping(solution: GapSolution, E_c: float, params: PhysicalParams) -> float:
     """Hopping G* with E_J(G*) = 2 E_c exactly: G* = sqrt(4 E_c/Delta0).
 
     Requires a converged solution with a resolved gap; a gap at or below
@@ -144,10 +118,6 @@ def critical_hopping(
     """
     if E_c <= 0.0:
         raise ValueError("E_c must be positive")
-    if params is None:
-        params = PhysicalParams.dimensionless(U=U, n=n)
-    if solution is None:
-        solution = solve_self_consistent(U, n, params, quad=quad)
     if not solution.converged:
         raise ValueError("no converged gap solution at this point")
     if solution.Delta0 <= _DELTA_RESOLUTION_REL * params.eps0:
@@ -197,9 +167,7 @@ def sweep_diagram(
     E_c_grid,
     G_grid,
     n: float,
-    params: PhysicalParams | None = None,
-    quad: QuadratureSpec | None = None,
-    mu_rtol: float = 1e-9,
+    params: PhysicalParams,
 ) -> list:
     """Classify the full grid, solving the gap equations once per U.
 
@@ -210,16 +178,12 @@ def sweep_diagram(
     U_grid = _validated_grid(U_grid, "U")
     E_c_grid = _validated_grid(E_c_grid, "E_c")
     G_grid = _validated_grid(G_grid, "G")
-    if params is None:
-        params = PhysicalParams.dimensionless(n=n)
 
     cells = []
     guess = None
     for U in U_grid:
         try:
-            solution = solve_self_consistent(
-                float(U), n, params, quad=quad, initial_guess=guess
-            )
+            solution = solve_self_consistent(float(U), n, params, initial_guess=guess)
             if solution.converged:
                 guess = (solution.mu, solution.Delta0)
         except (RuntimeError, ValueError) as exc:
@@ -232,16 +196,5 @@ def sweep_diagram(
                         DiagramCell(U=float(U), n=n, E_c=float(E_c), G=float(G), note=note)
                     )
                 else:
-                    cells.append(
-                        classify_point(
-                            float(U),
-                            n,
-                            float(E_c),
-                            float(G),
-                            params=params,
-                            quad=quad,
-                            solution=solution,
-                            mu_rtol=mu_rtol,
-                        )
-                    )
+                    cells.append(classify_point(solution, float(E_c), float(G), params))
     return cells

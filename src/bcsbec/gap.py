@@ -49,6 +49,10 @@ __all__ = [
 
 # Delta0 below this fraction of the energy scale is treated as unresolved
 _GAP_FLOOR_REL = 1e-13
+# every radial integral of the solver uses the default adaptive rule
+_QUAD = QuadratureSpec()
+# outer-search budget of a cold solve, counted in solver iterations
+_MAX_ITER = 500
 
 
 @dataclass
@@ -104,7 +108,7 @@ def _breakpoints(mu, Delta0, params: PhysicalParams):
     return [p for p in pts if p > 0]
 
 
-def _integrals(mu, Delta0, params, quad, column=None):
+def _integrals(mu, Delta0, params, column=None):
     """Gap and occupancy integrals, or only the one picked by `column`.
 
     A single column is integrated on its own: adaptive refinement follows
@@ -112,14 +116,13 @@ def _integrals(mu, Delta0, params, quad, column=None):
     refine different panels and cost more integrand points.
     """
     vals, _, _ = radial_integral(
-        _pair_integrand(mu, Delta0, params, column), quad, k0=params.k0,
+        _pair_integrand(mu, Delta0, params, column), _QUAD, k0=params.k0,
         breakpoints=_breakpoints(mu, Delta0, params),
     )
     return vals if column is None else float(vals[0])
 
 
-def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams,
-                 quad: QuadratureSpec | None = None) -> float:
+def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams) -> float:
     """1 - (U/2) * gap integral; zero at self-consistency.
 
     Diverges (negative, via the log singularity at the Fermi surface) as
@@ -129,20 +132,19 @@ def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams,
         raise ValueError("Delta0 must be nonnegative")
     if U <= 0:
         raise ValueError("U must be positive")
-    return 1.0 - 0.5 * U * _integrals(mu, Delta0, params, quad or QuadratureSpec(), 0)
+    return 1.0 - 0.5 * U * _integrals(mu, Delta0, params, 0)
 
 
-def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams,
-                    quad: QuadratureSpec | None = None) -> float:
+def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams) -> float:
     """(n - computed density)/n; equals 1 exactly for an empty state."""
     if Delta0 < 0:
         raise ValueError("Delta0 must be nonnegative")
     if n <= 0:
         raise ValueError("density must be positive")
-    return (n - _integrals(mu, Delta0, params, quad or QuadratureSpec(), 1)) / n
+    return (n - _integrals(mu, Delta0, params, 1)) / n
 
 
-def _delta_at_mu(mu, U, params, quad, guess=None):
+def _delta_at_mu(mu, U, params, guess=None):
     """Solve the gap equation at fixed mu.
 
     Returns (Delta0, iterations).  Delta0 = 0 means no positive solution at
@@ -161,7 +163,7 @@ def _delta_at_mu(mu, U, params, quad, guess=None):
     iters = 0
 
     def r(D):
-        return gap_residual(D, mu, U, params, quad)
+        return gap_residual(D, mu, U, params)
 
     lo_pt = hi_pt = None
     if mu <= 0:
@@ -213,14 +215,14 @@ def _delta_at_mu(mu, U, params, quad, guess=None):
     return float(root), iters + res.iterations
 
 
-def _newton_polish(mu, Delta0, U, n, params, quad, tol_gap, tol_number, max_steps=25):
+def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number, max_steps=25):
     """2D Newton with finite-difference Jacobian on (mu, Delta0)."""
     scale = max(abs(mu), params.eps0)
     dscale = max(Delta0, 1e-3 * params.eps0)
     it = 0
 
     def residuals(mu, Delta0):
-        gap, density = _integrals(mu, Delta0, params, quad)
+        gap, density = _integrals(mu, Delta0, params)
         return 1.0 - 0.5 * U * gap, (n - density) / n
 
     rg, rn = residuals(mu, Delta0)
@@ -253,10 +255,8 @@ def _newton_polish(mu, Delta0, U, n, params, quad, tol_gap, tol_number, max_step
     return mu, Delta0, rg, rn, it
 
 
-def solve_self_consistent(U: float, n: float, params: PhysicalParams,
-                          quad: QuadratureSpec | None = None,
+def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
                           tol_gap: float = 1e-10, tol_number: float = 1e-8,
-                          max_iter: int = 500,
                           initial_guess: tuple[float, float] | None = None) -> GapSolution:
     """Solve both equations for (mu, Delta0) at coupling U and density n.
 
@@ -268,7 +268,6 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams,
     """
     if U <= 0 or n <= 0:
         raise ValueError("U and n must be positive")
-    quad = quad or QuadratureSpec()
     eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
     scale = max(eps_F, params.eps0)
     iterations = 0
@@ -276,8 +275,7 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams,
     if initial_guess is not None:
         mu0, D0 = initial_guess
         if D0 > 0:
-            mu, D, rg, rn, it = _newton_polish(mu0, D0, U, n, params, quad,
-                                               tol_gap, tol_number)
+            mu, D, rg, rn, it = _newton_polish(mu0, D0, U, n, params, tol_gap, tol_number)
             iterations += it
             if abs(rg) <= tol_gap and abs(rn) <= tol_number:
                 return GapSolution(U, n, mu, D, rg, rn, iterations, True)
@@ -289,10 +287,10 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams,
     running_guess = [initial_guess[1] if initial_guess else None]
 
     def excess(mu):
-        D, its = _delta_at_mu(mu, U, params, quad, guess=running_guess[0])
+        D, its = _delta_at_mu(mu, U, params, guess=running_guess[0])
         if D > 0:
             running_guess[0] = D
-        return _integrals(mu, D, params, quad, 1) - n, D, its + 1
+        return _integrals(mu, D, params, 1) - n, D, its + 1
 
     e_hi, D_hi, its = excess(mu_hi)
     iterations += its
@@ -300,13 +298,13 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams,
         mu_hi += 0.5 * scale
         e_hi, D_hi, its = excess(mu_hi)
         iterations += its
-        if iterations > max_iter:
+        if iterations > _MAX_ITER:
             return GapSolution(U, n, mu_hi, D_hi, np.nan, e_hi / n, iterations,
                                False, "mu bracket expansion exhausted the budget")
 
     lo, hi = mu_lo, mu_hi
     D_mid = D_hi if D_hi > 0 else params.eps0
-    while hi - lo > 1e-6 * scale and iterations < max_iter:
+    while hi - lo > 1e-6 * scale and iterations < _MAX_ITER:
         mid = 0.5 * (lo + hi)
         e, D, its = excess(mid)
         iterations += its
@@ -318,8 +316,7 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams,
             lo = mid
 
     mu0 = 0.5 * (lo + hi)
-    mu, D, rg, rn, it = _newton_polish(mu0, D_mid, U, n, params, quad,
-                                       tol_gap, tol_number)
+    mu, D, rg, rn, it = _newton_polish(mu0, D_mid, U, n, params, tol_gap, tol_number)
     iterations += it
 
     if D < _GAP_FLOOR_REL * params.eps0 * 10:
@@ -337,32 +334,38 @@ def bound_state_energy(U: float, params: PhysicalParams) -> float | None:
     E_b solves 1 = U * Integral d^3k/(2 pi)^3 Gamma^2/(2 eps_k + E_b), whose
     solution for the separable form factor is E_b = 2 eps0 (U/U_c - 1)^2 with
     U_c = critical_coupling(params).  Returns None for U < U_c, exactly 0.0
-    at U = U_c (threshold) and the closed form above it.
+    at U = U_c (threshold) and the closed form above it.  Raises ValueError
+    when E_b overflows the float range.
     """
     if not 0 < U < np.inf:
         raise ValueError("U must be positive and finite")
     Uc = critical_coupling(params)
     if U < Uc:
         return None
-    return 2.0 * params.eps0 * (U / Uc - 1.0) ** 2
+    with np.errstate(over="ignore"):
+        try:
+            Eb = 2.0 * params.eps0 * (U / Uc - 1.0) ** 2
+        except OverflowError:  # Python floats raise where numpy scalars give inf
+            Eb = np.inf
+    if Eb == np.inf:
+        raise ValueError(f"E_b is not representable at U/U_c = {U / Uc:g}")
+    return Eb
 
 
 def sweep_coupling(U_grid, n: float, params: PhysicalParams,
-                   quad: QuadratureSpec | None = None,
                    tol_gap: float = 1e-10, tol_number: float = 1e-8) -> list[GapSolution]:
     """Solve along a coupling grid, warm-starting each point from the last.
 
-    Failed points are recorded inline (converged = False) without aborting
-    the sweep.
+    Failed points, including numeric failures (RuntimeError, ValueError),
+    are recorded inline (converged = False) without aborting the sweep.
     """
-    quad = quad or QuadratureSpec()
     out = []
     guess = None
     for U in np.asarray(U_grid, dtype=float):
         try:
-            sol = solve_self_consistent(U, n, params, quad, tol_gap=tol_gap,
+            sol = solve_self_consistent(U, n, params, tol_gap=tol_gap,
                                         tol_number=tol_number, initial_guess=guess)
-        except (QuadratureError, RuntimeError) as exc:
+        except (RuntimeError, ValueError) as exc:  # QuadratureError is a RuntimeError
             sol = GapSolution(float(U), n, np.nan, np.nan, np.nan, np.nan, 0,
                               False, f"solver error: {exc}")
         out.append(sol)
@@ -372,33 +375,28 @@ def sweep_coupling(U_grid, n: float, params: PhysicalParams,
 
 
 def locate_mu_zero(n: float, params: PhysicalParams,
-                   quad: QuadratureSpec | None = None,
-                   U_lo: float | None = None, U_hi: float | None = None,
                    tol_rel: float = 1e-6) -> tuple[float, GapSolution]:
-    """Bisect the coupling at which the chemical potential changes sign.
+    """Bisect the coupling in [0.5, 4] U_c at which mu changes sign.
 
     tol_rel is relative to U_c.  Each probe is a full self-consistent solve,
     warm-started from the previous one.
     """
-    quad = quad or QuadratureSpec()
     Uc = critical_coupling(params)
-    U_lo = U_lo if U_lo is not None else 0.5 * Uc
-    U_hi = U_hi if U_hi is not None else 4.0 * Uc
+    lo, hi = 0.5 * Uc, 4.0 * Uc
     guess = None
 
     def mu_at(U):
         nonlocal guess
-        sol = solve_self_consistent(U, n, params, quad, initial_guess=guess)
+        sol = solve_self_consistent(U, n, params, initial_guess=guess)
         if not sol.converged:
             raise RuntimeError(f"no converged solution at U/U_c = {U / Uc}")
         guess = (sol.mu, sol.Delta0)
         return sol
 
-    s_lo = mu_at(U_lo)
-    s_hi = mu_at(U_hi)
+    s_lo = mu_at(lo)
+    s_hi = mu_at(hi)
     if s_lo.mu <= 0 or s_hi.mu >= 0:
-        raise ValueError("mu does not change sign on the given coupling range")
-    lo, hi = U_lo, U_hi
+        raise ValueError("mu does not change sign on [0.5, 4] U_c")
     sol_mid = s_hi
     while hi - lo > tol_rel * Uc:
         mid = 0.5 * (lo + hi)

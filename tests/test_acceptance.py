@@ -26,12 +26,7 @@ from bcsbec.checks import (
 from bcsbec.cli import main as cli_main
 from bcsbec.core import PhysicalParams, critical_coupling
 from bcsbec.diagram import critical_hopping, refine_hopping_boundary, sweep_diagram
-from bcsbec.gap import (
-    GapSolution,
-    bound_state_energy,
-    locate_mu_zero,
-    sweep_coupling,
-)
+from bcsbec.gap import bound_state_energy, locate_mu_zero, sweep_coupling
 from bcsbec.quadrature import QuadratureSpec, radial_integral
 
 DENSITY = 2e-2
@@ -255,12 +250,7 @@ def test_10_diagram_cross_section(diagram_ec50, acceptance_report):
     for i in range(len(ratios)):
         column = cells[i * n_g : (i + 1) * n_g]
         ref = column[0]
-        view = GapSolution(
-            U=ref.U, n=n, mu=ref.mu, Delta0=ref.Delta0,
-            residual_gap=0.0, residual_number=0.0,
-            iterations=0, converged=True,
-        )
-        g_star = critical_hopping(ref.U, n, e_c, params=params, solution=view)
+        g_star = critical_hopping(ref.solution, e_c, params)
         g_bis = refine_hopping_boundary(ref.Delta0, e_c, ref.U, rtol=1e-12)
         max_bisect_dev = max(max_bisect_dev, abs(g_star - g_bis) / g_star)
         e_j_star = josephson_energy(

@@ -31,6 +31,9 @@ def test_charging_energy_scaling_and_validation():
         charging_energy(const.epsilon_0, 0.0, 1e-9)
     with pytest.raises(ValueError):
         charging_energy(const.epsilon_0, 1e-12, -1e-9)
+    # every factor is positive, but epsilon S / d underflows to 0
+    with pytest.raises(ValueError, match="underflows"):
+        charging_energy(1e-300 * const.epsilon_0, 1e-312, 1e291)
 
 
 def test_josephson_energy_arithmetic():

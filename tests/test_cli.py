@@ -35,6 +35,7 @@ def test_gap_sweep_writes_csv_and_meta(tmp_path):
     meta = json.loads((out / "gap_sweep.meta.json").read_text())
     assert meta["config"]["command"] == "gap-sweep"
     assert meta["config"]["points"] == 2
+    assert "config" not in meta["config"] and "started" not in meta["config"]
     assert meta["unit_mode"] == "dimensionless"
     assert meta["files"]["gap_sweep.csv"]["sha256"]
     assert meta["wall_clock_s"] >= 0.0
@@ -102,6 +103,7 @@ BAD_VALUES = [
     ["bound-state", "--u", "inf"],
     ["bound-state", "--k0", "-1"],
     ["oracle", "--dphi", "inf"],
+    ["oracle", "--seed", "-1"],
 ]
 
 
@@ -194,6 +196,27 @@ def test_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("bcsbec.cli.sweep_coupling", fail)
     assert run(["gap-sweep", "--out", str(tmp_path)]) == 2
     assert "panel budget exhausted" in capsys.readouterr().err
+
+
+# finite in-range flags whose E_b overflows or whose capacitance underflows
+@pytest.mark.parametrize("argv, message", [
+    (["bound-state", "--u", "1e300"], "not representable"),
+    (["eta", "--u", "1e300"], "not representable"),
+    (["chain", "--ej", "1", "--epsilon-r", "1e-300", "--area-um2", "1e-300",
+      "--spacing-nm", "1e300"], "underflows"),
+])
+def test_unrepresentable_energy_exits_two(tmp_path, argv, message, capsys):
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_coupling_leaves_diagram_cells_unlabeled(tmp_path):
+    assert run(["phase-diagram", "--u-max", "1e300", "--u-points", "2", "--g-points", "2",
+                "--out", str(tmp_path)]) == 2
+    rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()[1:]
+    pairing_and_converged = [(row.split(",")[7], row.split(",")[9]) for row in rows]
+    assert pairing_and_converged == [("BCS", "1")] * 2 + [("", "0")] * 2
 
 
 def test_bug_propagates_from_main(tmp_path, monkeypatch):

@@ -29,7 +29,8 @@ def solved(params):
 
 def test_classify_point_reuses_solution(params, solved):
     u, sol = solved
-    cell = classify_point(u, N_REF, 1e-5, 1e-2, params=params, solution=sol)
+    cell = classify_point(sol, 1e-5, 1e-2, params)
+    assert (cell.U, cell.n, cell.solution) == (u, N_REF, sol)
     assert cell.converged
     assert cell.label.pairing == "BEC"  # mu < 0 at U = 2 U_c
     assert cell.mu == sol.mu
@@ -37,34 +38,34 @@ def test_classify_point_reuses_solution(params, solved):
 
 
 def test_zero_hopping_is_local(params, solved):
-    u, sol = solved
-    cell = classify_point(u, N_REF, 1e-5, 0.0, params=params, solution=sol)
+    _, sol = solved
+    cell = classify_point(sol, 1e-5, 0.0, params)
     assert cell.label.coherence == "local"
     assert cell.sigma2 == np.inf
 
 
 def test_label_consistency(params, solved):
-    u, sol = solved
+    _, sol = solved
     e_c = 1e-5
-    g_star = critical_hopping(u, N_REF, e_c, params=params, solution=sol)
+    g_star = critical_hopping(sol, e_c, params)
     for g in (0.5 * g_star, 2.0 * g_star):
-        cell = classify_point(u, N_REF, e_c, g, params=params, solution=sol)
+        cell = classify_point(sol, e_c, g, params)
         expected = "global" if g > g_star else "local"
         assert cell.label.coherence == expected
-    at_boundary = classify_point(u, N_REF, e_c, g_star, params=params, solution=sol)
+    at_boundary = classify_point(sol, e_c, g_star, params)
     assert at_boundary.label.coherence == "boundary"
 
 
 def test_pairing_label_tracks_mu_sign(params):
     weak = solve_self_consistent(0.5 * critical_coupling(params), N_REF, params)
-    cell = classify_point(weak.U, N_REF, 1e-5, 1e-2, params=params, solution=weak)
+    cell = classify_point(weak, 1e-5, 1e-2, params)
     assert cell.label.pairing == "BCS"
 
 
 def test_critical_hopping_closed_form_vs_bisection(params, solved):
     u, sol = solved
     e_c = 1e-5
-    g_star = critical_hopping(u, N_REF, e_c, params=params, solution=sol)
+    g_star = critical_hopping(sol, e_c, params)
     assert g_star == pytest.approx(np.sqrt(4.0 * e_c / sol.Delta0), rel=1e-14)
     g_bis = refine_hopping_boundary(sol.Delta0, e_c, u)
     assert abs(g_bis - g_star) <= 2e-9 * g_star
@@ -77,13 +78,13 @@ def test_critical_hopping_rejects_unresolved_gap(params):
     fake = GapSolution(U=1.0, n=N_REF, mu=0.5, Delta0=0.0, residual_gap=0.0,
                        residual_number=0.0, iterations=1, converged=True)
     with pytest.raises(ValueError):
-        critical_hopping(1.0, N_REF, 1e-5, params=params, solution=fake)
+        critical_hopping(fake, 1e-5, params)
 
 
 def test_unconverged_solution_gives_unlabeled_cell(params):
     bad = GapSolution(U=1.0, n=N_REF, mu=np.nan, Delta0=np.nan, residual_gap=np.nan,
                       residual_number=np.nan, iterations=0, converged=False)
-    cell = classify_point(1.0, N_REF, 1e-5, 1e-2, params=params, solution=bad)
+    cell = classify_point(bad, 1e-5, 1e-2, params)
     assert not cell.converged
     assert cell.label is None
 
@@ -109,8 +110,7 @@ def test_sweep_shapes_and_order(params):
     # a 1x1x1 sweep reduces to classify_point
     single = sweep_diagram(u_grid[:1], ec_grid, g_grid[:1], N_REF, params=params)[0]
     sol = solve_self_consistent(u_grid[0], N_REF, params)
-    direct = classify_point(u_grid[0], N_REF, ec_grid[0], g_grid[0],
-                            params=params, solution=sol)
+    direct = classify_point(sol, ec_grid[0], g_grid[0], params)
     assert single.label == direct.label
     assert single.mu == pytest.approx(direct.mu, abs=1e-10)
 
@@ -125,19 +125,16 @@ def test_numeric_solver_failure_gives_unlabeled_cells(params, monkeypatch):
     for cell in cells:
         assert cell.label is None and not cell.converged and cell.solution is None
         assert cell.note == "solver failed: panel budget exhausted"
-    cell = classify_point(1.0, N_REF, 1e-5, 1e-2, params=params)
-    assert cell.label is None and cell.note.startswith("solver failed")
 
 
 def test_solver_bug_propagates(params, monkeypatch):
     def bug(*args, **kwargs):
-        raise TypeError("unexpected argument")
+        raise TypeError("solver bug")
 
     monkeypatch.setattr("bcsbec.diagram.solve_self_consistent", bug)
-    with pytest.raises(TypeError):
+    # the match rules out a TypeError raised by the call itself
+    with pytest.raises(TypeError, match="^solver bug$"):
         sweep_diagram([1.0], [1e-5], [1e-2], N_REF, params=params)
-    with pytest.raises(TypeError):
-        classify_point(1.0, N_REF, 1e-5, 1e-2, params=params)
 
 
 def test_boundary_monotone_in_coupling(params):
@@ -147,18 +144,18 @@ def test_boundary_monotone_in_coupling(params):
     for ratio in (1.0, 2.0, 3.0):
         sol = solve_self_consistent(ratio * uc, N_REF, params, initial_guess=guess)
         guess = (sol.mu, sol.Delta0)
-        stars.append(critical_hopping(ratio * uc, N_REF, 1e-5, params=params,
-                                      solution=sol))
+        stars.append(critical_hopping(sol, 1e-5, params))
     # Delta0 grows with U, so the boundary hopping falls
     assert stars[0] > stars[1] > stars[2]
 
 
-def test_grid_validation(params):
+def test_grid_validation(params, solved):
     with pytest.raises(ValueError):
         sweep_diagram([], [1e-5], [1e-2], N_REF, params=params)
     with pytest.raises(ValueError):
         sweep_diagram([2.0, 1.0], [1e-5], [1e-2], N_REF, params=params)
+    _, sol = solved
     with pytest.raises(ValueError):
-        classify_point(1.0, N_REF, -1.0, 1e-2, params=params)
+        classify_point(sol, -1.0, 1e-2, params)
     with pytest.raises(ValueError):
-        classify_point(1.0, N_REF, 1e-5, -1e-2, params=params)
+        classify_point(sol, 1e-5, -1e-2, params)

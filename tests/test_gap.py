@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
@@ -184,6 +186,21 @@ def test_warm_start_short_circuit(params, reference_solution):
     assert again.mu == pytest.approx(sol.mu, abs=1e-10)
 
 
+@settings(max_examples=15, deadline=None)
+@given(ratio=st.floats(0.5, 4.0), n=st.floats(0.003, 0.1))
+def test_warm_start_equals_cold_start(ratio, n):
+    # the warm solve at U starts from the cold solution at 1.02 U
+    params = PhysicalParams.dimensionless()
+    U = ratio * critical_coupling(params)
+    near = solve_self_consistent(1.02 * U, n, params)
+    warm = solve_self_consistent(U, n, params, initial_guess=(near.mu, near.Delta0))
+    cold = solve_self_consistent(U, n, params)
+    assert near.converged and warm.converged and cold.converged
+    eps_f = PhysicalParams.dimensionless(n=n).fermi_energy()
+    assert abs(warm.mu - cold.mu) <= 1e-8 * eps_f
+    assert abs(warm.Delta0 - cold.Delta0) <= 1e-8 * cold.Delta0
+
+
 def test_validation_errors(params):
     with pytest.raises(ValueError):
         solve_self_consistent(-1.0, REFERENCE_N, params)
@@ -195,7 +212,8 @@ def test_validation_errors(params):
         number_residual(-0.1, 0.0, REFERENCE_N, params)
     with pytest.raises(ValueError):
         number_residual(0.1, 0.0, 0.0, params)
-    for U in (0.0, math.nan, math.inf):
+    # 1e300 U_c is finite but its E_b = 2 eps0 (U/U_c - 1)^2 overflows
+    for U in (0.0, math.nan, math.inf, 1e300 * critical_coupling(params)):
         with pytest.raises(ValueError):
             bound_state_energy(U, params)
 

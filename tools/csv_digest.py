@@ -3,8 +3,9 @@
 Runs every subcommand once with its default arguments, the unit-aware
 subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
-seed, the incoherent E_J = 0 chain and a chain sized by its junction
-geometry), all in one process, and prints one line per output:
+seed, the incoherent E_J = 0 chain, a chain sized by its junction
+geometry and a gap sweep configured by a --config file), all in one
+process, and prints one line per output:
 
     <argv>  <file>  <sha256>
 
@@ -32,6 +33,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+# Config files written into the temporary directory before the runs.  An
+# argv entry equal to a file name here is replaced by that file's path when
+# the run starts, so the printed argv carries no temporary path.
+CONFIG_FILES = {"sweep.cfg": "points = 3\nu-max = 2\n"}
+
 UNIT_AWARE = (
     ["gap-sweep"],
     ["bound-state"],
@@ -56,6 +62,7 @@ INVOCATIONS = (
     ["phase-lock", "--seed", "20"],
     ["phase-lock", "--max-steps", "5"],
     ["checks"],
+    ["gap-sweep", "--config", "sweep.cfg"],
 )
 
 
@@ -76,11 +83,14 @@ def main(argv=None) -> int:
     from bcsbec.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CONFIG_FILES.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
         for i, run in enumerate(INVOCATIONS):
             out = Path(tmp) / f"run{i:02d}"
+            argv = [str(Path(tmp) / arg) if arg in CONFIG_FILES else arg for arg in run]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = cli_main([*run, "--out", str(out)])
+                code = cli_main([*argv, "--out", str(out)])
             label = " ".join(run)
             print(f"{label}  exit  {code}")
             for path in sorted(out.glob("*")) if out.exists() else ():
