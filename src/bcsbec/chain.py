@@ -39,8 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
-from scipy.linalg import eigh_tridiagonal
+
+from .core import E_CHARGE
 
 __all__ = [
     "charging_energy",
@@ -58,14 +58,14 @@ def charging_energy(epsilon: float, S: float, d: float) -> float:
     """Charging energy e^2/(2C) of a parallel-plate junction, in joules.
 
     epsilon [F/m], S [m^2], d [m]; C = epsilon S / d.  Callers working in
-    electron-volts divide by scipy.constants.e.
+    electron-volts divide by bcsbec.core.E_CHARGE.
     """
     if epsilon <= 0.0 or S <= 0.0 or d <= 0.0:
         raise ValueError("epsilon, S, d must all be positive")
     capacitance = epsilon * S / d
     if capacitance == 0.0:
         raise ValueError("capacitance epsilon S / d underflows to 0")
-    return _const.e**2 / (2.0 * capacitance)
+    return E_CHARGE**2 / (2.0 * capacitance)
 
 
 def josephson_energy(G: float, U: float, Delta_j: float, Delta_j1: float) -> float:
@@ -137,6 +137,9 @@ def oscillator_oracle(
     the returned variance shrink at second order in the spacing, which
     the tests verify by Richardson doubling.
     """
+    # imported here so that only this oracle, not the package, loads scipy
+    from scipy.linalg import eigh_tridiagonal
+
     if E_c <= 0.0 or E_J <= 0.0:
         raise ValueError("E_c and E_J must be positive")
     if points < 3:

@@ -57,7 +57,7 @@ from .coherent import (
     BosonEnsemble,
     PairEnsemble,
 )
-from .core import PhysicalParams, critical_coupling
+from .core import E_CHARGE, EPSILON_0, PhysicalParams, critical_coupling
 from .diagram import critical_hopping, refine_hopping_boundary, sweep_diagram
 from .gap import bound_state_energy, solve_self_consistent, sweep_coupling
 from .checks import list_checks, run_checks
@@ -291,6 +291,18 @@ def _make_params(cfg: argparse.Namespace) -> PhysicalParams:
     return PhysicalParams.dimensionless()
 
 
+def _density(cfg: argparse.Namespace, params: PhysicalParams) -> float:
+    """The --n density, entered in k0^3 units, in the internal length unit."""
+    try:
+        n = cfg.n * params.k0**3
+    except OverflowError:  # Python floats raise where numpy scalars give inf
+        n = math.inf
+    if not 0.0 < n < math.inf:
+        raise ConfigError(f"density --n {cfg.n:g} k0^3 at k0 = {params.k0:g} "
+                          f"is not a positive finite number")
+    return n
+
+
 def _energy_unit(cfg: argparse.Namespace) -> str:
     return "eV" if cfg.units == "physical" else "eps0"
 
@@ -340,7 +352,7 @@ def _emit(cfg: argparse.Namespace, stem: str, tables, tolerances: dict,
 
 def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
     params = _make_params(cfg)
-    n = cfg.n * params.k0**3
+    n = _density(cfg, params)
     if cfg.u_max < cfg.u_min:
         raise ConfigError("need u-min <= u-max")
     u_c = critical_coupling(params)
@@ -401,7 +413,7 @@ def cmd_bound_state(cfg: argparse.Namespace) -> int:
 
 def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
     params = _make_params(cfg)
-    n = cfg.n * params.k0**3
+    n = _density(cfg, params)
     e_c = _input_energy(cfg, "ec")
     g_min, g_max = _input_energy(cfg, "g_min"), _input_energy(cfg, "g_max")
     if not g_min < g_max:
@@ -501,7 +513,7 @@ def cmd_overlap(cfg: argparse.Namespace) -> int:
 
 def cmd_eta(cfg: argparse.Namespace) -> int:
     params = _make_params(cfg)
-    n = cfg.n * params.k0**3
+    n = _density(cfg, params)
     ratio = cfg.u
     u_value = ratio * critical_coupling(params)
     solution = solve_self_consistent(
@@ -627,11 +639,9 @@ def cmd_chain(cfg: argparse.Namespace) -> int:
             raise ConfigError("give either --ec or the geometry trio, not both")
         if any(v is None for v in geometry):
             raise ConfigError("geometry needs --epsilon-r, --area-um2, --spacing-nm together")
-        from scipy import constants as _const
-
         epsilon_r, area_um2, spacing_nm = geometry
-        e_c = charging_energy(epsilon_r * _const.epsilon_0, area_um2 * 1e-12,
-                              spacing_nm * 1e-9) / _const.e  # eV
+        e_c = charging_energy(epsilon_r * EPSILON_0, area_um2 * 1e-12,
+                              spacing_nm * 1e-9) / E_CHARGE  # eV
     elif e_c is None:
         raise ConfigError("chain needs --ec or the geometry trio")
     else:

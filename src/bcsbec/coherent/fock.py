@@ -29,13 +29,18 @@ every odd-sector overlap vanishes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .ensembles import PairEnsemble
+
+# scipy.sparse is imported inside the methods that build matrices, so that
+# importing the package loads no scipy module
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["FockOracle", "build_fock_oracle", "number_phase_derivative_check"]
 
@@ -66,6 +71,8 @@ class FockOracle:
 
     def s_minus(self, k: int) -> sparse.csr_matrix:
         """Pair annihilator of mode k: |...1_k...> -> |...0_k...>."""
+        from scipy import sparse
+
         self._check_mode(k)
         bit = 1 << k
         cols = self._indices[(self._indices & bit) != 0]
@@ -80,6 +87,8 @@ class FockOracle:
 
     def n_pair(self, k: int) -> sparse.csr_matrix:
         """Occupancy of pair mode k (0 or 1 on basis states)."""
+        from scipy import sparse
+
         self._check_mode(k)
         diag = ((self._indices >> k) & 1).astype(float)
         return sparse.diags(diag).tocsr()
@@ -87,6 +96,8 @@ class FockOracle:
     @property
     def b(self) -> sparse.csr_matrix:
         """Collective annihilator Omega^{-1/2} sum_k theta_k S-^(k)."""
+        from scipy import sparse
+
         acc = sparse.csr_matrix((self.dim, self.dim))
         for k in range(self.n_modes):
             acc = acc + self.theta[k] * self.s_minus(k)
@@ -106,11 +117,15 @@ class FockOracle:
     @property
     def eta_op(self) -> sparse.csr_matrix:
         """eta = 1 - [b, b+] = (2/Omega) sum_k theta_k^2 n_k."""
+        from scipy import sparse
+
         return (sparse.identity(self.dim, format="csr") - self.commutator_b).tocsr()
 
     @property
     def number_op(self) -> sparse.csr_matrix:
         """Particle number N = 2 sum_k n_k (each pair carries two)."""
+        from scipy import sparse
+
         diag = np.zeros(self.dim)
         for k in range(self.n_modes):
             diag += 2.0 * ((self._indices >> k) & 1)

@@ -44,17 +44,17 @@ phase defaults to theta0 + pi, antipodal to the branch cut: a state
 centered on the cut sees the 2 pi jump of the phase eigenvalues and the
 commutator expectation is off by order unity, which is a property of the
 branch choice rather than of the truncation.  Number-state weights are
-accumulated in log space (gammaln) so large Omega does not overflow the
+accumulated in log space (math.lgamma) so large Omega does not overflow the
 factorials.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = ["PeggBarnettReport", "pegg_barnett"]
 
@@ -112,7 +112,8 @@ def pegg_barnett(
     if state_phase is None:
         state_phase = theta0 + np.pi
     n = np.arange(dim)
-    log_weight = -0.5 * Omega + 0.5 * n * np.log(Omega) - 0.5 * gammaln(n + 1.0)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    log_weight = -0.5 * Omega + 0.5 * n * np.log(Omega) - 0.5 * log_factorial
     coeff = np.exp(log_weight) * np.exp(1j * n * state_phase)
     truncation_error = float(1.0 - np.sum(np.abs(coeff) ** 2))
     coeff = coeff / np.linalg.norm(coeff)

@@ -25,9 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
 
 __all__ = [
+    "HBAR",
+    "M_E",
+    "E_CHARGE",
+    "EPSILON_0",
     "HBAR2_OVER_2ME_EV_A2",
     "PhysicalParams",
     "dispersion",
@@ -35,8 +38,14 @@ __all__ = [
     "critical_coupling",
 ]
 
+# SI constants, CODATA 2022 (the values scipy.constants 1.17 carries)
+HBAR = 1.0545718176461565e-34    # reduced Planck constant, J s
+M_E = 9.1093837139e-31           # electron mass, kg
+E_CHARGE = 1.602176634e-19       # elementary charge, C (exact)
+EPSILON_0 = 8.8541878188e-12     # vacuum permittivity, F/m
+
 # hbar^2/(2 m_e) in eV * Angstrom^2; the only place SI constants enter the model.
-HBAR2_OVER_2ME_EV_A2 = _const.hbar**2 / (2.0 * _const.m_e) / _const.e / 1e-20
+HBAR2_OVER_2ME_EV_A2 = HBAR**2 / (2.0 * M_E) / E_CHARGE / 1e-20
 
 
 @dataclass

@@ -29,10 +29,10 @@ lower end of the mu bracket.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import PhysicalParams, critical_coupling
 from .quadrature import QuadratureSpec, QuadratureError, radial_integral
@@ -144,6 +144,67 @@ def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams) 
     return (n - _integrals(mu, Delta0, params, 1)) / n
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter):
+    """Root of f on [xa, xb] by Brent's method; returns (root, iterations).
+
+    A step-for-step port of scipy.optimize.brentq (its brentq.c; Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4), so the
+    root and the iteration count are bit-equal to scipy's.  It stops once
+    the bracket is narrower than xtol + rtol |root|.  Raises ValueError when
+    f(xa) and f(xb) have the same sign or f returns NaN, and RuntimeError
+    when maxiter steps do not converge.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN; Brent cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def _delta_at_mu(mu, U, params, guess=None):
     """Solve the gap equation at fixed mu.
 
@@ -210,9 +271,8 @@ def _delta_at_mu(mu, U, params, guess=None):
             return 0.0, iters
     if lo_pt is None or hi_pt is None:
         raise RuntimeError("gap-equation bracketing failed at mu = %r" % mu)
-    root, res = brentq(r, lo_pt[0], hi_pt[0], xtol=floor * 1e-3, rtol=8.9e-16,
-                       maxiter=200, full_output=True)
-    return float(root), iters + res.iterations
+    root, its = _brentq(r, lo_pt[0], hi_pt[0], xtol=floor * 1e-3, rtol=8.9e-16, maxiter=200)
+    return root, iters + its
 
 
 def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number, max_steps=25):

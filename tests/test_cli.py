@@ -211,6 +211,19 @@ def test_unrepresentable_energy_exits_two(tmp_path, argv, message, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# a finite in-range --k0 whose density n k0^3 overflows
+@pytest.mark.parametrize("argv", [
+    ["gap-sweep", "--points", "1"],
+    ["phase-diagram", "--u-points", "1", "--g-points", "2"],
+    ["eta"],
+])
+def test_unrepresentable_density_exits_three(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    assert run([*argv, "--units", "physical", "--k0", "1e300", "--out", str(out)]) == 3
+    assert "not a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_huge_coupling_leaves_diagram_cells_unlabeled(tmp_path):
     assert run(["phase-diagram", "--u-max", "1e300", "--u-points", "2", "--g-points", "2",
                 "--out", str(tmp_path)]) == 2
@@ -366,3 +379,38 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "E_b" in proc.stdout
+
+
+# Imports bcsbec.cli, runs every gap-side subcommand in the same process and
+# prints the scipy modules loaded after the import and after each run.
+_SCIPY_PROBE = """
+import json, sys
+import bcsbec.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+report = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    code = bcsbec.cli.main([*argv, "--out", sys.argv[2]])
+    report[" ".join(argv)] = (code, loaded())
+print(json.dumps(report))
+"""
+
+
+def test_gap_side_never_loads_scipy(tmp_path):
+    runs = [
+        ["gap-sweep", "--points", "3"],
+        ["bound-state"],
+        ["phase-diagram", "--u-points", "2", "--g-points", "2"],
+        ["eta"],
+        # E_J = 0 skips the oscillator oracle, the only chain code using scipy
+        ["chain", "--ej", "0", "--epsilon-r", "10", "--area-um2", "1", "--spacing-nm", "2"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report.pop("import") == []
+    assert report == {" ".join(argv): [0, []] for argv in runs}

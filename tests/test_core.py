@@ -2,14 +2,25 @@
 
 import numpy as np
 import pytest
+from scipy import constants
 
 from bcsbec.core import (
+    E_CHARGE,
+    EPSILON_0,
+    HBAR,
     HBAR2_OVER_2ME_EV_A2,
+    M_E,
     PhysicalParams,
     critical_coupling,
     dispersion,
     nsr_form_factor,
 )
+
+
+def test_si_constants_equal_scipy_codata():
+    assert (HBAR, M_E, E_CHARGE, EPSILON_0) == (
+        constants.hbar, constants.m_e, constants.e, constants.epsilon_0)
+    assert HBAR2_OVER_2ME_EV_A2 == constants.hbar**2 / (2.0 * constants.m_e) / constants.e / 1e-20
 
 
 def test_dimensionless_scales():

@@ -7,6 +7,8 @@ integrand tends to 1/(2 pi^2) (k^2 * Gamma^2/xi * (1+k)^2 -> 1), not zero;
 the occupancy integrand does vanish there (it falls off as Delta^2/(2k^6)).
 The same grid, with a Brent root-find, solves the two-body bound-state
 equation as the oracle for the closed form that bound_state_energy returns.
+scipy's brentq is also the oracle for the solver's own port of Brent's
+method.
 """
 
 import math
@@ -21,6 +23,7 @@ from scipy.optimize import brentq
 from bcsbec.core import PhysicalParams, critical_coupling
 from bcsbec.gap import (
     GapSolution,
+    _brentq,
     bound_state_energy,
     gap_residual,
     locate_mu_zero,
@@ -226,3 +229,77 @@ def test_sweep_records_failures_inline(params):
     )
     assert len(sols) == 1
     assert isinstance(sols[0], GapSolution)
+
+
+# ---- Brent's method against scipy.optimize.brentq --------------------------
+
+MONOTONE_FUNCTIONS = {
+    # name -> f(x; root, c), increasing through `root` for c >= 0
+    "cubic": lambda x, root, c: (x - root) ** 3 + c * (x - root),
+    "exp": lambda x, root, c: math.exp(x) - math.exp(root),
+    "atan": lambda x, root, c: math.atan((1.0 + c) * (x - root)) + 1e-3 * (x - root),
+}
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except RuntimeError:
+        return "budget exhausted"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MONOTONE_FUNCTIONS)),
+    root=st.floats(-5.0, 5.0),
+    c=st.floats(0.0, 100.0),
+    below=st.floats(1e-6, 10.0),
+    above=st.floats(1e-6, 10.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    reverse=st.booleans(),
+    log_xtol=st.floats(-300.0, -2.0),
+    rtol=st.sampled_from([8.9e-16, 1e-12, 1e-6]),
+)
+def test_brentq_matches_scipy_bit_for_bit(kind, root, c, below, above, sign, reverse,
+                                          log_xtol, rtol):
+    g = MONOTONE_FUNCTIONS[kind]
+
+    def f(x):
+        return sign * g(x, root, c)
+
+    xa, xb = root - below, root + above
+    if reverse:
+        xa, xb = xb, xa
+    xtol = 10.0**log_xtol
+
+    def scipy_brentq():
+        root, info = brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=200, full_output=True)
+        return root, info.iterations
+
+    # a triple root with a tiny xtol can exhaust the budget: both must then fail
+    assert _outcome(lambda: _brentq(f, xa, xb, xtol, rtol, 200)) == _outcome(scipy_brentq)
+
+
+def test_brentq_root_at_an_endpoint():
+    # scipy leaves its iteration count unset here, so only the roots compare
+    for xa, xb in ((2.0, 3.0), (1.0, 2.0)):
+        root, iterations = _brentq(lambda x: x - 2.0, xa, xb, 1e-12, 8.9e-16, 100)
+        assert (root, iterations) == (2.0, 0)
+        assert root == brentq(lambda x: x - 2.0, xa, xb, xtol=1e-12, rtol=8.9e-16)
+
+
+def test_brentq_same_sign_and_exhausted_budget():
+    def f(x):
+        return math.exp(x) - 2.0
+
+    for solve in (lambda *a: brentq(f, *a), lambda *a: _brentq(f, *a, 2e-12, 8.9e-16, 100)):
+        with pytest.raises(ValueError, match="different signs"):
+            solve(1.0, 3.0)
+    _, info = brentq(f, 0.0, 3.0, maxiter=100, full_output=True)
+    for maxiter in range(1, info.iterations):
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 3.0, maxiter=maxiter)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _brentq(f, 0.0, 3.0, 2e-12, 8.9e-16, maxiter)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0, 2e-12, 8.9e-16, 100)
