@@ -460,9 +460,16 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
     for cell in cells:
         if cell.converged and cell.U not in seen:
             seen[cell.U] = cell
+    unresolved = 0
     for u_value, cell in seen.items():
-        g_star = critical_hopping(cell.solution, e_c, params)
-        g_bis = refine_hopping_boundary(cell.Delta0, e_c, u_value)
+        try:
+            g_star = critical_hopping(cell.solution, e_c, params)
+            g_bis = refine_hopping_boundary(cell.Delta0, e_c, u_value)
+        except ValueError as exc:  # no representable G*: leave the row's G* fields empty
+            print(f"phase-diagram: no boundary at U/U_c = {u_value / u_c:g}: {exc}",
+                  file=sys.stderr)
+            g_star = g_bis = None
+            unresolved += 1
         boundary_rows.append((u_value / u_c, cell.mu, g_star, g_bis))
     csv_path, boundary_path = _emit(
         cfg,
@@ -478,6 +485,7 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
     if bad:
         print(f"phase-diagram: {len(bad)} of {len(cells)} cells unconverged",
               file=sys.stderr)
+    if bad or unresolved:
         return EXIT_NON_CONVERGENCE
     print(f"phase-diagram: {len(cells)} cells -> {csv_path}, boundary -> {boundary_path}")
     return EXIT_OK

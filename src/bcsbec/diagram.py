@@ -114,7 +114,8 @@ def critical_hopping(solution: GapSolution, E_c: float, params: PhysicalParams) 
     """Hopping G* with E_J(G*) = 2 E_c exactly: G* = sqrt(4 E_c/Delta0).
 
     Requires a converged solution with a resolved gap; a gap at or below
-    the solver's resolution admits no finite G* at tolerance.
+    the solver's resolution admits no finite G* at tolerance.  Raises
+    ValueError when G* is not representable.
     """
     if E_c <= 0.0:
         raise ValueError("E_c must be positive")
@@ -122,7 +123,10 @@ def critical_hopping(solution: GapSolution, E_c: float, params: PhysicalParams) 
         raise ValueError("no converged gap solution at this point")
     if solution.Delta0 <= _DELTA_RESOLUTION_REL * params.eps0:
         raise ValueError("no finite G* at tolerance: gap below resolution")
-    return math.sqrt(4.0 * E_c / solution.Delta0)
+    g_star = 2.0 * math.sqrt(float(E_c) / float(solution.Delta0))
+    if not math.isfinite(g_star):
+        raise ValueError(f"G* = sqrt(4 E_c/Delta0) is not representable at E_c = {E_c:g}")
+    return g_star
 
 
 def refine_hopping_boundary(
@@ -135,15 +139,16 @@ def refine_hopping_boundary(
 
     Independent of the closed form: brackets by doubling, then bisects on
     the sign of E_J(G) - 2 E_c.  Agrees with critical_hopping to the
-    bisection tolerance.
+    bisection tolerance.  Raises ValueError when E_J overflows before the
+    bracket closes, since G* then cannot be localized in floating point.
     """
     if Delta0 <= 0.0 or E_c <= 0.0:
         raise ValueError("Delta0 and E_c must be positive")
     lo, hi = 0.0, 1.0
-    while _equal_segment_ej(hi, U, Delta0) < 2.0 * E_c:
+    while (e_j := _equal_segment_ej(hi, U, Delta0)) < 2.0 * E_c:
         hi *= 2.0
-        if hi > 1e30:
-            raise RuntimeError("boundary bracket expansion failed")
+    if not (math.isfinite(hi) and math.isfinite(e_j)):
+        raise ValueError(f"E_J overflows before reaching 2 E_c at E_c = {E_c:g}")
     while (hi - lo) > rtol * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
         if _equal_segment_ej(mid, U, Delta0) < 2.0 * E_c:

@@ -12,11 +12,15 @@ energy gap (the quantity whose product with Gamma(k) enters xi_k).  The
 occupancy 1 - eps/xi counts both spin projections, so a vanishing gap at
 mu = eps_F reproduces the free-gas density k_F^3/(3 pi^2).
 
-Monotonicity in mu makes an outer bisection on the number equation robust:
-for each mu the gap equation is solved by damped fixed-point steps (damping
-0.5) that bracket the root of the monotone gap residual, finished by Brent;
-a 2D Newton polish with finite-difference Jacobian then drives both
-residuals to tolerance simultaneously.
+The density excess n(mu) - n is monotone in mu, so a cold solve finds its
+root by Brent's method on the bracket (-E_b/2, mu_hi].  The lower end costs
+no integral: at the dissociation edge the gap and the density vanish, so the
+excess there is exactly -n.  Each probe solves the gap equation at fixed mu
+by damped fixed-point steps (damping 0.5) that bracket the root of the
+monotone gap residual, finished by Brent, seeded from the nearest earlier
+probe with a resolved gap.  A 2D Newton polish with finite-difference
+Jacobian, started from the probe whose density is nearest the target, then
+drives both residuals to tolerance simultaneously.
 
 The two-body bound state solves 1 = U Integral Gamma^2/(2 eps_k + E_b); it
 exists above the threshold coupling U_c and, for the separable form factor,
@@ -53,6 +57,10 @@ _GAP_FLOOR_REL = 1e-13
 _QUAD = QuadratureSpec()
 # outer-search budget of a cold solve, counted in solver iterations
 _MAX_ITER = 500
+
+
+class _BudgetExhausted(Exception):
+    """The mu search of a cold solve ran past _MAX_ITER iterations."""
 
 
 @dataclass
@@ -234,13 +242,20 @@ def _delta_at_mu(mu, U, params, guess=None):
             return 0.0, iters
         lo_pt = (0.0, r0)
 
-    D = guess if (guess is not None and guess > floor) else scale
+    if guess is not None and guess <= floor:
+        guess = None
+    D = scale if guess is None else guess
     prev = None
     for _ in range(80):
         try:
             rD = r(D)
         except QuadratureError:
             if mu > 0 and D < 1e-4 * scale:
+                if guess is not None:
+                    # a tiny seed can start below a gap of order eps0: walk
+                    # once more from D = eps0 before calling it unresolved
+                    D, its = _delta_at_mu(mu, U, params)
+                    return D, iters + its
                 # unresolvable Fermi-surface peak: gap below resolution
                 return 0.0, iters
             raise
@@ -320,11 +335,19 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
                           initial_guess: tuple[float, float] | None = None) -> GapSolution:
     """Solve both equations for (mu, Delta0) at coupling U and density n.
 
-    The mu bracket is (-E_b/2, eps_F]: the gap equation loses its positive
-    solution exactly at mu = -E_b/2 (the two-body dissociation edge), and at
-    mu = eps_F pairing always overshoots the target density.  initial_guess
-    (mu, Delta0) short-circuits straight to the Newton polish when it already
-    lies in the basin, which sweeps exploit point to point.
+    The mu bracket is (-E_b/2, eps_F], with lower end 0 below U_c: the gap
+    equation loses its positive solution exactly at mu = -E_b/2 (the
+    two-body dissociation edge), and at mu = eps_F pairing overshoots the
+    target density (should it not, the upper end moves up by half of
+    scale = max(eps_F, eps0) until it does).  Brent's method on the density
+    excess narrows the bracket to 1e-6 scale.  The excess at the lower end
+    is -n in closed form; every probe is kept, each gap solve is seeded
+    from the nearest probed mu with a resolved gap, and the Newton polish
+    starts from the probe with the smallest |excess| among those with
+    Delta0 > 0.  A search that runs past _MAX_ITER iterations returns an
+    unconverged solution with a note.  initial_guess (mu, Delta0)
+    short-circuits straight to the Newton polish when it already lies in the
+    basin, which sweeps exploit point to point.
     """
     if U <= 0 or n <= 0:
         raise ValueError("U and n must be positive")
@@ -342,41 +365,45 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
 
     Eb = bound_state_energy(U, params)
     mu_lo = -0.5 * Eb * (1.0 - 1e-12) if Eb else 0.0
-    mu_hi = eps_F
-
-    running_guess = [initial_guess[1] if initial_guess else None]
+    # mu -> (density excess, Delta0).  At the dissociation edge mu_lo the gap
+    # and the density vanish, so the excess there is -n without a probe.
+    probes = {mu_lo: (-n, 0.0)}
 
     def excess(mu):
-        D, its = _delta_at_mu(mu, U, params, guess=running_guess[0])
-        if D > 0:
-            running_guess[0] = D
-        return _integrals(mu, D, params, 1) - n, D, its + 1
+        nonlocal iterations
+        if mu not in probes:
+            if iterations > _MAX_ITER:
+                raise _BudgetExhausted
+            resolved = [m for m, (_, D) in probes.items() if D > 0]
+            if resolved:  # seed from the nearest probe with a resolved gap
+                seed = probes[min(resolved, key=lambda m: abs(m - mu))][1]
+            else:
+                seed = initial_guess[1] if initial_guess else None
+            D, its = _delta_at_mu(mu, U, params, guess=seed)
+            probes[mu] = (_integrals(mu, D, params, 1) - n, D)
+            iterations += its + 1
+        return probes[mu][0]
 
-    e_hi, D_hi, its = excess(mu_hi)
-    iterations += its
-    while e_hi < 0.0:
-        mu_hi += 0.5 * scale
-        e_hi, D_hi, its = excess(mu_hi)
-        iterations += its
-        if iterations > _MAX_ITER:
-            return GapSolution(U, n, mu_hi, D_hi, np.nan, e_hi / n, iterations,
-                               False, "mu bracket expansion exhausted the budget")
-
-    lo, hi = mu_lo, mu_hi
-    D_mid = D_hi if D_hi > 0 else params.eps0
-    while hi - lo > 1e-6 * scale and iterations < _MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        e, D, its = excess(mid)
-        iterations += its
-        if D > 0:
-            D_mid = D
-        if e > 0.0:
-            hi = mid
-        else:
-            lo = mid
-
-    mu0 = 0.5 * (lo + hi)
-    mu, D, rg, rn, it = _newton_polish(mu0, D_mid, U, n, params, tol_gap, tol_number)
+    mu_hi = eps_F
+    try:
+        while excess(mu_hi) < 0.0:
+            mu_hi += 0.5 * scale
+        root, _ = _brentq(excess, mu_lo, mu_hi, xtol=1e-6 * scale, rtol=8.9e-16,
+                          maxiter=_MAX_ITER)
+    except _BudgetExhausted:
+        root = None
+    # hand on the probe nearest the target density among those with a gap
+    resolved = [(abs(e), m) for m, (e, D) in probes.items() if D > 0]
+    if resolved:
+        mu0 = min(resolved)[1]
+    else:
+        mu0 = mu_hi if root is None else root
+    e0, D0 = probes[mu0]
+    if root is None:
+        return GapSolution(U, n, mu0, D0, np.nan, -e0 / n, iterations, False,
+                           "mu search exhausted the budget")
+    mu, D, rg, rn, it = _newton_polish(mu0, D0 or params.eps0, U, n, params, tol_gap,
+                                       tol_number)
     iterations += it
 
     if D < _GAP_FLOOR_REL * params.eps0 * 10:

@@ -232,6 +232,29 @@ def test_huge_coupling_leaves_diagram_cells_unlabeled(tmp_path):
     assert pairing_and_converged == [("BCS", "1")] * 2 + [("", "0")] * 2
 
 
+def test_huge_charging_energy_still_locates_the_boundary(tmp_path):
+    # G* = sqrt(4 E_c/Delta0) ~ 1.6e151 lies far out, but it is representable
+    assert run(["phase-diagram", "--ec", "1e300", "--u-points", "1", "--g-points", "2",
+                "--out", str(tmp_path)]) == 0
+    [row] = (tmp_path / "boundary.csv").read_text().splitlines()[1:]
+    g_star, g_bis = (float(x) for x in row.split(",")[2:])
+    assert 1e150 < g_star < math.inf
+    assert abs(g_bis - g_star) <= 2e-9 * g_star
+
+
+def test_unrepresentable_boundary_leaves_its_fields_empty(tmp_path, capsys):
+    # 4 E_c/Delta0 overflows: the cells are labeled and written, the boundary
+    # row keeps U and mu with empty G* fields, and the run exits 2
+    assert run(["phase-diagram", "--ec", "1e308", "--u-points", "1", "--g-points", "2",
+                "--out", str(tmp_path)]) == 2
+    assert "not representable" in capsys.readouterr().err
+    rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[7:] for row in rows] == [["BCS", "local", "1"]] * 2
+    [row] = (tmp_path / "boundary.csv").read_text().splitlines()[1:]
+    assert row.split(",")[0] == "0.5" and row.split(",")[2:] == ["", ""]
+    assert (tmp_path / "phase_diagram.meta.json").exists()
+
+
 def test_bug_propagates_from_main(tmp_path, monkeypatch):
     def bug(*args, **kwargs):
         raise TypeError("unexpected argument")

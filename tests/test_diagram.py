@@ -81,6 +81,17 @@ def test_critical_hopping_rejects_unresolved_gap(params):
         critical_hopping(fake, 1e-5, params)
 
 
+def test_unrepresentable_boundary_raises(params):
+    # at E_c = 1e300, Delta0 = 1e-10 no G* exists in floating point; an
+    # uncapped doubling would stop at an overflowed E_J and return 1.3e154
+    sol = GapSolution(U=1.0, n=N_REF, mu=0.5, Delta0=1e-10, residual_gap=0.0,
+                      residual_number=0.0, iterations=1, converged=True)
+    with pytest.raises(ValueError, match="not representable"):
+        critical_hopping(sol, 1e300, params)
+    with pytest.raises(ValueError, match="overflows"):
+        refine_hopping_boundary(1e-10, 1e300, 1.0)
+
+
 def test_unconverged_solution_gives_unlabeled_cell(params):
     bad = GapSolution(U=1.0, n=N_REF, mu=np.nan, Delta0=np.nan, residual_gap=np.nan,
                       residual_number=np.nan, iterations=0, converged=False)

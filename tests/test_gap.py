@@ -15,15 +15,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
+import bcsbec.gap
 from bcsbec.core import PhysicalParams, critical_coupling
 from bcsbec.gap import (
     GapSolution,
     _brentq,
+    _delta_at_mu,
+    _integrals,
+    _newton_polish,
     bound_state_energy,
     gap_residual,
     locate_mu_zero,
@@ -202,6 +206,106 @@ def test_warm_start_equals_cold_start(ratio, n):
     eps_f = PhysicalParams.dimensionless(n=n).fermi_energy()
     assert abs(warm.mu - cold.mu) <= 1e-8 * eps_f
     assert abs(warm.Delta0 - cold.Delta0) <= 1e-8 * cold.Delta0
+
+
+def bisection_solve(U, n, params, tol_gap=1e-10, tol_number=1e-8):
+    """(mu, Delta0) from the outer mu bisection the solver used before Brent.
+
+    Bisects the number excess on (mu_lo, mu_hi] down to 1e-6 x scale,
+    seeding each gap solve from the last resolved gap, then hands the
+    midpoint to the same Newton polish.
+    """
+    eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
+    scale = max(eps_F, params.eps0)
+    Eb = bound_state_energy(U, params)
+    guess = None
+
+    def excess(mu):
+        nonlocal guess
+        D, _ = _delta_at_mu(mu, U, params, guess=guess)
+        if D > 0:
+            guess = D
+        return _integrals(mu, D, params, 1) - n, D
+
+    mu_hi = eps_F
+    e_hi, D_hi = excess(mu_hi)
+    while e_hi < 0.0:
+        mu_hi += 0.5 * scale
+        e_hi, D_hi = excess(mu_hi)
+    lo, hi = (-0.5 * Eb * (1.0 - 1e-12) if Eb else 0.0), mu_hi
+    D_mid = D_hi if D_hi > 0 else params.eps0
+    while hi - lo > 1e-6 * scale:
+        mid = 0.5 * (lo + hi)
+        e, D = excess(mid)
+        if D > 0:
+            D_mid = D
+        lo, hi = (lo, mid) if e > 0.0 else (mid, hi)
+    mu, D, _, _, _ = _newton_polish(0.5 * (lo + hi), D_mid, U, n, params, tol_gap, tol_number)
+    return mu, D
+
+
+@settings(max_examples=20, deadline=None)
+@given(ratio=st.floats(0.5, 6.0), n=st.floats(1e-4, 0.3),
+       units=st.sampled_from(["dimensionless", "physical"]))
+@example(ratio=1.0, n=0.02, units="dimensionless")
+@example(ratio=1.0, n=0.003, units="physical")
+def test_brent_mu_search_matches_bisection(ratio, n, units):
+    # n is in units of k0^3, as on the command line
+    params = (PhysicalParams.dimensionless() if units == "dimensionless"
+              else PhysicalParams.free_electron(k0=1.41))
+    U, n = ratio * critical_coupling(params), n * params.k0**3
+    sol = solve_self_consistent(U, n, params)
+    assert sol.converged
+    assert abs(sol.residual_gap) <= 1e-10 and abs(sol.residual_number) <= 1e-8
+    mu, D = bisection_solve(U, n, params)
+    eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
+    assert abs(sol.mu - mu) <= 1e-8 * max(abs(mu), eps_F)
+    assert abs(sol.Delta0 - D) <= 1e-8 * D
+
+
+@pytest.mark.parametrize("ratio, n", [(1.0, 0.02), (1.6375, 0.0422), (0.6, 0.02),
+                                      (1.025, 0.02), (2.0, 0.02)])
+def test_gap_at_mu_does_not_depend_on_a_tiny_seed(params, ratio, n):
+    # at mu = eps_F the gap is of order eps0; a seed far below it must not
+    # end in the "gap below resolution" answer Delta0 = 0
+    U = ratio * critical_coupling(params)
+    mu = PhysicalParams.dimensionless(n=n).fermi_energy()
+    root, _ = _delta_at_mu(mu, U, params)
+    assert root > 0.01 * params.eps0
+    for seed in (1e-3, 1e-6, 1e-9):
+        D, _ = _delta_at_mu(mu, U, params, guess=seed)
+        assert D == pytest.approx(root, rel=1e-10)
+
+
+def test_cold_solve_quadrature_budget(params, monkeypatch):
+    # an exact count: every cold solve on this grid takes at most 100 integrals
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return radial_integral(*args, **kwargs)
+
+    radial_integral = bcsbec.gap.radial_integral
+    monkeypatch.setattr(bcsbec.gap, "radial_integral", counting)
+    Uc = critical_coupling(params)
+    for ratio in (0.6, 1.0, 1.2, 2.0, 4.0):
+        for n in (0.003, 0.02, 0.1):
+            calls = 0
+            sol = solve_self_consistent(ratio * Uc, n, params)
+            assert sol.converged
+            assert calls <= 100, (ratio, n, calls)
+
+
+def test_cold_solve_reports_an_exhausted_budget(params, monkeypatch):
+    # past _MAX_ITER the mu search stops and hands back its best probe, unconverged
+    monkeypatch.setattr(bcsbec.gap, "_MAX_ITER", 10)
+    sol = solve_self_consistent(2.0 * critical_coupling(params), REFERENCE_N, params)
+    assert not sol.converged
+    assert sol.note == "mu search exhausted the budget"
+    assert sol.iterations > 10 and sol.Delta0 > 0
+    assert sol.residual_number == pytest.approx(
+        number_residual(sol.Delta0, sol.mu, REFERENCE_N, params), rel=1e-12)
 
 
 def test_validation_errors(params):

@@ -160,4 +160,4 @@ def test_default_sweep_panel_set(monkeypatch):
     params = PhysicalParams.dimensionless()
     sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * critical_coupling(params), 0.02, params)
     assert all(s.converged for s in sols)
-    assert points == 549_360
+    assert points == 474_264

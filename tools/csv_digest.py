@@ -4,8 +4,10 @@ Runs every subcommand once with its default arguments, the unit-aware
 subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
 seed, the incoherent E_J = 0 chain, a chain sized by its junction
-geometry and a gap sweep configured by a --config file), all in one
-process, and prints one line per output:
+geometry, a gap sweep configured by a --config file, cold single-point
+solves at the pairing threshold and deep on the BEC side, and a phase
+diagram whose boundary G* lies near 1e151), all in one process, and prints
+one line per output:
 
     <argv>  <file>  <sha256>
 
@@ -63,6 +65,9 @@ INVOCATIONS = (
     ["phase-lock", "--max-steps", "5"],
     ["checks"],
     ["gap-sweep", "--config", "sweep.cfg"],
+    ["gap-sweep", "--points", "1", "--u-min", "1", "--u-max", "1"],
+    ["gap-sweep", "--points", "1", "--u-min", "3", "--u-max", "3", "--n", "0.003"],
+    ["phase-diagram", "--ec", "1e300", "--u-points", "1", "--g-points", "2"],
 )
 
 
