@@ -74,18 +74,21 @@ def josephson_energy(G: float, U: float, Delta_j: float, Delta_j1: float) -> flo
     E_J = g U^2 Delta_j Delta_{j+1} with tunneling strength
     g = G^2/(U [Delta_j + Delta_{j+1}]); Delta are the dimensionless
     per-segment order-parameter magnitudes, U Delta the energy gap.
-    Symmetric under segment swap.
+    Symmetric under segment swap.  G multiplies last, so that G^2 cannot
+    overflow where E_J itself is representable.
     """
     if G < 0.0 or U <= 0.0 or Delta_j <= 0.0 or Delta_j1 <= 0.0:
         raise ValueError("G must be >= 0 and U, Delta_j, Delta_j1 positive")
-    return G * G * U * Delta_j * Delta_j1 / (Delta_j + Delta_j1)
+    return U * Delta_j * Delta_j1 / (Delta_j + Delta_j1) * G * G
 
 
 def sigma_phi2(E_c: float, E_J: float) -> float:
     """Relative-phase variance sqrt(2 E_c / E_J) (classification form).
 
     E_J = 0 is the fully incoherent limit: each segment keeps an
-    independent phase and the variance is reported as infinite.
+    independent phase and the variance is reported as infinite.  The root
+    is taken factor by factor, on Python floats, so the result is finite
+    whenever sqrt(2 E_c/E_J) is, even where 2 E_c/E_J overflows.
     """
     if E_c <= 0.0:
         raise ValueError("E_c must be positive")
@@ -93,7 +96,7 @@ def sigma_phi2(E_c: float, E_J: float) -> float:
         raise ValueError("E_J must be >= 0")
     if E_J == 0.0:
         return math.inf
-    return math.sqrt(2.0 * E_c / E_J)
+    return math.sqrt(2.0) * math.sqrt(float(E_c)) / math.sqrt(float(E_J))
 
 
 def odlro(j: int, l: int, Delta_bars, sigma2: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import coherence_classify, josephson_energy, sigma_phi2
 from .core import PhysicalParams
-from .gap import GapSolution, solve_self_consistent
+from .gap import GapSolution, _warm_start, solve_self_consistent
 
 __all__ = [
     "RegimeLabel",
@@ -178,19 +178,21 @@ def sweep_diagram(
 
     Cells come back row-major (U outermost, then E_c, then G); per-cell
     failures are inlined as unlabeled cells.  Successive gap solves are
-    warm-started along the U grid.
+    warm-started along the U grid from the tangent prediction of the last
+    converged solve.
     """
     U_grid = _validated_grid(U_grid, "U")
     E_c_grid = _validated_grid(E_c_grid, "E_c")
     G_grid = _validated_grid(G_grid, "G")
 
     cells = []
-    guess = None
+    last = None
     for U in U_grid:
         try:
-            solution = solve_self_consistent(float(U), n, params, initial_guess=guess)
+            solution = solve_self_consistent(float(U), n, params,
+                                             initial_guess=_warm_start(last, float(U)))
             if solution.converged:
-                guess = (solution.mu, solution.Delta0)
+                last = solution
         except (RuntimeError, ValueError) as exc:
             solution = None
             note = f"solver failed: {exc}"

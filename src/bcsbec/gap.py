@@ -18,9 +18,18 @@ no integral: at the dissociation edge the gap and the density vanish, so the
 excess there is exactly -n.  Each probe solves the gap equation at fixed mu
 by damped fixed-point steps (damping 0.5) that bracket the root of the
 monotone gap residual, finished by Brent, seeded from the nearest earlier
-probe with a resolved gap.  A 2D Newton polish with finite-difference
-Jacobian, started from the probe whose density is nearest the target, then
-drives both residuals to tolerance simultaneously.
+probe with a resolved gap.  A 2D Newton polish, started from the probe
+whose density is nearest the target, then drives both residuals to
+tolerance simultaneously.  Its Jacobian is analytic: the four derivatives
+of the gap and occupancy integrands in (mu, Delta0) are integrated in the
+same quadrature pass as the residuals, riding on the panels the residuals
+choose, so a Newton step costs one integral.
+
+Along a coupling sweep each point is warm-started from a first-order
+tangent prediction (Allgower & Georg, Numerical Continuation Methods,
+1990).  Since the gap residual depends on U only through -U I_gap/2, the
+tangent (dmu/dU, dDelta0/dU) solves J t = (I_gap/2, 0) with the Jacobian
+of the converged point, at no extra integral.
 
 The two-body bound state solves 1 = U Integral Gamma^2/(2 eps_k + E_b); it
 exists above the threshold coupling U_c and, for the separable form factor,
@@ -57,6 +66,8 @@ _GAP_FLOOR_REL = 1e-13
 _QUAD = QuadratureSpec()
 # outer-search budget of a cold solve, counted in solver iterations
 _MAX_ITER = 500
+# step budget of one Newton polish
+_NEWTON_STEPS = 25
 
 
 class _BudgetExhausted(Exception):
@@ -76,10 +87,19 @@ class GapSolution:
     iterations: int
     converged: bool
     note: str = ""
+    # (dmu/dU, dDelta0/dU) along the solution branch at this point; None for
+    # an unconverged solve, a gap below resolution or a singular Jacobian
+    tangent: tuple[float, float] | None = None
 
 
 def _pair_integrand(mu, Delta0, params: PhysicalParams, column=None):
-    """Integrand (gap, occupancy) without the radial weight, or only `column`."""
+    """Integrand without the radial weight: six columns, or only `column`.
+
+    The columns are the gap g2/xi, the occupancy, and the closed-form
+    derivatives d(g2/xi)/dmu = g2 eps/xi^3, d(g2/xi)/dDelta0 =
+    -Delta0 g2^2/xi^3, d occ/dmu = y2/xi^3 and d occ/dDelta0 =
+    eps Delta0 g2/xi^3 (eps = eps_k - mu, y2 = Delta0^2 g2).
+    """
     h2m = params.half_hbar2_over_m
     k0 = params.k0
 
@@ -95,7 +115,9 @@ def _pair_integrand(mu, Delta0, params: PhysicalParams, column=None):
             occ = np.where(eps > 0.0, y2 / (xi * (xi + eps)), 1.0 - eps / np.maximum(xi, 1e-300))
         if column == 1:
             return occ
-        return np.stack([g2 / xi, occ], axis=1)
+        xi3 = xi * xi * xi
+        return np.stack([g2 / xi, occ, g2 * eps / xi3, -Delta0 * g2 * g2 / xi3,
+                         y2 / xi3, eps * Delta0 * g2 / xi3], axis=1)
 
     return f
 
@@ -116,18 +138,36 @@ def _breakpoints(mu, Delta0, params: PhysicalParams):
     return [p for p in pts if p > 0]
 
 
-def _integrals(mu, Delta0, params, column=None):
-    """Gap and occupancy integrals, or only the one picked by `column`.
+def _integrals(mu, Delta0, params, column):
+    """The gap (column 0) or the occupancy (column 1) integral alone.
 
     A single column is integrated on its own: adaptive refinement follows
-    every component it is given, so slicing a two-column result would
+    every component that steers it, so slicing a two-column result would
     refine different panels and cost more integrand points.
     """
     vals, _, _ = radial_integral(
         _pair_integrand(mu, Delta0, params, column), _QUAD, k0=params.k0,
         breakpoints=_breakpoints(mu, Delta0, params),
     )
-    return vals if column is None else float(vals[0])
+    return float(vals[0])
+
+
+def _residuals_and_jacobian(mu, Delta0, U, n, params):
+    """Residuals (r_gap, r_number), their Jacobian in (mu, Delta0), and I_gap.
+
+    One radial integral: the four derivative integrands ride on the panels
+    that the gap and occupancy integrands choose (steer=2), so the residuals
+    are bit-identical to those of a (gap, occupancy) integral alone.
+    """
+    vals, _, _ = radial_integral(
+        _pair_integrand(mu, Delta0, params), _QUAD, k0=params.k0,
+        breakpoints=_breakpoints(mu, Delta0, params), steer=2,
+    )
+    gap, density, dgap_mu, dgap_d, docc_mu, docc_d = vals
+    r = np.array([1.0 - 0.5 * U * gap, (n - density) / n])
+    J = np.array([[-0.5 * U * dgap_mu, -0.5 * U * dgap_d],
+                  [-docc_mu / n, -docc_d / n]])
+    return r, J, gap
 
 
 def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams) -> float:
@@ -290,29 +330,26 @@ def _delta_at_mu(mu, U, params, guess=None):
     return root, iters + its
 
 
-def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number, max_steps=25):
-    """2D Newton with finite-difference Jacobian on (mu, Delta0)."""
-    scale = max(abs(mu), params.eps0)
-    dscale = max(Delta0, 1e-3 * params.eps0)
+def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number):
+    """2D Newton on (mu, Delta0) with the analytic Jacobian.
+
+    Each step costs one radial integral, which yields the residuals and
+    their Jacobian together (`_residuals_and_jacobian`).  Stops once
+    |r_gap| <= 0.05 tol_gap and |r_number| <= 0.05 tol_number, after
+    _NEWTON_STEPS steps, on a singular Jacobian, or when halving the step
+    30 times cannot keep Delta0 positive.  Returns (mu, Delta0, r_gap,
+    r_number, steps, tangent).  tangent = (dmu/dU, dDelta0/dU) at the final
+    point solves J t = (I_gap/2, 0), because dr_gap/dU = -I_gap/2; it costs
+    no integral, and it is None when J is singular there.
+    """
     it = 0
-
-    def residuals(mu, Delta0):
-        gap, density = _integrals(mu, Delta0, params)
-        return 1.0 - 0.5 * U * gap, (n - density) / n
-
-    rg, rn = residuals(mu, Delta0)
-    for _ in range(max_steps):
+    r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n, params)
+    for _ in range(_NEWTON_STEPS):
         it += 1
-        if abs(rg) <= 0.05 * tol_gap and abs(rn) <= 0.05 * tol_number:
+        if abs(r[0]) <= 0.05 * tol_gap and abs(r[1]) <= 0.05 * tol_number:
             break
-        hm = 1e-6 * scale
-        hd = 1e-6 * dscale
-        rg_m, rn_m = residuals(mu + hm, Delta0)
-        rg_d, rn_d = residuals(mu, Delta0 + hd)
-        J = np.array([[(rg_m - rg) / hm, (rg_d - rg) / hd],
-                      [(rn_m - rn) / hm, (rn_d - rn) / hd]])
         try:
-            step = np.linalg.solve(J, -np.array([rg, rn]))
+            step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             break
         new_mu, new_D = mu + step[0], Delta0 + step[1]
@@ -324,10 +361,32 @@ def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number, max_steps=25):
         if new_D <= 0:
             break
         mu, Delta0 = new_mu, new_D
-        rg, rn = residuals(mu, Delta0)
-        scale = max(abs(mu), params.eps0)
-        dscale = max(Delta0, 1e-3 * params.eps0)
-    return mu, Delta0, rg, rn, it
+        r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n, params)
+    try:
+        tangent = tuple(np.linalg.solve(J, [0.5 * gap, 0.0]))
+    except np.linalg.LinAlgError:
+        tangent = None
+    return mu, Delta0, r[0], r[1], it, tangent
+
+
+def _warm_start(prev: GapSolution | None, U: float):
+    """Warm start (mu, Delta0) for coupling U from the solution `prev`.
+
+    The first-order tangent prediction (mu, Delta0) + (U - prev.U) prev.tangent,
+    or prev's own (mu, Delta0) when prev has no tangent or the prediction
+    leaves the linear regime: a predicted Delta0 outside (0.5, 2) x
+    prev.Delta0, or a non-finite mu (far steps such as U -> 1e300 U_c would
+    otherwise overflow the integrand).  None when prev is None.
+    """
+    if prev is None:
+        return None
+    if prev.tangent is not None:
+        dU = U - prev.U
+        mu = prev.mu + dU * prev.tangent[0]
+        D = prev.Delta0 + dU * prev.tangent[1]
+        if math.isfinite(mu) and 0.5 * prev.Delta0 < D < 2.0 * prev.Delta0:
+            return mu, D
+    return prev.mu, prev.Delta0
 
 
 def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
@@ -347,7 +406,9 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
     Delta0 > 0.  A search that runs past _MAX_ITER iterations returns an
     unconverged solution with a note.  initial_guess (mu, Delta0)
     short-circuits straight to the Newton polish when it already lies in the
-    basin, which sweeps exploit point to point.
+    basin, which sweeps exploit point to point.  A converged solution with
+    a resolved gap carries the tangent (dmu/dU, dDelta0/dU) of the solution
+    branch, from which sweeps predict the next start.
     """
     if U <= 0 or n <= 0:
         raise ValueError("U and n must be positive")
@@ -358,10 +419,11 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
     if initial_guess is not None:
         mu0, D0 = initial_guess
         if D0 > 0:
-            mu, D, rg, rn, it = _newton_polish(mu0, D0, U, n, params, tol_gap, tol_number)
+            mu, D, rg, rn, it, tangent = _newton_polish(mu0, D0, U, n, params, tol_gap,
+                                                        tol_number)
             iterations += it
             if abs(rg) <= tol_gap and abs(rn) <= tol_number:
-                return GapSolution(U, n, mu, D, rg, rn, iterations, True)
+                return GapSolution(U, n, mu, D, rg, rn, iterations, True, tangent=tangent)
 
     Eb = bound_state_energy(U, params)
     mu_lo = -0.5 * Eb * (1.0 - 1e-12) if Eb else 0.0
@@ -402,8 +464,8 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
     if root is None:
         return GapSolution(U, n, mu0, D0, np.nan, -e0 / n, iterations, False,
                            "mu search exhausted the budget")
-    mu, D, rg, rn, it = _newton_polish(mu0, D0 or params.eps0, U, n, params, tol_gap,
-                                       tol_number)
+    mu, D, rg, rn, it, tangent = _newton_polish(mu0, D0 or params.eps0, U, n, params,
+                                                tol_gap, tol_number)
     iterations += it
 
     if D < _GAP_FLOOR_REL * params.eps0 * 10:
@@ -412,7 +474,8 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
                            "gap below resolution")
     conv = abs(rg) <= tol_gap and abs(rn) <= tol_number
     note = "" if conv else "tolerances not met within budget"
-    return GapSolution(U, n, mu, D, rg, rn, iterations, conv, note)
+    return GapSolution(U, n, mu, D, rg, rn, iterations, conv, note,
+                       tangent if conv else None)
 
 
 def bound_state_energy(U: float, params: PhysicalParams) -> float | None:
@@ -443,21 +506,24 @@ def sweep_coupling(U_grid, n: float, params: PhysicalParams,
                    tol_gap: float = 1e-10, tol_number: float = 1e-8) -> list[GapSolution]:
     """Solve along a coupling grid, warm-starting each point from the last.
 
-    Failed points, including numeric failures (RuntimeError, ValueError),
-    are recorded inline (converged = False) without aborting the sweep.
+    Each warm start is the tangent prediction from the last converged point
+    with a resolved gap (see _warm_start), so a warm point typically needs
+    two or three Newton steps.  Failed points, including numeric failures
+    (RuntimeError, ValueError), are recorded inline (converged = False)
+    without aborting the sweep.
     """
     out = []
-    guess = None
+    last = None
     for U in np.asarray(U_grid, dtype=float):
         try:
-            sol = solve_self_consistent(U, n, params, tol_gap=tol_gap,
-                                        tol_number=tol_number, initial_guess=guess)
+            sol = solve_self_consistent(U, n, params, tol_gap=tol_gap, tol_number=tol_number,
+                                        initial_guess=_warm_start(last, U))
         except (RuntimeError, ValueError) as exc:  # QuadratureError is a RuntimeError
             sol = GapSolution(float(U), n, np.nan, np.nan, np.nan, np.nan, 0,
                               False, f"solver error: {exc}")
         out.append(sol)
         if sol.converged and sol.Delta0 > 0:
-            guess = (sol.mu, sol.Delta0)
+            last = sol
     return out
 
 
@@ -466,18 +532,19 @@ def locate_mu_zero(n: float, params: PhysicalParams,
     """Bisect the coupling in [0.5, 4] U_c at which mu changes sign.
 
     tol_rel is relative to U_c.  Each probe is a full self-consistent solve,
-    warm-started from the previous one.
+    warm-started from the tangent prediction of the previous one (its own
+    (mu, Delta0) when the bisection step is too long for the prediction).
     """
     Uc = critical_coupling(params)
     lo, hi = 0.5 * Uc, 4.0 * Uc
-    guess = None
+    last = None
 
     def mu_at(U):
-        nonlocal guess
-        sol = solve_self_consistent(U, n, params, initial_guess=guess)
+        nonlocal last
+        sol = solve_self_consistent(U, n, params, initial_guess=_warm_start(last, U))
         if not sol.converged:
             raise RuntimeError(f"no converged solution at U/U_c = {U / Uc}")
-        guess = (sol.mu, sol.Delta0)
+        last = sol
         return sol
 
     s_lo = mu_at(lo)

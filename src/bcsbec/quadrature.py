@@ -17,6 +17,16 @@ Panels are refined by bisecting wherever the embedded error estimate
 its share of the tolerance.  Integrands are evaluated vectorized over every
 pending node of a refinement wave, and may be vector-valued (several
 integrands sharing one set of panels).
+
+Only the first `steer` components of a vector-valued integrand steer the
+refinement: they alone enter the error test and pick the panels to bisect.
+Any further components ride along, integrated on the panels the steering
+ones chose, with their error estimates reported but not enforced.  The
+steering components therefore come out bit-identical to a call without
+the riders.  The gap solver carries its Jacobian integrands this way.
+Steering on them would cost far more panels than the residuals need, and
+deep in the BCS regime round-off in their sharp 1/xi^3 peaks stalls their
+error estimates above tolerance until the panel budget runs out.
 """
 
 from __future__ import annotations
@@ -106,11 +116,13 @@ def _panel_sums(vals, half, nodes):
     return hi, np.abs(hi - lo)
 
 
-def _adaptive(f, edges, first, spec: QuadratureSpec):
-    """Refine panels with edges `edges` until every component converges.
+def _adaptive(f, edges, first, spec: QuadratureSpec, steer=None):
+    """Refine panels with edges `edges` until the steering components converge.
 
     `first` holds f at the `_panel_nodes` of the initial panels, so the
     caller can evaluate the first wave of several regions in one call.
+    The first `steer` components (all when None) steer the refinement; the
+    rest are integrated on the same panels.
     """
     a = edges[:-1]
     b = edges[1:]
@@ -118,18 +130,18 @@ def _adaptive(f, edges, first, spec: QuadratureSpec):
     while True:
         total = vals.sum(axis=0)
         err_tot = errs.sum(axis=0)
-        tol = np.maximum(spec.tol_abs, spec.tol_rel * np.abs(total))
-        if np.all(err_tot <= tol):
+        tol = np.maximum(spec.tol_abs, spec.tol_rel * np.abs(total[:steer]))
+        if np.all(err_tot[:steer] <= tol):
             return total, err_tot
         if a.size >= spec.max_panels:
             raise QuadratureError(
                 "panel budget %d exhausted; achieved error %s against tolerance %s"
-                % (spec.max_panels, err_tot, tol),
+                % (spec.max_panels, err_tot[:steer], tol),
                 value=total, error=err_tot,
             )
         # bisect every panel holding more than its per-panel share of the
         # worst-converged component's tolerance
-        ratio = errs / np.maximum(tol, 1e-300)[None, :]
+        ratio = errs[:, :steer] / np.maximum(tol, 1e-300)[None, :]
         share = np.max(ratio, axis=1)
         refine = share > 0.5 / a.size
         if not np.any(refine):
@@ -183,14 +195,16 @@ def _tail_nodes(count, nodes):
     return edges, u
 
 
-def integrate_semi_infinite(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None):
+def integrate_semi_infinite(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None,
+                            steer=None):
     """Integrate f over (0, inf) in the radial variable.
 
     f maps a 1D array of k values to shape (npts,) or (npts, nf).  Returns
     (value, error_estimate, tail_value), each of shape (nf,).  The direct
     region is [0, k_max*k0]; the tail uses u = k_max*k0/k on (0, 1].  The
     first wave of both regions is evaluated in one call of f; refinement
-    waves call f per region.
+    waves call f per region.  Only the first `steer` components (all when
+    None) steer the refinement; the others ride along on the same panels.
     """
     kc = spec.k_max * k0
 
@@ -205,18 +219,22 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, k0: float = 1.0, breakpoint
     tail_edges, u = _tail_nodes(max(2, spec.panels // 4), spec.nodes)
     k, _ = _panel_nodes(edges[:-1], edges[1:], spec.nodes)
     first = f2(np.concatenate([k, kc / u]))
-    direct, err_d = _adaptive(f2, edges, first[: k.size], spec)
+    direct, err_d = _adaptive(f2, edges, first[: k.size], spec, steer)
     tail, err_t = _adaptive(tail_integrand, tail_edges,
-                            first[k.size:] * (kc / u**2)[:, None], spec)
+                            first[k.size:] * (kc / u**2)[:, None], spec, steer)
     return direct + tail, err_d + err_t, tail
 
 
-def radial_integral(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None):
-    """Integral d^3k/(2 pi)^3 f(k) for isotropic f; see integrate_semi_infinite."""
+def radial_integral(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None, steer=None):
+    """Integral d^3k/(2 pi)^3 f(k) for isotropic f; see integrate_semi_infinite.
+
+    steer: how many leading components of a vector-valued f steer the
+    refinement (default: all); the rest are integrated on their panels.
+    """
 
     def weighted(k):
         v = np.asarray(f(k), dtype=float)
         w = k**2 / (2.0 * np.pi**2)
         return v * w if v.ndim == 1 else v * w[:, None]
 
-    return integrate_semi_infinite(weighted, spec, k0=k0, breakpoints=breakpoints)
+    return integrate_semi_infinite(weighted, spec, k0=k0, breakpoints=breakpoints, steer=steer)

@@ -47,6 +47,8 @@ def test_josephson_energy_arithmetic():
         josephson_energy(0.4, 1.0, 1.9, 0.8), rel=1e-15
     )
     assert josephson_energy(0.0, 1.0, 1.0, 1.0) == 0.0
+    # G^2 U = 1.2e309 overflows, E_J = 6e300 does not
+    assert josephson_energy(1e154, 12.0, 1e-8, 1e-8) == pytest.approx(6e300, rel=1e-15)
     with pytest.raises(ValueError):
         josephson_energy(-0.1, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -57,6 +59,9 @@ def test_sigma_phi2():
     assert sigma_phi2(1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
     assert sigma_phi2(2.0, 1.0) == pytest.approx(2.0, rel=1e-15)
     assert sigma_phi2(1.0, 0.0) == math.inf
+    # 2 E_c/E_J = 2e310 overflows, its root does not (numpy scalars, as the diagram passes)
+    assert sigma_phi2(np.float64(1e300), np.float64(1e-10)) == pytest.approx(
+        math.sqrt(2.0) * 1e155, rel=1e-15)
     with pytest.raises(ValueError):
         sigma_phi2(0.0, 1.0)
     with pytest.raises(ValueError):

@@ -242,6 +242,19 @@ def test_huge_charging_energy_still_locates_the_boundary(tmp_path):
     assert abs(g_bis - g_star) <= 2e-9 * g_star
 
 
+def test_huge_charging_energy_at_a_tiny_gap(tmp_path):
+    # Delta0 = 2.6e-7 puts G* = sqrt(4 E_c/Delta0) at 3.9e153, where G^2 U
+    # overflows but E_J = G^2 Delta0/2 and sigma_phi2 = sqrt(2 E_c/E_J) do not
+    assert run(["phase-diagram", "--ec", "1e300", "--n", "1e-4", "--u-points", "1",
+                "--g-points", "2", "--out", str(tmp_path)]) == 0
+    [row] = (tmp_path / "boundary.csv").read_text().splitlines()[1:]
+    g_star, g_bis = (float(x) for x in row.split(",")[2:])
+    assert 3.9e153 < g_star < 4e153
+    assert abs(g_bis - g_star) <= 1e-9 * g_star
+    rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(row.split(",")[6])) for row in rows)
+
+
 def test_unrepresentable_boundary_leaves_its_fields_empty(tmp_path, capsys):
     # 4 E_c/Delta0 overflows: the cells are labeled and written, the boundary
     # row keeps U and mu with empty G* fields, and the run exits 2

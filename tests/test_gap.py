@@ -24,10 +24,13 @@ import bcsbec.gap
 from bcsbec.core import PhysicalParams, critical_coupling
 from bcsbec.gap import (
     GapSolution,
+    _breakpoints,
     _brentq,
     _delta_at_mu,
     _integrals,
     _newton_polish,
+    _pair_integrand,
+    _residuals_and_jacobian,
     bound_state_energy,
     gap_residual,
     locate_mu_zero,
@@ -240,7 +243,7 @@ def bisection_solve(U, n, params, tol_gap=1e-10, tol_number=1e-8):
         if D > 0:
             D_mid = D
         lo, hi = (lo, mid) if e > 0.0 else (mid, hi)
-    mu, D, _, _, _ = _newton_polish(0.5 * (lo + hi), D_mid, U, n, params, tol_gap, tol_number)
+    mu, D, *_ = _newton_polish(0.5 * (lo + hi), D_mid, U, n, params, tol_gap, tol_number)
     return mu, D
 
 
@@ -261,6 +264,80 @@ def test_brent_mu_search_matches_bisection(ratio, n, units):
     eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
     assert abs(sol.mu - mu) <= 1e-8 * max(abs(mu), eps_F)
     assert abs(sol.Delta0 - D) <= 1e-8 * D
+
+
+def _params(units):
+    return (PhysicalParams.dimensionless() if units == "dimensionless"
+            else PhysicalParams.free_electron(k0=1.41))
+
+
+@settings(max_examples=20, deadline=None)
+@given(ratio=st.floats(0.5, 6.0), n=st.floats(1e-4, 0.3),
+       units=st.sampled_from(["dimensionless", "physical"]),
+       dmu=st.floats(-1.0, 1.0), dD=st.floats(-1.0, 1.0))
+@example(ratio=0.5, n=1e-4, units="dimensionless", dmu=0.0, dD=0.0)
+@example(ratio=6.0, n=0.3, units="physical", dmu=1.0, dD=-1.0)
+def test_analytic_jacobian_matches_central_differences(ratio, n, units, dmu, dD):
+    # at the solution and up to 1% of the mu scale and 5% of Delta0 away from it
+    params = _params(units)
+    U, n = ratio * critical_coupling(params), n * params.k0**3
+    sol = solve_self_consistent(U, n, params)
+    eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
+    mu = sol.mu + 0.01 * dmu * max(abs(sol.mu), eps_F)
+    D = sol.Delta0 * (1.0 + 0.05 * dD)
+    _, J, _ = _residuals_and_jacobian(mu, D, U, n, params)
+    hm, hd = 1e-4 * max(abs(mu), eps_F), 1e-4 * D
+
+    def central(r, *args):
+        return [(r(D, mu + hm, *args) - r(D, mu - hm, *args)) / (2.0 * hm),
+                (r(D + hd, mu, *args) - r(D - hd, mu, *args)) / (2.0 * hd)]
+
+    fd = np.array([central(gap_residual, U, params), central(number_residual, n, params)])
+    # 1e-6 relative, plus the stencil's own round-off floor 1e-15/h: deep in
+    # BCS, dr_number/dDelta0 moves r_number by only ~3e-13 across the stencil
+    np.testing.assert_array_less(np.abs(J - fd), 1e-6 * np.abs(fd) + 1e-15 / np.array([hm, hd]))
+
+
+def test_jacobian_integrand_columns(params):
+    # d occ/dDelta0 = Delta0 d(g2/xi)/dmu pointwise, and the first two
+    # columns are the single-column gap and occupancy integrands bit for bit
+    mu, D = 0.35, 0.02
+    kmu = math.sqrt(mu)
+    k = np.concatenate([np.linspace(1e-3, 50.0, 4001), kmu + np.linspace(-0.1, 0.1, 401)])
+    cols = _pair_integrand(mu, D, params)(k)
+    assert np.array_equal(cols[:, 0], _pair_integrand(mu, D, params, 0)(k))
+    assert np.array_equal(cols[:, 1], _pair_integrand(mu, D, params, 1)(k))
+    np.testing.assert_allclose(cols[:, 5], D * cols[:, 2], rtol=1e-15, atol=0.0)
+
+
+def test_jacobian_riders_leave_the_residuals_unchanged(params):
+    # one pass with the derivative columns gives the residuals of a (gap,
+    # occupancy) integral alone bit for bit, deep in BCS where the 1/xi^3
+    # peaks are sharpest
+    U, n = 0.5 * critical_coupling(params), 1e-4
+    sol = solve_self_consistent(U, n, params)
+    r, _, gap = _residuals_and_jacobian(sol.mu, sol.Delta0, U, n, params)
+    f = _pair_integrand(sol.mu, sol.Delta0, params)
+    (plain_gap, density), _, _ = bcsbec.gap.radial_integral(
+        lambda k: f(k)[:, :2], bcsbec.gap._QUAD, k0=params.k0,
+        breakpoints=_breakpoints(sol.mu, sol.Delta0, params))
+    assert gap == plain_gap
+    assert list(r) == [1.0 - 0.5 * U * plain_gap, (n - density) / n]
+
+
+@pytest.mark.parametrize("ratio, n, units", [(0.6, 0.02, "dimensionless"),
+                                             (1.7, 0.003, "physical"),
+                                             (3.0, 0.1, "dimensionless"),
+                                             (1.0, 1e-4, "physical")])
+def test_tangent_matches_central_difference_of_cold_solves(ratio, n, units):
+    params = _params(units)
+    U, n = ratio * critical_coupling(params), n * params.k0**3
+    sol = solve_self_consistent(U, n, params)
+    h = 1e-4 * U
+    up, down = (solve_self_consistent(U + s, n, params) for s in (h, -h))
+    assert sol.converged and up.converged and down.converged
+    fd = [(up.mu - down.mu) / (2.0 * h), (up.Delta0 - down.Delta0) / (2.0 * h)]
+    np.testing.assert_allclose(sol.tangent, fd, rtol=1e-4, atol=0.0)
 
 
 @pytest.mark.parametrize("ratio, n", [(1.0, 0.02), (1.6375, 0.0422), (0.6, 0.02),

@@ -69,6 +69,36 @@ def test_vector_valued_integrand():
     assert vals[1] == pytest.approx(np.sqrt(np.pi) / 4.0 / (2.0 * np.pi**2), rel=1e-12)
 
 
+def test_rider_columns_leave_the_steered_columns_unchanged():
+    # a sharp peak riding along on the panels of two broader ones, which
+    # need refinement of their own: the broad ones come out bit-identical,
+    # on exactly the same points
+    def broad(k):
+        return np.stack([np.exp(-k), np.exp(-k) / ((k - 2.1) ** 2 + 1e-2)], axis=1)
+
+    def with_rider(k):
+        return np.column_stack([broad(k), np.exp(-k) / ((k - 1.3) ** 2 + 1e-8)])
+
+    points = []
+
+    def counted(f):
+        def g(k):
+            points[-1] += len(k)
+            return f(k)
+        return g
+
+    results = []
+    for f, steer in ((broad, None), (with_rider, 2), (with_rider, None)):
+        points.append(0)
+        results.append(radial_integral(counted(f), QuadratureSpec(), steer=steer))
+    (v2, e2, t2), (v3, e3, t3), (v_all, _, _) = results
+    assert np.array_equal(v3[:2], v2) and np.array_equal(e3[:2], e2)
+    assert np.array_equal(t3[:2], t2)
+    # resolving the peak takes more points, which only a steering peak gets
+    assert points[1] == points[0] < points[2]
+    assert v_all[2] == pytest.approx(1.3**2 * np.exp(-1.3) / (2e-4 * np.pi), rel=1e-3)
+
+
 def test_panel_doubling_invariance():
     f = lambda k: 1.0 / (1.0 + k**2) ** 2
     v1, _, _ = radial_integral(f, QuadratureSpec(panels=16))
@@ -146,9 +176,12 @@ def test_initial_edges_are_memoised_read_only():
 def test_default_sweep_panel_set(monkeypatch):
     # the default 50-point sweep at n = 0.02 takes exactly this many
     # integrand points; a kernel change that moves the panels shows here
-    points = 0
+    points = calls = 0
 
     def counting(f, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+
         def counted(k):
             nonlocal points
             points += len(k)
@@ -160,4 +193,6 @@ def test_default_sweep_panel_set(monkeypatch):
     params = PhysicalParams.dimensionless()
     sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * critical_coupling(params), 0.02, params)
     assert all(s.converged for s in sols)
-    assert points == 474_264
+    assert points == 146_592
+    # one integral per Newton step, and tangent-predicted warm starts
+    assert calls <= 220

@@ -5,9 +5,10 @@ subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
 seed, the incoherent E_J = 0 chain, a chain sized by its junction
 geometry, a gap sweep configured by a --config file, cold single-point
-solves at the pairing threshold and deep on the BEC side, and a phase
-diagram whose boundary G* lies near 1e151), all in one process, and prints
-one line per output:
+solves at the pairing threshold and deep on the BEC side, the deep-BCS
+sweep at n = 1e-4, and two phase diagrams at E_c = 1e300, whose boundary
+G* lies near 1e151 and, at n = 1e-4, near 4e153), all in one process,
+and prints one line per output:
 
     <argv>  <file>  <sha256>
 
@@ -67,7 +68,9 @@ INVOCATIONS = (
     ["gap-sweep", "--config", "sweep.cfg"],
     ["gap-sweep", "--points", "1", "--u-min", "1", "--u-max", "1"],
     ["gap-sweep", "--points", "1", "--u-min", "3", "--u-max", "3", "--n", "0.003"],
+    ["gap-sweep", "--n", "0.0001"],
     ["phase-diagram", "--ec", "1e300", "--u-points", "1", "--g-points", "2"],
+    ["phase-diagram", "--ec", "1e300", "--n", "1e-4", "--u-points", "1", "--g-points", "2"],
 )
 
 
