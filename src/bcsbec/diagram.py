@@ -114,8 +114,9 @@ def critical_hopping(solution: GapSolution, E_c: float, params: PhysicalParams) 
     """Hopping G* with E_J(G*) = 2 E_c exactly: G* = sqrt(4 E_c/Delta0).
 
     Requires a converged solution with a resolved gap; a gap at or below
-    the solver's resolution admits no finite G* at tolerance.  Raises
-    ValueError when G* is not representable.
+    the solver's resolution admits no finite G* at tolerance.  G* is
+    formed as 2 sqrt(E_c)/sqrt(Delta0), so no quotient overflows on the
+    way.  Raises ValueError when G* is not representable.
     """
     if E_c <= 0.0:
         raise ValueError("E_c must be positive")
@@ -123,7 +124,7 @@ def critical_hopping(solution: GapSolution, E_c: float, params: PhysicalParams) 
         raise ValueError("no converged gap solution at this point")
     if solution.Delta0 <= _DELTA_RESOLUTION_REL * params.eps0:
         raise ValueError("no finite G* at tolerance: gap below resolution")
-    g_star = 2.0 * math.sqrt(float(E_c) / float(solution.Delta0))
+    g_star = 2.0 * math.sqrt(E_c) / math.sqrt(solution.Delta0)
     if not math.isfinite(g_star):
         raise ValueError(f"G* = sqrt(4 E_c/Delta0) is not representable at E_c = {E_c:g}")
     return g_star
@@ -141,14 +142,17 @@ def refine_hopping_boundary(
     the sign of E_J(G) - 2 E_c.  Agrees with critical_hopping to the
     bisection tolerance.  Raises ValueError when E_J overflows before the
     bracket closes, since G* then cannot be localized in floating point.
+    It runs on Python floats, whose overflow to inf raises no warning.
     """
     if Delta0 <= 0.0 or E_c <= 0.0:
         raise ValueError("Delta0 and E_c must be positive")
+    Delta0, E_c, U = float(Delta0), float(E_c), float(U)
     lo, hi = 0.0, 1.0
     while (e_j := _equal_segment_ej(hi, U, Delta0)) < 2.0 * E_c:
         hi *= 2.0
     if not (math.isfinite(hi) and math.isfinite(e_j)):
-        raise ValueError(f"E_J overflows before reaching 2 E_c at E_c = {E_c:g}")
+        raise ValueError(f"G* is not representable: E_J overflows before reaching 2 E_c "
+                         f"at E_c = {E_c:g}")
     while (hi - lo) > rtol * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
         if _equal_segment_ej(mid, U, Delta0) < 2.0 * E_c:

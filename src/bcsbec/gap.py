@@ -12,32 +12,35 @@ energy gap (the quantity whose product with Gamma(k) enters xi_k).  The
 occupancy 1 - eps/xi counts both spin projections, so a vanishing gap at
 mu = eps_F reproduces the free-gas density k_F^3/(3 pi^2).
 
-The density excess n(mu) - n is monotone in mu, so a cold solve finds its
-root by Brent's method on the bracket (-E_b/2, mu_hi].  The lower end costs
-no integral: at the dissociation edge the gap and the density vanish, so the
-excess there is exactly -n.  Each probe solves the gap equation at fixed mu
-by damped fixed-point steps (damping 0.5) that bracket the root of the
-monotone gap residual, finished by Brent, seeded from the nearest earlier
-probe with a resolved gap.  A 2D Newton polish, started from the probe
-whose density is nearest the target, then drives both residuals to
-tolerance simultaneously.  Its Jacobian is analytic: the four derivatives
-of the gap and occupancy integrands in (mu, Delta0) are integrated in the
-same quadrature pass as the residuals, riding on the panels the residuals
-choose, so a Newton step costs one integral.
+Every root-find on the gap side is one safeguarded Newton iteration,
+_safe_newton: Newton steps kept inside a sign bracket, bisecting when a
+step leaves it (rtsafe; Press et al., Numerical Recipes, 3rd ed., sec.
+9.4).  The slopes come from closed-form derivative integrands that ride on
+the panels of the residual integrands, so a slope costs no extra integral.
+
+A cold solve nests two: the gap residual is monotone in x = log Delta0 at
+fixed mu, and the density excess n(mu) - n is monotone in mu on (-E_b/2,
+inf), whose lower end, the dissociation edge, costs no integral (gap and
+density vanish there).  One integral at the gap root gives the density and
+dn/dmu = d occ/dmu - d occ/dDelta0 (dgap/dmu)/(dgap/dDelta0), and each gap
+solve starts from the previous root moved along dDelta0/dmu.  A 2D Newton
+polish then drives both residuals to tolerance, one integral per step,
+with the same analytic Jacobian.
 
 Along a coupling sweep each point is warm-started from a first-order
 tangent prediction (Allgower & Georg, Numerical Continuation Methods,
 1990).  Since the gap residual depends on U only through -U I_gap/2, the
 tangent (dmu/dU, dDelta0/dU) solves J t = (I_gap/2, 0) with the Jacobian
-of the converged point, at no extra integral.
+of the converged point, at no extra integral.  locate_mu_zero runs the same
+safeguarded Newton on mu(U), with dmu/dU from the tangent as the slope.
 
 The two-body bound state solves 1 = U Integral Gamma^2/(2 eps_k + E_b); it
 exists above the threshold coupling U_c and, for the separable form factor,
 obeys the closed form E_b = (hbar^2 k0^2/m) (U/U_c - 1)^2 = 2 eps0 (U/U_c - 1)^2.
 bound_state_energy returns that closed form; the tests check it against an
-independent numerical root-find of the integral equation.  The negative-mu
-edge of the gap equation sits exactly at mu = -E_b/2, which supplies the
-lower end of the mu bracket.
+independent numerical root-find of the integral equation.  At zero gap and
+mu < 0 the gap equation is the bound-state equation with E_b = -2 mu, so
+for mu <= 0 it has a positive root exactly when mu > -E_b/2.
 """
 
 from __future__ import annotations
@@ -64,14 +67,16 @@ __all__ = [
 _GAP_FLOOR_REL = 1e-13
 # every radial integral of the solver uses the default adaptive rule
 _QUAD = QuadratureSpec()
-# outer-search budget of a cold solve, counted in solver iterations
+# budget of a cold solve's search in integrals, and of any safeguarded Newton
 _MAX_ITER = 500
 # step budget of one Newton polish
 _NEWTON_STEPS = 25
-
-
-class _BudgetExhausted(Exception):
-    """The mu search of a cold solve ran past _MAX_ITER iterations."""
+# the gap at fixed mu: Newton in log Delta0 stops at a bracket _LOG_GAP_XTOL
+# wide, steps at most _LOG_GAP_CAP toward an open end, and counts a root
+# within a factor 2 (_LOG2) of the floor or a quadrature failure unresolved
+_LOG_GAP_XTOL = 1e-6
+_LOG_GAP_CAP = 2.0
+_LOG2 = math.log(2.0)
 
 
 @dataclass
@@ -192,142 +197,79 @@ def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams) 
     return (n - _integrals(mu, Delta0, params, 1)) / n
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
-    """Root of f on [xa, xb] by Brent's method; returns (root, iterations).
+def _safe_newton(f, x, lo, hi, xtol, budget, cap=math.inf):
+    """Root of an increasing f, (value, slope) = f(x), in the sign bracket (lo, hi).
 
-    A step-for-step port of scipy.optimize.brentq (its brentq.c; Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4), so the
-    root and the iteration count are bit-equal to scipy's.  It stops once
-    the bracket is narrower than xtol + rtol |root|.  Raises ValueError when
-    f(xa) and f(xb) have the same sign or f returns NaN, and RuntimeError
-    when maxiter steps do not converge.
+    rtsafe (Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4): each
+    evaluation moves the end of its sign to x, and a Newton step that
+    leaves the bracket, or has a zero or NaN slope, becomes a bisection.
+    An end may be infinite (open); steps toward it are at most `cap` long.
+    Steps shorter than xtol/2 are lengthened to xtol/2, so the bracket
+    closes.  Returns (root, evaluations) once the bracket is no wider than
+    xtol, the root being the next iterate; raises RuntimeError after
+    `budget` evaluations.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x!r} is NaN; Brent cannot continue")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre, 0
-    if fcur == 0.0:
-        return xcur, 0
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for iterations in range(1, maxiter + 1):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, iterations
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+    for evals in range(1, budget + 1):
+        fx, slope = f(x)
+        if fx == 0.0:
+            return x, evals
+        if fx < 0.0:
+            lo = x
         else:
-            spre = scur = sbis
+            hi = x
+        new = x - fx / slope if slope else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)  # +-inf toward an open end, capped below
+        if math.isinf(lo) or math.isinf(hi):
+            new = min(max(new, x - cap), x + cap)
+        if hi - lo <= xtol:
+            return new, evals
+        if abs(new - x) < 0.5 * xtol:
+            new = x + math.copysign(0.5 * xtol, -fx)
+        x = new
+    raise RuntimeError(f"no root within {budget} evaluations")
 
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
+def _gap_at_mu(mu, U, params, guess=None):
+    """Solve the gap equation at fixed mu; returns (Delta0, integrals).
 
-def _delta_at_mu(mu, U, params, guess=None):
-    """Solve the gap equation at fixed mu.
-
-    Returns (Delta0, iterations).  Delta0 = 0 means no positive solution at
-    this mu (at or below the pair-dissociation edge, where the residual at
-    zero gap is already nonnegative) or a gap below the resolution floor.
-
-    For mu > 0 the residual diverges to -inf as Delta0 -> 0+ (log
-    singularity at the Fermi surface), so a positive root always exists and
-    zero-gap probes are never attempted.  Damped fixed-point steps (map
-    m(D) = D*(U/2)*I = D*(1 - r), damping 0.5) walk toward the root; once
-    two iterates are available a secant step in log(D) accelerates the walk,
-    and the first sign change hands a bracket to Brent.
+    Safeguarded Newton in x = log Delta0 from `guess` (default eps0), on
+    r_gap and dr_gap/dx from one integral with the gap column steering
+    (steer=1).  For mu > 0 r_gap -> -inf as Delta0 -> 0+ (log singularity
+    at the Fermi surface), and a quadrature failure below 1e-4 eps0 counts
+    as r_gap = -inf.  Delta0 = 0: no root a factor 2 above the floor
+    _GAP_FLOOR_REL eps0 and every failure, because none exists (mu at or
+    below -E_b/2) or it is below resolution; a positive residual that
+    close ends the solve.
     """
-    scale = params.eps0
-    floor = _GAP_FLOOR_REL * scale
-    iters = 0
+    floor = _GAP_FLOOR_REL * params.eps0
+    edge = math.log(floor)  # the floor, then the highest failure
+    top = math.inf  # the lowest x with r_gap > 0
+    integrals = 0
 
-    def r(D):
-        return gap_residual(D, mu, U, params)
-
-    lo_pt = hi_pt = None
-    if mu <= 0:
-        r0 = r(0.0)
-        iters += 1
-        if r0 >= 0.0:
-            return 0.0, iters
-        lo_pt = (0.0, r0)
-
-    if guess is not None and guess <= floor:
-        guess = None
-    D = scale if guess is None else guess
-    prev = None
-    for _ in range(80):
+    def r(x):
+        nonlocal integrals, edge, top
+        D = math.exp(x)
+        integrals += 1
         try:
-            rD = r(D)
+            vals, _, _ = radial_integral(
+                _pair_integrand(mu, D, params), _QUAD, k0=params.k0,
+                breakpoints=_breakpoints(mu, D, params), steer=1,
+            )
         except QuadratureError:
-            if mu > 0 and D < 1e-4 * scale:
-                if guess is not None:
-                    # a tiny seed can start below a gap of order eps0: walk
-                    # once more from D = eps0 before calling it unresolved
-                    D, its = _delta_at_mu(mu, U, params)
-                    return D, iters + its
-                # unresolvable Fermi-surface peak: gap below resolution
-                return 0.0, iters
-            raise
-        iters += 1
-        if abs(rD) <= 1e-13:
-            # at the root to quadrature precision; Newton polish refines later
-            return D, iters
-        if rD > 0.0:
-            if hi_pt is None or D < hi_pt[0]:
-                hi_pt = (D, rD)
+            if mu <= 0 or D >= 1e-4 * params.eps0:
+                raise
+            edge, value, slope = x, -math.inf, math.nan
         else:
-            if lo_pt is None or D > lo_pt[0]:
-                lo_pt = (D, rD)
-        if lo_pt is not None and hi_pt is not None and lo_pt[0] < hi_pt[0]:
-            break
-        if prev is not None and abs(D - prev[0]) <= 1e-14 * D:
-            # one-sided convergence without a sign change
-            return D, iters
-        if prev is not None and prev[1] != rD and prev[0] > 0 and D > 0:
-            x1, x2 = np.log(prev[0]), np.log(D)
-            x3 = x2 - rD * (x2 - x1) / (rD - prev[1])
-            Dn = np.exp(np.clip(x3, x2 - 5.0, x2 + 5.0))
-        else:
-            Dn = np.clip(D * (1.0 - 0.5 * rD), 0.25 * D, 4.0 * D)
-        prev = (D, rD)
-        D = max(Dn, floor)
-        if mu > 0 and D <= floor:
-            return 0.0, iters
-    if lo_pt is None or hi_pt is None:
-        raise RuntimeError("gap-equation bracketing failed at mu = %r" % mu)
-    root, its = _brentq(r, lo_pt[0], hi_pt[0], xtol=floor * 1e-3, rtol=8.9e-16, maxiter=200)
-    return root, iters + its
+            value, slope = 1.0 - 0.5 * U * vals[0], -0.5 * U * D * vals[3]
+            if value > 0.0:
+                top = min(top, x)
+        # a zero stops the iteration at x, within a factor 2 of the edge
+        return (0.0, math.nan) if top - edge < _LOG2 else (value, slope)
+
+    x0 = math.log(guess if guess is not None and guess > floor else params.eps0)
+    x, _ = _safe_newton(r, x0, edge, math.inf, _LOG_GAP_XTOL, _MAX_ITER, cap=_LOG_GAP_CAP)
+    return (0.0 if x - edge < _LOG2 else math.exp(x)), integrals
 
 
 def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number):
@@ -394,27 +336,28 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
                           initial_guess: tuple[float, float] | None = None) -> GapSolution:
     """Solve both equations for (mu, Delta0) at coupling U and density n.
 
-    The mu bracket is (-E_b/2, eps_F], with lower end 0 below U_c: the gap
-    equation loses its positive solution exactly at mu = -E_b/2 (the
-    two-body dissociation edge), and at mu = eps_F pairing overshoots the
-    target density (should it not, the upper end moves up by half of
-    scale = max(eps_F, eps0) until it does).  Brent's method on the density
-    excess narrows the bracket to 1e-6 scale.  The excess at the lower end
-    is -n in closed form; every probe is kept, each gap solve is seeded
-    from the nearest probed mu with a resolved gap, and the Newton polish
-    starts from the probe with the smallest |excess| among those with
-    Delta0 > 0.  A search that runs past _MAX_ITER iterations returns an
-    unconverged solution with a note.  initial_guess (mu, Delta0)
-    short-circuits straight to the Newton polish when it already lies in the
-    basin, which sweeps exploit point to point.  A converged solution with
-    a resolved gap carries the tangent (dmu/dU, dDelta0/dU) of the solution
-    branch, from which sweeps predict the next start.
+    initial_guess (mu, Delta0) goes straight to the Newton polish, which
+    sweeps exploit point to point; should the polish miss, the guess seeds
+    a cold solve.  A cold solve runs the safeguarded Newton of _safe_newton
+    on the density excess over the mu bracket (-E_b/2, inf), with lower end
+    0 below U_c: the gap equation loses its positive solution exactly at
+    mu = -E_b/2 (the two-body dissociation edge).  It starts at
+    mu = -E_b/2 + eps_F, steps toward the open upper end by at most half of
+    scale = max(eps_F, eps0), and stops at a bracket 1e-6 scale wide.  Each
+    probe solves the gap at fixed mu (_gap_at_mu) from the previous probe's
+    gap moved along dDelta0/dmu, and one integral at that root gives the
+    density and the slope dn/dmu.  The Newton polish starts from the
+    search's root.  A search that runs past _MAX_ITER iterations returns its
+    last resolved probe, unconverged, with a note.  A converged solution
+    with a resolved gap carries the tangent (dmu/dU, dDelta0/dU) of the
+    solution branch, from which sweeps predict the next start.
     """
     if U <= 0 or n <= 0:
         raise ValueError("U and n must be positive")
     eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
     scale = max(eps_F, params.eps0)
     iterations = 0
+    last = None  # (mu, Delta0, dDelta0/dmu) of the last probe with a resolved gap
 
     if initial_guess is not None:
         mu0, D0 = initial_guess
@@ -424,47 +367,44 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
             iterations += it
             if abs(rg) <= tol_gap and abs(rn) <= tol_number:
                 return GapSolution(U, n, mu, D, rg, rn, iterations, True, tangent=tangent)
+            last = (mu0, D0, 0.0)
 
     Eb = bound_state_energy(U, params)
     mu_lo = -0.5 * Eb * (1.0 - 1e-12) if Eb else 0.0
-    # mu -> (density excess, Delta0).  At the dissociation edge mu_lo the gap
-    # and the density vanish, so the excess there is -n without a probe.
-    probes = {mu_lo: (-n, 0.0)}
+
+    def gap_near(mu):  # Delta0 at mu predicted from `last`, or None
+        if last is None:
+            return None
+        D = last[1] + last[2] * (mu - last[0])
+        return D if D > 0.0 else last[1]
 
     def excess(mu):
-        nonlocal iterations
-        if mu not in probes:
-            if iterations > _MAX_ITER:
-                raise _BudgetExhausted
-            resolved = [m for m, (_, D) in probes.items() if D > 0]
-            if resolved:  # seed from the nearest probe with a resolved gap
-                seed = probes[min(resolved, key=lambda m: abs(m - mu))][1]
-            else:
-                seed = initial_guess[1] if initial_guess else None
-            D, its = _delta_at_mu(mu, U, params, guess=seed)
-            probes[mu] = (_integrals(mu, D, params, 1) - n, D)
-            iterations += its + 1
-        return probes[mu][0]
+        """n(mu) - n at the gap of mu, and its total derivative dn/dmu."""
+        nonlocal iterations, last
+        if iterations > _MAX_ITER:
+            raise RuntimeError("mu search exhausted the budget")
+        D, its = _gap_at_mu(mu, U, params, gap_near(mu))
+        iterations += its
+        if D == 0.0:  # the free gas: n = k_mu^3/(3 pi^2) with k_mu^2 = mu/(hbar^2/2m)
+            k = math.sqrt(max(mu, 0.0) / params.half_hbar2_over_m)
+            return k**3 / (3.0 * math.pi**2) - n, k / (2.0 * math.pi**2 * params.half_hbar2_over_m)
+        iterations += 1
+        r, J, _ = _residuals_and_jacobian(mu, D, U, n, params)
+        # along the gap root dDelta0/dmu = -dr_gap/dmu / dr_gap/dDelta0, and
+        # J[1] = -(d occ/dmu, d occ/dDelta0)/n
+        last = (mu, D, -J[0, 0] / J[0, 1])
+        return -n * r[1], -n * (J[1, 0] + J[1, 1] * last[2])
 
-    mu_hi = eps_F
     try:
-        while excess(mu_hi) < 0.0:
-            mu_hi += 0.5 * scale
-        root, _ = _brentq(excess, mu_lo, mu_hi, xtol=1e-6 * scale, rtol=8.9e-16,
-                          maxiter=_MAX_ITER)
-    except _BudgetExhausted:
-        root = None
-    # hand on the probe nearest the target density among those with a gap
-    resolved = [(abs(e), m) for m, (e, D) in probes.items() if D > 0]
-    if resolved:
-        mu0 = min(resolved)[1]
-    else:
-        mu0 = mu_hi if root is None else root
-    e0, D0 = probes[mu0]
-    if root is None:
-        return GapSolution(U, n, mu0, D0, np.nan, -e0 / n, iterations, False,
-                           "mu search exhausted the budget")
-    mu, D, rg, rn, it, tangent = _newton_polish(mu0, D0 or params.eps0, U, n, params,
+        mu, _ = _safe_newton(excess, mu_lo + eps_F, mu_lo, math.inf, 1e-6 * scale, _MAX_ITER,
+                             cap=0.5 * scale)
+    except QuadratureError:
+        raise
+    except RuntimeError:  # a budget of the search ran out: hand back its last gap
+        mu, D = last[:2] if last else (mu_lo + eps_F, 0.0)
+        return GapSolution(U, n, mu, D, np.nan, number_residual(D, mu, n, params), iterations,
+                           False, "mu search exhausted the budget")
+    mu, D, rg, rn, it, tangent = _newton_polish(mu, gap_near(mu) or params.eps0, U, n, params,
                                                 tol_gap, tol_number)
     iterations += it
 
@@ -529,34 +469,32 @@ def sweep_coupling(U_grid, n: float, params: PhysicalParams,
 
 def locate_mu_zero(n: float, params: PhysicalParams,
                    tol_rel: float = 1e-6) -> tuple[float, GapSolution]:
-    """Bisect the coupling in [0.5, 4] U_c at which mu changes sign.
+    """The coupling in [0.5, 4] U_c at which mu changes sign, and the last solve.
 
-    tol_rel is relative to U_c.  Each probe is a full self-consistent solve,
-    warm-started from the tangent prediction of the previous one (its own
-    (mu, Delta0) when the bisection step is too long for the prediction).
+    Safeguarded Newton on mu(U), with the tangent dmu/dU of each solve as
+    the slope, from U = 2.25 U_c.  Each probe is a full self-consistent
+    solve, warm-started from the tangent prediction of the previous one.
+    Returns the midpoint of a bracket no wider than tol_rel U_c whose ends
+    are solves with mu >= 0 below and mu <= 0 above; raises ValueError when
+    no such bracket forms in [0.5, 4] U_c.
     """
     Uc = critical_coupling(params)
-    lo, hi = 0.5 * Uc, 4.0 * Uc
     last = None
+    below, above = -math.inf, math.inf  # couplings solved with mu >= 0 and mu <= 0
 
-    def mu_at(U):
-        nonlocal last
+    def minus_mu(U):
+        nonlocal last, below, above
         sol = solve_self_consistent(U, n, params, initial_guess=_warm_start(last, U))
         if not sol.converged:
             raise RuntimeError(f"no converged solution at U/U_c = {U / Uc}")
         last = sol
-        return sol
+        if sol.mu >= 0.0:
+            below = max(below, U)
+        if sol.mu <= 0.0:
+            above = min(above, U)
+        return -sol.mu, -sol.tangent[0] if sol.tangent else math.nan
 
-    s_lo = mu_at(lo)
-    s_hi = mu_at(hi)
-    if s_lo.mu <= 0 or s_hi.mu >= 0:
+    _safe_newton(minus_mu, 2.25 * Uc, 0.5 * Uc, 4.0 * Uc, tol_rel * Uc, _MAX_ITER)
+    if above - below > tol_rel * Uc:
         raise ValueError("mu does not change sign on [0.5, 4] U_c")
-    sol_mid = s_hi
-    while hi - lo > tol_rel * Uc:
-        mid = 0.5 * (lo + hi)
-        sol_mid = mu_at(mid)
-        if sol_mid.mu > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), sol_mid
+    return 0.5 * (below + above), last

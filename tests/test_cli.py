@@ -256,8 +256,9 @@ def test_huge_charging_energy_at_a_tiny_gap(tmp_path):
 
 
 def test_unrepresentable_boundary_leaves_its_fields_empty(tmp_path, capsys):
-    # 4 E_c/Delta0 overflows: the cells are labeled and written, the boundary
-    # row keeps U and mu with empty G* fields, and the run exits 2
+    # E_J = 2 E_c overflows, so G* cannot be localized: the cells are labeled
+    # and written, the boundary row keeps U and mu with empty G* fields, and
+    # the run exits 2
     assert run(["phase-diagram", "--ec", "1e308", "--u-points", "1", "--g-points", "2",
                 "--out", str(tmp_path)]) == 2
     assert "not representable" in capsys.readouterr().err

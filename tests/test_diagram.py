@@ -82,12 +82,12 @@ def test_critical_hopping_rejects_unresolved_gap(params):
 
 
 def test_unrepresentable_boundary_raises(params):
-    # at E_c = 1e300, Delta0 = 1e-10 the closed form's quotient E_c/Delta0
-    # overflows; the bisection still finds G* = 2e155, where E_J = 2e300
+    # at E_c = 1e300, Delta0 = 1e-10 the quotient E_c/Delta0 would overflow,
+    # but G* = 2 sqrt(E_c)/sqrt(Delta0) = 2e155, where E_J = 2e300, does not;
+    # the closed form and the bisection both find it
     sol = GapSolution(U=1.0, n=N_REF, mu=0.5, Delta0=1e-10, residual_gap=0.0,
                       residual_number=0.0, iterations=1, converged=True)
-    with pytest.raises(ValueError, match="not representable"):
-        critical_hopping(sol, 1e300, params)
+    assert critical_hopping(sol, 1e300, params) == pytest.approx(2e155, rel=1e-9)
     assert refine_hopping_boundary(1e-10, 1e300, 1.0) == pytest.approx(2e155, rel=1e-9)
     # at E_c = 1e308 the target E_J = 2 E_c is itself not representable; an
     # uncapped doubling would stop at an overflowed E_J

@@ -7,8 +7,6 @@ integrand tends to 1/(2 pi^2) (k^2 * Gamma^2/xi * (1+k)^2 -> 1), not zero;
 the occupancy integrand does vanish there (it falls off as Delta^2/(2k^6)).
 The same grid, with a Brent root-find, solves the two-body bound-state
 equation as the oracle for the closed form that bound_state_energy returns.
-scipy's brentq is also the oracle for the solver's own port of Brent's
-method.
 """
 
 import math
@@ -25,12 +23,11 @@ from bcsbec.core import PhysicalParams, critical_coupling
 from bcsbec.gap import (
     GapSolution,
     _breakpoints,
-    _brentq,
-    _delta_at_mu,
-    _integrals,
+    _gap_at_mu,
     _newton_polish,
     _pair_integrand,
     _residuals_and_jacobian,
+    _safe_newton,
     bound_state_energy,
     gap_residual,
     locate_mu_zero,
@@ -38,6 +35,7 @@ from bcsbec.gap import (
     solve_self_consistent,
     sweep_coupling,
 )
+from bcsbec.quadrature import QuadratureError
 
 # Self-consistent point at U = 2 U_c, n = 2e-2 (dimensionless units),
 # solved independently on the Simpson grid below.
@@ -170,6 +168,9 @@ def test_locate_mu_zero(params):
     u_star, sol = locate_mu_zero(REFERENCE_N, params, tol_rel=1e-4)
     assert abs(u_star / Uc - 1.74445063) <= 5e-4
     assert sol.converged
+    # at n = 1 mu stays positive up to 4 U_c: no bracket forms
+    with pytest.raises(ValueError, match="does not change sign"):
+        locate_mu_zero(1.0, params)
 
 
 def test_free_gas_density_at_zero_gap(params):
@@ -211,24 +212,48 @@ def test_warm_start_equals_cold_start(ratio, n):
     assert abs(warm.Delta0 - cold.Delta0) <= 1e-8 * cold.Delta0
 
 
-def bisection_solve(U, n, params, tol_gap=1e-10, tol_number=1e-8):
-    """(mu, Delta0) from the outer mu bisection the solver used before Brent.
+def bisect_gap(mu, U, params, start):
+    """Delta0 with gap_residual = 0 at mu by geometric bisection, from `start`.
 
-    Bisects the number excess on (mu_lo, mu_hi] down to 1e-6 x scale,
-    seeding each gap solve from the last resolved gap, then hands the
-    midpoint to the same Newton polish.
+    0.0 when there is no positive root (mu at or below the dissociation
+    edge) or the quadrature cannot resolve the Fermi-surface peak on the
+    way down (a gap below resolution).  The bracket is widened by factors
+    of 4, then halved in log Delta0 to 1e-8 relative.
+    """
+    if mu <= 0 and gap_residual(0.0, mu, U, params) >= 0.0:
+        return 0.0
+    lo = hi = start
+    try:
+        while gap_residual(lo, mu, U, params) > 0.0:
+            lo /= 4.0
+    except QuadratureError:
+        return 0.0
+    while gap_residual(hi, mu, U, params) < 0.0:
+        hi *= 4.0
+    while hi > lo * (1.0 + 1e-8):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if gap_residual(mid, mu, U, params) < 0.0 else (lo, mid)
+    return math.sqrt(lo * hi)
+
+
+def bisection_solve(U, n, params, tol_gap=1e-10, tol_number=1e-8):
+    """(mu, Delta0) from bisection in mu, then the solver's Newton polish.
+
+    Bisects the number excess on (mu_lo, mu_hi] down to 1e-6 x scale, with
+    every gap solved by bisect_gap from the last resolved gap, then hands
+    the midpoint to the same Newton polish as the solver.
     """
     eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
     scale = max(eps_F, params.eps0)
     Eb = bound_state_energy(U, params)
-    guess = None
+    guess = params.eps0
 
     def excess(mu):
         nonlocal guess
-        D, _ = _delta_at_mu(mu, U, params, guess=guess)
+        D = bisect_gap(mu, U, params, guess)
         if D > 0:
             guess = D
-        return _integrals(mu, D, params, 1) - n, D
+        return -n * number_residual(D, mu, n, params), D
 
     mu_hi = eps_F
     e_hi, D_hi = excess(mu_hi)
@@ -252,7 +277,7 @@ def bisection_solve(U, n, params, tol_gap=1e-10, tol_number=1e-8):
        units=st.sampled_from(["dimensionless", "physical"]))
 @example(ratio=1.0, n=0.02, units="dimensionless")
 @example(ratio=1.0, n=0.003, units="physical")
-def test_brent_mu_search_matches_bisection(ratio, n, units):
+def test_mu_search_matches_bisection(ratio, n, units):
     # n is in units of k0^3, as on the command line
     params = (PhysicalParams.dimensionless() if units == "dimensionless"
               else PhysicalParams.free_electron(k0=1.41))
@@ -347,31 +372,56 @@ def test_gap_at_mu_does_not_depend_on_a_tiny_seed(params, ratio, n):
     # end in the "gap below resolution" answer Delta0 = 0
     U = ratio * critical_coupling(params)
     mu = PhysicalParams.dimensionless(n=n).fermi_energy()
-    root, _ = _delta_at_mu(mu, U, params)
+    root, _ = _gap_at_mu(mu, U, params)
     assert root > 0.01 * params.eps0
     for seed in (1e-3, 1e-6, 1e-9):
-        D, _ = _delta_at_mu(mu, U, params, guess=seed)
+        D, _ = _gap_at_mu(mu, U, params, guess=seed)
         assert D == pytest.approx(root, rel=1e-10)
 
 
-def test_cold_solve_quadrature_budget(params, monkeypatch):
-    # an exact count: every cold solve on this grid takes at most 100 integrals
+def test_gap_at_mu_reports_no_resolvable_root_as_zero(params):
+    # no root below the dissociation edge -E_b/2, and at U = 0.1 U_c the gap
+    # at mu = eps_F lies below resolution: each answer takes a few integrals,
+    # not a bisection down to the floor or to the first quadrature failure
+    U = 2.0 * critical_coupling(params)
+    D, integrals = _gap_at_mu(-bound_state_energy(U, params), U, params)
+    assert D == 0.0 and integrals <= 10
+    mu = PhysicalParams.dimensionless(n=1e-4).fermi_energy()
+    for seed in (None, 1e-6):
+        D, integrals = _gap_at_mu(mu, 0.1 * critical_coupling(params), params, guess=seed)
+        assert D == 0.0 and integrals <= 10
+
+
+@pytest.fixture
+def integral_count(monkeypatch):
+    """A callable giving the radial integrals the gap solver has taken so far."""
     calls = 0
+    radial_integral = bcsbec.gap.radial_integral
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return radial_integral(*args, **kwargs)
 
-    radial_integral = bcsbec.gap.radial_integral
     monkeypatch.setattr(bcsbec.gap, "radial_integral", counting)
+    return lambda: calls
+
+
+def test_cold_solve_quadrature_budget(params, integral_count):
+    # an exact count: every cold solve on this grid takes at most 50 integrals
     Uc = critical_coupling(params)
     for ratio in (0.6, 1.0, 1.2, 2.0, 4.0):
         for n in (0.003, 0.02, 0.1):
-            calls = 0
+            before = integral_count()
             sol = solve_self_consistent(ratio * Uc, n, params)
             assert sol.converged
-            assert calls <= 100, (ratio, n, calls)
+            assert integral_count() - before <= 50, (ratio, n, integral_count() - before)
+
+
+def test_locate_mu_zero_quadrature_budget(params, integral_count):
+    # an exact count: the crossing at n = 0.02, to 1e-6 U_c, takes at most 50 integrals
+    locate_mu_zero(REFERENCE_N, params)
+    assert integral_count() <= 50
 
 
 def test_cold_solve_reports_an_exhausted_budget(params, monkeypatch):
@@ -412,21 +462,17 @@ def test_sweep_records_failures_inline(params):
     assert isinstance(sols[0], GapSolution)
 
 
-# ---- Brent's method against scipy.optimize.brentq --------------------------
+# ---- the safeguarded Newton iteration ---------------------------------------
 
 MONOTONE_FUNCTIONS = {
-    # name -> f(x; root, c), increasing through `root` for c >= 0
-    "cubic": lambda x, root, c: (x - root) ** 3 + c * (x - root),
-    "exp": lambda x, root, c: math.exp(x) - math.exp(root),
-    "atan": lambda x, root, c: math.atan((1.0 + c) * (x - root)) + 1e-3 * (x - root),
+    # name -> (f(x; root, c), f'(x; root, c)), increasing through `root` for c >= 0
+    "cubic": (lambda x, root, c: (x - root) ** 3 + c * (x - root),
+              lambda x, root, c: 3.0 * (x - root) ** 2 + c),
+    "exp": (lambda x, root, c: math.exp(x) - math.exp(root),
+            lambda x, root, c: math.exp(x)),
+    "atan": (lambda x, root, c: math.atan((1.0 + c) * (x - root)) + 1e-3 * (x - root),
+             lambda x, root, c: (1.0 + c) / (1.0 + ((1.0 + c) * (x - root)) ** 2) + 1e-3),
 }
-
-
-def _outcome(solve):
-    try:
-        return solve()
-    except RuntimeError:
-        return "budget exhausted"
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,51 +482,48 @@ def _outcome(solve):
     c=st.floats(0.0, 100.0),
     below=st.floats(1e-6, 10.0),
     above=st.floats(1e-6, 10.0),
-    sign=st.sampled_from([1.0, -1.0]),
-    reverse=st.booleans(),
-    log_xtol=st.floats(-300.0, -2.0),
-    rtol=st.sampled_from([8.9e-16, 1e-12, 1e-6]),
+    start=st.floats(0.0, 1.0),
+    open_end=st.sampled_from([None, "lo", "hi"]),
+    slope=st.sampled_from(["exact", "zero", "nan", "wrong sign"]),
+    log_xtol=st.floats(-12.0, -2.0),
 )
-def test_brentq_matches_scipy_bit_for_bit(kind, root, c, below, above, sign, reverse,
-                                          log_xtol, rtol):
-    g = MONOTONE_FUNCTIONS[kind]
+def test_safe_newton_keeps_its_bracket(kind, root, c, below, above, start, open_end, slope,
+                                       log_xtol):
+    g, dg = MONOTONE_FUNCTIONS[kind]
+    lo, hi = root - below, root + above
+    x0 = lo + start * (hi - lo)
+    if not lo < x0 < hi:
+        x0 = 0.5 * (lo + hi)
+    if open_end == "lo":
+        lo = -math.inf
+    elif open_end == "hi":
+        hi = math.inf
+    xtol, cap = 10.0**log_xtol, 1.0
+    bad = {"exact": None, "zero": lambda x: 0.0, "nan": lambda x: math.nan,
+           "wrong sign": lambda x: -dg(x, root, c)}[slope]
+    iterates = []
 
     def f(x):
-        return sign * g(x, root, c)
+        iterates.append(x)
+        return g(x, root, c), (bad or (lambda x: dg(x, root, c)))(x)
 
-    xa, xb = root - below, root + above
-    if reverse:
-        xa, xb = xb, xa
-    xtol = 10.0**log_xtol
-
-    def scipy_brentq():
-        root, info = brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=200, full_output=True)
-        return root, info.iterations
-
-    # a triple root with a tiny xtol can exhaust the budget: both must then fail
-    assert _outcome(lambda: _brentq(f, xa, xb, xtol, rtol, 200)) == _outcome(scipy_brentq)
-
-
-def test_brentq_root_at_an_endpoint():
-    # scipy leaves its iteration count unset here, so only the roots compare
-    for xa, xb in ((2.0, 3.0), (1.0, 2.0)):
-        root, iterations = _brentq(lambda x: x - 2.0, xa, xb, 1e-12, 8.9e-16, 100)
-        assert (root, iterations) == (2.0, 0)
-        assert root == brentq(lambda x: x - 2.0, xa, xb, xtol=1e-12, rtol=8.9e-16)
-
-
-def test_brentq_same_sign_and_exhausted_budget():
-    def f(x):
-        return math.exp(x) - 2.0
-
-    for solve in (lambda *a: brentq(f, *a), lambda *a: _brentq(f, *a, 2e-12, 8.9e-16, 100)):
-        with pytest.raises(ValueError, match="different signs"):
-            solve(1.0, 3.0)
-    _, info = brentq(f, 0.0, 3.0, maxiter=100, full_output=True)
-    for maxiter in range(1, info.iterations):
-        with pytest.raises(RuntimeError):
-            brentq(f, 0.0, 3.0, maxiter=maxiter)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            _brentq(f, 0.0, 3.0, 2e-12, 8.9e-16, maxiter)
-    with pytest.raises(ValueError, match="NaN"):
-        _brentq(lambda x: math.nan, 0.0, 1.0, 2e-12, 8.9e-16, 100)
+    x, evals = _safe_newton(f, x0, lo, hi, xtol, 200, cap)
+    assert evals == len(iterates)
+    assert abs(x - root) <= xtol
+    # every iterate lies inside the bracket its predecessors left; with a bad
+    # slope each step is a bisection, or a step of cap toward an open end
+    a, b = lo, hi
+    for prev, nxt in zip(iterates, iterates[1:] + [None]):
+        assert a < prev < b
+        fx = g(prev, root, c)
+        a, b = (prev, b) if fx < 0.0 else (a, prev)
+        if bad and nxt is not None:
+            expected = 0.5 * (a + b)
+            if math.isinf(expected):
+                expected = prev + math.copysign(cap, -fx)
+            assert nxt == expected
+    # the same run with one evaluation fewer runs out of budget
+    if evals > 1:
+        iterates.clear()
+        with pytest.raises(RuntimeError, match="no root within"):
+            _safe_newton(f, x0, lo, hi, xtol, evals - 1, cap)

@@ -193,6 +193,6 @@ def test_default_sweep_panel_set(monkeypatch):
     params = PhysicalParams.dimensionless()
     sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * critical_coupling(params), 0.02, params)
     assert all(s.converged for s in sols)
-    assert points == 146_592
+    assert points == 128_664
     # one integral per Newton step, and tangent-predicted warm starts
     assert calls <= 220
