@@ -32,7 +32,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -360,7 +360,7 @@ def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
     solutions = sweep_coupling(
         ratios * u_c, n, params, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
     )
-    eps_f = replace(params, n=n).fermi_energy()
+    eps_f = params.fermi_energy(n)
     rows = []
     for ratio, sol in zip(ratios, solutions):
         rows.append(
@@ -424,22 +424,24 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
     u_c = critical_coupling(params)
     ratios = np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
     g_grid = np.linspace(g_min, g_max, cfg.g_points)
-    cells = sweep_diagram(ratios * u_c, [e_c], g_grid, n, params=params)
+    cells = sweep_diagram(ratios * u_c, e_c, g_grid, n, params, tol_gap=cfg.tol_gap,
+                          tol_number=cfg.tol_number)
 
     rows = []
     for cell in cells:
+        sol = cell.solution
         rows.append(
             (
-                cell.U / u_c,
-                cell.mu,
-                cell.Delta0,
+                sol.U / u_c,
+                sol.mu,
+                sol.Delta0,
                 cell.E_c,
                 cell.G,
                 cell.E_J,
                 cell.sigma2,
                 cell.label.pairing if cell.label else "",
                 cell.label.coherence if cell.label else "",
-                cell.converged,
+                sol.converged,
             )
         )
     header = (
@@ -456,21 +458,19 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
     )
 
     boundary_rows = []
-    seen = {}
-    for cell in cells:
-        if cell.converged and cell.U not in seen:
-            seen[cell.U] = cell
     unresolved = 0
-    for u_value, cell in seen.items():
+    for sol in (cell.solution for cell in cells[::cfg.g_points]):
+        if not sol.converged:
+            continue
         try:
-            g_star = critical_hopping(cell.solution, e_c, params)
-            g_bis = refine_hopping_boundary(cell.Delta0, e_c, u_value)
+            g_star = critical_hopping(sol, e_c)
+            g_bis = refine_hopping_boundary(sol.Delta0, e_c, sol.U)
         except ValueError as exc:  # no representable G*: leave the row's G* fields empty
-            print(f"phase-diagram: no boundary at U/U_c = {u_value / u_c:g}: {exc}",
+            print(f"phase-diagram: no boundary at U/U_c = {sol.U / u_c:g}: {exc}",
                   file=sys.stderr)
             g_star = g_bis = None
             unresolved += 1
-        boundary_rows.append((u_value / u_c, cell.mu, g_star, g_bis))
+        boundary_rows.append((sol.U / u_c, sol.mu, g_star, g_bis))
     csv_path, boundary_path = _emit(
         cfg,
         "phase_diagram",
@@ -481,7 +481,7 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
         _solver_tolerances(cfg),
         extra={"energy_unit": _energy_unit(cfg)},
     )
-    bad = [c for c in cells if not c.converged]
+    bad = [c for c in cells if not c.solution.converged]
     if bad:
         print(f"phase-diagram: {len(bad)} of {len(cells)} cells unconverged",
               file=sys.stderr)

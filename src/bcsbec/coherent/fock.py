@@ -85,14 +85,6 @@ class FockOracle:
     def s_plus(self, k: int) -> sparse.csr_matrix:
         return self.s_minus(k).T.tocsr()
 
-    def n_pair(self, k: int) -> sparse.csr_matrix:
-        """Occupancy of pair mode k (0 or 1 on basis states)."""
-        from scipy import sparse
-
-        self._check_mode(k)
-        diag = ((self._indices >> k) & 1).astype(float)
-        return sparse.diags(diag).tocsr()
-
     @property
     def b(self) -> sparse.csr_matrix:
         """Collective annihilator Omega^{-1/2} sum_k theta_k S-^(k)."""

@@ -59,39 +59,31 @@ class PhysicalParams:
 
     k0: float = 1.0            # form-factor momentum scale (inverse length)
     half_hbar2_over_m: float = 1.0   # hbar^2/(2m) in energy*length^2
-    n: float | None = None     # particle density (1/volume), optional
 
     def __post_init__(self):
         if self.k0 <= 0:
             raise ValueError("k0 must be positive")
         if self.half_hbar2_over_m <= 0:
             raise ValueError("hbar^2/(2m) must be positive")
-        if self.n is not None and self.n <= 0:
-            raise ValueError("density must be positive")
 
     @classmethod
-    def dimensionless(cls, n: float | None = None) -> "PhysicalParams":
+    def dimensionless(cls) -> "PhysicalParams":
         """hbar = k0 = eps0 = 1 (hence m = 1/2)."""
-        return cls(k0=1.0, half_hbar2_over_m=1.0, n=n)
+        return cls(k0=1.0, half_hbar2_over_m=1.0)
 
     @classmethod
-    def free_electron(cls, k0: float, n: float | None = None) -> "PhysicalParams":
+    def free_electron(cls, k0: float) -> "PhysicalParams":
         """Physical mode with the free-electron mass; eV and Angstrom units."""
-        return cls(k0=k0, half_hbar2_over_m=HBAR2_OVER_2ME_EV_A2, n=n)
+        return cls(k0=k0, half_hbar2_over_m=HBAR2_OVER_2ME_EV_A2)
 
     @property
     def eps0(self) -> float:
         """Form-factor energy scale hbar^2 k0^2/(2m)."""
         return self.half_hbar2_over_m * self.k0**2
 
-    def fermi_momentum(self) -> float:
-        """k_F = (3 pi^2 n)^(1/3), both spin projections filled."""
-        if self.n is None:
-            raise ValueError("density not set")
-        return (3.0 * np.pi**2 * self.n) ** (1.0 / 3.0)
-
-    def fermi_energy(self) -> float:
-        return self.half_hbar2_over_m * self.fermi_momentum() ** 2
+    def fermi_energy(self, n: float) -> float:
+        """eps_F = hbar^2 k_F^2/(2m) at density n, k_F^3 = 3 pi^2 n (both spins)."""
+        return self.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
 
 
 def dispersion(k, params: PhysicalParams):

@@ -11,9 +11,10 @@ Each point of the diagram is classified along two independent axes:
 The coherence boundary is an exact curve: E_J(G*) = 2 E_c gives
 G* = sqrt(4 E_c / Delta0), so G* falls monotonically as the gap grows
 along the coupling sweep (equivalently, as mu decreases).  The sweep
-solves the gap equations once per U, reuses that solution across the
-(E_c, G) plane, and emits cells in deterministic row-major order
-(U outermost, then E_c, then G).
+solves the gap equations once per U at one charging energy E_c, reuses
+that solution across the G grid, and emits cells in deterministic
+row-major order (U outer, G inner).  Every cell carries the GapSolution
+it was classified from, a failed solve included.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .chain import coherence_classify, josephson_energy, sigma_phi2
 from .core import PhysicalParams
-from .gap import GapSolution, _warm_start, solve_self_consistent
+from .gap import GapSolution, _failed_solve, _warm_start, solve_self_consistent
 
 __all__ = [
     "RegimeLabel",
@@ -36,8 +37,6 @@ __all__ = [
     "sweep_diagram",
 ]
 
-# Delta0 below this fraction of eps0 cannot support a finite boundary G*
-_DELTA_RESOLUTION_REL = 1e-12
 # |mu| at or below this fraction of eps0 is labeled the pairing boundary
 _MU_RTOL = 1e-9
 
@@ -52,20 +51,17 @@ class RegimeLabel:
 
 @dataclass
 class DiagramCell:
-    """One classified point: inputs, solved values, derived energies."""
+    """One classified point: the gap solution at its (U, n), E_c, G, derived energies.
 
-    U: float
-    n: float
+    E_J, sigma2 and label stay None when the solution is unconverged.
+    """
+
+    solution: GapSolution
     E_c: float
     G: float
-    mu: float | None = None
-    Delta0: float | None = None
     E_J: float | None = None
     sigma2: float | None = None
     label: RegimeLabel | None = None
-    converged: bool = False
-    note: str = ""
-    solution: GapSolution | None = None   # None when the solve failed
 
 
 def _pairing_label(mu: float, energy_scale: float) -> str:
@@ -87,43 +83,38 @@ def classify_point(solution: GapSolution, E_c: float, G: float,
 
     One solve is reused across many (E_c, G) cells; the cell keeps the
     solution it was classified from.  An unconverged solution comes back
-    as an unlabeled cell carrying the solver's note.
+    as an unlabeled cell.
     """
     if E_c <= 0.0:
         raise ValueError("E_c must be positive")
     if G < 0.0:
         raise ValueError("G must be >= 0")
-    U = solution.U
-    cell = DiagramCell(U=U, n=solution.n, E_c=E_c, G=G, mu=solution.mu,
-                       Delta0=solution.Delta0, converged=solution.converged,
-                       solution=solution)
+    cell = DiagramCell(solution=solution, E_c=E_c, G=G)
     if not solution.converged:
-        cell.note = solution.note or "solver did not converge"
         return cell
-    cell.E_J = _equal_segment_ej(G, U, solution.Delta0)
+    cell.E_J = _equal_segment_ej(G, solution.U, solution.Delta0)
     cell.sigma2 = sigma_phi2(E_c, cell.E_J)
     cell.label = RegimeLabel(
         pairing=_pairing_label(solution.mu, params.eps0),
         coherence=coherence_classify(E_c, cell.E_J),
     )
-    cell.note = solution.note
     return cell
 
 
-def critical_hopping(solution: GapSolution, E_c: float, params: PhysicalParams) -> float:
+def critical_hopping(solution: GapSolution, E_c: float) -> float:
     """Hopping G* with E_J(G*) = 2 E_c exactly: G* = sqrt(4 E_c/Delta0).
 
-    Requires a converged solution with a resolved gap; a gap at or below
-    the solver's resolution admits no finite G* at tolerance.  G* is
-    formed as 2 sqrt(E_c)/sqrt(Delta0), so no quotient overflows on the
+    Requires a converged solution with a resolved gap: the solver reports a
+    gap below its resolution as Delta0 = 0, which admits no finite G*.  G*
+    is formed as 2 sqrt(E_c)/sqrt(Delta0), so no quotient overflows on the
     way.  Raises ValueError when G* is not representable.
     """
     if E_c <= 0.0:
         raise ValueError("E_c must be positive")
     if not solution.converged:
         raise ValueError("no converged gap solution at this point")
-    if solution.Delta0 <= _DELTA_RESOLUTION_REL * params.eps0:
-        raise ValueError("no finite G* at tolerance: gap below resolution")
+    if not solution.Delta0 > 0.0:
+        raise ValueError("no finite G*: gap below resolution")
     g_star = 2.0 * math.sqrt(E_c) / math.sqrt(solution.Delta0)
     if not math.isfinite(g_star):
         raise ValueError(f"G* = sqrt(4 E_c/Delta0) is not representable at E_c = {E_c:g}")
@@ -171,41 +162,30 @@ def _validated_grid(values, name: str) -> np.ndarray:
     return arr
 
 
-def sweep_diagram(
-    U_grid,
-    E_c_grid,
-    G_grid,
-    n: float,
-    params: PhysicalParams,
-) -> list:
-    """Classify the full grid, solving the gap equations once per U.
+def sweep_diagram(U_grid, E_c: float, G_grid, n: float, params: PhysicalParams,
+                  tol_gap: float = 1e-10, tol_number: float = 1e-8) -> list[DiagramCell]:
+    """Classify the (U, G) grid at charging energy E_c, solving once per U.
 
-    Cells come back row-major (U outermost, then E_c, then G); per-cell
-    failures are inlined as unlabeled cells.  Successive gap solves are
-    warm-started along the U grid from the tangent prediction of the last
-    converged solve.
+    Cells come back row-major (U outer, G inner).  A solve that raises a
+    numeric failure (RuntimeError, ValueError) is recorded as the same
+    unconverged GapSolution that sweep_coupling records, so its cells come
+    back unlabeled.  Successive gap solves are warm-started along the U
+    grid from the tangent prediction of the last converged solve with a
+    resolved gap.
     """
     U_grid = _validated_grid(U_grid, "U")
-    E_c_grid = _validated_grid(E_c_grid, "E_c")
     G_grid = _validated_grid(G_grid, "G")
 
     cells = []
     last = None
     for U in U_grid:
         try:
-            solution = solve_self_consistent(float(U), n, params,
+            solution = solve_self_consistent(float(U), n, params, tol_gap=tol_gap,
+                                             tol_number=tol_number,
                                              initial_guess=_warm_start(last, float(U)))
-            if solution.converged:
-                last = solution
         except (RuntimeError, ValueError) as exc:
-            solution = None
-            note = f"solver failed: {exc}"
-        for E_c in E_c_grid:
-            for G in G_grid:
-                if solution is None:
-                    cells.append(
-                        DiagramCell(U=float(U), n=n, E_c=float(E_c), G=float(G), note=note)
-                    )
-                else:
-                    cells.append(classify_point(solution, float(E_c), float(G), params))
+            solution = _failed_solve(U, n, exc)
+        if solution.converged and solution.Delta0 > 0:
+            last = solution
+        cells.extend(classify_point(solution, float(E_c), float(G), params) for G in G_grid)
     return cells

@@ -27,6 +27,14 @@ solve starts from the previous root moved along dDelta0/dmu.  A 2D Newton
 polish then drives both residuals to tolerance, one integral per step,
 with the same analytic Jacobian.
 
+This module alone decides when a gap is unresolved: a gap at fixed mu
+within a factor 2 of _GAP_FLOOR_REL eps0 counts as Delta0 = 0.  Deep in
+the BCS regime the mean-field gap falls as (8/e^2) eps_F
+exp(-pi/(2 k_F |a|)) (Leggett 1980) and soon drops below that floor.  When the search's last
+probe has no resolved gap, the answer is the free gas in closed form:
+mu = eps_F, Delta0 = 0, a number residual of 0, and a gap residual of NaN,
+because the gap integral diverges at Delta0 = 0 for mu > 0.
+
 Along a coupling sweep each point is warm-started from a first-order
 tangent prediction (Allgower & Georg, Numerical Continuation Methods,
 1990).  Since the gap residual depends on U only through -U I_gap/2, the
@@ -143,18 +151,18 @@ def _breakpoints(mu, Delta0, params: PhysicalParams):
     return [p for p in pts if p > 0]
 
 
-def _integrals(mu, Delta0, params, column):
-    """The gap (column 0) or the occupancy (column 1) integral alone.
+def _pair_integral(mu, Delta0, params, steer=None, column=None):
+    """Radial integral of _pair_integrand(mu, Delta0, params, column) by _QUAD.
 
-    A single column is integrated on its own: adaptive refinement follows
-    every component that steers it, so slicing a two-column result would
-    refine different panels and cost more integrand points.
+    The first `steer` columns steer the refinement and the rest ride on
+    their panels.  A single column is integrated on its own: adaptive
+    refinement follows every column that steers it, so slicing a wider
+    result would refine different panels and cost more integrand points,
+    and the gap column diverges at Delta0 = 0, where the occupancy alone
+    still has a finite integral.
     """
-    vals, _, _ = radial_integral(
-        _pair_integrand(mu, Delta0, params, column), _QUAD, k0=params.k0,
-        breakpoints=_breakpoints(mu, Delta0, params),
-    )
-    return float(vals[0])
+    return radial_integral(_pair_integrand(mu, Delta0, params, column), _QUAD, k0=params.k0,
+                           breakpoints=_breakpoints(mu, Delta0, params), steer=steer)
 
 
 def _residuals_and_jacobian(mu, Delta0, U, n, params):
@@ -164,11 +172,7 @@ def _residuals_and_jacobian(mu, Delta0, U, n, params):
     that the gap and occupancy integrands choose (steer=2), so the residuals
     are bit-identical to those of a (gap, occupancy) integral alone.
     """
-    vals, _, _ = radial_integral(
-        _pair_integrand(mu, Delta0, params), _QUAD, k0=params.k0,
-        breakpoints=_breakpoints(mu, Delta0, params), steer=2,
-    )
-    gap, density, dgap_mu, dgap_d, docc_mu, docc_d = vals
+    gap, density, dgap_mu, dgap_d, docc_mu, docc_d = _pair_integral(mu, Delta0, params, steer=2)
     r = np.array([1.0 - 0.5 * U * gap, (n - density) / n])
     J = np.array([[-0.5 * U * dgap_mu, -0.5 * U * dgap_d],
                   [-docc_mu / n, -docc_d / n]])
@@ -185,7 +189,7 @@ def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams) -> 
         raise ValueError("Delta0 must be nonnegative")
     if U <= 0:
         raise ValueError("U must be positive")
-    return 1.0 - 0.5 * U * _integrals(mu, Delta0, params, 0)
+    return 1.0 - 0.5 * U * float(_pair_integral(mu, Delta0, params, column=0)[0])
 
 
 def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams) -> float:
@@ -194,7 +198,7 @@ def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams) 
         raise ValueError("Delta0 must be nonnegative")
     if n <= 0:
         raise ValueError("density must be positive")
-    return (n - _integrals(mu, Delta0, params, 1)) / n
+    return (n - float(_pair_integral(mu, Delta0, params, column=1)[0])) / n
 
 
 def _safe_newton(f, x, lo, hi, xtol, budget, cap=math.inf):
@@ -252,10 +256,7 @@ def _gap_at_mu(mu, U, params, guess=None):
         D = math.exp(x)
         integrals += 1
         try:
-            vals, _, _ = radial_integral(
-                _pair_integrand(mu, D, params), _QUAD, k0=params.k0,
-                breakpoints=_breakpoints(mu, D, params), steer=1,
-            )
+            vals = _pair_integral(mu, D, params, steer=1)
         except QuadratureError:
             if mu <= 0 or D >= 1e-4 * params.eps0:
                 raise
@@ -311,6 +312,12 @@ def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number):
     return mu, Delta0, r[0], r[1], it, tangent
 
 
+def _failed_solve(U: float, n: float, exc: Exception) -> GapSolution:
+    """The unconverged record a sweep keeps for a solve that raised `exc`."""
+    return GapSolution(float(U), n, np.nan, np.nan, np.nan, np.nan, 0, False,
+                       f"solver error: {exc}")
+
+
 def _warm_start(prev: GapSolution | None, U: float):
     """Warm start (mu, Delta0) for coupling U from the solution `prev`.
 
@@ -342,22 +349,26 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
     on the density excess over the mu bracket (-E_b/2, inf), with lower end
     0 below U_c: the gap equation loses its positive solution exactly at
     mu = -E_b/2 (the two-body dissociation edge).  It starts at
-    mu = -E_b/2 + eps_F, steps toward the open upper end by at most half of
-    scale = max(eps_F, eps0), and stops at a bracket 1e-6 scale wide.  Each
-    probe solves the gap at fixed mu (_gap_at_mu) from the previous probe's
-    gap moved along dDelta0/dmu, and one integral at that root gives the
-    density and the slope dn/dmu.  The Newton polish starts from the
-    search's root.  A search that runs past _MAX_ITER iterations returns its
+    mu = -E_b/2 + eps_F (eps_F = params.fermi_energy(n)), steps toward the
+    open upper end by at most half of scale = max(eps_F, eps0), and stops
+    at a bracket 1e-6 scale wide.  Each probe solves the gap at fixed mu
+    (_gap_at_mu) from the previous probe's gap moved along dDelta0/dmu, and
+    one integral at that root gives the density and the slope dn/dmu.  The
+    Newton polish starts from the search's root.  When the last probe found
+    no resolved gap, the answer is instead the free gas (mu = eps_F,
+    Delta0 = 0, residual_gap NaN), converged, with the note "gap below
+    resolution".  A search that runs past _MAX_ITER iterations returns its
     last resolved probe, unconverged, with a note.  A converged solution
     with a resolved gap carries the tangent (dmu/dU, dDelta0/dU) of the
     solution branch, from which sweeps predict the next start.
     """
     if U <= 0 or n <= 0:
         raise ValueError("U and n must be positive")
-    eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
+    eps_F = params.fermi_energy(n)
     scale = max(eps_F, params.eps0)
     iterations = 0
     last = None  # (mu, Delta0, dDelta0/dmu) of the last probe with a resolved gap
+    free = False  # whether the last probe found no resolved gap
 
     if initial_guess is not None:
         mu0, D0 = initial_guess
@@ -380,12 +391,13 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
 
     def excess(mu):
         """n(mu) - n at the gap of mu, and its total derivative dn/dmu."""
-        nonlocal iterations, last
+        nonlocal iterations, last, free
         if iterations > _MAX_ITER:
             raise RuntimeError("mu search exhausted the budget")
         D, its = _gap_at_mu(mu, U, params, gap_near(mu))
         iterations += its
-        if D == 0.0:  # the free gas: n = k_mu^3/(3 pi^2) with k_mu^2 = mu/(hbar^2/2m)
+        free = D == 0.0
+        if free:  # the free gas: n = k_mu^3/(3 pi^2) with k_mu^2 = mu/(hbar^2/2m)
             k = math.sqrt(max(mu, 0.0) / params.half_hbar2_over_m)
             return k**3 / (3.0 * math.pi**2) - n, k / (2.0 * math.pi**2 * params.half_hbar2_over_m)
         iterations += 1
@@ -404,14 +416,12 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
         mu, D = last[:2] if last else (mu_lo + eps_F, 0.0)
         return GapSolution(U, n, mu, D, np.nan, number_residual(D, mu, n, params), iterations,
                            False, "mu search exhausted the budget")
-    mu, D, rg, rn, it, tangent = _newton_polish(mu, gap_near(mu) or params.eps0, U, n, params,
-                                                tol_gap, tol_number)
-    iterations += it
-
-    if D < _GAP_FLOOR_REL * params.eps0 * 10:
-        conv = abs(rn) <= tol_number
-        return GapSolution(U, n, mu, D, rg, rn, iterations, conv,
+    if free:  # the free gas: the gap integral diverges at Delta0 = 0, mu > 0
+        return GapSolution(U, n, eps_F, 0.0, np.nan, 0.0, iterations, True,
                            "gap below resolution")
+    mu, D, rg, rn, it, tangent = _newton_polish(mu, gap_near(mu), U, n, params, tol_gap,
+                                                tol_number)
+    iterations += it
     conv = abs(rg) <= tol_gap and abs(rn) <= tol_number
     note = "" if conv else "tolerances not met within budget"
     return GapSolution(U, n, mu, D, rg, rn, iterations, conv, note,
@@ -459,8 +469,7 @@ def sweep_coupling(U_grid, n: float, params: PhysicalParams,
             sol = solve_self_consistent(U, n, params, tol_gap=tol_gap, tol_number=tol_number,
                                         initial_guess=_warm_start(last, U))
         except (RuntimeError, ValueError) as exc:  # QuadratureError is a RuntimeError
-            sol = GapSolution(float(U), n, np.nan, np.nan, np.nan, np.nan, 0,
-                              False, f"solver error: {exc}")
+            sol = _failed_solve(U, n, exc)
         out.append(sol)
         if sol.converged and sol.Delta0 > 0:
             last = sol

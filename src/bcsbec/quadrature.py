@@ -18,15 +18,20 @@ its share of the tolerance.  Integrands are evaluated vectorized over every
 pending node of a refinement wave, and may be vector-valued (several
 integrands sharing one set of panels).
 
+radial_integral is the one entry point.  It returns the integral alone: a
+converged integral is within tolerance by construction, and one that
+cannot converge raises QuadratureError, which carries the best value and
+its error estimate.
+
 Only the first `steer` components of a vector-valued integrand steer the
 refinement: they alone enter the error test and pick the panels to bisect.
 Any further components ride along, integrated on the panels the steering
-ones chose, with their error estimates reported but not enforced.  The
-steering components therefore come out bit-identical to a call without
-the riders.  The gap solver carries its Jacobian integrands this way.
-Steering on them would cost far more panels than the residuals need, and
-deep in the BCS regime round-off in their sharp 1/xi^3 peaks stalls their
-error estimates above tolerance until the panel budget runs out.
+ones chose, with no error test of their own.  The steering components
+therefore come out bit-identical to a call without the riders.  The gap
+solver carries its Jacobian integrands this way.  Steering on them would
+cost far more panels than the residuals need, and deep in the BCS regime
+round-off in their sharp 1/xi^3 peaks stalls their error estimates above
+tolerance until the panel budget runs out.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "QuadratureError", "radial_integral", "integrate_semi_infinite"]
+__all__ = ["QuadratureSpec", "QuadratureError", "radial_integral"]
 
 
 @dataclass
@@ -122,7 +127,7 @@ def _adaptive(f, edges, first, spec: QuadratureSpec, steer=None):
     `first` holds f at the `_panel_nodes` of the initial panels, so the
     caller can evaluate the first wave of several regions in one call.
     The first `steer` components (all when None) steer the refinement; the
-    rest are integrated on the same panels.
+    rest are integrated on the same panels.  Returns the integral.
     """
     a = edges[:-1]
     b = edges[1:]
@@ -132,7 +137,7 @@ def _adaptive(f, edges, first, spec: QuadratureSpec, steer=None):
         err_tot = errs.sum(axis=0)
         tol = np.maximum(spec.tol_abs, spec.tol_rel * np.abs(total[:steer]))
         if np.all(err_tot[:steer] <= tol):
-            return total, err_tot
+            return total
         if a.size >= spec.max_panels:
             raise QuadratureError(
                 "panel budget %d exhausted; achieved error %s against tolerance %s"
@@ -195,46 +200,30 @@ def _tail_nodes(count, nodes):
     return edges, u
 
 
-def integrate_semi_infinite(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None,
-                            steer=None):
-    """Integrate f over (0, inf) in the radial variable.
+def radial_integral(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None, steer=None):
+    """Integral d^3k/(2 pi)^3 f(k) = Integral_0^inf dk k^2/(2 pi^2) f(k) for isotropic f.
 
     f maps a 1D array of k values to shape (npts,) or (npts, nf).  Returns
-    (value, error_estimate, tail_value), each of shape (nf,).  The direct
-    region is [0, k_max*k0]; the tail uses u = k_max*k0/k on (0, 1].  The
-    first wave of both regions is evaluated in one call of f; refinement
-    waves call f per region.  Only the first `steer` components (all when
-    None) steer the refinement; the others ride along on the same panels.
+    the integral, of shape (nf,).  The direct region is [0, k_max*k0]; the
+    tail uses u = k_max*k0/k on (0, 1].  The first wave of both regions is
+    evaluated in one call of f; refinement waves call f per region.  Only
+    the first `steer` components (all when None) steer the refinement; the
+    others ride along on the same panels.
     """
     kc = spec.k_max * k0
 
-    def f2(k):
+    def weighted(k):
         v = np.asarray(f(k), dtype=float)
-        return v[:, None] if v.ndim == 1 else v
+        return (v[:, None] if v.ndim == 1 else v) * (k**2 / (2.0 * np.pi**2))[:, None]
 
     def tail_integrand(u):
-        return f2(kc / u) * (kc / u**2)[:, None]
+        return weighted(kc / u) * (kc / u**2)[:, None]
 
     edges = _initial_edges(0.0, kc, breakpoints, spec.panels)
     tail_edges, u = _tail_nodes(max(2, spec.panels // 4), spec.nodes)
     k, _ = _panel_nodes(edges[:-1], edges[1:], spec.nodes)
-    first = f2(np.concatenate([k, kc / u]))
-    direct, err_d = _adaptive(f2, edges, first[: k.size], spec, steer)
-    tail, err_t = _adaptive(tail_integrand, tail_edges,
-                            first[k.size:] * (kc / u**2)[:, None], spec, steer)
-    return direct + tail, err_d + err_t, tail
-
-
-def radial_integral(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None, steer=None):
-    """Integral d^3k/(2 pi)^3 f(k) for isotropic f; see integrate_semi_infinite.
-
-    steer: how many leading components of a vector-valued f steer the
-    refinement (default: all); the rest are integrated on their panels.
-    """
-
-    def weighted(k):
-        v = np.asarray(f(k), dtype=float)
-        w = k**2 / (2.0 * np.pi**2)
-        return v * w if v.ndim == 1 else v * w[:, None]
-
-    return integrate_semi_infinite(weighted, spec, k0=k0, breakpoints=breakpoints, steer=steer)
+    first = weighted(np.concatenate([k, kc / u]))
+    direct = _adaptive(weighted, edges, first[: k.size], spec, steer)
+    tail = _adaptive(tail_integrand, tail_edges, first[k.size:] * (kc / u**2)[:, None], spec,
+                     steer)
+    return direct + tail

@@ -58,7 +58,7 @@ def diagram_ec50():
     u_c = critical_coupling(params)
     ratios = np.linspace(0.5, 4.0, 12)
     g_grid = np.linspace(1e-3, 5e-2, 12)
-    cells = sweep_diagram(ratios * u_c, [e_c], g_grid, n, params=params)
+    cells = sweep_diagram(ratios * u_c, e_c, g_grid, n, params)
     return params, n, e_c, u_c, ratios, g_grid, cells, time.monotonic() - t0
 
 
@@ -66,7 +66,7 @@ def test_01_pairing_threshold(dimless, acceptance_report):
     t0 = time.monotonic()
     u_c = critical_coupling(dimless)
     e_b = bound_state_energy(u_c, dimless)
-    kernel, _, _ = radial_integral(
+    kernel = radial_integral(
         lambda k: 1.0 / ((1.0 + k**2) * 2.0 * k**2), QuadratureSpec()
     )
     identity_dev = abs(u_c * float(kernel[0]) - 1.0)
@@ -232,7 +232,7 @@ def test_09_chain_variances_and_odlro(acceptance_report):
 def test_10_diagram_cross_section(diagram_ec50, acceptance_report):
     params, n, e_c, u_c, ratios, g_grid, cells, elapsed = diagram_ec50
     t0 = time.monotonic()
-    converged = all(c.converged for c in cells)
+    converged = all(c.solution.converged for c in cells)
     labels = {(c.label.pairing, c.label.coherence) for c in cells if c.label}
     four = {
         ("BCS", "global"),
@@ -249,8 +249,8 @@ def test_10_diagram_cross_section(diagram_ec50, acceptance_report):
     single_transition = True
     for i in range(len(ratios)):
         column = cells[i * n_g : (i + 1) * n_g]
-        ref = column[0]
-        g_star = critical_hopping(ref.solution, e_c, params)
+        ref = column[0].solution
+        g_star = critical_hopping(ref, e_c)
         g_bis = refine_hopping_boundary(ref.Delta0, e_c, ref.U, rtol=1e-12)
         max_bisect_dev = max(max_bisect_dev, abs(g_star - g_bis) / g_star)
         e_j_star = josephson_energy(

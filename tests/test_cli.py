@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bcsbec.diagram
 from bcsbec.checks import CHECK_NAMES
 from bcsbec.cli import _Range, build_parser, main
 from bcsbec.quadrature import QuadratureError
@@ -47,6 +48,31 @@ def test_single_point_sweep(tmp_path):
     assert code == 0
     lines = (tmp_path / "gap_sweep.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+def test_gap_below_resolution_converges_as_the_free_gas(tmp_path):
+    # deep in BCS the first points have a gap below resolution: each is a
+    # converged row with Delta0 = 0 and mu = eps_F exactly
+    assert run(["gap-sweep", "--u-min", "0.1", "--n", "1e-4", "--out", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in
+            (tmp_path / "gap_sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 50 and all(row[6] == "1" for row in rows)
+    free = [row for row in rows if float(row[2]) == 0.0]
+    assert free and all(row[1] == "1" and row[4] == "nan" for row in free)
+
+
+def test_phase_diagram_passes_its_tolerances_to_the_solver(tmp_path, monkeypatch):
+    seen = []
+    solve = bcsbec.diagram.solve_self_consistent
+
+    def recording(*args, **kwargs):
+        seen.append((kwargs["tol_gap"], kwargs["tol_number"]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bcsbec.diagram, "solve_self_consistent", recording)
+    assert run(["phase-diagram", "--u-points", "2", "--g-points", "2", "--tol-gap", "1e-3",
+                "--tol-number", "2e-3", "--out", str(tmp_path)]) == 0
+    assert seen == [(1e-3, 2e-3)] * 2
 
 
 def test_determinism_byte_identical(tmp_path):

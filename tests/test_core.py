@@ -37,14 +37,9 @@ def test_free_electron_constant():
 
 
 def test_fermi_values_at_reference_density():
-    p = PhysicalParams.dimensionless(n=2e-2)
-    assert p.fermi_momentum() == pytest.approx(0.839750617610591, rel=1e-14)
-    assert p.fermi_energy() == pytest.approx(0.705181099777369, rel=1e-14)
-
-
-def test_fermi_requires_density():
-    with pytest.raises(ValueError):
-        PhysicalParams.dimensionless().fermi_momentum()
+    # eps_F = k_F^2 with k_F = 0.839750617610591 at n = 2e-2
+    assert PhysicalParams.dimensionless().fermi_energy(2e-2) == pytest.approx(
+        0.705181099777369, rel=1e-14)
 
 
 def test_validation():
@@ -52,8 +47,6 @@ def test_validation():
         PhysicalParams(k0=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(k0=1.0, half_hbar2_over_m=-1.0)
-    with pytest.raises(ValueError):
-        PhysicalParams(k0=1.0, n=-1.0)
 
 
 def test_dispersion_continuum():

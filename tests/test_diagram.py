@@ -30,10 +30,9 @@ def solved(params):
 def test_classify_point_reuses_solution(params, solved):
     u, sol = solved
     cell = classify_point(sol, 1e-5, 1e-2, params)
-    assert (cell.U, cell.n, cell.solution) == (u, N_REF, sol)
-    assert cell.converged
+    assert cell.solution is sol and (sol.U, sol.n) == (u, N_REF)
+    assert (cell.E_c, cell.G) == (1e-5, 1e-2)
     assert cell.label.pairing == "BEC"  # mu < 0 at U = 2 U_c
-    assert cell.mu == sol.mu
     assert cell.E_J == pytest.approx(0.5 * 1e-2**2 * sol.Delta0, rel=1e-12)
 
 
@@ -47,7 +46,7 @@ def test_zero_hopping_is_local(params, solved):
 def test_label_consistency(params, solved):
     _, sol = solved
     e_c = 1e-5
-    g_star = critical_hopping(sol, e_c, params)
+    g_star = critical_hopping(sol, e_c)
     for g in (0.5 * g_star, 2.0 * g_star):
         cell = classify_point(sol, e_c, g, params)
         expected = "global" if g > g_star else "local"
@@ -65,7 +64,7 @@ def test_pairing_label_tracks_mu_sign(params):
 def test_critical_hopping_closed_form_vs_bisection(params, solved):
     u, sol = solved
     e_c = 1e-5
-    g_star = critical_hopping(sol, e_c, params)
+    g_star = critical_hopping(sol, e_c)
     assert g_star == pytest.approx(np.sqrt(4.0 * e_c / sol.Delta0), rel=1e-14)
     g_bis = refine_hopping_boundary(sol.Delta0, e_c, u)
     assert abs(g_bis - g_star) <= 2e-9 * g_star
@@ -74,20 +73,21 @@ def test_critical_hopping_closed_form_vs_bisection(params, solved):
     assert abs(ej - 2.0 * e_c) <= 1e-12 * (2.0 * e_c)
 
 
-def test_critical_hopping_rejects_unresolved_gap(params):
+def test_critical_hopping_rejects_unresolved_gap():
+    # the solver reports a gap below resolution as the free gas, Delta0 = 0
     fake = GapSolution(U=1.0, n=N_REF, mu=0.5, Delta0=0.0, residual_gap=0.0,
                        residual_number=0.0, iterations=1, converged=True)
     with pytest.raises(ValueError):
-        critical_hopping(fake, 1e-5, params)
+        critical_hopping(fake, 1e-5)
 
 
-def test_unrepresentable_boundary_raises(params):
+def test_unrepresentable_boundary_raises():
     # at E_c = 1e300, Delta0 = 1e-10 the quotient E_c/Delta0 would overflow,
     # but G* = 2 sqrt(E_c)/sqrt(Delta0) = 2e155, where E_J = 2e300, does not;
     # the closed form and the bisection both find it
     sol = GapSolution(U=1.0, n=N_REF, mu=0.5, Delta0=1e-10, residual_gap=0.0,
                       residual_number=0.0, iterations=1, converged=True)
-    assert critical_hopping(sol, 1e300, params) == pytest.approx(2e155, rel=1e-9)
+    assert critical_hopping(sol, 1e300) == pytest.approx(2e155, rel=1e-9)
     assert refine_hopping_boundary(1e-10, 1e300, 1.0) == pytest.approx(2e155, rel=1e-9)
     # at E_c = 1e308 the target E_J = 2 E_c is itself not representable; an
     # uncapped doubling would stop at an overflowed E_J
@@ -99,34 +99,34 @@ def test_unconverged_solution_gives_unlabeled_cell(params):
     bad = GapSolution(U=1.0, n=N_REF, mu=np.nan, Delta0=np.nan, residual_gap=np.nan,
                       residual_number=np.nan, iterations=0, converged=False)
     cell = classify_point(bad, 1e-5, 1e-2, params)
-    assert not cell.converged
-    assert cell.label is None
+    assert cell.solution is bad
+    assert (cell.label, cell.E_J, cell.sigma2) == (None, None, None)
 
 
 def test_sweep_shapes_and_order(params):
     uc = critical_coupling(params)
     u_grid = np.array([1.5, 2.5]) * uc
-    ec_grid = np.array([1e-5])
+    e_c = 1e-5
     g_grid = np.array([1e-3, 1e-2, 5e-2])
-    cells = sweep_diagram(u_grid, ec_grid, g_grid, N_REF, params=params)
+    cells = sweep_diagram(u_grid, e_c, g_grid, N_REF, params)
     assert len(cells) == 6
     # row-major: U outermost, G innermost
-    assert [c.U for c in cells] == pytest.approx(
+    assert [c.solution.U for c in cells] == pytest.approx(
         list(np.repeat(u_grid, 3)), rel=1e-15
     )
     assert [c.G for c in cells[:3]] == pytest.approx(list(g_grid), rel=1e-15)
-    assert all(c.converged for c in cells)
-    # each cell carries the real solution it was classified from
-    for c in cells:
-        assert c.solution.converged
+    assert all(c.E_c == e_c for c in cells)
+    # each cell carries the real solution it was classified from, one per U
+    for i, c in enumerate(cells):
+        assert c.solution.converged and c.solution.n == N_REF
         assert c.solution.iterations > 0
-        assert (c.solution.mu, c.solution.Delta0) == (c.mu, c.Delta0)
-    # a 1x1x1 sweep reduces to classify_point
-    single = sweep_diagram(u_grid[:1], ec_grid, g_grid[:1], N_REF, params=params)[0]
+        assert c.solution is cells[i - i % 3].solution
+    # a 1x1 sweep reduces to classify_point
+    single = sweep_diagram(u_grid[:1], e_c, g_grid[:1], N_REF, params)[0]
     sol = solve_self_consistent(u_grid[0], N_REF, params)
-    direct = classify_point(sol, ec_grid[0], g_grid[0], params)
+    direct = classify_point(sol, e_c, g_grid[0], params)
     assert single.label == direct.label
-    assert single.mu == pytest.approx(direct.mu, abs=1e-10)
+    assert single.solution.mu == pytest.approx(sol.mu, abs=1e-10)
 
 
 def test_numeric_solver_failure_gives_unlabeled_cells(params, monkeypatch):
@@ -134,11 +134,14 @@ def test_numeric_solver_failure_gives_unlabeled_cells(params, monkeypatch):
         raise QuadratureError("panel budget exhausted")
 
     monkeypatch.setattr("bcsbec.diagram.solve_self_consistent", fail)
-    cells = sweep_diagram([1.0, 2.0], [1e-5], [1e-3, 1e-2], N_REF, params=params)
+    cells = sweep_diagram([1.0, 2.0], 1e-5, [1e-3, 1e-2], N_REF, params)
     assert len(cells) == 4
-    for cell in cells:
-        assert cell.label is None and not cell.converged and cell.solution is None
-        assert cell.note == "solver failed: panel budget exhausted"
+    # the same unconverged record that sweep_coupling keeps for a raised solve
+    for cell, U in zip(cells, [1.0, 1.0, 2.0, 2.0]):
+        sol = cell.solution
+        assert cell.label is None and not sol.converged
+        assert (sol.U, sol.n) == (U, N_REF) and np.isnan([sol.mu, sol.Delta0]).all()
+        assert sol.note == "solver error: panel budget exhausted"
 
 
 def test_solver_bug_propagates(params, monkeypatch):
@@ -148,7 +151,7 @@ def test_solver_bug_propagates(params, monkeypatch):
     monkeypatch.setattr("bcsbec.diagram.solve_self_consistent", bug)
     # the match rules out a TypeError raised by the call itself
     with pytest.raises(TypeError, match="^solver bug$"):
-        sweep_diagram([1.0], [1e-5], [1e-2], N_REF, params=params)
+        sweep_diagram([1.0], 1e-5, [1e-2], N_REF, params)
 
 
 def test_boundary_monotone_in_coupling(params):
@@ -158,16 +161,16 @@ def test_boundary_monotone_in_coupling(params):
     for ratio in (1.0, 2.0, 3.0):
         sol = solve_self_consistent(ratio * uc, N_REF, params, initial_guess=guess)
         guess = (sol.mu, sol.Delta0)
-        stars.append(critical_hopping(sol, 1e-5, params))
+        stars.append(critical_hopping(sol, 1e-5))
     # Delta0 grows with U, so the boundary hopping falls
     assert stars[0] > stars[1] > stars[2]
 
 
 def test_grid_validation(params, solved):
     with pytest.raises(ValueError):
-        sweep_diagram([], [1e-5], [1e-2], N_REF, params=params)
+        sweep_diagram([], 1e-5, [1e-2], N_REF, params)
     with pytest.raises(ValueError):
-        sweep_diagram([2.0, 1.0], [1e-5], [1e-2], N_REF, params=params)
+        sweep_diagram([2.0, 1.0], 1e-5, [1e-2], N_REF, params)
     _, sol = solved
     with pytest.raises(ValueError):
         classify_point(sol, -1.0, 1e-2, params)

@@ -175,8 +175,7 @@ def test_locate_mu_zero(params):
 
 def test_free_gas_density_at_zero_gap(params):
     # Delta0 = 0, mu = eps_F reproduces the free-gas density exactly
-    p = PhysicalParams.dimensionless(n=REFERENCE_N)
-    r = number_residual(0.0, p.fermi_energy(), REFERENCE_N, params)
+    r = number_residual(0.0, params.fermi_energy(REFERENCE_N), REFERENCE_N, params)
     assert abs(r) <= 1e-10
 
 
@@ -207,7 +206,7 @@ def test_warm_start_equals_cold_start(ratio, n):
     warm = solve_self_consistent(U, n, params, initial_guess=(near.mu, near.Delta0))
     cold = solve_self_consistent(U, n, params)
     assert near.converged and warm.converged and cold.converged
-    eps_f = PhysicalParams.dimensionless(n=n).fermi_energy()
+    eps_f = params.fermi_energy(n)
     assert abs(warm.mu - cold.mu) <= 1e-8 * eps_f
     assert abs(warm.Delta0 - cold.Delta0) <= 1e-8 * cold.Delta0
 
@@ -243,7 +242,7 @@ def bisection_solve(U, n, params, tol_gap=1e-10, tol_number=1e-8):
     every gap solved by bisect_gap from the last resolved gap, then hands
     the midpoint to the same Newton polish as the solver.
     """
-    eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
+    eps_F = params.fermi_energy(n)
     scale = max(eps_F, params.eps0)
     Eb = bound_state_energy(U, params)
     guess = params.eps0
@@ -286,7 +285,7 @@ def test_mu_search_matches_bisection(ratio, n, units):
     assert sol.converged
     assert abs(sol.residual_gap) <= 1e-10 and abs(sol.residual_number) <= 1e-8
     mu, D = bisection_solve(U, n, params)
-    eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
+    eps_F = params.fermi_energy(n)
     assert abs(sol.mu - mu) <= 1e-8 * max(abs(mu), eps_F)
     assert abs(sol.Delta0 - D) <= 1e-8 * D
 
@@ -302,25 +301,32 @@ def _params(units):
        dmu=st.floats(-1.0, 1.0), dD=st.floats(-1.0, 1.0))
 @example(ratio=0.5, n=1e-4, units="dimensionless", dmu=0.0, dD=0.0)
 @example(ratio=6.0, n=0.3, units="physical", dmu=1.0, dD=-1.0)
+@example(ratio=0.88671875, n=0.2890625, units="dimensionless", dmu=0.0, dD=0.0)
 def test_analytic_jacobian_matches_central_differences(ratio, n, units, dmu, dD):
     # at the solution and up to 1% of the mu scale and 5% of Delta0 away from it
     params = _params(units)
     U, n = ratio * critical_coupling(params), n * params.k0**3
     sol = solve_self_consistent(U, n, params)
-    eps_F = params.half_hbar2_over_m * (3.0 * np.pi**2 * n) ** (2.0 / 3.0)
+    eps_F = params.fermi_energy(n)
     mu = sol.mu + 0.01 * dmu * max(abs(sol.mu), eps_F)
     D = sol.Delta0 * (1.0 + 0.05 * dD)
     _, J, _ = _residuals_and_jacobian(mu, D, U, n, params)
     hm, hd = 1e-4 * max(abs(mu), eps_F), 1e-4 * D
 
-    def central(r, *args):
-        return [(r(D, mu + hm, *args) - r(D, mu - hm, *args)) / (2.0 * hm),
-                (r(D + hd, mu, *args) - r(D - hd, mu, *args)) / (2.0 * hd)]
+    def central(r, *args, s=1.0):
+        return [(r(D, mu + s * hm, *args) - r(D, mu - s * hm, *args)) / (2.0 * s * hm),
+                (r(D + s * hd, mu, *args) - r(D - s * hd, mu, *args)) / (2.0 * s * hd)]
 
-    fd = np.array([central(gap_residual, U, params), central(number_residual, n, params)])
-    # 1e-6 relative, plus the stencil's own round-off floor 1e-15/h: deep in
-    # BCS, dr_number/dDelta0 moves r_number by only ~3e-13 across the stencil
-    np.testing.assert_array_less(np.abs(J - fd), 1e-6 * np.abs(fd) + 1e-15 / np.array([hm, hd]))
+    def richardson(r, *args):
+        # (4 D(h/2) - D(h))/3 cancels the stencil's O(h^2) truncation
+        return (4.0 * np.array(central(r, *args, s=0.5)) - np.array(central(r, *args))) / 3.0
+
+    fd = np.array([richardson(gap_residual, U, params), richardson(number_residual, n, params)])
+    # 1e-6 relative, plus the round-off floor: 1e-15/h for one stencil of
+    # step h, so (4 x 2 + 1)/3 x 1e-15/h = 3e-15/h for the Richardson value.
+    # Deep in BCS, dr_number/dDelta0 moves r_number by only ~3e-13 across
+    # the stencil
+    np.testing.assert_array_less(np.abs(J - fd), 1e-6 * np.abs(fd) + 3e-15 / np.array([hm, hd]))
 
 
 def test_jacobian_integrand_columns(params):
@@ -343,7 +349,7 @@ def test_jacobian_riders_leave_the_residuals_unchanged(params):
     sol = solve_self_consistent(U, n, params)
     r, _, gap = _residuals_and_jacobian(sol.mu, sol.Delta0, U, n, params)
     f = _pair_integrand(sol.mu, sol.Delta0, params)
-    (plain_gap, density), _, _ = bcsbec.gap.radial_integral(
+    plain_gap, density = bcsbec.gap.radial_integral(
         lambda k: f(k)[:, :2], bcsbec.gap._QUAD, k0=params.k0,
         breakpoints=_breakpoints(sol.mu, sol.Delta0, params))
     assert gap == plain_gap
@@ -371,7 +377,7 @@ def test_gap_at_mu_does_not_depend_on_a_tiny_seed(params, ratio, n):
     # at mu = eps_F the gap is of order eps0; a seed far below it must not
     # end in the "gap below resolution" answer Delta0 = 0
     U = ratio * critical_coupling(params)
-    mu = PhysicalParams.dimensionless(n=n).fermi_energy()
+    mu = params.fermi_energy(n)
     root, _ = _gap_at_mu(mu, U, params)
     assert root > 0.01 * params.eps0
     for seed in (1e-3, 1e-6, 1e-9):
@@ -386,7 +392,7 @@ def test_gap_at_mu_reports_no_resolvable_root_as_zero(params):
     U = 2.0 * critical_coupling(params)
     D, integrals = _gap_at_mu(-bound_state_energy(U, params), U, params)
     assert D == 0.0 and integrals <= 10
-    mu = PhysicalParams.dimensionless(n=1e-4).fermi_energy()
+    mu = params.fermi_energy(1e-4)
     for seed in (None, 1e-6):
         D, integrals = _gap_at_mu(mu, 0.1 * critical_coupling(params), params, guess=seed)
         assert D == 0.0 and integrals <= 10
@@ -416,6 +422,20 @@ def test_cold_solve_quadrature_budget(params, integral_count):
             sol = solve_self_consistent(ratio * Uc, n, params)
             assert sol.converged
             assert integral_count() - before <= 50, (ratio, n, integral_count() - before)
+
+
+@pytest.mark.parametrize("units", ["dimensionless", "physical"])
+def test_gap_below_resolution_is_the_free_gas(units, integral_count):
+    # at 0.1 U_c, n = 1e-4 the gap lies far below resolution: the solve
+    # returns the free gas in closed form, in a few integrals
+    params = _params(units)
+    n = 1e-4 * params.k0**3
+    sol = solve_self_consistent(0.1 * critical_coupling(params), n, params)
+    assert integral_count() <= 20
+    assert sol.converged and sol.note == "gap below resolution"
+    assert sol.Delta0 == 0.0 and sol.mu == params.fermi_energy(n)
+    assert sol.residual_number == 0.0 and math.isnan(sol.residual_gap)
+    assert sol.tangent is None
 
 
 def test_locate_mu_zero_quadrature_budget(params, integral_count):

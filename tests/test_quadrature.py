@@ -12,7 +12,6 @@ from bcsbec.quadrature import (
     QuadratureError,
     QuadratureSpec,
     _initial_edges,
-    integrate_semi_infinite,
     radial_integral,
 )
 
@@ -32,27 +31,25 @@ def reference_initial_edges(lo, hi, breakpoints, count):
 
 def test_exponential_moment():
     # int d^3k/(2pi)^3 e^{-k} = (1/2pi^2) * Gamma(3) = 1/pi^2
-    vals, err, _ = radial_integral(lambda k: np.exp(-k), QuadratureSpec())
+    vals = radial_integral(lambda k: np.exp(-k), QuadratureSpec())
     assert vals[0] == pytest.approx(1.0 / np.pi**2, rel=1e-12)
-    assert err[0] < 1e-12
 
 
 def test_gaussian_moment():
     # int_0^inf k^2 e^{-k^2} dk = sqrt(pi)/4
-    vals, _, _ = radial_integral(lambda k: np.exp(-(k**2)), QuadratureSpec())
+    vals = radial_integral(lambda k: np.exp(-(k**2)), QuadratureSpec())
     assert vals[0] == pytest.approx(np.sqrt(np.pi) / 4.0 / (2.0 * np.pi**2), rel=1e-12)
 
 
 def test_slow_algebraic_tail():
     # int_0^inf k^2/(1+k^2)^2 dk = pi/4; the tail map must capture the k^-2 decay
-    vals, _, tail = radial_integral(lambda k: 1.0 / (1.0 + k**2) ** 2, QuadratureSpec())
+    vals = radial_integral(lambda k: 1.0 / (1.0 + k**2) ** 2, QuadratureSpec())
     assert vals[0] == pytest.approx(1.0 / (8.0 * np.pi), rel=1e-12)
-    assert tail[0] > 0.0  # the tail carries a finite share
 
 
 def test_threshold_identity():
     # U_c * int d^3k/(2pi)^3 Gamma^2/(2 eps) = 1 exactly (dimensionless units)
-    vals, _, _ = radial_integral(
+    vals = radial_integral(
         lambda k: 1.0 / (1.0 + k**2) / (2.0 * k**2),
         QuadratureSpec(),
         breakpoints=[0.3, 1.0, 3.0, 10.0],
@@ -64,7 +61,7 @@ def test_vector_valued_integrand():
     def f(k):
         return np.stack([np.exp(-k), np.exp(-(k**2))], axis=1)
 
-    vals, _, _ = radial_integral(f, QuadratureSpec())
+    vals = radial_integral(f, QuadratureSpec())
     assert vals[0] == pytest.approx(1.0 / np.pi**2, rel=1e-12)
     assert vals[1] == pytest.approx(np.sqrt(np.pi) / 4.0 / (2.0 * np.pi**2), rel=1e-12)
 
@@ -91,9 +88,8 @@ def test_rider_columns_leave_the_steered_columns_unchanged():
     for f, steer in ((broad, None), (with_rider, 2), (with_rider, None)):
         points.append(0)
         results.append(radial_integral(counted(f), QuadratureSpec(), steer=steer))
-    (v2, e2, t2), (v3, e3, t3), (v_all, _, _) = results
-    assert np.array_equal(v3[:2], v2) and np.array_equal(e3[:2], e2)
-    assert np.array_equal(t3[:2], t2)
+    v2, v3, v_all = results
+    assert np.array_equal(v3[:2], v2)
     # resolving the peak takes more points, which only a steering peak gets
     assert points[1] == points[0] < points[2]
     assert v_all[2] == pytest.approx(1.3**2 * np.exp(-1.3) / (2e-4 * np.pi), rel=1e-3)
@@ -101,22 +97,22 @@ def test_rider_columns_leave_the_steered_columns_unchanged():
 
 def test_panel_doubling_invariance():
     f = lambda k: 1.0 / (1.0 + k**2) ** 2
-    v1, _, _ = radial_integral(f, QuadratureSpec(panels=16))
-    v2, _, _ = radial_integral(f, QuadratureSpec(panels=32))
+    v1 = radial_integral(f, QuadratureSpec(panels=16))
+    v2 = radial_integral(f, QuadratureSpec(panels=32))
     assert abs(v1[0] - v2[0]) <= 1e-12 * abs(v1[0])
 
 
 def test_breakpoints_do_not_move_converged_value():
     f = lambda k: np.exp(-k)
-    v1, _, _ = radial_integral(f, QuadratureSpec())
-    v2, _, _ = radial_integral(f, QuadratureSpec(), breakpoints=[0.7, 1.9, 7.3])
+    v1 = radial_integral(f, QuadratureSpec())
+    v2 = radial_integral(f, QuadratureSpec(), breakpoints=[0.7, 1.9, 7.3])
     assert abs(v1[0] - v2[0]) <= 1e-12 * abs(v1[0])
 
 
 def test_scale_covariance():
     # int k^2 e^{-k/s} dk = 2 s^3; pass k0 = s so panel layout tracks the scale
     for s in (0.2, 5.0):
-        vals, _, _ = radial_integral(
+        vals = radial_integral(
             lambda k: np.exp(-k / s), QuadratureSpec(), k0=s
         )
         assert vals[0] == pytest.approx(2.0 * s**3 / (2.0 * np.pi**2), rel=1e-12)
@@ -127,7 +123,7 @@ def test_budget_exhaustion_raises_with_diagnostics():
     f = lambda k: np.where(k < 1.3, 1.0, 0.0) * np.exp(-k)
     spec = QuadratureSpec(panels=4, max_panels=6, nodes=4)
     with pytest.raises(QuadratureError) as err:
-        integrate_semi_infinite(f, spec)
+        radial_integral(f, spec)
     assert err.value.value is not None
     assert err.value.error is not None
 
@@ -135,7 +131,7 @@ def test_budget_exhaustion_raises_with_diagnostics():
 def test_non_finite_integrand_raises():
     f = lambda k: np.where(k < 1.0, np.inf, 0.0)
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(f, QuadratureSpec())
+        radial_integral(f, QuadratureSpec())
 
 
 def test_spec_validation():

@@ -6,7 +6,8 @@ benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
 seed, the incoherent E_J = 0 chain, a chain sized by its junction
 geometry, a gap sweep configured by a --config file, cold single-point
 solves at the pairing threshold and deep on the BEC side, the deep-BCS
-sweep at n = 1e-4, and two phase diagrams at E_c = 1e300, whose boundary
+sweep at n = 1e-4, the same sweep from 0.1 U_c, whose first points have a
+gap below resolution, and two phase diagrams at E_c = 1e300, whose boundary
 G* lies near 1e151 and, at n = 1e-4, near 4e153), all in one process,
 and prints one line per output:
 
@@ -69,6 +70,7 @@ INVOCATIONS = (
     ["gap-sweep", "--points", "1", "--u-min", "1", "--u-max", "1"],
     ["gap-sweep", "--points", "1", "--u-min", "3", "--u-max", "3", "--n", "0.003"],
     ["gap-sweep", "--n", "0.0001"],
+    ["gap-sweep", "--u-min", "0.1", "--n", "1e-4"],
     ["phase-diagram", "--ec", "1e300", "--u-points", "1", "--g-points", "2"],
     ["phase-diagram", "--ec", "1e300", "--n", "1e-4", "--u-points", "1", "--g-points", "2"],
 )
