@@ -17,7 +17,6 @@ cli         command-line interface
 __version__ = "0.1.0"
 
 from .core import PhysicalParams, critical_coupling, dispersion, nsr_form_factor
-from .quadrature import QuadratureSpec
 from .gap import (
     GapSolution,
     bound_state_energy,
@@ -28,7 +27,6 @@ from .gap import (
     sweep_coupling,
 )
 from .coherent import (
-    BosonEnsemble,
     FockOracle,
     PairEnsemble,
     PeggBarnettReport,
@@ -62,12 +60,11 @@ from .diagram import (
     refine_hopping_boundary,
     sweep_diagram,
 )
-from .checks import CheckResult, list_checks, run_checks
+from .checks import CHECK_NAMES, CheckResult, run_checks
 
 __all__ = [
     "__version__",
     "PhysicalParams",
-    "QuadratureSpec",
     "GapSolution",
     "critical_coupling",
     "dispersion",
@@ -78,7 +75,6 @@ __all__ = [
     "bound_state_energy",
     "sweep_coupling",
     "locate_mu_zero",
-    "BosonEnsemble",
     "FockOracle",
     "PairEnsemble",
     "PeggBarnettReport",
@@ -108,6 +104,6 @@ __all__ = [
     "refine_hopping_boundary",
     "sweep_diagram",
     "CheckResult",
-    "list_checks",
+    "CHECK_NAMES",
     "run_checks",
 ]

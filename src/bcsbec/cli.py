@@ -2,9 +2,15 @@
 
 Subcommands: gap-sweep, bound-state, phase-diagram, overlap, eta, oracle,
 pegg-barnett, chain, phase-lock, checks.  Every run writes plot-ready CSV
-plus a JSON metadata sidecar (config echo, version, tolerances, wall
-clock, CSV hashes); rerunning an identical config reproduces the CSV
+plus a JSON metadata sidecar (config echo, version, unit mode, tolerances,
+wall clock, CSV hashes); rerunning an identical config reproduces the CSV
 bytes exactly.
+
+Each subcommand takes only the flags it reads.  --out and --config go to
+all ten; --units to gap-sweep, bound-state, phase-diagram, eta and chain;
+--seed to oracle, phase-lock and checks; --tol-gap and --tol-number to the
+three that solve the gap equations, gap-sweep, phase-diagram and eta.
+Any other flag, or config key, is unknown and exits 3.
 
 Configuration precedence: explicit command-line flags override values
 from an optional "key = value" config file (--config), which override the
@@ -54,13 +60,12 @@ from .coherent import (
     pegg_barnett,
     random_pair_ensemble,
     variational_phase_lock,
-    BosonEnsemble,
     PairEnsemble,
 )
 from .core import E_CHARGE, EPSILON_0, PhysicalParams, critical_coupling
 from .diagram import critical_hopping, refine_hopping_boundary, sweep_diagram
 from .gap import bound_state_energy, solve_self_consistent, sweep_coupling
-from .checks import list_checks, run_checks
+from .checks import CHECK_NAMES, run_checks
 from .runio import write_csv, write_meta
 
 __all__ = ["main"]
@@ -124,30 +129,33 @@ _POSITIVE = _Range(lo=0.0, open_lo=True)
 _NON_NEGATIVE = _Range(lo=0.0)
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
+def _flag_groups():
+    """Parent parsers of the flag sets that several subcommands share."""
+    output, units, seed, tolerances = (argparse.ArgumentParser(add_help=False)
+                                       for _ in range(4))
+    output.add_argument("--out", default=".", help="output directory")
+    output.add_argument("--config", default=None, help="key = value config file")
+    units.add_argument(
         "--units",
         choices=("dimensionless", "physical"),
         default="dimensionless",
         help="unit system (default dimensionless)",
     )
-    parent.add_argument("--out", default=".", help="output directory")
-    parent.add_argument("--config", default=None, help="key = value config file")
-    parent.add_argument(
-        "--seed", type=_Range(int, 0), default=0, help="seed for variational descent"
+    seed.add_argument(
+        "--seed", type=_Range(int, 0), default=1234, help="random seed (default 1234)"
     )
-    parent.add_argument(
+    tolerances.add_argument(
         "--tol-gap", type=_POSITIVE, default=1e-10, help="gap residual tolerance"
     )
-    parent.add_argument(
+    tolerances.add_argument(
         "--tol-number", type=_POSITIVE, default=1e-8, help="number residual tolerance"
     )
-    return parent
+    return output, units, seed, tolerances
 
 
 def build_parser():
-    parent = _common_parent()
+    output, units, seed, tolerances = _flag_groups()
+    solver = [output, units, tolerances]
     parser = _Parser(
         prog="bcsbec",
         description="pairing crossover and phase-coherence toolkit",
@@ -155,18 +163,19 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gap-sweep", parents=[parent], help="coupling sweep of the gap equations")
+    p = sub.add_parser("gap-sweep", parents=solver, help="coupling sweep of the gap equations")
     p.add_argument("--n", type=_POSITIVE, default=2e-2, help="density in k0^3 units")
     p.add_argument("--u-min", type=_POSITIVE, default=0.5, help="lower U/U_c")
     p.add_argument("--u-max", type=_POSITIVE, default=4.0, help="upper U/U_c")
     p.add_argument("--points", type=_Range(int, 1), default=50, help="grid points")
     p.add_argument("--k0", type=_POSITIVE, default=1.41, help="k0 in 1/Angstrom (physical mode)")
 
-    p = sub.add_parser("bound-state", parents=[parent], help="two-body bound-state energy")
+    p = sub.add_parser("bound-state", parents=[output, units],
+                       help="two-body bound-state energy")
     p.add_argument("--u", type=_POSITIVE, default=2.0, help="coupling in U/U_c")
     p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
-    p = sub.add_parser("phase-diagram", parents=[parent], help="regime labels over (U, E_c, G)")
+    p = sub.add_parser("phase-diagram", parents=solver, help="regime labels over (U, E_c, G)")
     p.add_argument("--n", type=_POSITIVE, default=2e-2)
     p.add_argument("--u-min", type=_POSITIVE, default=0.5)
     p.add_argument("--u-max", type=_POSITIVE, default=4.0)
@@ -178,14 +187,14 @@ def build_parser():
     p.add_argument("--g-points", type=_Range(int, 1), default=12)
     p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
-    p = sub.add_parser("overlap", parents=[parent], help="multimode overlap decay with mode count")
+    p = sub.add_parser("overlap", parents=[output], help="multimode overlap decay with mode count")
     p.add_argument("--theta", type=_Range(lo=0.0, hi=0.5 * math.pi), default=0.25 * math.pi,
                    help="pairing angle")
     p.add_argument("--dphi", type=_FINITE, default=0.5 * math.pi, help="phase rotation")
     p.add_argument("--alpha", type=_NON_NEGATIVE, default=0.3, help="bosonic amplitude per mode")
     p.add_argument("--m-max", type=_Range(int, 1), default=200, help="largest mode count")
 
-    p = sub.add_parser("eta", parents=[parent], help="bosonization statistics of a solved state")
+    p = sub.add_parser("eta", parents=solver, help="bosonization statistics of a solved state")
     p.add_argument("--u", type=_POSITIVE, default=2.0, help="coupling in U/U_c")
     p.add_argument("--n", type=_POSITIVE, default=2e-2)
     p.add_argument("--k-max", type=_POSITIVE, default=6.0, help="grid extent in k0")
@@ -194,11 +203,12 @@ def build_parser():
     p.add_argument("--convention", choices=("half-angle", "literal"), default="half-angle")
     p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
-    p = sub.add_parser("oracle", parents=[parent], help="exact finite-mode oracle comparison")
+    p = sub.add_parser("oracle", parents=[output, seed],
+                       help="exact finite-mode oracle comparison")
     p.add_argument("--modes", type=_Range(int, 1, 12), default=8, help="pair modes (<= 12)")
     p.add_argument("--dphi", type=_FINITE, default=1.0)
 
-    p = sub.add_parser("pegg-barnett", parents=[parent], help="phase-operator commutator ladder")
+    p = sub.add_parser("pegg-barnett", parents=[output], help="phase-operator commutator ladder")
     p.add_argument("--s", type=_Range(int, 1), default=64, help="base dimension minus one")
     p.add_argument("--theta0", type=_FINITE, default=0.0)
     p.add_argument("--omega", type=_POSITIVE, default=4.0, help="probe-state occupation")
@@ -206,7 +216,8 @@ def build_parser():
                    help="probe-state phase (default theta0 + pi)")
     p.add_argument("--rungs", type=_Range(int, 1), default=3, help="doubling ladder length")
 
-    p = sub.add_parser("chain", parents=[parent], help="segment chain: variances and ODLRO decay")
+    p = sub.add_parser("chain", parents=[output, units],
+                       help="segment chain: variances and ODLRO decay")
     p.add_argument("--ec", type=_POSITIVE, default=None,
                    help="charging energy (micro-eV physical, eps0 units dimensionless)")
     p.add_argument("--ej", type=_NON_NEGATIVE, default=None,
@@ -218,7 +229,8 @@ def build_parser():
     p.add_argument("--delta-bar", type=_FINITE, default=1.0,
                    help="uniform per-segment correlation amplitude")
 
-    p = sub.add_parser("phase-lock", parents=[parent], help="seeded descent of the quartic free energy")
+    p = sub.add_parser("phase-lock", parents=[output, seed],
+                       help="seeded descent of the quartic free energy")
     p.add_argument("--modes", type=_Range(int, 2, 6), default=3, help="mode count (2..6)")
     p.add_argument("--sign", choices=("attractive", "repulsive"), default="attractive")
     p.add_argument("--length", type=_POSITIVE, default=10.0, help="box length")
@@ -226,11 +238,8 @@ def build_parser():
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p.add_argument("--max-steps", type=_Range(int, 1), default=100000)
 
-    p = sub.add_parser("checks", parents=[parent], help="run the self-check inventory")
+    p = sub.add_parser("checks", parents=[output, seed], help="run the self-check inventory")
     p.add_argument("--list", action="store_true", help="list checks without running")
-    p.add_argument("--pegg-barnett-s", type=_Range(int, 1), default=64)
-    p.add_argument("--pegg-barnett-omega", type=_POSITIVE, default=4.0)
-    p.set_defaults(seed=1234)
 
     return parser, sub.choices
 
@@ -338,7 +347,7 @@ def _emit(cfg: argparse.Namespace, stem: str, tables, tolerances: dict,
         out / f"{stem}.meta.json",
         config={k: v for k, v in vars(cfg).items() if k not in ("config", "started")},
         version=__version__,
-        unit_mode=cfg.units,
+        unit_mode=getattr(cfg, "units", None),
         tolerances=tolerances,
         wall_clock_s=time.monotonic() - cfg.started,
         csv_paths=csv_paths,
@@ -403,7 +412,7 @@ def cmd_bound_state(cfg: argparse.Namespace) -> int:
     row = (ratio, int(exists), energy / params.eps0 if exists else None)
     _emit(cfg, "bound_state",
           [("bound_state.csv", ("U_over_Uc", "has_bound_state", "E_b_over_eps0"), [row])],
-          _solver_tolerances(cfg))
+          {})
     if exists:
         print(f"bound-state: E_b = {energy / params.eps0:.12g} eps0 at U/U_c = {ratio}")
     else:
@@ -502,7 +511,7 @@ def cmd_overlap(cfg: argparse.Namespace) -> int:
     prev_log = 0.0
     for m in range(1, m_max + 1):
         value = bcs_overlap(np.full(m, theta), dphi)
-        bose = bec_overlap(BosonEnsemble(np.full(m, alpha)), dphi)
+        bose = bec_overlap(np.full(m, alpha), dphi)
         log_abs = math.log(abs(value)) if abs(value) > 0.0 else -math.inf
         rows.append(
             (m, value.real, value.imag, abs(value), prev_log - log_abs, abs(bose))
@@ -738,14 +747,10 @@ def cmd_phase_lock(cfg: argparse.Namespace) -> int:
 
 def cmd_checks(cfg: argparse.Namespace) -> int:
     if cfg.list:
-        for name, description in list_checks():
+        for name, description in CHECK_NAMES.items():
             print(f"{name}: {description}")
         return EXIT_OK
-    results = run_checks(
-        seed=cfg.seed,
-        pegg_barnett_s=cfg.pegg_barnett_s,
-        pegg_barnett_omega=cfg.pegg_barnett_omega,
-    )
+    results = run_checks(cfg.seed)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.detail}")

@@ -2,14 +2,14 @@
 
 Subpackage layout:
 
-    ensembles       PairEnsemble / BosonEnsemble containers and builders
+    ensembles       PairEnsemble container and builders
     overlaps        multimode overlap closed forms and eta statistics
     fock            exact 2^M pair-occupancy oracle (small M, brute force)
     phase_operator  finite-dimensional Hermitian phase operator
     phase_locking   quartic free-energy stationarity and descent
 """
 
-from .ensembles import PairEnsemble, BosonEnsemble, random_pair_ensemble
+from .ensembles import PairEnsemble, random_pair_ensemble
 from .overlaps import bec_overlap, bcs_overlap, eta_statistics
 from .fock import FockOracle, build_fock_oracle, number_phase_derivative_check
 from .phase_operator import PeggBarnettReport, pegg_barnett
@@ -23,7 +23,6 @@ from .phase_locking import (
 
 __all__ = [
     "PairEnsemble",
-    "BosonEnsemble",
     "random_pair_ensemble",
     "bec_overlap",
     "bcs_overlap",

@@ -1,9 +1,9 @@
-"""Mode-ensemble containers for coherent-state calculations.
+"""The pairing-mode ensemble of the coherent-state calculations.
 
 A PairEnsemble is a finite sample of pairing modes: for each wavevector
 magnitude k it stores the shifted single-particle energy eps = eps_k - mu
 and the Bogoliubov angle theta_k, together with one common order-parameter
-phase phi and the gap context (Delta0, U, k0) needed to reconstruct
+phase phi and the gap context (Delta0, k0) needed to reconstruct
 xi_k = sqrt(eps^2 + Delta0^2 Gamma_k^2).  The collective weight
 Omega = sum theta_k^2 normalizes the pair mode built from these angles.
 
@@ -15,9 +15,10 @@ makes cos(2 theta) = eps/xi and sin(2 theta) = Delta0 Gamma/xi, so the
 mode occupancy 2 sin^2(theta) equals 1 - eps/xi and the exact
 finite-mode oracle reproduces the analytic eta statistics.  The literal
 full-angle form |arctan(Delta0 Gamma/eps)| is kept behind the
-``convention`` flag for comparison; it folds the below-Fermi-surface
-branch onto the wrong side and breaks the single-mode identity, which is
-exactly why the consistent convention is the default.
+``convention`` argument of ``PairEnsemble.from_gap_solution`` for
+comparison; it folds the below-Fermi-surface branch onto the wrong side
+and breaks the single-mode identity, which is exactly why the consistent
+convention is the default.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from ..core import PhysicalParams, dispersion, nsr_form_factor
 
-__all__ = ["PairEnsemble", "BosonEnsemble", "random_pair_ensemble"]
+__all__ = ["PairEnsemble", "random_pair_ensemble"]
 
 _HALF_PI = 0.5 * np.pi
 
@@ -53,12 +54,10 @@ class PairEnsemble:
     k, eps, theta : arrays of equal length (k magnitudes, eps_k - mu,
         Bogoliubov angles in [0, pi/2]).
     phi : common order-parameter phase (radians).
-    Delta0, U : energy gap and coupling of the parent solution; needed by
-        the eta statistics, optional for pure overlap work.
+    Delta0 : energy gap of the parent solution; needed by the eta
+        statistics, optional for pure overlap work.
     k0 : form-factor scale for Gamma_k.
-    Omega : sum of theta^2; computed when omitted, validated when given.
-    convention : which angle convention produced theta ("half-angle" or
-        "literal"); informational.
+    Omega : sum of theta^2, computed from theta.
     """
 
     k: np.ndarray
@@ -66,10 +65,8 @@ class PairEnsemble:
     theta: np.ndarray
     phi: float = 0.0
     Delta0: float | None = None
-    U: float | None = None
     k0: float = 1.0
-    Omega: float | None = None
-    convention: str = "half-angle"
+    Omega: float = field(init=False)
 
     def __post_init__(self):
         self.k = _as_float_array(self.k, "k")
@@ -85,13 +82,7 @@ class PairEnsemble:
         self.phi = float(self.phi)
         if self.k0 <= 0.0:
             raise ValueError("k0 must be positive")
-        omega = float(np.sum(self.theta**2))
-        if self.Omega is None:
-            self.Omega = omega
-        elif abs(self.Omega - omega) > 1e-14 * max(abs(omega), 1e-300):
-            raise ValueError(
-                f"Omega={self.Omega!r} inconsistent with sum(theta^2)={omega!r}"
-            )
+        self.Omega = float(np.sum(self.theta**2))
         if self.Delta0 is not None and self.Delta0 < 0.0:
             raise ValueError("Delta0 must be >= 0")
 
@@ -141,40 +132,8 @@ class PairEnsemble:
             theta=theta,
             phi=phi,
             Delta0=solution.Delta0,
-            U=solution.U,
             k0=params.k0,
-            convention=convention,
         )
-
-
-@dataclass
-class BosonEnsemble:
-    """Multimode coherent-state data: amplitudes alpha_n >= 0, common phase.
-
-    Omega = sum alpha_n^2 is the mean total occupation; it is computed when
-    omitted and validated (1e-14 relative) when supplied.
-    """
-
-    amplitudes: np.ndarray
-    phi: float = 0.0
-    Omega: float | None = None
-
-    def __post_init__(self):
-        self.amplitudes = _as_float_array(self.amplitudes, "amplitudes")
-        if np.any(self.amplitudes < 0.0):
-            raise ValueError("amplitudes must be >= 0")
-        self.phi = float(self.phi)
-        omega = float(np.sum(self.amplitudes**2))
-        if self.Omega is None:
-            self.Omega = omega
-        elif abs(self.Omega - omega) > 1e-14 * max(abs(omega), 1e-300):
-            raise ValueError(
-                f"Omega={self.Omega!r} inconsistent with sum(alpha^2)={omega!r}"
-            )
-
-    @property
-    def n_modes(self) -> int:
-        return self.amplitudes.size
 
 
 def random_pair_ensemble(
@@ -201,5 +160,5 @@ def random_pair_ensemble(
     if phi is None:
         phi = rng.uniform(0.0, 2.0 * np.pi)
     return PairEnsemble(
-        k=k, eps=eps, theta=theta, phi=float(phi), Delta0=Delta0, U=2.0, k0=1.0
+        k=k, eps=eps, theta=theta, phi=float(phi), Delta0=Delta0, k0=1.0
     )

@@ -3,10 +3,9 @@
 Each pairing mode k is a two-level system: the pair (k up, -k down) is
 either empty or occupied, so M modes span a 2^M dimensional space indexed
 by bit patterns (bit k = occupancy of mode k).  On that space the pair
-pseudospin operators are exact sparse matrices:
-
-    S-^(k) annihilates the pair in mode k, S+^(k) creates it, (S+)^2 = 0,
-    n_k    counts the pair, and the particle number is N = 2 sum_k n_k.
+annihilator S-^(k) of mode k is an exact sparse matrix; its transpose
+S+^(k) creates the pair, (S+)^2 = 0, and the particle number is
+N = 2 sum_k n_k with n_k = S+^(k) S-^(k).
 
 The collective mode is b = Omega^{-1/2} sum_k theta_k S-^(k); its
 commutator defect eta = 1 - [b, b+] is diagonal, and every analytic
@@ -82,9 +81,6 @@ class FockOracle:
             (data, (rows, cols)), shape=(self.dim, self.dim)
         )
 
-    def s_plus(self, k: int) -> sparse.csr_matrix:
-        return self.s_minus(k).T.tocsr()
-
     @property
     def b(self) -> sparse.csr_matrix:
         """Collective annihilator Omega^{-1/2} sum_k theta_k S-^(k)."""
@@ -96,14 +92,10 @@ class FockOracle:
         return (acc / np.sqrt(self.Omega)).tocsr()
 
     @property
-    def b_dagger(self) -> sparse.csr_matrix:
-        return self.b.T.tocsr()
-
-    @property
     def commutator_b(self) -> sparse.csr_matrix:
         """[b, b+] as a sparse (diagonal) matrix."""
         b = self.b
-        bd = self.b_dagger
+        bd = b.T.tocsr()
         return (b @ bd - bd @ b).tocsr()
 
     @property
@@ -112,16 +104,6 @@ class FockOracle:
         from scipy import sparse
 
         return (sparse.identity(self.dim, format="csr") - self.commutator_b).tocsr()
-
-    @property
-    def number_op(self) -> sparse.csr_matrix:
-        """Particle number N = 2 sum_k n_k (each pair carries two)."""
-        from scipy import sparse
-
-        diag = np.zeros(self.dim)
-        for k in range(self.n_modes):
-            diag += 2.0 * ((self._indices >> k) & 1)
-        return sparse.diags(diag).tocsr()
 
     # ---- states and expectations -------------------------------------
 
@@ -151,10 +133,6 @@ class FockOracle:
         m1 = self.expectation(eta, psi).real
         m2 = self.expectation((eta @ eta).tocsr(), psi).real
         return {"mean": m1, "variance": m2 - m1 * m1}
-
-    def particle_number(self, idx: int) -> int:
-        """Particle count (2 x popcount) of basis state idx."""
-        return 2 * int(bin(idx).count("1"))
 
     def _check_mode(self, k: int):
         if not 0 <= k < self.n_modes:

@@ -25,19 +25,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensembles import BosonEnsemble, PairEnsemble
+from .ensembles import PairEnsemble
 
 __all__ = ["bec_overlap", "bcs_overlap", "eta_statistics"]
 
 
-def bec_overlap(ens: BosonEnsemble, dphi: float) -> complex:
+def bec_overlap(amplitudes, dphi: float) -> complex:
     """Overlap of a multimode coherent state with its dphi-rotated twin.
 
-    Returns prod_n exp[-alpha_n^2 (1 - e^{i dphi})]; the exponents are
+    amplitudes may be any sequence of alpha_n >= 0; the return value is
+    prod_n exp[-alpha_n^2 (1 - e^{i dphi})].  The exponents are
     accumulated before a single exponential, so the result underflows
     gracefully instead of losing precision factor by factor.
     """
-    alpha2 = ens.amplitudes**2
+    alpha = np.atleast_1d(np.asarray(amplitudes, dtype=float))
+    if np.any(alpha < 0.0):
+        raise ValueError("amplitudes must be >= 0")
+    alpha2 = alpha**2
     exponent = -np.sum(alpha2) * (1.0 - np.exp(1j * float(dphi)))
     return complex(np.exp(exponent))
 

@@ -26,12 +26,14 @@ phase and amplitude-product tensors survive only as the oracle in the
 tests.
 
 For 1D box modes u_n(x) = sqrt(2/L) sin(n pi x / L) the quartic tensor
-g_{nmts} = g0 int u_n u_m u_t u_s dx obeys a parity selection rule: the
-integral vanishes unless n+m+t+s is even.  The free energy is therefore
-exactly invariant under shifting any even-parity subset of phases by pi,
-and gradient descent can terminate at the equal-phase point, at one of its
-degenerate pi-twins, or with a dead mode (alpha_n -> 0) whose phase
-dangles.  Locking is thus seed dependent by the structure of the
+g_{nmts} = g0 int u_n u_m u_t u_s dx has a closed form (box_mode_tensor,
+g0 = 1): the product-to-sum identity for four sines leaves seven
+Kronecker deltas in the mode numbers.  It obeys a parity selection rule:
+the integral vanishes, exactly, unless n+m+t+s is even.  The free energy
+is therefore exactly invariant under shifting any even-parity subset of
+phases by pi, and gradient descent can terminate at the equal-phase
+point, at one of its degenerate pi-twins, or with a dead mode
+(alpha_n -> 0) whose phase dangles.  Locking is thus seed dependent by the structure of the
 landscape, not by numerical accident; callers who want the locked basin
 must choose seeds that land in it.
 
@@ -45,7 +47,6 @@ sets), every trajectory is reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -60,32 +61,28 @@ __all__ = [
 ]
 
 
-def box_mode_tensor(M: int, length: float = 10.0, points: int = 2049) -> np.ndarray:
-    """Quartic coupling tensor of the first M box modes on [0, L].
+def box_mode_tensor(M: int, length: float = 10.0) -> np.ndarray:
+    """Quartic coupling tensor of the first M box modes on [0, L], in closed form.
 
-    Composite Simpson quadrature on a uniform grid (points must be odd);
-    the result is symmetrized over all 24 index permutations to clean the
-    last-digit asymmetry of the quadrature.
+    Writing the product of four sines as a sum of cosines, only those of
+    zero frequency survive the integral over [0, L]:
+
+        g_nmts = (1/2L) [d(n+m-t-s) + d(n-m+t-s) + d(n-m-t+s)
+                         - d(n-m-t-s) - d(n-m+t+s) - d(n+m-t+s) - d(n+m+t-s)]
+
+    for mode numbers 1..M, with d(j) = 1 if j = 0 else 0.  Each entry is an
+    integer over 2L, so the tensor is exactly symmetric and exactly zero
+    for odd n+m+t+s.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if not 0.0 < length < np.inf:
         raise ValueError("length must be positive and finite")
-    if points < 3 or points % 2 == 0:
-        raise ValueError("points must be odd and >= 3")
-    x = np.linspace(0.0, length, points)
-    u = np.array(
-        [np.sqrt(2.0 / length) * np.sin((n + 1) * np.pi * x / length) for n in range(M)]
-    )
-    w = np.ones(points)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (x[1] - x[0]) / 3.0
-    g = np.einsum("nx,mx,tx,sx,x->nmts", u, u, u, u, w)
-    sym = np.zeros_like(g)
-    for perm in permutations(range(4)):
-        sym += np.transpose(g, perm)
-    return sym / 24.0
+    n, m, t, s = np.ix_(*[np.arange(1, M + 1)] * 4)
+    count = ((n + m - t - s == 0).astype(int) + (n - m + t - s == 0) + (n - m - t + s == 0)
+             - (n - m - t - s == 0) - (n - m + t + s == 0) - (n + m - t + s == 0)
+             - (n + m + t - s == 0))
+    return count / (2.0 * length)
 
 
 def box_mode_energies(M: int, length: float = 10.0) -> np.ndarray:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalParams, critical_coupling
-from .quadrature import QuadratureSpec, QuadratureError, radial_integral
+from .quadrature import QuadratureError, radial_integral
 
 __all__ = [
     "GapSolution",
@@ -73,8 +73,6 @@ __all__ = [
 
 # Delta0 below this fraction of the energy scale is treated as unresolved
 _GAP_FLOOR_REL = 1e-13
-# every radial integral of the solver uses the default adaptive rule
-_QUAD = QuadratureSpec()
 # budget of a cold solve's search in integrals, and of any safeguarded Newton
 _MAX_ITER = 500
 # step budget of one Newton polish
@@ -152,7 +150,7 @@ def _breakpoints(mu, Delta0, params: PhysicalParams):
 
 
 def _pair_integral(mu, Delta0, params, steer=None, column=None):
-    """Radial integral of _pair_integrand(mu, Delta0, params, column) by _QUAD.
+    """Radial integral of _pair_integrand(mu, Delta0, params, column).
 
     The first `steer` columns steer the refinement and the rest ride on
     their panels.  A single column is integrated on its own: adaptive
@@ -161,7 +159,7 @@ def _pair_integral(mu, Delta0, params, steer=None, column=None):
     and the gap column diverges at Delta0 = 0, where the occupancy alone
     still has a finite integral.
     """
-    return radial_integral(_pair_integrand(mu, Delta0, params, column), _QUAD, k0=params.k0,
+    return radial_integral(_pair_integrand(mu, Delta0, params, column), k0=params.k0,
                            breakpoints=_breakpoints(mu, Delta0, params), steer=steer)
 
 

@@ -18,7 +18,10 @@ its share of the tolerance.  Integrands are evaluated vectorized over every
 pending node of a refinement wave, and may be vector-valued (several
 integrands sharing one set of panels).
 
-radial_integral is the one entry point.  It returns the integral alone: a
+radial_integral is the one entry point, and every integral uses the one
+rule that the module constants fix: _PANELS initial panels of _NODES
+nodes on [0, _K_MAX k0], tolerances _TOL_ABS and _TOL_REL, and a
+refinement budget of _MAX_PANELS panels.  It returns the integral alone: a
 converged integral is within tolerance by construction, and one that
 cannot converge raises QuadratureError, which carries the best value and
 its error estimate.
@@ -36,37 +39,22 @@ tolerance until the panel budget runs out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "QuadratureError", "radial_integral"]
+__all__ = ["QuadratureError", "radial_integral"]
 
-
-@dataclass
-class QuadratureSpec:
-    """Parameters of the radial integrator.
-
-    k_max is in units of k0 and marks the boundary between the direct and the
-    reciprocal-mapped region, not a truncation.  Doubling `panels` changes any
-    converged integral by less than tol_rel (both runs refine to tolerance).
-    """
-
-    panels: int = 16          # initial panel count on [0, k_max]
-    k_max: float = 40.0       # direct/tail boundary, units of k0
-    tol_abs: float = 1e-14
-    tol_rel: float = 1e-12
-    nodes: int = 12           # nodes per panel; error from the 2*nodes rule
-    max_panels: int = 4000    # refinement budget per integral
-
-    def __post_init__(self):
-        if self.panels < 1 or self.nodes < 2:
-            raise ValueError("panels >= 1 and nodes >= 2 required")
-        if self.k_max <= 0:
-            raise ValueError("k_max must be positive")
-        if self.tol_abs < 0 or self.tol_rel < 0 or (self.tol_abs == 0 and self.tol_rel == 0):
-            raise ValueError("tolerances must be nonnegative and not both zero")
+# The one integration rule.  _K_MAX, in units of k0, marks the boundary
+# between the direct and the reciprocal-mapped region, not a truncation.
+# Doubling _PANELS changes any converged integral by less than _TOL_REL
+# (both runs refine to tolerance).
+_PANELS = 16          # initial panel count on [0, _K_MAX k0]
+_K_MAX = 40.0         # direct/tail boundary, units of k0
+_TOL_ABS = 1e-14
+_TOL_REL = 1e-12
+_NODES = 12           # nodes per panel; error from the 2*_NODES rule
+_MAX_PANELS = 4000    # refinement budget per integral
 
 
 class QuadratureError(RuntimeError):
@@ -121,7 +109,7 @@ def _panel_sums(vals, half, nodes):
     return hi, np.abs(hi - lo)
 
 
-def _adaptive(f, edges, first, spec: QuadratureSpec, steer=None):
+def _adaptive(f, edges, first, steer=None):
     """Refine panels with edges `edges` until the steering components converge.
 
     `first` holds f at the `_panel_nodes` of the initial panels, so the
@@ -131,17 +119,17 @@ def _adaptive(f, edges, first, spec: QuadratureSpec, steer=None):
     """
     a = edges[:-1]
     b = edges[1:]
-    vals, errs = _panel_sums(first, 0.5 * (b - a), spec.nodes)
+    vals, errs = _panel_sums(first, 0.5 * (b - a), _NODES)
     while True:
         total = vals.sum(axis=0)
         err_tot = errs.sum(axis=0)
-        tol = np.maximum(spec.tol_abs, spec.tol_rel * np.abs(total[:steer]))
+        tol = np.maximum(_TOL_ABS, _TOL_REL * np.abs(total[:steer]))
         if np.all(err_tot[:steer] <= tol):
             return total
-        if a.size >= spec.max_panels:
+        if a.size >= _MAX_PANELS:
             raise QuadratureError(
                 "panel budget %d exhausted; achieved error %s against tolerance %s"
-                % (spec.max_panels, err_tot[:steer], tol),
+                % (_MAX_PANELS, err_tot[:steer], tol),
                 value=total, error=err_tot,
             )
         # bisect every panel holding more than its per-panel share of the
@@ -155,9 +143,8 @@ def _adaptive(f, edges, first, spec: QuadratureSpec, steer=None):
         mid = 0.5 * (ra + rb)
         new_a = np.concatenate([a[~refine], ra, mid])
         new_b = np.concatenate([b[~refine], mid, rb])
-        pts, half = _panel_nodes(np.concatenate([ra, mid]), np.concatenate([mid, rb]),
-                                 spec.nodes)
-        new_vals, new_errs = _panel_sums(f(pts), half, spec.nodes)
+        pts, half = _panel_nodes(np.concatenate([ra, mid]), np.concatenate([mid, rb]), _NODES)
+        new_vals, new_errs = _panel_sums(f(pts), half, _NODES)
         keep_vals = vals[~refine]
         keep_errs = errs[~refine]
         a, b = new_a, new_b
@@ -200,17 +187,17 @@ def _tail_nodes(count, nodes):
     return edges, u
 
 
-def radial_integral(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None, steer=None):
+def radial_integral(f, k0: float = 1.0, breakpoints=None, steer=None):
     """Integral d^3k/(2 pi)^3 f(k) = Integral_0^inf dk k^2/(2 pi^2) f(k) for isotropic f.
 
     f maps a 1D array of k values to shape (npts,) or (npts, nf).  Returns
-    the integral, of shape (nf,).  The direct region is [0, k_max*k0]; the
-    tail uses u = k_max*k0/k on (0, 1].  The first wave of both regions is
+    the integral, of shape (nf,).  The direct region is [0, _K_MAX*k0]; the
+    tail uses u = _K_MAX*k0/k on (0, 1].  The first wave of both regions is
     evaluated in one call of f; refinement waves call f per region.  Only
     the first `steer` components (all when None) steer the refinement; the
     others ride along on the same panels.
     """
-    kc = spec.k_max * k0
+    kc = _K_MAX * k0
 
     def weighted(k):
         v = np.asarray(f(k), dtype=float)
@@ -219,11 +206,10 @@ def radial_integral(f, spec: QuadratureSpec, k0: float = 1.0, breakpoints=None, 
     def tail_integrand(u):
         return weighted(kc / u) * (kc / u**2)[:, None]
 
-    edges = _initial_edges(0.0, kc, breakpoints, spec.panels)
-    tail_edges, u = _tail_nodes(max(2, spec.panels // 4), spec.nodes)
-    k, _ = _panel_nodes(edges[:-1], edges[1:], spec.nodes)
+    edges = _initial_edges(0.0, kc, breakpoints, _PANELS)
+    tail_edges, u = _tail_nodes(max(2, _PANELS // 4), _NODES)
+    k, _ = _panel_nodes(edges[:-1], edges[1:], _NODES)
     first = weighted(np.concatenate([k, kc / u]))
-    direct = _adaptive(weighted, edges, first[: k.size], spec, steer)
-    tail = _adaptive(tail_integrand, tail_edges, first[k.size:] * (kc / u**2)[:, None], spec,
-                     steer)
+    direct = _adaptive(weighted, edges, first[: k.size], steer)
+    tail = _adaptive(tail_integrand, tail_edges, first[k.size:] * (kc / u**2)[:, None], steer)
     return direct + tail

@@ -2,11 +2,11 @@
 
 Every run writes plot-ready CSV (UTF-8, comma-delimited, one header row,
 floats at 17 significant digits so values round-trip exactly) plus a JSON
-sidecar carrying the config echo, tool version, unit mode, tolerances,
-wall clock, and a sha256 of each CSV.  Rerunning an identical config must
-reproduce the CSV bytes exactly, so the writers pin the line terminator
-and keep anything time dependent out of the CSV files; the sidecar alone
-carries the wall clock.
+sidecar carrying the config echo, tool version, unit mode (for commands
+that take one), tolerances, wall clock, and a sha256 of each CSV.
+Rerunning an identical config must reproduce the CSV bytes exactly, so
+the writers pin the line terminator and keep anything time dependent out
+of the CSV files; the sidecar alone carries the wall clock.
 """
 
 from __future__ import annotations
@@ -58,13 +58,16 @@ def write_meta(
     path,
     config: dict,
     version: str,
-    unit_mode: str,
+    unit_mode: str | None,
     tolerances: dict,
     wall_clock_s: float,
     csv_paths=(),
     extra: dict | None = None,
 ) -> Path:
-    """JSON sidecar for one run; hashes every produced CSV."""
+    """JSON sidecar for one run; hashes every produced CSV.
+
+    A unit_mode of None, for a command without unit modes, is left out.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -77,11 +80,12 @@ def write_meta(
     payload = {
         "config": config,
         "version": version,
-        "unit_mode": unit_mode,
         "tolerances": tolerances,
         "wall_clock_s": wall_clock_s,
         "files": files,
     }
+    if unit_mode is not None:
+        payload["unit_mode"] = unit_mode
     if extra:
         payload["results"] = extra
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -315,7 +315,7 @@ SOLVER_TOLERANCES = {"tol_gap": 1e-10, "tol_number": 1e-8}
 # (argv, sidecar stem, tolerances, results keys or None for no results block)
 SIDECAR_CASES = [
     (["gap-sweep", "--points", "2"], "gap_sweep", SOLVER_TOLERANCES, None),
-    (["bound-state"], "bound_state", SOLVER_TOLERANCES, None),
+    (["bound-state"], "bound_state", {}, None),
     (["phase-diagram", "--u-points", "2", "--g-points", "2"], "phase_diagram",
      SOLVER_TOLERANCES, {"energy_unit"}),
     (["overlap", "--m-max", "3"], "overlap", {}, {"rate_exact"}),
@@ -329,7 +329,7 @@ SIDECAR_CASES = [
     (["phase-lock", "--seed", "6"], "phase_lock", {"descent_tol": 1e-10},
      {"gradient_norm", "steps", "converged", "equal_phase_residual", "phase_spread",
       "min_amplitude"}),
-    (["checks", "--pegg-barnett-s", "32"], "checks", {}, set(CHECK_NAMES)),
+    (["checks"], "checks", {}, set(CHECK_NAMES)),
 ]
 
 
@@ -347,10 +347,38 @@ def test_sidecar_contract(tmp_path, argv, stem, tolerances, results):
         assert meta["files"][name] == {
             "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     assert meta["tolerances"] == tolerances
+    # the config echoes exactly the subcommand's flags, and only a command
+    # with unit modes records one
+    flags = {action.dest for action in build_parser()[1][argv[0]]._actions
+             if action.option_strings and action.dest not in ("help", "config")}
+    assert set(meta["config"]) == flags | {"command"}
+    assert meta.get("unit_mode") == ("dimensionless" if "units" in flags else None)
     if results is None:
         assert "results" not in meta
     else:
         assert set(meta["results"]) == results
+
+
+# flags that some subcommands take and these ones never read, and the two
+# Pegg-Barnett inputs of the calibrated checks
+FOREIGN_OPTIONS = [
+    ["overlap", "--tol-gap", "1e-3"],
+    ["gap-sweep", "--seed", "1"],
+    ["pegg-barnett", "--units", "physical"],
+    ["bound-state", "--tol-number", "1e-3"],
+    ["checks", "--pegg-barnett-s", "32"],
+]
+
+
+@pytest.mark.parametrize("argv", FOREIGN_OPTIONS, ids=[" ".join(a) for a in FOREIGN_OPTIONS])
+def test_options_a_subcommand_does_not_read_exit_three(tmp_path, argv):
+    command, flag, value = argv
+    out = tmp_path / "out"
+    assert run([command, flag, value, "--out", str(out)]) == 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_config_file_precedence(tmp_path):

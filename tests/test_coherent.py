@@ -1,10 +1,9 @@
-"""Pair/boson ensembles and the closed-form overlap and eta statistics."""
+"""Pair ensembles and the closed-form overlap and eta statistics."""
 
 import numpy as np
 import pytest
 
 from bcsbec.coherent import (
-    BosonEnsemble,
     PairEnsemble,
     bcs_overlap,
     bec_overlap,
@@ -25,9 +24,6 @@ def test_pair_ensemble_validation():
         PairEnsemble(k=np.array([]), eps=np.array([]), theta=np.array([]))
     with pytest.raises(ValueError):
         PairEnsemble(k=np.array([1.0]), eps=np.array([0.5]), theta=np.array([2.0]))
-    with pytest.raises(ValueError):
-        PairEnsemble(k=np.array([1.0]), eps=np.array([0.5]),
-                     theta=np.array([0.5]), Omega=7.0)
 
 
 def test_pair_ensemble_omega_defaults_to_theta_norm():
@@ -97,8 +93,7 @@ def test_bcs_overlap_multiplicative_and_conjugate():
 def test_bec_overlap_closed_form():
     # M identical modes: |overlap| = exp(-M alpha^2 (1 - cos dphi))
     m, alpha, dphi = 200, 0.3, 0.5 * np.pi
-    ens = BosonEnsemble(np.full(m, alpha))
-    value = bec_overlap(ens, dphi)
+    value = bec_overlap(np.full(m, alpha), dphi)
     assert abs(value) == pytest.approx(np.exp(-m * alpha**2), rel=1e-12)
     assert np.angle(value) == pytest.approx(
         np.angle(np.exp(m * alpha**2 * (np.exp(1j * dphi) - 1.0))), abs=1e-12
@@ -106,16 +101,14 @@ def test_bec_overlap_closed_form():
 
 
 def test_bec_overlap_underflows_gracefully():
-    ens = BosonEnsemble(np.full(5000, 1.0))
-    value = bec_overlap(ens, np.pi)
+    value = bec_overlap(np.full(5000, 1.0), np.pi)
     assert value == 0.0  # exp(-10000), far below double range, no warning
 
 
-def test_boson_ensemble_validation():
+def test_bec_overlap_validation():
     with pytest.raises(ValueError):
-        BosonEnsemble(np.array([-0.1]))
-    with pytest.raises(ValueError):
-        BosonEnsemble(np.array([1.0]), Omega=5.0)
+        bec_overlap(np.array([-0.1]), 0.5)
+    assert bec_overlap(np.array([]), 0.5) == 1.0
 
 
 def test_eta_statistics_requires_gap_context():

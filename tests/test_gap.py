@@ -350,7 +350,7 @@ def test_jacobian_riders_leave_the_residuals_unchanged(params):
     r, _, gap = _residuals_and_jacobian(sol.mu, sol.Delta0, U, n, params)
     f = _pair_integrand(sol.mu, sol.Delta0, params)
     plain_gap, density = bcsbec.gap.radial_integral(
-        lambda k: f(k)[:, :2], bcsbec.gap._QUAD, k0=params.k0,
+        lambda k: f(k)[:, :2], k0=params.k0,
         breakpoints=_breakpoints(sol.mu, sol.Delta0, params))
     assert gap == plain_gap
     assert list(r) == [1.0 - 0.5 * U * plain_gap, (n - density) / n]

@@ -3,7 +3,8 @@
 The library computes every gradient from one mat-vec on z (x) z.  The real
 (alpha, phi) tensor formulas it replaced are kept here as the oracle:
 `tensor_gradients` builds the M^4 phase and amplitude-product tensors,
-and `oracle_descent` is the descent loop on top of them.
+and `oracle_descent` is the descent loop on top of them.  The closed-form
+box tensor has its quadrature oracle here too, `simpson_box_tensor`.
 """
 
 import math
@@ -31,6 +32,19 @@ def random_symmetric_tensor(m, rng):
     for perm in permutations(range(4)):
         total += np.transpose(g, perm)
     return total / 24.0
+
+
+def simpson_box_tensor(M, length, points=2049):
+    """int u_n u_m u_t u_s dx by composite Simpson, symmetrized over the 24 index orders."""
+    x = np.linspace(0.0, length, points)
+    u = np.array([np.sqrt(2.0 / length) * np.sin(n * np.pi * x / length)
+                  for n in range(1, M + 1)])
+    w = np.ones(points)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (x[1] - x[0]) / 3.0
+    g = np.einsum("nx,mx,tx,sx,x->nmts", u, u, u, u, w)
+    return sum(np.transpose(g, perm) for perm in permutations(range(4))) / 24.0
 
 
 def tensor_gradients(phases, amplitudes, g, energies):
@@ -91,21 +105,26 @@ def test_box_energies():
     assert np.allclose(e, expected, rtol=1e-14)
 
 
+def test_box_tensor_matches_simpson_oracle():
+    # the closed form is exact; the 2049-point Simpson rule is good to rounding
+    for M in range(1, 7):
+        for length in (1.0, 10.0):
+            g = box_mode_tensor(M, length)
+            assert np.abs(g - simpson_box_tensor(M, length)).max() <= 1e-14 / length
+
+
 def test_box_tensor_is_fully_symmetric():
-    # entries for a repeated index multiset come from independently
-    # accumulated quadratures, so symmetry holds to rounding, not bit-exactly
-    g = box_mode_tensor(3)
-    scale = np.abs(g).max()
+    # each entry is an integer count over 2L, the same for every index order
+    g = box_mode_tensor(4)
     for perm in permutations(range(4)):
-        assert np.abs(g - np.transpose(g, perm)).max() <= 1e-14 * scale
+        assert np.array_equal(g, np.transpose(g, perm))
 
 
 def test_box_tensor_parity_selection_rule():
     g = box_mode_tensor(4)
-    scale = np.abs(g).max()
     for idx in np.ndindex(4, 4, 4, 4):
         if sum(idx) % 2 == 1:
-            assert abs(g[idx]) <= 1e-13 * scale
+            assert g[idx] == 0.0
 
 
 def test_equal_phases_are_stationary_for_any_symmetric_tensor():

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcsbec.gap
+import bcsbec.quadrature
 from bcsbec.core import PhysicalParams, critical_coupling
 from bcsbec.gap import sweep_coupling
 from bcsbec.quadrature import (
     QuadratureError,
-    QuadratureSpec,
     _initial_edges,
     radial_integral,
 )
@@ -31,19 +31,19 @@ def reference_initial_edges(lo, hi, breakpoints, count):
 
 def test_exponential_moment():
     # int d^3k/(2pi)^3 e^{-k} = (1/2pi^2) * Gamma(3) = 1/pi^2
-    vals = radial_integral(lambda k: np.exp(-k), QuadratureSpec())
+    vals = radial_integral(lambda k: np.exp(-k))
     assert vals[0] == pytest.approx(1.0 / np.pi**2, rel=1e-12)
 
 
 def test_gaussian_moment():
     # int_0^inf k^2 e^{-k^2} dk = sqrt(pi)/4
-    vals = radial_integral(lambda k: np.exp(-(k**2)), QuadratureSpec())
+    vals = radial_integral(lambda k: np.exp(-(k**2)))
     assert vals[0] == pytest.approx(np.sqrt(np.pi) / 4.0 / (2.0 * np.pi**2), rel=1e-12)
 
 
 def test_slow_algebraic_tail():
     # int_0^inf k^2/(1+k^2)^2 dk = pi/4; the tail map must capture the k^-2 decay
-    vals = radial_integral(lambda k: 1.0 / (1.0 + k**2) ** 2, QuadratureSpec())
+    vals = radial_integral(lambda k: 1.0 / (1.0 + k**2) ** 2)
     assert vals[0] == pytest.approx(1.0 / (8.0 * np.pi), rel=1e-12)
 
 
@@ -51,7 +51,6 @@ def test_threshold_identity():
     # U_c * int d^3k/(2pi)^3 Gamma^2/(2 eps) = 1 exactly (dimensionless units)
     vals = radial_integral(
         lambda k: 1.0 / (1.0 + k**2) / (2.0 * k**2),
-        QuadratureSpec(),
         breakpoints=[0.3, 1.0, 3.0, 10.0],
     )
     assert 8.0 * np.pi * vals[0] == pytest.approx(1.0, rel=1e-13)
@@ -61,7 +60,7 @@ def test_vector_valued_integrand():
     def f(k):
         return np.stack([np.exp(-k), np.exp(-(k**2))], axis=1)
 
-    vals = radial_integral(f, QuadratureSpec())
+    vals = radial_integral(f)
     assert vals[0] == pytest.approx(1.0 / np.pi**2, rel=1e-12)
     assert vals[1] == pytest.approx(np.sqrt(np.pi) / 4.0 / (2.0 * np.pi**2), rel=1e-12)
 
@@ -87,7 +86,7 @@ def test_rider_columns_leave_the_steered_columns_unchanged():
     results = []
     for f, steer in ((broad, None), (with_rider, 2), (with_rider, None)):
         points.append(0)
-        results.append(radial_integral(counted(f), QuadratureSpec(), steer=steer))
+        results.append(radial_integral(counted(f), steer=steer))
     v2, v3, v_all = results
     assert np.array_equal(v3[:2], v2)
     # resolving the peak takes more points, which only a steering peak gets
@@ -95,35 +94,35 @@ def test_rider_columns_leave_the_steered_columns_unchanged():
     assert v_all[2] == pytest.approx(1.3**2 * np.exp(-1.3) / (2e-4 * np.pi), rel=1e-3)
 
 
-def test_panel_doubling_invariance():
+def test_panel_doubling_invariance(monkeypatch):
     f = lambda k: 1.0 / (1.0 + k**2) ** 2
-    v1 = radial_integral(f, QuadratureSpec(panels=16))
-    v2 = radial_integral(f, QuadratureSpec(panels=32))
+    v1 = radial_integral(f)
+    monkeypatch.setattr(bcsbec.quadrature, "_PANELS", 2 * bcsbec.quadrature._PANELS)
+    v2 = radial_integral(f)
     assert abs(v1[0] - v2[0]) <= 1e-12 * abs(v1[0])
 
 
 def test_breakpoints_do_not_move_converged_value():
     f = lambda k: np.exp(-k)
-    v1 = radial_integral(f, QuadratureSpec())
-    v2 = radial_integral(f, QuadratureSpec(), breakpoints=[0.7, 1.9, 7.3])
+    v1 = radial_integral(f)
+    v2 = radial_integral(f, breakpoints=[0.7, 1.9, 7.3])
     assert abs(v1[0] - v2[0]) <= 1e-12 * abs(v1[0])
 
 
 def test_scale_covariance():
     # int k^2 e^{-k/s} dk = 2 s^3; pass k0 = s so panel layout tracks the scale
     for s in (0.2, 5.0):
-        vals = radial_integral(
-            lambda k: np.exp(-k / s), QuadratureSpec(), k0=s
-        )
+        vals = radial_integral(lambda k: np.exp(-k / s), k0=s)
         assert vals[0] == pytest.approx(2.0 * s**3 / (2.0 * np.pi**2), rel=1e-12)
 
 
-def test_budget_exhaustion_raises_with_diagnostics():
+def test_budget_exhaustion_raises_with_diagnostics(monkeypatch):
     # a jump away from any panel edge defeats a tiny refinement budget
     f = lambda k: np.where(k < 1.3, 1.0, 0.0) * np.exp(-k)
-    spec = QuadratureSpec(panels=4, max_panels=6, nodes=4)
+    for name, value in (("_PANELS", 4), ("_MAX_PANELS", 6), ("_NODES", 4)):
+        monkeypatch.setattr(bcsbec.quadrature, name, value)
     with pytest.raises(QuadratureError) as err:
-        radial_integral(f, spec)
+        radial_integral(f)
     assert err.value.value is not None
     assert err.value.error is not None
 
@@ -131,16 +130,7 @@ def test_budget_exhaustion_raises_with_diagnostics():
 def test_non_finite_integrand_raises():
     f = lambda k: np.where(k < 1.0, np.inf, 0.0)
     with pytest.raises(QuadratureError):
-        radial_integral(f, QuadratureSpec())
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(k_max=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tol_abs=0.0, tol_rel=0.0)
+        radial_integral(f)
 
 
 _point = st.one_of(
