@@ -7,7 +7,7 @@ wall clock, CSV hashes); rerunning an identical config reproduces the CSV
 bytes exactly.
 
 Each subcommand takes only the flags it reads.  --out and --config go to
-all ten; --units to gap-sweep, bound-state, phase-diagram, eta and chain;
+all ten; --units to gap-sweep, phase-diagram, eta and chain;
 --seed to oracle, phase-lock and checks; --tol-gap and --tol-number to the
 three that solve the gap equations, gap-sweep, phase-diagram and eta.
 Any other flag, or config key, is unknown and exits 3.
@@ -170,10 +170,9 @@ def build_parser():
     p.add_argument("--points", type=_Range(int, 1), default=50, help="grid points")
     p.add_argument("--k0", type=_POSITIVE, default=1.41, help="k0 in 1/Angstrom (physical mode)")
 
-    p = sub.add_parser("bound-state", parents=[output, units],
-                       help="two-body bound-state energy")
+    p = sub.add_parser("bound-state", parents=[output],
+                       help="two-body bound-state energy (unit-free: E_b/eps0 at U/U_c)")
     p.add_argument("--u", type=_POSITIVE, default=2.0, help="coupling in U/U_c")
-    p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
     p = sub.add_parser("phase-diagram", parents=solver, help="regime labels over (U, E_c, G)")
     p.add_argument("--n", type=_POSITIVE, default=2e-2)
@@ -230,13 +229,15 @@ def build_parser():
                    help="uniform per-segment correlation amplitude")
 
     p = sub.add_parser("phase-lock", parents=[output, seed],
-                       help="seeded descent of the quartic free energy")
+                       help="seeded descent of the quartic free energy, finished by "
+                            "curvature-guarded Newton steps")
     p.add_argument("--modes", type=_Range(int, 2, 6), default=3, help="mode count (2..6)")
     p.add_argument("--sign", choices=("attractive", "repulsive"), default="attractive")
     p.add_argument("--length", type=_POSITIVE, default=10.0, help="box length")
-    p.add_argument("--step", type=_POSITIVE, default=1e-2)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
-    p.add_argument("--max-steps", type=_Range(int, 1), default=100000)
+    p.add_argument("--step", type=_POSITIVE, default=1e-2, help="descent step")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-10, help="gradient-norm stop")
+    p.add_argument("--max-steps", type=_Range(int, 1), default=100000,
+                   help="budget of descent and Newton steps together")
 
     p = sub.add_parser("checks", parents=[output, seed], help="run the self-check inventory")
     p.add_argument("--list", action="store_true", help="list checks without running")
@@ -404,7 +405,7 @@ def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bound_state(cfg: argparse.Namespace) -> int:
-    params = _make_params(cfg)
+    params = PhysicalParams.dimensionless()  # E_b/eps0 at U/U_c is the same in any unit
     ratio = cfg.u
     u_c = critical_coupling(params)
     energy = bound_state_energy(ratio * u_c, params)
@@ -729,18 +730,23 @@ def cmd_phase_lock(cfg: argparse.Namespace) -> int:
             "equal_phase_residual": result.equal_phase_residual,
             "phase_spread": result.phase_spread,
             "min_amplitude": result.min_amplitude,
+            "newton_steps": result.newton_steps,
+            "end_state": result.end_state,
+            "sign_pattern": result.sign_pattern,
         },
     )
+    steps = f"{result.steps} steps ({result.newton_steps} Newton)"
     if not result.converged:
         print(
-            f"phase-lock: descent did not converge "
-            f"(gradient norm {result.gradient_norm:.3e} after {result.steps} steps)",
+            f"phase-lock: {result.end_state} "
+            f"(gradient norm {result.gradient_norm:.3e} after {steps})",
             file=sys.stderr,
         )
         return EXIT_NON_CONVERGENCE
+    pattern = f" [{result.sign_pattern}]" if result.sign_pattern else ""
     print(
-        f"phase-lock: spread {result.phase_spread:.3e} after {result.steps} steps "
-        f"-> {csv_path}"
+        f"phase-lock: {result.end_state}{pattern}, spread {result.phase_spread:.3e} "
+        f"after {steps} -> {csv_path}"
     )
     return EXIT_OK
 

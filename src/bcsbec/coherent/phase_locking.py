@@ -39,9 +39,34 @@ must choose seeds that land in it.
 
 Descent runs on phases and amplitudes jointly; the amplitude gradient is
 projected onto the sphere sum alpha^2 = M, which removes the chemical
-potential from the problem (it only enforces that norm).  Given the step,
-gradient-norm stop and budget (defaults 1e-2, 1e-10 and 1e5, which the CLI
-sets), every trajectory is reproducible from its seed.
+potential from the problem (it only enforces that norm).  It converges
+only linearly, so a Newton finish takes over near a minimum.  Newton works
+on the constrained (KKT) system: the analytic Hessian of the z form
+(_hessian) minus the multiplier's 2 lambda on the amplitude diagonal is
+reduced to the tangent space, amplitude directions orthogonal to alpha and
+phase directions orthogonal to the global phase, and one eigh of that
+matrix gives both the guard and the step.  The finish is first tried when
+the gradient norm falls below _NEWTON_SWITCH = 1e-2.  A try takes Newton
+iterates until the norm is below the stop, and it is rejected as soon as
+an iterate fails the guard: the smallest projected eigenvalue must exceed
+_EIGEN_FLOOR = 1e-6 times the largest (so Newton cannot stop at a saddle,
+nor turn a dead mode's free phase), and the gradient norm must fall.  A
+rejected try is thrown away, its steps uncounted, and the descent resumes
+from the state before it, bit for bit; the next try comes once the norm
+has fallen below _RETRY_FALL = 0.1 times its value at the rejected one.
+`steps` counts descent and Newton steps together against the budget.
+Given the step, gradient-norm stop and budget (defaults 1e-2, 1e-10 and
+1e5, which the CLI sets), every trajectory is reproducible from its seed.
+
+A finished run is labelled with one end state.  'budget exhausted' means
+it did not converge.  A converged run is 'locked' when z is real up to one
+global phase: every live phase is 0 or pi from the first live mode's, within
+_LOCK_TOL = 1e-6, and its sign pattern is recorded ('+' and '-' per mode,
+so the equal-phase lock is '+++' and a pi-twin '+-+').  'locked, dead
+modes' is the same with some amplitudes below _DEAD_AMPLITUDE = 1e-6,
+marked '0' in the pattern; their phases dangle and are not compared.  Any
+other stationary point is 'stationary, unlocked'.  The labels change
+nothing about the run: a dead mode does not stop it early.
 """
 
 from __future__ import annotations
@@ -59,6 +84,14 @@ __all__ = [
     "equal_phase_residual",
     "variational_phase_lock",
 ]
+
+# The Newton finish's switch, retry fall and curvature guard, and the
+# end-state labels' thresholds; see the module docstring.
+_NEWTON_SWITCH = 1e-2
+_RETRY_FALL = 0.1
+_EIGEN_FLOOR = 1e-6
+_DEAD_AMPLITUDE = 1e-6
+_LOCK_TOL = 1e-6
 
 
 def box_mode_tensor(M: int, length: float = 10.0) -> np.ndarray:
@@ -113,6 +146,114 @@ def _gradients(phases, amplitudes, G2, energies=0.0):
     )
 
 
+def _sphere_gradient(phases, amplitudes, G2, energies, norm_target):
+    """dF/dphi, dF/dalpha projected onto the sphere sum alpha^2 = M, and their joint norm."""
+    dphi, damp, _ = _gradients(phases, amplitudes, G2, energies)
+    damp_t = damp - amplitudes * (damp @ amplitudes) / norm_target
+    return dphi, damp_t, float(np.sqrt(dphi @ dphi + damp_t @ damp_t))
+
+
+def _hessian(phases, amplitudes, G2, energies):
+    """(dF/dphi, dF/dalpha, Hessian of F in x = (phi, alpha)) from the z form.
+
+    With B = (G2 (z (x) z)).reshape(M, M) = d2F/dconj(z)dconj(z) and
+    A = 2 conj(z) . (G2 z).reshape(M, M, M) = d2F/dconj(z)dz, the chain rule
+    through the Jacobian J = [diag(i z), diag(e^{i phi})] of z(x) gives
+    2 Re(J^H (A J + B conj(J))), plus the curvature of z(x) itself
+    (-2 alpha Re q on the phase diagonal, 2 Im q between phi_r and alpha_r)
+    and 2 E on the amplitude diagonal.
+    """
+    M = phases.size
+    rotor = np.exp(1j * phases)
+    z = amplitudes * rotor
+    B = (G2 @ (z[:, None] * z).ravel()).reshape(M, M)
+    q = rotor.conj() * (B @ z.conj())
+    A = 2.0 * (z.conj() @ (G2.reshape(M * M * M, M) @ z).reshape(M, M, M))
+    J = np.hstack([np.diag(1j * z), np.diag(rotor)])
+    hess = 2.0 * (J.conj().T @ (A @ J + B @ J.conj())).real
+    r = np.arange(M)
+    hess[r, r] -= 2.0 * amplitudes * q.real
+    hess[r, M + r] += 2.0 * q.imag
+    hess[M + r, r] += 2.0 * q.imag
+    hess[M + r, M + r] += 2.0 * energies
+    return 2.0 * amplitudes * q.imag, 2.0 * energies * amplitudes + 2.0 * q.real, hess
+
+
+def _complement(u):
+    """Orthonormal columns spanning the complement of the unit vector u (u[0] >= 0).
+
+    They are the last columns of the Householder reflection that maps the
+    first basis vector to -u.
+    """
+    v = u.copy()
+    v[0] += 1.0
+    return (np.eye(u.size) - np.outer(v, v) / v[0])[:, 1:]
+
+
+def _newton_step(phases, amplitudes, G2, energies):
+    """Trial point of one guarded Newton step, or None if the curvature guard fails.
+
+    The Hessian of the Lagrangian F - lambda (alpha . alpha - M) is reduced
+    to the tangent space: amplitude directions orthogonal to alpha, phase
+    directions orthogonal to the global phase.  One eigh of the reduced
+    matrix gives the guard (smallest eigenvalue above _EIGEN_FLOOR times
+    the largest) and the step.
+    """
+    M = phases.size
+    dphi, damp, hess = _hessian(phases, amplitudes, G2, energies)
+    norm = float(amplitudes @ amplitudes)
+    r = np.arange(M, 2 * M)
+    hess[r, r] -= (damp @ amplitudes) / norm  # 2 lambda
+    basis = np.zeros((2 * M, 2 * M - 2))
+    basis[:M, :M - 1] = _complement(np.full(M, 1.0 / np.sqrt(M)))
+    basis[M:, M - 1:] = _complement(amplitudes / np.sqrt(norm))
+    eigenvalues, vectors = np.linalg.eigh(basis.T @ hess @ basis)
+    if not eigenvalues[0] > _EIGEN_FLOOR * eigenvalues[-1]:
+        return None
+    tangent = vectors.T @ (basis.T @ np.concatenate([dphi, damp]))
+    step = basis @ (vectors @ (tangent / eigenvalues))
+    return phases - step[:M], amplitudes - step[M:]
+
+
+def _newton_finish(phases, amplitudes, gradient_norm, G2, energies, tol, budget):
+    """Guarded Newton iterates from a descent state, at most `budget` of them.
+
+    Returns (phases, amplitudes, gradient norm, Newton steps) once the norm
+    is below tol or the budget is spent, or None as soon as one iterate
+    fails the curvature guard or does not lower the gradient norm.
+    """
+    norm_target = float(phases.size)
+    for newton_steps in range(1, budget + 1):
+        trial = _newton_step(phases, amplitudes, G2, energies)
+        if trial is None:
+            return None
+        phases, amplitudes = trial
+        amplitudes = np.abs(amplitudes)
+        amplitudes *= np.sqrt(norm_target / (amplitudes @ amplitudes))
+        _, _, norm = _sphere_gradient(phases, amplitudes, G2, energies, norm_target)
+        if not norm < gradient_norm:
+            return None
+        gradient_norm = norm
+        if gradient_norm < tol:
+            break
+    return phases, amplitudes, gradient_norm, newton_steps
+
+
+def _end_state(phases, amplitudes, converged):
+    """(end state, sign pattern) of a finished run; see the module docstring."""
+    if not converged:
+        return "budget exhausted", ""
+    live = amplitudes >= _DEAD_AMPLITUDE
+    relative = np.angle(np.exp(1j * (phases - phases[np.argmax(live)])))
+    plus = np.abs(relative) < _LOCK_TOL
+    minus = np.abs(relative) > np.pi - _LOCK_TOL
+    if not np.all(plus | minus | ~live):
+        return "stationary, unlocked", ""
+    pattern = "".join("0" if not alive else "+" if p else "-"
+                      for alive, p in zip(live, plus))
+    return ("locked" if live.all() else "locked, dead modes"), pattern
+
+
 def free_energy(phases, amplitudes, g, energies=None) -> float:
     """Quartic free energy at the given configuration."""
     phases = np.asarray(phases, dtype=float)
@@ -143,7 +284,7 @@ def equal_phase_residual(amplitudes, g) -> float:
 
 @dataclass
 class PhaseLockResult:
-    """Terminal configuration of the seeded gradient descent."""
+    """Terminal configuration of the seeded descent and its Newton finish."""
 
     phases: np.ndarray
     amplitudes: np.ndarray
@@ -155,6 +296,9 @@ class PhaseLockResult:
     min_amplitude: float
     g_sign: float
     seed: int
+    newton_steps: int
+    end_state: str
+    sign_pattern: str
 
 
 def variational_phase_lock(
@@ -171,11 +315,13 @@ def variational_phase_lock(
     The seed fixes the whole trajectory: phases are drawn uniform on
     [0, 2 pi), amplitudes uniform on [0.5, 1.5] and renormalized to
     sum alpha^2 = M.  Descent updates phases and sphere-projected
-    amplitudes with a fixed step until the joint gradient norm drops
-    below tol or the budget runs out.  The result also carries the
-    equal-phase stationarity residual evaluated with the seeded
-    amplitudes, and the terminal phase spread (max pairwise difference
-    mod 2 pi) so callers can see whether this seed's basin locked.
+    amplitudes with a fixed step, and guarded Newton tries finish it (see
+    the module docstring), until the joint gradient norm drops below tol
+    or max_steps descent and Newton steps are spent.  The result also
+    carries the equal-phase stationarity residual evaluated with the
+    seeded amplitudes, the terminal phase spread (max pairwise difference
+    mod 2 pi), the Newton step count and the end state with its sign
+    pattern, so callers can see whether this seed's basin locked.
     """
     if not 2 <= M <= 6:
         raise ValueError("M must be between 2 and 6")
@@ -197,20 +343,30 @@ def variational_phase_lock(
     residual_at_equal = equal_phase_residual(amplitudes, g)
 
     gradient_norm = np.inf
-    steps = 0
+    steps = newton_steps = 0
     converged = False
+    switch = _NEWTON_SWITCH
     for steps in range(1, max_steps + 1):
-        dphi, damp, _ = _gradients(phases, amplitudes, G2, energies)
-        damp_t = damp - amplitudes * (damp @ amplitudes) / norm_target
-        gradient_norm = float(np.sqrt(dphi @ dphi + damp_t @ damp_t))
+        dphi, damp_t, gradient_norm = _sphere_gradient(
+            phases, amplitudes, G2, energies, norm_target)
         if gradient_norm < tol:
             converged = True
             break
+        if gradient_norm < switch and steps < max_steps:
+            finish = _newton_finish(phases, amplitudes, gradient_norm, G2, energies,
+                                    tol, max_steps - steps)
+            if finish is not None:
+                phases, amplitudes, gradient_norm, newton_steps = finish
+                steps += newton_steps
+                converged = gradient_norm < tol
+                break
+            switch = _RETRY_FALL * gradient_norm
         phases = phases - step * dphi
         amplitudes = np.abs(amplitudes - step * damp_t)
         amplitudes *= np.sqrt(norm_target / (amplitudes @ amplitudes))
 
     diffs = np.angle(np.exp(1j * (phases[:, None] - phases[None, :])))
+    end_state, sign_pattern = _end_state(phases, amplitudes, converged)
     return PhaseLockResult(
         phases=phases,
         amplitudes=amplitudes,
@@ -222,4 +378,7 @@ def variational_phase_lock(
         min_amplitude=float(np.min(amplitudes)),
         g_sign=float(g_sign),
         seed=int(seed),
+        newton_steps=newton_steps,
+        end_state=end_state,
+        sign_pattern=sign_pattern,
     )

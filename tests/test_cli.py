@@ -127,7 +127,6 @@ BAD_VALUES = [
     ["checks", "--pegg-barnett-omega", "-1"],
     ["bound-state", "--u", "nan"],
     ["bound-state", "--u", "inf"],
-    ["bound-state", "--k0", "-1"],
     ["oracle", "--dphi", "inf"],
     ["oracle", "--seed", "-1"],
 ]
@@ -209,10 +208,27 @@ def test_any_out_of_range_flag_exits_three_at_parse_time(tmp_path_factory, argv)
     assert not out.exists()
 
 
-def test_non_convergence_exits_two(tmp_path):
+def test_non_convergence_exits_two(tmp_path, capsys):
     code = run(["phase-lock", "--modes", "3", "--seed", "0", "--max-steps", "5",
                 "--out", str(tmp_path)])
     assert code == 2
+    assert "phase-lock: budget exhausted" in capsys.readouterr().err
+    meta = json.loads((tmp_path / "phase_lock.meta.json").read_text())
+    assert meta["results"]["end_state"] == "budget exhausted"
+
+
+@pytest.mark.parametrize("argv, end_state, pattern, newton_steps", [
+    (["--seed", "6"], "locked", "+++", 3),
+    (["--modes", "4", "--seed", "16"], "locked, dead modes", "+0-0", 0),
+])
+def test_phase_lock_reports_its_end_state(tmp_path, capsys, argv, end_state, pattern,
+                                          newton_steps):
+    assert run(["phase-lock", *argv, "--out", str(tmp_path)]) == 0
+    assert f"phase-lock: {end_state} [{pattern}]" in capsys.readouterr().out
+    results = json.loads((tmp_path / "phase_lock.meta.json").read_text())["results"]
+    assert results["end_state"] == end_state
+    assert results["sign_pattern"] == pattern
+    assert results["newton_steps"] == newton_steps
 
 
 def test_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
@@ -328,7 +344,7 @@ SIDECAR_CASES = [
       "variance_gaussian_form", "factor_discrepancy", "coherence", "oscillator_oracle"}),
     (["phase-lock", "--seed", "6"], "phase_lock", {"descent_tol": 1e-10},
      {"gradient_norm", "steps", "converged", "equal_phase_residual", "phase_spread",
-      "min_amplitude"}),
+      "min_amplitude", "newton_steps", "end_state", "sign_pattern"}),
     (["checks"], "checks", {}, set(CHECK_NAMES)),
 ]
 
@@ -359,13 +375,16 @@ def test_sidecar_contract(tmp_path, argv, stem, tolerances, results):
         assert set(meta["results"]) == results
 
 
-# flags that some subcommands take and these ones never read, and the two
-# Pegg-Barnett inputs of the calibrated checks
+# flags that some subcommands take and these ones never read, the two
+# Pegg-Barnett inputs of the calibrated checks, and the unit flags of the
+# unit-free bound-state
 FOREIGN_OPTIONS = [
     ["overlap", "--tol-gap", "1e-3"],
     ["gap-sweep", "--seed", "1"],
     ["pegg-barnett", "--units", "physical"],
     ["bound-state", "--tol-number", "1e-3"],
+    ["bound-state", "--units", "physical"],
+    ["bound-state", "--k0", "3"],
     ["checks", "--pegg-barnett-s", "32"],
 ]
 

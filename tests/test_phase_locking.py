@@ -3,8 +3,10 @@
 The library computes every gradient from one mat-vec on z (x) z.  The real
 (alpha, phi) tensor formulas it replaced are kept here as the oracle:
 `tensor_gradients` builds the M^4 phase and amplitude-product tensors,
-and `oracle_descent` is the descent loop on top of them.  The closed-form
-box tensor has its quadrature oracle here too, `simpson_box_tensor`.
+and `oracle_descent` is the plain descent loop on top of them.  The
+closed-form box tensor has its quadrature oracle here too,
+`simpson_box_tensor`, and the analytic Hessian of the Newton finish has a
+central-difference oracle, `finite_difference_hessian`.
 """
 
 import math
@@ -19,11 +21,28 @@ from bcsbec.coherent import (
     phase_gradient,
     variational_phase_lock,
 )
-from bcsbec.coherent.phase_locking import _gradients, box_mode_energies, free_energy
+from bcsbec.coherent import phase_locking
+from bcsbec.coherent.phase_locking import (
+    _end_state,
+    _gradients,
+    _hessian,
+    _newton_step,
+    _sphere_gradient,
+    box_mode_energies,
+    free_energy,
+)
 
-# step counts of the M = 3 attractive descent for the seeds whose
-# basin is the equal-phase lock (bcsbec.checks.LOCKING_SEEDS)
-LOCKING_STEPS = {6: 2634, 7: 2653, 13: 2571, 20: 8263, 21: 2615}
+# (steps, Newton steps) of the M = 3 attractive run for the seeds whose
+# basin is the equal-phase lock (bcsbec.checks.LOCKING_SEEDS); steps
+# counts the descent and the Newton steps together
+LOCKING_STEPS = {6: (484, 3), 7: (515, 3), 13: (444, 3), 20: (6374, 2), 21: (485, 3)}
+
+# (M, seed) of every converged attractive run of the M = 2-4 x seeds 0-24
+# survey (budget 12,000 steps) that ends with a dead mode.  Their curvature
+# guard rejects every Newton try; without its relative eigenvalue floor,
+# (3, 1), (3, 2) and (3, 23) would let Newton turn the dead mode's phase.
+DEAD_MODE_RUNS = ((2, 7), (2, 10), (3, 1), (3, 2), (3, 3), (3, 5), (3, 11), (3, 23),
+                  (4, 0), (4, 1), (4, 2), (4, 16))
 
 
 def random_symmetric_tensor(m, rng):
@@ -45,6 +64,26 @@ def simpson_box_tensor(M, length, points=2049):
     w *= (x[1] - x[0]) / 3.0
     g = np.einsum("nx,mx,tx,sx,x->nmts", u, u, u, u, w)
     return sum(np.transpose(g, perm) for perm in permutations(range(4))) / 24.0
+
+
+def finite_difference_hessian(phases, amplitudes, G2, energies, h=1e-6):
+    """Central differences of the analytic gradient in x = (phi, alpha)."""
+    M = phases.size
+    x = np.concatenate([phases, amplitudes])
+    hess = np.empty((2 * M, 2 * M))
+    for j in range(2 * M):
+        bump = np.zeros(2 * M)
+        bump[j] = h
+        up = _gradients((x + bump)[:M], (x + bump)[M:], G2, energies)
+        down = _gradients((x - bump)[:M], (x - bump)[M:], G2, energies)
+        hess[:, j] = (np.concatenate(up[:2]) - np.concatenate(down[:2])) / (2.0 * h)
+    return hess
+
+
+def relative_live_phases(phases, amplitudes):
+    """Phases of the live modes relative to the first live one, in (-pi, pi]."""
+    live = amplitudes >= phase_locking._DEAD_AMPLITUDE
+    return np.angle(np.exp(1j * (phases - phases[np.argmax(live)])))[live]
 
 
 def tensor_gradients(phases, amplitudes, g, energies):
@@ -212,24 +251,136 @@ def test_descent_locks_from_a_pinned_seed():
 
 
 def test_locking_seeds_keep_their_step_counts():
-    for seed, steps in LOCKING_STEPS.items():
+    for seed, (steps, newton_steps) in LOCKING_STEPS.items():
         result = variational_phase_lock(3, seed=seed)
         assert result.converged
-        assert result.steps == steps
+        assert (result.steps, result.newton_steps) == (steps, newton_steps)
+        assert (result.end_state, result.sign_pattern) == ("locked", "+++")
 
 
 def test_descent_matches_tensor_oracle_descent():
-    result = variational_phase_lock(3, seed=6)
-    phases, amplitudes, steps = oracle_descent(3, seed=6)
+    # the descent part: both runs stop at the first gradient norm below the switch
+    switch = phase_locking._NEWTON_SWITCH
+    result = variational_phase_lock(3, seed=6, tol=switch)
+    phases, amplitudes, steps = oracle_descent(3, seed=6, tol=switch)
+    assert result.newton_steps == 0
     assert result.steps == steps
     assert np.abs(result.phases - phases).max() <= 1e-12
     assert np.abs(result.amplitudes - amplitudes).max() <= 1e-12
+    # the Newton finish from there lands on the plain descent's end point
+    result = variational_phase_lock(3, seed=6)
+    phases, amplitudes, _ = oracle_descent(3, seed=6)
+    assert result.newton_steps > 0
+    assert result.gradient_norm <= 1e-12
+    assert np.abs(result.phases - phases).max() <= 1e-9
+    assert np.abs(result.amplitudes - amplitudes).max() <= 1e-9
+
+
+def test_hessian_matches_finite_differences():
+    # central differences of the analytic gradient with h = 1e-6 are off by
+    # at most 2.4e-10 of the largest entry here; the bound leaves a factor 40
+    rng = np.random.default_rng(17)
+    for m in range(2, 7):
+        G2 = random_symmetric_tensor(m, rng).reshape(m * m, m * m)
+        energies = rng.uniform(0.0, 1.0, m)
+        phases = rng.uniform(0.0, 2.0 * np.pi, m)
+        amps = rng.uniform(0.5, 1.5, m)
+        dphi, damp, hess = _hessian(phases, amps, G2, energies)
+        oracle = finite_difference_hessian(phases, amps, G2, energies)
+        assert np.abs(hess - oracle).max() <= 1e-8 * np.abs(hess).max()
+        gradient = _gradients(phases, amps, G2, energies)
+        assert np.array_equal(dphi, gradient[0])
+        assert np.array_equal(damp, gradient[1])
+
+
+def test_unguarded_newton_stops_at_the_saddle(monkeypatch):
+    # seed 20 first falls below the switch far from the lock; plain Newton
+    # iterates from there converge to a stationary point that is a saddle
+    switch_state = variational_phase_lock(3, seed=20, tol=phase_locking._NEWTON_SWITCH)
+    g = -box_mode_tensor(3)
+    G2 = g.reshape(9, 9)
+    energies = box_mode_energies(3, 10.0)
+    phases, amplitudes = switch_state.phases, switch_state.amplitudes
+    monkeypatch.setattr(phase_locking, "_EIGEN_FLOOR", -np.inf)
+    for _ in range(8):
+        phases, amplitudes = _newton_step(phases, amplitudes, G2, energies)
+        amplitudes = np.abs(amplitudes) * np.sqrt(3.0 / (amplitudes @ amplitudes))
+    monkeypatch.undo()
+    _, _, gradient_norm = _sphere_gradient(phases, amplitudes, G2, energies, 3.0)
+    assert gradient_norm <= 1e-12
+    diffs = np.angle(np.exp(1j * (phases[:, None] - phases[None, :])))
+    assert np.abs(diffs).max() > 1.0
+    # the guarded finish rejects that try and still ends locked
+    result = variational_phase_lock(3, seed=20)
+    assert result.converged
+    assert result.phase_spread < 1e-4
+    assert np.abs(result.amplitudes - amplitudes).max() > 0.5
+    assert _newton_step(phases, amplitudes, G2, energies) is None
+
+
+@pytest.mark.parametrize("M, seed", [*((3, seed) for seed in LOCKING_STEPS), *DEAD_MODE_RUNS])
+def test_newton_finish_matches_plain_descent(monkeypatch, M, seed):
+    result = variational_phase_lock(M, seed=seed, max_steps=12_000)
+    monkeypatch.setattr(phase_locking, "_NEWTON_SWITCH", 0.0)
+    plain = variational_phase_lock(M, seed=seed, max_steps=12_000)
+    assert result.converged and plain.converged
+    assert plain.newton_steps == 0
+    assert result.end_state == plain.end_state
+    assert result.sign_pattern == plain.sign_pattern
+    assert np.abs(result.amplitudes - plain.amplitudes).max() <= 1e-9
+    relative = relative_live_phases(result.phases, result.amplitudes)
+    plain_relative = relative_live_phases(plain.phases, plain.amplitudes)
+    assert np.abs(np.angle(np.exp(1j * (relative - plain_relative)))).max() <= 1e-9
+    if (M, seed) in DEAD_MODE_RUNS:
+        # every try was rejected: the trajectory is the plain descent's, bit for bit
+        assert result.newton_steps == 0
+        assert result.steps == plain.steps
+        assert np.array_equal(result.phases, plain.phases)
+        assert np.array_equal(result.amplitudes, plain.amplitudes)
+
+
+def test_tries_that_stop_lowering_the_norm_are_rejected(monkeypatch):
+    # below rounding no Newton iterate can reach the stop, so every try ends
+    # in an iterate whose norm does not fall, and the run is the plain descent
+    result = variational_phase_lock(3, seed=6, tol=1e-20, max_steps=3000)
+    monkeypatch.setattr(phase_locking, "_NEWTON_SWITCH", 0.0)
+    plain = variational_phase_lock(3, seed=6, tol=1e-20, max_steps=3000)
+    assert not result.converged
+    assert result.newton_steps == 0
+    assert np.array_equal(result.phases, plain.phases)
+    assert np.array_equal(result.amplitudes, plain.amplitudes)
+
+
+def test_newton_steps_count_against_the_budget():
+    # seed 6 tries Newton at its 481st gradient and needs three Newton steps
+    for max_steps in (482, 483):
+        result = variational_phase_lock(3, seed=6, max_steps=max_steps)
+        assert not result.converged
+        assert (result.steps, result.newton_steps) == (max_steps, max_steps - 481)
+        assert result.end_state == "budget exhausted"
+    assert variational_phase_lock(3, seed=6, max_steps=484).converged
+
+
+def test_end_states():
+    dead = variational_phase_lock(4, seed=16)
+    assert dead.converged
+    assert dead.newton_steps == 0
+    assert (dead.end_state, dead.sign_pattern) == ("locked, dead modes", "+0-0")
+    assert dead.min_amplitude < phase_locking._DEAD_AMPLITUDE
+    twin = variational_phase_lock(3, seed=4)
+    assert (twin.end_state, twin.sign_pattern) == ("locked", "+-+")
+    ones = np.ones(3)
+    assert _end_state(np.array([0.3, 0.3 + np.pi, 0.3]), ones, True) == ("locked", "+-+")
+    assert _end_state(np.array([0.0, 1.0, 0.0]), ones, True) == ("stationary, unlocked", "")
+    assert _end_state(np.zeros(3), ones, False) == ("budget exhausted", "")
 
 
 def test_descent_budget_reports_non_convergence():
     result = variational_phase_lock(3, seed=0, max_steps=10)
     assert not result.converged
     assert result.steps == 10
+    assert result.newton_steps == 0
+    assert (result.end_state, result.sign_pattern) == ("budget exhausted", "")
 
 
 def test_validation():

@@ -3,8 +3,9 @@
 Runs every subcommand once with its default arguments, the unit-aware
 subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
-seed, the incoherent E_J = 0 chain, a chain sized by its junction
-geometry, a gap sweep configured by a --config file, cold single-point
+seed, a phase lock that ends with dead modes and a repulsive one, the
+incoherent E_J = 0 chain, a chain sized by its junction geometry, a gap
+sweep configured by a --config file, cold single-point
 solves at the pairing threshold and deep on the BEC side, the deep-BCS
 sweep at n = 1e-4, the same sweep from 0.1 U_c, whose first points have a
 gap below resolution, and two phase diagrams at E_c = 1e300, whose boundary
@@ -23,7 +24,7 @@ checkouts produce the same outputs exactly when their digests are equal:
     diff old.txt new.txt
 
 --src selects the `bcsbec` package to run (default: src/ of this checkout).
-The whole set runs in about 3 s on a 2-vCPU x86-64 VM.
+The whole set runs in about 6 s on a 2-vCPU x86-64 VM.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ CONFIG_FILES = {"sweep.cfg": "points = 3\nu-max = 2\n"}
 
 UNIT_AWARE = (
     ["gap-sweep"],
-    ["bound-state"],
     ["phase-diagram"],
     ["eta"],
     ["chain", "--ec", "1", "--ej", "4"],
@@ -53,6 +53,7 @@ UNIT_AWARE = (
 INVOCATIONS = (
     *([*argv, "--units", units] for argv in UNIT_AWARE
       for units in ("dimensionless", "physical")),
+    ["bound-state"],
     ["bound-state", "--u", "0.8"],
     ["bound-state", "--u", "1"],
     ["chain", "--ec", "1", "--ej", "0"],
@@ -64,6 +65,8 @@ INVOCATIONS = (
     ["pegg-barnett", "--s", "64", "--rungs", "5"],
     ["phase-lock", "--seed", "6"],
     ["phase-lock", "--seed", "20"],
+    ["phase-lock", "--modes", "4", "--seed", "16"],
+    ["phase-lock", "--sign", "repulsive", "--seed", "3"],
     ["phase-lock", "--max-steps", "5"],
     ["checks"],
     ["gap-sweep", "--config", "sweep.cfg"],
