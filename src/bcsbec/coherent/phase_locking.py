@@ -37,14 +37,17 @@ point, at one of its degenerate pi-twins, or with a dead mode
 landscape, not by numerical accident; callers who want the locked basin
 must choose seeds that land in it.
 
-Descent runs on phases and amplitudes jointly; the amplitude gradient is
-projected onto the sphere sum alpha^2 = M, which removes the chemical
-potential from the problem (it only enforces that norm).  It converges
-only linearly, so a Newton finish takes over near a minimum.  Newton works
-on the constrained (KKT) system: the analytic Hessian of the z form
-(_hessian) minus the multiplier's 2 lambda on the amplitude diagonal is
-reduced to the tangent space, amplitude directions orthogonal to alpha and
-phase directions orthogonal to the global phase, and one eigh of that
+Descent takes fixed steps on z along the Wirtinger gradient g = 2 (E z + h)
+projected onto the sphere |z|^2 = M (the chemical potential only enforces
+that norm), then rescales z onto it; a mode crosses alpha = 0 with no
+reflection and no phase singularity (angle 0 is taken at z_n = 0).  The stop
+is the joint (phi, alpha) gradient norm, from dF/dphi = Im(conj(z) g) and
+projected dF/dalpha = Re(conj(z) g) / |z|.  The descent converges only
+linearly, so a Newton finish in (phi, alpha) = (angle z, |z|) takes over near
+a minimum.  Newton works on the constrained (KKT) system: the analytic Hessian
+of the z form (_hessian) minus the multiplier's 2 lambda on the amplitude
+diagonal is reduced to the tangent space, amplitude directions orthogonal to
+alpha and phase directions orthogonal to the global phase, and one eigh of that
 matrix gives both the guard and the step.  The finish is first tried when
 the gradient norm falls below _NEWTON_SWITCH = 1e-2.  A try takes Newton
 iterates until the norm is below the stop, and it is rejected as soon as
@@ -55,8 +58,9 @@ rejected try is thrown away, its steps uncounted, and the descent resumes
 from the state before it, bit for bit; the next try comes once the norm
 has fallen below _RETRY_FALL = 0.1 times its value at the rejected one.
 `steps` counts descent and Newton steps together against the budget.
-Given the step, gradient-norm stop and budget (defaults 1e-2, 1e-10 and
-1e5, which the CLI sets), every trajectory is reproducible from its seed.
+Given the step, stop and budget (defaults 1e-2, 1e-10 and 1e5, which the
+CLI sets), every trajectory is reproducible from its seed.  Output phases
+are angle z relative to the first live mode, shifted to the seeded sum.
 
 A finished run is labelled with one end state.  'budget exhausted' means
 it did not converge.  A converged run is 'locked' when z is real up to one
@@ -146,11 +150,14 @@ def _gradients(phases, amplitudes, G2, energies=0.0):
     )
 
 
-def _sphere_gradient(phases, amplitudes, G2, energies, norm_target):
-    """dF/dphi, dF/dalpha projected onto the sphere sum alpha^2 = M, and their joint norm."""
-    dphi, damp, _ = _gradients(phases, amplitudes, G2, energies)
-    damp_t = damp - amplitudes * (damp @ amplitudes) / norm_target
-    return dphi, damp_t, float(np.sqrt(dphi @ dphi + damp_t @ damp_t))
+def _tangent_gradient(z, G2, energies):
+    """Wirtinger gradient projected onto |z|^2 = M, and the joint (phi, alpha) norm."""
+    M = z.size
+    grad = 2.0 * (energies * z + (G2 @ (z[:, None] * z).ravel()).reshape(M, M) @ z.conj())
+    grad -= z * (np.vdot(z, grad).real / M)
+    along = np.exp(-1j * np.angle(z)) * grad
+    dphi, damp = np.abs(z) * along.imag, along.real
+    return grad, float(np.sqrt(dphi @ dphi + damp @ damp))
 
 
 def _hessian(phases, amplitudes, G2, energies):
@@ -190,16 +197,16 @@ def _complement(u):
     return (np.eye(u.size) - np.outer(v, v) / v[0])[:, 1:]
 
 
-def _newton_step(phases, amplitudes, G2, energies):
-    """Trial point of one guarded Newton step, or None if the curvature guard fails.
+def _newton_step(z, G2, energies):
+    """Trial z of one guarded Newton step, or None if the curvature guard fails.
 
-    The Hessian of the Lagrangian F - lambda (alpha . alpha - M) is reduced
-    to the tangent space: amplitude directions orthogonal to alpha, phase
-    directions orthogonal to the global phase.  One eigh of the reduced
-    matrix gives the guard (smallest eigenvalue above _EIGEN_FLOOR times
-    the largest) and the step.
+    In (phi, alpha) = (angle z, |z|), the Hessian of the Lagrangian
+    F - lambda (alpha . alpha - M) is reduced to the tangent space: amplitude
+    directions orthogonal to alpha, phase directions orthogonal to the global
+    phase.  One eigh gives the guard and the step; the trial is rescaled.
     """
-    M = phases.size
+    M = z.size
+    phases, amplitudes = np.angle(z), np.abs(z)
     dphi, damp, hess = _hessian(phases, amplitudes, G2, energies)
     norm = float(amplitudes @ amplitudes)
     r = np.arange(M, 2 * M)
@@ -212,31 +219,27 @@ def _newton_step(phases, amplitudes, G2, energies):
         return None
     tangent = vectors.T @ (basis.T @ np.concatenate([dphi, damp]))
     step = basis @ (vectors @ (tangent / eigenvalues))
-    return phases - step[:M], amplitudes - step[M:]
+    z = (amplitudes - step[M:]) * np.exp(1j * (phases - step[:M]))
+    return z * np.sqrt(M / np.vdot(z, z).real)
 
 
-def _newton_finish(phases, amplitudes, gradient_norm, G2, energies, tol, budget):
+def _newton_finish(z, gradient_norm, G2, energies, tol, budget):
     """Guarded Newton iterates from a descent state, at most `budget` of them.
 
-    Returns (phases, amplitudes, gradient norm, Newton steps) once the norm
-    is below tol or the budget is spent, or None as soon as one iterate
-    fails the curvature guard or does not lower the gradient norm.
+    Returns (z, gradient norm, Newton steps) once the norm is below tol or the
+    budget is spent; None once an iterate fails the guard or does not lower it.
     """
-    norm_target = float(phases.size)
     for newton_steps in range(1, budget + 1):
-        trial = _newton_step(phases, amplitudes, G2, energies)
-        if trial is None:
+        z = _newton_step(z, G2, energies)
+        if z is None:
             return None
-        phases, amplitudes = trial
-        amplitudes = np.abs(amplitudes)
-        amplitudes *= np.sqrt(norm_target / (amplitudes @ amplitudes))
-        _, _, norm = _sphere_gradient(phases, amplitudes, G2, energies, norm_target)
+        _, norm = _tangent_gradient(z, G2, energies)
         if not norm < gradient_norm:
             return None
         gradient_norm = norm
         if gradient_norm < tol:
             break
-    return phases, amplitudes, gradient_norm, newton_steps
+    return z, gradient_norm, newton_steps
 
 
 def _end_state(phases, amplitudes, converged):
@@ -314,8 +317,8 @@ def variational_phase_lock(
 
     The seed fixes the whole trajectory: phases are drawn uniform on
     [0, 2 pi), amplitudes uniform on [0.5, 1.5] and renormalized to
-    sum alpha^2 = M.  Descent updates phases and sphere-projected
-    amplitudes with a fixed step, and guarded Newton tries finish it (see
+    sum alpha^2 = M.  Descent takes fixed steps along the sphere-projected
+    gradient in z = alpha e^{i phi}, and guarded Newton tries finish it (see
     the module docstring), until the joint gradient norm drops below tol
     or max_steps descent and Newton steps are spent.  The result also
     carries the equal-phase stationarity residual evaluated with the
@@ -337,34 +340,31 @@ def variational_phase_lock(
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
     amplitudes = rng.uniform(0.5, 1.5, M)
-    norm_target = float(M)
-    amplitudes *= np.sqrt(norm_target / np.sum(amplitudes**2))
+    amplitudes *= np.sqrt(M / np.sum(amplitudes**2))
 
     residual_at_equal = equal_phase_residual(amplitudes, g)
 
-    gradient_norm = np.inf
-    steps = newton_steps = 0
-    converged = False
+    z = amplitudes * np.exp(1j * phases)
+    newton_steps = 0
     switch = _NEWTON_SWITCH
     for steps in range(1, max_steps + 1):
-        dphi, damp_t, gradient_norm = _sphere_gradient(
-            phases, amplitudes, G2, energies, norm_target)
+        grad, gradient_norm = _tangent_gradient(z, G2, energies)
         if gradient_norm < tol:
-            converged = True
             break
         if gradient_norm < switch and steps < max_steps:
-            finish = _newton_finish(phases, amplitudes, gradient_norm, G2, energies,
-                                    tol, max_steps - steps)
+            finish = _newton_finish(z, gradient_norm, G2, energies, tol, max_steps - steps)
             if finish is not None:
-                phases, amplitudes, gradient_norm, newton_steps = finish
+                z, gradient_norm, newton_steps = finish
                 steps += newton_steps
-                converged = gradient_norm < tol
                 break
             switch = _RETRY_FALL * gradient_norm
-        phases = phases - step * dphi
-        amplitudes = np.abs(amplitudes - step * damp_t)
-        amplitudes *= np.sqrt(norm_target / (amplitudes @ amplitudes))
+        z = z - step * grad
+        z *= np.sqrt(M / np.vdot(z, z).real)
 
+    converged = gradient_norm < tol
+    amplitudes = np.abs(z)
+    relative = np.angle(z * z[np.argmax(amplitudes >= _DEAD_AMPLITUDE)].conj())
+    phases = relative + (phases.sum() - relative.sum()) / M
     diffs = np.angle(np.exp(1j * (phases[:, None] - phases[None, :])))
     end_state, sign_pattern = _end_state(phases, amplitudes, converged)
     return PhaseLockResult(

@@ -3,7 +3,7 @@
 The library computes every gradient from one mat-vec on z (x) z.  The real
 (alpha, phi) tensor formulas it replaced are kept here as the oracle:
 `tensor_gradients` builds the M^4 phase and amplitude-product tensors,
-and `oracle_descent` is the plain descent loop on top of them.  The
+and `oracle_descent` is the plain descent on z on top of them.  The
 closed-form box tensor has its quadrature oracle here too,
 `simpson_box_tensor`, and the analytic Hessian of the Newton finish has a
 central-difference oracle, `finite_difference_hessian`.
@@ -14,6 +14,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsbec.coherent import (
     box_mode_tensor,
@@ -27,7 +29,7 @@ from bcsbec.coherent.phase_locking import (
     _gradients,
     _hessian,
     _newton_step,
-    _sphere_gradient,
+    _tangent_gradient,
     box_mode_energies,
     free_energy,
 )
@@ -35,14 +37,24 @@ from bcsbec.coherent.phase_locking import (
 # (steps, Newton steps) of the M = 3 attractive run for the seeds whose
 # basin is the equal-phase lock (bcsbec.checks.LOCKING_SEEDS); steps
 # counts the descent and the Newton steps together
-LOCKING_STEPS = {6: (484, 3), 7: (515, 3), 13: (444, 3), 20: (6374, 2), 21: (485, 3)}
+LOCKING_STEPS = {6: (449, 3), 7: (491, 3), 13: (442, 3), 20: (676, 3), 21: (471, 3)}
 
 # (M, seed) of every converged attractive run of the M = 2-4 x seeds 0-24
 # survey (budget 12,000 steps) that ends with a dead mode.  Their curvature
 # guard rejects every Newton try; without its relative eigenvalue floor,
-# (3, 1), (3, 2) and (3, 23) would let Newton turn the dead mode's phase.
-DEAD_MODE_RUNS = ((2, 7), (2, 10), (3, 1), (3, 2), (3, 3), (3, 5), (3, 11), (3, 23),
-                  (4, 0), (4, 1), (4, 2), (4, 16))
+# each of them would let Newton turn the dead mode's phase.
+DEAD_MODE_RUNS = ((3, 0), (3, 1), (3, 2), (3, 3), (3, 5), (3, 11), (3, 23))
+
+# (M, seed) of the survey runs that a (phi, alpha) descent ended with a dead
+# mode, and that the descent on z ends locked with every mode live, at a
+# lower free energy
+RELOCKED_RUNS = ((2, 7), (2, 10), (4, 0), (4, 1), (4, 2), (4, 16))
+
+# Phases and amplitudes where a (phi, alpha) descent of the M = 3 seed-20 run
+# first falls below the Newton switch, after 361 steps: mode 3 is nearly dead
+# and 1.4 rad off the lock, close to a saddle of the free energy.
+NEAR_SADDLE = (np.array([2.2759834436869486, 2.277408898361858, 0.868634446721955]),
+               np.array([1.4073643674990572, 1.0094057401647059, 0.020629804083432075]))
 
 
 def random_symmetric_tensor(m, rng):
@@ -119,22 +131,32 @@ def tensor_gradients(phases, amplitudes, g, energies):
 
 
 def oracle_descent(M, seed, step=1e-2, tol=1e-10, max_steps=100_000):
-    """The seeded box-mode descent of variational_phase_lock on tensor_gradients."""
+    """The seeded box-mode descent of variational_phase_lock on tensor_gradients.
+
+    The same projected step on z = alpha e^{i phi}, with the gradient
+    g = e^{i phi} (dF/dalpha + i (dF/dphi) / alpha), and the same output
+    gauge: phases relative to the first live mode, summing to the seeded sum.
+    """
     g = -box_mode_tensor(M, 10.0)
     energies = box_mode_energies(M, 10.0)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
     amplitudes = rng.uniform(0.5, 1.5, M)
     amplitudes *= np.sqrt(M / np.sum(amplitudes**2))
+    z = amplitudes * np.exp(1j * phases)
     for steps in range(1, max_steps + 1):
-        dphi, damp = tensor_gradients(phases, amplitudes, g, energies)
-        damp_t = damp - amplitudes * np.dot(damp, amplitudes) / M
+        alpha = np.abs(z)
+        dphi, damp = tensor_gradients(np.angle(z), alpha, g, energies)
+        damp_t = damp - alpha * np.dot(damp, alpha) / M
         if np.sqrt(np.sum(dphi**2) + np.sum(damp_t**2)) < tol:
             break
-        phases = phases - step * dphi
-        amplitudes = np.abs(amplitudes - step * damp_t)
-        amplitudes *= np.sqrt(M / np.sum(amplitudes**2))
-    return phases, amplitudes, steps
+        grad = z / alpha * (damp + 1j * dphi / alpha)
+        grad -= z * np.real(np.vdot(z, grad)) / M
+        z = z - step * grad
+        z *= np.sqrt(M / np.sum(np.abs(z) ** 2))
+    alpha = np.abs(z)
+    relative = np.angle(z / z[np.argmax(alpha >= phase_locking._DEAD_AMPLITUDE)])
+    return relative + (phases.sum() - relative.sum()) / M, alpha, steps
 
 
 def test_box_energies():
@@ -294,31 +316,34 @@ def test_hessian_matches_finite_differences():
 
 
 def test_unguarded_newton_stops_at_the_saddle(monkeypatch):
-    # seed 20 first falls below the switch far from the lock; plain Newton
-    # iterates from there converge to a stationary point that is a saddle
-    switch_state = variational_phase_lock(3, seed=20, tol=phase_locking._NEWTON_SWITCH)
-    g = -box_mode_tensor(3)
-    G2 = g.reshape(9, 9)
+    # below the switch but far from the lock, plain Newton iterates
+    # converge to a stationary point that is a saddle
+    G2 = -box_mode_tensor(3).reshape(9, 9)
     energies = box_mode_energies(3, 10.0)
-    phases, amplitudes = switch_state.phases, switch_state.amplitudes
+    start = NEAR_SADDLE[1] * np.exp(1j * NEAR_SADDLE[0])
+    _, start_norm = _tangent_gradient(start, G2, energies)
+    assert start_norm < phase_locking._NEWTON_SWITCH
+    z = start
     monkeypatch.setattr(phase_locking, "_EIGEN_FLOOR", -np.inf)
     for _ in range(8):
-        phases, amplitudes = _newton_step(phases, amplitudes, G2, energies)
-        amplitudes = np.abs(amplitudes) * np.sqrt(3.0 / (amplitudes @ amplitudes))
+        z = _newton_step(z, G2, energies)
     monkeypatch.undo()
-    _, _, gradient_norm = _sphere_gradient(phases, amplitudes, G2, energies, 3.0)
+    _, gradient_norm = _tangent_gradient(z, G2, energies)
     assert gradient_norm <= 1e-12
+    phases = np.angle(z)
     diffs = np.angle(np.exp(1j * (phases[:, None] - phases[None, :])))
     assert np.abs(diffs).max() > 1.0
-    # the guarded finish rejects that try and still ends locked
+    # the guard rejects a step there, and the guarded finish rejects the try
+    assert _newton_step(z, G2, energies) is None
+    assert phase_locking._newton_finish(start, start_norm, G2, energies, 1e-10, 100) is None
+    # seed 20 ends locked, far from that saddle
     result = variational_phase_lock(3, seed=20)
-    assert result.converged
-    assert result.phase_spread < 1e-4
-    assert np.abs(result.amplitudes - amplitudes).max() > 0.5
-    assert _newton_step(phases, amplitudes, G2, energies) is None
+    assert (result.end_state, result.sign_pattern) == ("locked", "+++")
+    assert np.abs(result.amplitudes - np.abs(z)).max() > 0.5
 
 
-@pytest.mark.parametrize("M, seed", [*((3, seed) for seed in LOCKING_STEPS), *DEAD_MODE_RUNS])
+@pytest.mark.parametrize("M, seed", [*((3, seed) for seed in LOCKING_STEPS), *DEAD_MODE_RUNS,
+                                     *RELOCKED_RUNS])
 def test_newton_finish_matches_plain_descent(monkeypatch, M, seed):
     result = variational_phase_lock(M, seed=seed, max_steps=12_000)
     monkeypatch.setattr(phase_locking, "_NEWTON_SWITCH", 0.0)
@@ -326,6 +351,7 @@ def test_newton_finish_matches_plain_descent(monkeypatch, M, seed):
     assert result.converged and plain.converged
     assert plain.newton_steps == 0
     assert result.end_state == plain.end_state
+    assert (result.end_state == "locked") == ((M, seed) not in DEAD_MODE_RUNS)
     assert result.sign_pattern == plain.sign_pattern
     assert np.abs(result.amplitudes - plain.amplitudes).max() <= 1e-9
     relative = relative_live_phases(result.phases, result.amplitudes)
@@ -352,20 +378,20 @@ def test_tries_that_stop_lowering_the_norm_are_rejected(monkeypatch):
 
 
 def test_newton_steps_count_against_the_budget():
-    # seed 6 tries Newton at its 481st gradient and needs three Newton steps
-    for max_steps in (482, 483):
+    # seed 6 tries Newton at its 446th gradient and needs three Newton steps
+    for max_steps in (447, 448):
         result = variational_phase_lock(3, seed=6, max_steps=max_steps)
         assert not result.converged
-        assert (result.steps, result.newton_steps) == (max_steps, max_steps - 481)
+        assert (result.steps, result.newton_steps) == (max_steps, max_steps - 446)
         assert result.end_state == "budget exhausted"
-    assert variational_phase_lock(3, seed=6, max_steps=484).converged
+    assert variational_phase_lock(3, seed=6, max_steps=449).converged
 
 
 def test_end_states():
-    dead = variational_phase_lock(4, seed=16)
+    dead = variational_phase_lock(3, seed=1)
     assert dead.converged
     assert dead.newton_steps == 0
-    assert (dead.end_state, dead.sign_pattern) == ("locked, dead modes", "+0-0")
+    assert (dead.end_state, dead.sign_pattern) == ("locked, dead modes", "+0-")
     assert dead.min_amplitude < phase_locking._DEAD_AMPLITUDE
     twin = variational_phase_lock(3, seed=4)
     assert (twin.end_state, twin.sign_pattern) == ("locked", "+-+")
@@ -373,6 +399,34 @@ def test_end_states():
     assert _end_state(np.array([0.3, 0.3 + np.pi, 0.3]), ones, True) == ("locked", "+-+")
     assert _end_state(np.array([0.0, 1.0, 0.0]), ones, True) == ("stationary, unlocked", "")
     assert _end_state(np.zeros(3), ones, False) == ("budget exhausted", "")
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=st.integers(2, 6), g_sign=st.sampled_from((-1.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1), max_steps=st.integers(1, 200))
+def test_output_keeps_the_seeded_gauge_and_norm(M, g_sign, seed, max_steps):
+    # the global phase is fixed by the seeded phases' sum, the norm by M
+    result = variational_phase_lock(M, g_sign=g_sign, seed=seed, max_steps=max_steps)
+    seeded = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, M)
+    assert abs(result.phases.sum() - seeded.sum()) <= 1e-12 * M
+    assert abs(np.sum(result.amplitudes**2) - M) <= 1e-12
+
+
+def test_tangent_gradient_at_an_exact_zero_amplitude():
+    # z_n = 0 takes angle z_n = 0: the norm is the (phi, alpha) one there,
+    # finite and free of a 0/0 (whose RuntimeWarning fails the run)
+    rng = np.random.default_rng(11)
+    G2 = random_symmetric_tensor(3, rng).reshape(9, 9)
+    energies = rng.uniform(0.0, 1.0, 3)
+    amplitudes = np.array([1.3, 0.0, 0.9])
+    amplitudes *= np.sqrt(3.0 / (amplitudes @ amplitudes))
+    z = amplitudes * np.exp(1j * np.array([0.4, 2.0, -1.1]))
+    assert z[1] == 0.0
+    grad, norm = _tangent_gradient(z, G2, energies)
+    dphi, damp, _ = _gradients(np.angle(z), amplitudes, G2, energies)
+    damp_t = damp - amplitudes * (damp @ amplitudes) / 3.0
+    assert np.isfinite(norm) and np.all(np.isfinite(grad)) and grad[1] != 0.0
+    assert norm == pytest.approx(np.sqrt(dphi @ dphi + damp_t @ damp_t), rel=1e-13)
 
 
 def test_descent_budget_reports_non_convergence():
