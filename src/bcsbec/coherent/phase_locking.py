@@ -43,24 +43,23 @@ that norm), then rescales z onto it; a mode crosses alpha = 0 with no
 reflection and no phase singularity (angle 0 is taken at z_n = 0).  The stop
 is the joint (phi, alpha) gradient norm, from dF/dphi = Im(conj(z) g) and
 projected dF/dalpha = Re(conj(z) g) / |z|.  The descent converges only
-linearly, so a Newton finish in (phi, alpha) = (angle z, |z|) takes over near
-a minimum.  Newton works on the constrained (KKT) system: the analytic Hessian
-of the z form (_hessian) minus the multiplier's 2 lambda on the amplitude
-diagonal is reduced to the tangent space, amplitude directions orthogonal to
-alpha and phase directions orthogonal to the global phase, and one eigh of that
-matrix gives both the guard and the step.  The finish is first tried when
-the gradient norm falls below _NEWTON_SWITCH = 1e-2.  A try takes Newton
-iterates until the norm is below the stop, and it is rejected as soon as
-an iterate fails the guard: the smallest projected eigenvalue must exceed
-_EIGEN_FLOOR = 1e-6 times the largest (so Newton cannot stop at a saddle,
-nor turn a dead mode's free phase), and the gradient norm must fall.  A
-rejected try is thrown away, its steps uncounted, and the descent resumes
-from the state before it, bit for bit; the next try comes once the norm
-has fallen below _RETRY_FALL = 0.1 times its value at the rejected one.
-`steps` counts descent and Newton steps together against the budget.
-Given the step, stop and budget (defaults 1e-2, 1e-10 and 1e5, which the
-CLI sets), every trajectory is reproducible from its seed.  Output phases
-are angle z relative to the first live mode, shifted to the seeded sum.
+linearly, so a Newton finish in the same variables, x = (Re z, Im z), takes
+over near a minimum: the constrained (KKT) step with the analytic Hessian
+minus the multiplier's 2 lambda, reduced to the complement of x (the norm)
+and i x (the global phase).  A dead mode, z_n = 0, is an ordinary point in
+x, so runs that end with one finish by Newton too.  The finish is first
+tried once the gradient norm is below _NEWTON_SWITCH = 1e-2.  A try takes
+Newton iterates until the norm is below the stop; it is rejected as soon as
+an iterate fails the guard (the smallest reduced eigenvalue must exceed
+_EIGEN_FLOOR = 1e-6 times the largest, so Newton cannot stop at a saddle)
+or does not lower the norm.  A rejected try is thrown away, its steps
+uncounted, and the descent resumes from the state before it, bit for bit;
+the next try comes once the norm has fallen below _RETRY_FALL = 0.1 times
+its value at the rejected one.  `steps` counts descent and Newton steps
+together against the budget.  Given the step, stop and budget (defaults
+1e-2, 1e-10 and 1e5, which the CLI sets), every trajectory is reproducible
+from its seed.  Output phases are angle z relative to the first live mode,
+shifted so that the live ones sum to the seeded sum.
 
 A finished run is labelled with one end state.  'budget exhausted' means
 it did not converge.  A converged run is 'locked' when z is real up to one
@@ -136,13 +135,16 @@ def _coupling_matrix(g, M: int) -> np.ndarray:
     return g.reshape(M * M, M * M)
 
 
+def _pair_matrix(z, G2):
+    """B = (G2 (z (x) z)).reshape(M, M) = d2F/dconj(z)dconj(z); h = B conj(z)."""
+    return (G2 @ (z[:, None] * z).ravel()).reshape(z.size, z.size)
+
+
 def _gradients(phases, amplitudes, G2, energies=0.0):
     """(dF/dphi, dF/dalpha, quartic term) from q; see the module docstring."""
-    M = phases.size
     rotor = np.exp(1j * phases)
     z = amplitudes * rotor
-    h = (G2 @ (z[:, None] * z).ravel()).reshape(M, M) @ z.conj()
-    q = rotor.conj() * h
+    q = rotor.conj() * (_pair_matrix(z, G2) @ z.conj())
     return (
         2.0 * amplitudes * q.imag,
         2.0 * energies * amplitudes + 2.0 * q.real,
@@ -153,73 +155,40 @@ def _gradients(phases, amplitudes, G2, energies=0.0):
 def _tangent_gradient(z, G2, energies):
     """Wirtinger gradient projected onto |z|^2 = M, and the joint (phi, alpha) norm."""
     M = z.size
-    grad = 2.0 * (energies * z + (G2 @ (z[:, None] * z).ravel()).reshape(M, M) @ z.conj())
+    grad = 2.0 * (energies * z + _pair_matrix(z, G2) @ z.conj())
     grad -= z * (np.vdot(z, grad).real / M)
     along = np.exp(-1j * np.angle(z)) * grad
     dphi, damp = np.abs(z) * along.imag, along.real
     return grad, float(np.sqrt(dphi @ dphi + damp @ damp))
 
 
-def _hessian(phases, amplitudes, G2, energies):
-    """(dF/dphi, dF/dalpha, Hessian of F in x = (phi, alpha)) from the z form.
+def _hessian(z, G2, energies):
+    """(g = 2 (E z + B conj(z)) = dF/dRe(z) + i dF/dIm(z), Hessian of F in (Re z, Im z)).
 
-    With B = (G2 (z (x) z)).reshape(M, M) = d2F/dconj(z)dconj(z) and
-    A = 2 conj(z) . (G2 z).reshape(M, M, M) = d2F/dconj(z)dz, the chain rule
-    through the Jacobian J = [diag(i z), diag(e^{i phi})] of z(x) gives
-    2 Re(J^H (A J + B conj(J))), plus the curvature of z(x) itself
-    (-2 alpha Re q on the phase diagonal, 2 Im q between phi_r and alpha_r)
-    and 2 E on the amplitude diagonal.
+    With A = diag(E) + 2 conj(z) . (G2 z).reshape(M, M, M) = d2F/dconj(z)dz,
+    dg = 2 (A dz + B conj(dz)) has the real form 2 [[Re(A+B), Im(B-A)], [Im(A+B), Re(A-B)]].
     """
-    M = phases.size
-    rotor = np.exp(1j * phases)
-    z = amplitudes * rotor
-    B = (G2 @ (z[:, None] * z).ravel()).reshape(M, M)
-    q = rotor.conj() * (B @ z.conj())
-    A = 2.0 * (z.conj() @ (G2.reshape(M * M * M, M) @ z).reshape(M, M, M))
-    J = np.hstack([np.diag(1j * z), np.diag(rotor)])
-    hess = 2.0 * (J.conj().T @ (A @ J + B @ J.conj())).real
-    r = np.arange(M)
-    hess[r, r] -= 2.0 * amplitudes * q.real
-    hess[r, M + r] += 2.0 * q.imag
-    hess[M + r, r] += 2.0 * q.imag
-    hess[M + r, M + r] += 2.0 * energies
-    return 2.0 * amplitudes * q.imag, 2.0 * energies * amplitudes + 2.0 * q.real, hess
-
-
-def _complement(u):
-    """Orthonormal columns spanning the complement of the unit vector u (u[0] >= 0).
-
-    They are the last columns of the Householder reflection that maps the
-    first basis vector to -u.
-    """
-    v = u.copy()
-    v[0] += 1.0
-    return (np.eye(u.size) - np.outer(v, v) / v[0])[:, 1:]
+    M = z.size
+    B = _pair_matrix(z, G2)
+    A = np.diag(energies) + 2.0 * (z.conj() @ (G2.reshape(M * M * M, M) @ z).reshape(M, M, M))
+    hess = 2.0 * np.block([[(A + B).real, (B - A).imag], [(A + B).imag, (A - B).real]])
+    return 2.0 * (energies * z + B @ z.conj()), hess
 
 
 def _newton_step(z, G2, energies):
-    """Trial z of one guarded Newton step, or None if the curvature guard fails.
-
-    In (phi, alpha) = (angle z, |z|), the Hessian of the Lagrangian
-    F - lambda (alpha . alpha - M) is reduced to the tangent space: amplitude
-    directions orthogonal to alpha, phase directions orthogonal to the global
-    phase.  One eigh gives the guard and the step; the trial is rescaled.
-    """
+    """Trial z of one guarded Newton step in (Re z, Im z), or None if the guard fails."""
     M = z.size
-    phases, amplitudes = np.angle(z), np.abs(z)
-    dphi, damp, hess = _hessian(phases, amplitudes, G2, energies)
-    norm = float(amplitudes @ amplitudes)
-    r = np.arange(M, 2 * M)
-    hess[r, r] -= (damp @ amplitudes) / norm  # 2 lambda
-    basis = np.zeros((2 * M, 2 * M - 2))
-    basis[:M, :M - 1] = _complement(np.full(M, 1.0 / np.sqrt(M)))
-    basis[M:, M - 1:] = _complement(amplitudes / np.sqrt(norm))
+    grad, hess = _hessian(z, G2, energies)
+    hess -= (np.vdot(z, grad).real / M) * np.eye(2 * M)  # 2 lambda
+    x, ix = np.concatenate([z.real, z.imag]), np.concatenate([-z.imag, z.real])
+    # the last 2M - 2 columns of the QR of [x, i x, I] span the tangent space
+    basis = np.linalg.qr(np.column_stack([x, ix, np.eye(2 * M)]))[0][:, 2:]
     eigenvalues, vectors = np.linalg.eigh(basis.T @ hess @ basis)
     if not eigenvalues[0] > _EIGEN_FLOOR * eigenvalues[-1]:
         return None
-    tangent = vectors.T @ (basis.T @ np.concatenate([dphi, damp]))
-    step = basis @ (vectors @ (tangent / eigenvalues))
-    z = (amplitudes - step[M:]) * np.exp(1j * (phases - step[:M]))
+    tangent = vectors.T @ (basis.T @ np.concatenate([grad.real, grad.imag]))
+    x = x - basis @ (vectors @ (tangent / eigenvalues))
+    z = x[:M] + 1j * x[M:]
     return z * np.sqrt(M / np.vdot(z, z).real)
 
 
@@ -240,6 +209,13 @@ def _newton_finish(z, gradient_norm, G2, energies, tol, budget):
         if gradient_norm < tol:
             break
     return z, gradient_norm, newton_steps
+
+
+def _output_phases(z, seeded_sum):
+    """Phases of z relative to its first live mode, the live ones shifted to sum to seeded_sum."""
+    live = np.abs(z) >= _DEAD_AMPLITUDE
+    relative = np.angle(z * z[np.argmax(live)].conj())
+    return relative + (seeded_sum - relative[live].sum()) / np.count_nonzero(live)
 
 
 def _end_state(phases, amplitudes, converged):
@@ -363,8 +339,7 @@ def variational_phase_lock(
 
     converged = gradient_norm < tol
     amplitudes = np.abs(z)
-    relative = np.angle(z * z[np.argmax(amplitudes >= _DEAD_AMPLITUDE)].conj())
-    phases = relative + (phases.sum() - relative.sum()) / M
+    phases = _output_phases(z, phases.sum())
     diffs = np.angle(np.exp(1j * (phases[:, None] - phases[None, :])))
     end_state, sign_pattern = _end_state(phases, amplitudes, converged)
     return PhaseLockResult(

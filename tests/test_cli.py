@@ -219,7 +219,7 @@ def test_non_convergence_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, end_state, pattern, newton_steps", [
     (["--seed", "6"], "locked", "+++", 3),
-    (["--modes", "3", "--seed", "1"], "locked, dead modes", "+0-", 0),
+    (["--modes", "3", "--seed", "1"], "locked, dead modes", "+0-", 3),
 ])
 def test_phase_lock_reports_its_end_state(tmp_path, capsys, argv, end_state, pattern,
                                           newton_steps):

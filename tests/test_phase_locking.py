@@ -5,8 +5,9 @@ The library computes every gradient from one mat-vec on z (x) z.  The real
 `tensor_gradients` builds the M^4 phase and amplitude-product tensors,
 and `oracle_descent` is the plain descent on z on top of them.  The
 closed-form box tensor has its quadrature oracle here too,
-`simpson_box_tensor`, and the analytic Hessian of the Newton finish has a
-central-difference oracle, `finite_difference_hessian`.
+`simpson_box_tensor`, and the analytic Hessian of the Newton finish in
+x = (Re z, Im z) has a central-difference oracle on the einsum gradient of
+the M^4 tensor, `finite_difference_hessian`.
 """
 
 import math
@@ -29,6 +30,7 @@ from bcsbec.coherent.phase_locking import (
     _gradients,
     _hessian,
     _newton_step,
+    _output_phases,
     _tangent_gradient,
     box_mode_energies,
     free_energy,
@@ -40,10 +42,13 @@ from bcsbec.coherent.phase_locking import (
 LOCKING_STEPS = {6: (449, 3), 7: (491, 3), 13: (442, 3), 20: (676, 3), 21: (471, 3)}
 
 # (M, seed) of every converged attractive run of the M = 2-4 x seeds 0-24
-# survey (budget 12,000 steps) that ends with a dead mode.  Their curvature
-# guard rejects every Newton try; without its relative eigenvalue floor,
-# each of them would let Newton turn the dead mode's phase.
+# survey (budget 12,000 steps) that ends with a dead mode.  A dead mode is an
+# ordinary point in x = (Re z, Im z), so the Newton finish ends them too.
 DEAD_MODE_RUNS = ((3, 0), (3, 1), (3, 2), (3, 3), (3, 5), (3, 11), (3, 23))
+
+# Repulsive M = 2 seeds that end with a dead mode after a long linear tail of
+# the plain descent: 19,625, 20,020 and 17,923 steps
+REPULSIVE_DEAD_SEEDS = (2, 4, 5)
 
 # (M, seed) of the survey runs that a (phi, alpha) descent ended with a dead
 # mode, and that the descent on z ends locked with every mode live, at a
@@ -78,17 +83,20 @@ def simpson_box_tensor(M, length, points=2049):
     return sum(np.transpose(g, perm) for perm in permutations(range(4))) / 24.0
 
 
-def finite_difference_hessian(phases, amplitudes, G2, energies, h=1e-6):
-    """Central differences of the analytic gradient in x = (phi, alpha)."""
-    M = phases.size
-    x = np.concatenate([phases, amplitudes])
+def cartesian_gradient(z, g, energies):
+    """dF/dRe(z) + i dF/dIm(z) = 2 (E z + sum_mts g_rmts conj(z_m) z_t z_s), by einsum."""
+    return 2.0 * (energies * z + np.einsum("rmts,m,t,s->r", g, z.conj(), z, z))
+
+
+def finite_difference_hessian(z, g, energies, h=1e-6):
+    """Central differences of the Cartesian gradient in x = (Re z, Im z)."""
+    M = z.size
     hess = np.empty((2 * M, 2 * M))
     for j in range(2 * M):
-        bump = np.zeros(2 * M)
-        bump[j] = h
-        up = _gradients((x + bump)[:M], (x + bump)[M:], G2, energies)
-        down = _gradients((x - bump)[:M], (x - bump)[M:], G2, energies)
-        hess[:, j] = (np.concatenate(up[:2]) - np.concatenate(down[:2])) / (2.0 * h)
+        bump = np.zeros(M, dtype=complex)
+        bump[j % M] = h if j < M else 1j * h
+        diff = cartesian_gradient(z + bump, g, energies) - cartesian_gradient(z - bump, g, energies)
+        hess[:, j] = np.concatenate([diff.real, diff.imag]) / (2.0 * h)
     return hess
 
 
@@ -299,20 +307,17 @@ def test_descent_matches_tensor_oracle_descent():
 
 
 def test_hessian_matches_finite_differences():
-    # central differences of the analytic gradient with h = 1e-6 are off by
-    # at most 2.4e-10 of the largest entry here; the bound leaves a factor 40
+    # central differences of the Cartesian gradient with h = 1e-6 are off by
+    # at most 5.3e-10 of the largest entry here; the bound leaves a factor 18
     rng = np.random.default_rng(17)
     for m in range(2, 7):
-        G2 = random_symmetric_tensor(m, rng).reshape(m * m, m * m)
+        g = random_symmetric_tensor(m, rng)
         energies = rng.uniform(0.0, 1.0, m)
-        phases = rng.uniform(0.0, 2.0 * np.pi, m)
-        amps = rng.uniform(0.5, 1.5, m)
-        dphi, damp, hess = _hessian(phases, amps, G2, energies)
-        oracle = finite_difference_hessian(phases, amps, G2, energies)
+        z = rng.uniform(0.5, 1.5, m) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+        grad, hess = _hessian(z, g.reshape(m * m, m * m), energies)
+        oracle = finite_difference_hessian(z, g, energies)
         assert np.abs(hess - oracle).max() <= 1e-8 * np.abs(hess).max()
-        gradient = _gradients(phases, amps, G2, energies)
-        assert np.array_equal(dphi, gradient[0])
-        assert np.array_equal(damp, gradient[1])
+        assert np.abs(grad - cartesian_gradient(z, g, energies)).max() <= 1e-13 * np.abs(grad).max()
 
 
 def test_unguarded_newton_stops_at_the_saddle(monkeypatch):
@@ -336,33 +341,45 @@ def test_unguarded_newton_stops_at_the_saddle(monkeypatch):
     # the guard rejects a step there, and the guarded finish rejects the try
     assert _newton_step(z, G2, energies) is None
     assert phase_locking._newton_finish(start, start_norm, G2, energies, 1e-10, 100) is None
-    # seed 20 ends locked, far from that saddle
+    # it is a saddle: the Lagrangian Hessian on the tangent space, the
+    # complement of x = (Re z, Im z) and i x, has the eigenvalue -0.56
+    grad, hess = _hessian(z, G2, energies)
+    x, ix = np.concatenate([z.real, z.imag]), np.concatenate([-z.imag, z.real])
+    tangent = np.eye(6) - (np.outer(x, x) + np.outer(ix, ix)) / 3.0
+    lagrangian = hess - np.eye(6) * np.vdot(z, grad).real / 3.0
+    assert np.linalg.eigvalsh(tangent @ lagrangian @ tangent)[0] < -0.5
+    # seed 20 ends locked, at F = -0.779 against the saddle's -0.668
     result = variational_phase_lock(3, seed=20)
     assert (result.end_state, result.sign_pattern) == ("locked", "+++")
-    assert np.abs(result.amplitudes - np.abs(z)).max() > 0.5
+    g = -box_mode_tensor(3)
+    assert free_energy(np.angle(z), np.abs(z), g, energies) > free_energy(
+        result.phases, result.amplitudes, g, energies) + 0.1
 
 
-@pytest.mark.parametrize("M, seed", [*((3, seed) for seed in LOCKING_STEPS), *DEAD_MODE_RUNS,
-                                     *RELOCKED_RUNS])
-def test_newton_finish_matches_plain_descent(monkeypatch, M, seed):
-    result = variational_phase_lock(M, seed=seed, max_steps=12_000)
+@pytest.mark.parametrize("M, g_sign, seed", [
+    *(pytest.param(M, -1.0, seed, id=f"{M}-{seed}")
+      for M, seed in (*((3, seed) for seed in LOCKING_STEPS), *DEAD_MODE_RUNS, *RELOCKED_RUNS)),
+    *(pytest.param(2, 1.0, seed, id=f"2-repulsive-{seed}") for seed in REPULSIVE_DEAD_SEEDS),
+])
+def test_newton_finish_matches_plain_descent(monkeypatch, M, g_sign, seed):
+    result = variational_phase_lock(M, g_sign, seed=seed, max_steps=30_000)
+    # the plain descent stops two decades tighter: a dead mode's amplitude is
+    # off by about the stop over its curvature, 1e-9 at tol = 1e-10 (repulsive)
     monkeypatch.setattr(phase_locking, "_NEWTON_SWITCH", 0.0)
-    plain = variational_phase_lock(M, seed=seed, max_steps=12_000)
+    plain = variational_phase_lock(M, g_sign, seed=seed, tol=1e-12, max_steps=30_000)
     assert result.converged and plain.converged
-    assert plain.newton_steps == 0
+    assert result.newton_steps >= 1 and plain.newton_steps == 0
     assert result.end_state == plain.end_state
-    assert (result.end_state == "locked") == ((M, seed) not in DEAD_MODE_RUNS)
+    dead = g_sign > 0 or (M, seed) in DEAD_MODE_RUNS
+    assert (result.end_state == "locked") == (not dead)
     assert result.sign_pattern == plain.sign_pattern
     assert np.abs(result.amplitudes - plain.amplitudes).max() <= 1e-9
     relative = relative_live_phases(result.phases, result.amplitudes)
     plain_relative = relative_live_phases(plain.phases, plain.amplitudes)
     assert np.abs(np.angle(np.exp(1j * (relative - plain_relative)))).max() <= 1e-9
-    if (M, seed) in DEAD_MODE_RUNS:
-        # every try was rejected: the trajectory is the plain descent's, bit for bit
-        assert result.newton_steps == 0
-        assert result.steps == plain.steps
-        assert np.array_equal(result.phases, plain.phases)
-        assert np.array_equal(result.amplitudes, plain.amplitudes)
+    if g_sign > 0:
+        # the Newton finish cuts the plain descent's linear tail
+        assert result.steps <= 3000
 
 
 def test_tries_that_stop_lowering_the_norm_are_rejected(monkeypatch):
@@ -390,7 +407,7 @@ def test_newton_steps_count_against_the_budget():
 def test_end_states():
     dead = variational_phase_lock(3, seed=1)
     assert dead.converged
-    assert dead.newton_steps == 0
+    assert dead.newton_steps == 3
     assert (dead.end_state, dead.sign_pattern) == ("locked, dead modes", "+0-")
     assert dead.min_amplitude < phase_locking._DEAD_AMPLITUDE
     twin = variational_phase_lock(3, seed=4)
@@ -405,11 +422,26 @@ def test_end_states():
 @given(M=st.integers(2, 6), g_sign=st.sampled_from((-1.0, 1.0)),
        seed=st.integers(0, 2**32 - 1), max_steps=st.integers(1, 200))
 def test_output_keeps_the_seeded_gauge_and_norm(M, g_sign, seed, max_steps):
-    # the global phase is fixed by the seeded phases' sum, the norm by M
+    # the live modes' phases sum to the seeded phases' sum, which fixes the
+    # global phase; the norm is fixed by M
     result = variational_phase_lock(M, g_sign=g_sign, seed=seed, max_steps=max_steps)
     seeded = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, M)
-    assert abs(result.phases.sum() - seeded.sum()) <= 1e-12 * M
+    live = result.amplitudes >= phase_locking._DEAD_AMPLITUDE
+    assert abs(result.phases[live].sum() - seeded.sum()) <= 1e-12 * M
     assert abs(np.sum(result.amplitudes**2) - M) <= 1e-12
+
+
+def test_dead_phase_does_not_move_the_live_phases():
+    # seed 1 ends '+0-': turning the dead mode's dangling phase changes no
+    # live output phase
+    result = variational_phase_lock(3, seed=1)
+    seeded_sum = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, 3).sum()
+    z = result.amplitudes * np.exp(1j * result.phases)
+    live = result.amplitudes >= phase_locking._DEAD_AMPLITUDE
+    assert list(live) == [True, False, True]
+    for turn in (0.0, 0.37, 2.0, -3.0):
+        phases = _output_phases(z * np.exp(1j * turn * ~live), seeded_sum)
+        assert np.abs(phases[live] - result.phases[live]).max() <= 1e-12
 
 
 def test_tangent_gradient_at_an_exact_zero_amplitude():

@@ -3,13 +3,14 @@
 Runs every subcommand once with its default arguments, the unit-aware
 subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
-seed, an attractive and a repulsive phase lock that end with dead modes, the
-incoherent E_J = 0 chain, a chain sized by its junction geometry, a gap
-sweep configured by a --config file, cold single-point
-solves at the pairing threshold and deep on the BEC side, the deep-BCS
-sweep at n = 1e-4, the same sweep from 0.1 U_c, whose first points have a
-gap below resolution, and two phase diagrams at E_c = 1e300, whose boundary
-G* lies near 1e151 and, at n = 1e-4, near 4e153), all in one process,
+seed, an attractive and two repulsive phase locks that end with dead modes
+(the M = 2 one a long descent before its Newton finish), the incoherent
+E_J = 0 chain, a chain sized by its junction geometry, a gap sweep
+configured by a --config file, cold single-point solves at the pairing
+threshold and deep on the BEC side, the deep-BCS sweep at n = 1e-4, the
+same sweep from 0.1 U_c, whose first points have a gap below resolution,
+and two phase diagrams at E_c = 1e300, whose boundary G* lies near 1e151
+and, at n = 1e-4, near 4e153), all in one process,
 and prints one line per output:
 
     <argv>  <file>  <sha256>
@@ -67,6 +68,7 @@ INVOCATIONS = (
     ["phase-lock", "--seed", "20"],
     ["phase-lock", "--seed", "1"],
     ["phase-lock", "--sign", "repulsive", "--seed", "3"],
+    ["phase-lock", "--modes", "2", "--sign", "repulsive", "--seed", "4"],
     ["phase-lock", "--max-steps", "5"],
     ["checks"],
     ["gap-sweep", "--config", "sweep.cfg"],
