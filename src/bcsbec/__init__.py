@@ -35,7 +35,6 @@ from .coherent import (
     bec_overlap,
     box_mode_tensor,
     build_fock_oracle,
-    equal_phase_residual,
     eta_statistics,
     number_phase_derivative_check,
     pegg_barnett,
@@ -83,7 +82,6 @@ __all__ = [
     "bec_overlap",
     "box_mode_tensor",
     "build_fock_oracle",
-    "equal_phase_residual",
     "eta_statistics",
     "number_phase_derivative_check",
     "pegg_barnett",

@@ -53,6 +53,9 @@ __all__ = [
     "ChainGroundState",
 ]
 
+# relative width of E_J / (2 E_c) = 1 that coherence_classify labels 'boundary'
+_BOUNDARY_RTOL = 1e-9
+
 
 def charging_energy(epsilon: float, S: float, d: float) -> float:
     """Charging energy e^2/(2C) of a parallel-plate junction, in joules.
@@ -176,7 +179,7 @@ def oscillator_oracle(
     )
 
 
-def coherence_classify(E_c: float, E_J: float, rtol: float = 1e-9) -> str:
+def coherence_classify(E_c: float, E_J: float) -> str:
     """'global' when E_J > 2 E_c, 'local' below, 'boundary' at equality.
 
     The comparison is scale free (only E_J/E_c enters), so common
@@ -187,7 +190,7 @@ def coherence_classify(E_c: float, E_J: float, rtol: float = 1e-9) -> str:
     if E_J < 0.0:
         raise ValueError("E_J must be >= 0")
     ratio = E_J / (2.0 * E_c)
-    if abs(ratio - 1.0) <= rtol:
+    if abs(ratio - 1.0) <= _BOUNDARY_RTOL:
         return "boundary"
     return "global" if ratio > 1.0 else "local"
 

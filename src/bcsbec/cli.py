@@ -727,7 +727,6 @@ def cmd_phase_lock(cfg: argparse.Namespace) -> int:
             "gradient_norm": result.gradient_norm,
             "steps": result.steps,
             "converged": result.converged,
-            "equal_phase_residual": result.equal_phase_residual,
             "phase_spread": result.phase_spread,
             "min_amplitude": result.min_amplitude,
             "newton_steps": result.newton_steps,

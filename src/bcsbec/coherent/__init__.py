@@ -6,7 +6,7 @@ Subpackage layout:
     overlaps        multimode overlap closed forms and eta statistics
     fock            exact 2^M pair-occupancy oracle (small M, brute force)
     phase_operator  finite-dimensional Hermitian phase operator
-    phase_locking   quartic free-energy stationarity and descent
+    phase_locking   quartic free-energy descent and Newton finish
 """
 
 from .ensembles import PairEnsemble, random_pair_ensemble
@@ -16,8 +16,6 @@ from .phase_operator import PeggBarnettReport, pegg_barnett
 from .phase_locking import (
     PhaseLockResult,
     box_mode_tensor,
-    equal_phase_residual,
-    phase_gradient,
     variational_phase_lock,
 )
 
@@ -34,7 +32,5 @@ __all__ = [
     "pegg_barnett",
     "PhaseLockResult",
     "box_mode_tensor",
-    "equal_phase_residual",
-    "phase_gradient",
     "variational_phase_lock",
 ]

@@ -32,6 +32,8 @@ from ..core import PhysicalParams, dispersion, nsr_form_factor
 __all__ = ["PairEnsemble", "random_pair_ensemble"]
 
 _HALF_PI = 0.5 * np.pi
+# upper end of the wavevectors random_pair_ensemble draws
+_RANDOM_K_MAX = 4.0
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -139,7 +141,6 @@ class PairEnsemble:
 def random_pair_ensemble(
     n_modes: int,
     rng: np.random.Generator,
-    k_max: float = 4.0,
     phi: float | None = None,
 ) -> PairEnsemble:
     """Draw a random but internally consistent PairEnsemble.
@@ -151,7 +152,7 @@ def random_pair_ensemble(
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    k = np.sort(rng.uniform(0.05, k_max, n_modes))
+    k = np.sort(rng.uniform(0.05, _RANDOM_K_MAX, n_modes))
     mu = rng.uniform(-0.5, 1.5)
     Delta0 = rng.uniform(0.2, 2.0)
     eps = k * k - mu

@@ -71,14 +71,14 @@ def eta_statistics(ens: PairEnsemble) -> dict:
     cancellation-free form y^2/(xi (xi + eps)) for eps > 0, mirroring the
     number-equation integrand.  The occupancy counts both spin projections,
     so the angle-weighted mean lies in [0, 2]; both statistics go to zero
-    when every mode sits far above the Fermi surface.
+    when every mode sits far above the Fermi surface.  With Omega = 0 (no
+    sampled mode carries a pairing angle) the pair operator
+    b = Omega^{-1/2} sum theta S- does not exist, and this raises.
     """
-    if ens.Delta0 is None:
-        raise ValueError("gap context (Delta0) not populated")
-    if ens.n_modes == 0:
-        raise ValueError("empty ensemble")
+    xi = ens.xi()
+    if ens.Omega == 0.0:
+        raise ValueError("Omega = 0: no sampled mode is paired, eta is undefined")
     y = ens.Delta0 * ens.form_factor()
-    xi = np.hypot(ens.eps, y)
     with np.errstate(invalid="ignore", divide="ignore"):
         occ = np.where(
             ens.eps > 0.0,

@@ -1,4 +1,4 @@
-"""Stationarity and descent for the quartic multimode free energy.
+"""Descent and Newton finish for the quartic multimode free energy.
 
 The variational energy of a multimode condensate with mode amplitudes
 alpha_n >= 0 and phases phi_n is
@@ -8,22 +8,20 @@ alpha_n >= 0 and phases phi_n is
                           cos(phi_t + phi_s - phi_n - phi_m),
 
 with a fully symmetric coupling tensor g.  Every phase difference enters
-through that cosine, so the configuration with all phases equal is a
-stationary point of the phase sector for any symmetric tensor: each sine
-term vanishes identically.  Whether it is a minimum depends on the sign of
-g (attractive g < 0 lowers F at equal phases; for g > 0 minimality is not
-asserted here, only stationarity).
+through that cosine, so at equal phases each sine term of dF/dphi vanishes
+term by term, for any real tensor: equal-phase stationarity holds by
+construction and is therefore not measured.  Whether that point is a
+minimum depends on the sign of g and on the seed (below).
 
-In complex amplitudes z_n = alpha_n e^{i phi_n} the quartic term is
-(1/2) Re(conj(z (x) z) . G2 (z (x) z)), with g reshaped to the M^2 x M^2
-matrix G2[(n m), (t s)], and one mat-vec gives every derivative: with
+Everything is computed in complex amplitudes z_n = alpha_n e^{i phi_n}.
+With g reshaped to the M^2 x M^2 matrix G2[(n m), (t s)], one mat-vec
+gives the pair matrix B = (G2 (z (x) z)).reshape(M, M), and
 
-    h = (G2 (z (x) z)).reshape(M, M) conj(z),   q = e^{-i phi} h,
+    F = sum E |z|^2 + (1/2) Re(z^H B conj(z)),   g = 2 (E z + B conj(z))
 
-dF/dphi = 2 alpha Im q, dF/dalpha = 2 E alpha + 2 Re q, and the quartic
-term equals (1/2) sum alpha Re q.  The real (alpha, phi) formulas with M^4
-phase and amplitude-product tensors survive only as the oracle in the
-tests.
+is the Wirtinger gradient dF/dRe(z) + i dF/dIm(z).  The real
+(alpha, phi) formulas with M^4 phase and amplitude-product tensors survive
+only as the oracle in the tests.
 
 For 1D box modes u_n(x) = sqrt(2/L) sin(n pi x / L) the quartic tensor
 g_{nmts} = g0 int u_n u_m u_t u_s dx has a closed form (box_mode_tensor,
@@ -37,7 +35,7 @@ point, at one of its degenerate pi-twins, or with a dead mode
 landscape, not by numerical accident; callers who want the locked basin
 must choose seeds that land in it.
 
-Descent takes fixed steps on z along the Wirtinger gradient g = 2 (E z + h)
+Descent takes fixed steps on z along the Wirtinger gradient g
 projected onto the sphere |z|^2 = M (the chemical potential only enforces
 that norm), then rescales z onto it; a mode crosses alpha = 0 with no
 reflection and no phase singularity (angle 0 is taken at z_n = 0).  The stop
@@ -69,7 +67,8 @@ so the equal-phase lock is '+++' and a pi-twin '+-+').  'locked, dead
 modes' is the same with some amplitudes below _DEAD_AMPLITUDE = 1e-6,
 marked '0' in the pattern; their phases dangle and are not compared.  Any
 other stationary point is 'stationary, unlocked'.  The labels change
-nothing about the run: a dead mode does not stop it early.
+nothing about the run: a dead mode does not stop it early.  The phase
+spread, like the sign pattern, is taken over the live modes only.
 """
 
 from __future__ import annotations
@@ -83,8 +82,6 @@ __all__ = [
     "box_mode_tensor",
     "box_mode_energies",
     "free_energy",
-    "phase_gradient",
-    "equal_phase_residual",
     "variational_phase_lock",
 ]
 
@@ -127,29 +124,9 @@ def box_mode_energies(M: int, length: float = 10.0) -> np.ndarray:
     return (n * np.pi / length) ** 2 / 2.0
 
 
-def _coupling_matrix(g, M: int) -> np.ndarray:
-    """g reshaped to G2[(n m), (t s)], checked against the mode count."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (M, M, M, M):
-        raise ValueError("coupling tensor shape does not match mode count")
-    return g.reshape(M * M, M * M)
-
-
 def _pair_matrix(z, G2):
-    """B = (G2 (z (x) z)).reshape(M, M) = d2F/dconj(z)dconj(z); h = B conj(z)."""
+    """B = (G2 (z (x) z)).reshape(M, M) = d2F/dconj(z)dconj(z); see the module docstring."""
     return (G2 @ (z[:, None] * z).ravel()).reshape(z.size, z.size)
-
-
-def _gradients(phases, amplitudes, G2, energies=0.0):
-    """(dF/dphi, dF/dalpha, quartic term) from q; see the module docstring."""
-    rotor = np.exp(1j * phases)
-    z = amplitudes * rotor
-    q = rotor.conj() * (_pair_matrix(z, G2) @ z.conj())
-    return (
-        2.0 * amplitudes * q.imag,
-        2.0 * energies * amplitudes + 2.0 * q.real,
-        0.5 * float(amplitudes @ q.real),
-    )
 
 
 def _tangent_gradient(z, G2, energies):
@@ -233,32 +210,11 @@ def _end_state(phases, amplitudes, converged):
     return ("locked" if live.all() else "locked, dead modes"), pattern
 
 
-def free_energy(phases, amplitudes, g, energies=None) -> float:
-    """Quartic free energy at the given configuration."""
-    phases = np.asarray(phases, dtype=float)
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    _, _, quartic = _gradients(phases, amplitudes, _coupling_matrix(g, phases.size))
-    if energies is None:
-        return quartic
-    return float(np.sum(np.asarray(energies) * amplitudes**2)) + quartic
-
-
-def phase_gradient(phases, amplitudes, g) -> np.ndarray:
-    """dF/dphi_r for the quartic term (the quadratic term is phase free)."""
-    phases = np.asarray(phases, dtype=float)
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    dphi, _, _ = _gradients(phases, amplitudes, _coupling_matrix(g, phases.size))
-    return dphi
-
-
-def equal_phase_residual(amplitudes, g) -> float:
-    """Norm of the phase gradient at equal phases (zero to rounding).
-
-    Holds for any real symmetric tensor: q is real when every phase is 0.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    grad = phase_gradient(np.zeros(amplitudes.size), amplitudes, g)
-    return float(np.linalg.norm(grad))
+def free_energy(phases, amplitudes, g, energies=0.0) -> float:
+    """F = sum E |z|^2 + (1/2) Re(z^H B conj(z)) at z = alpha e^{i phi}; quartic only by default."""
+    z = np.asarray(amplitudes, dtype=float) * np.exp(1j * np.asarray(phases, dtype=float))
+    B = _pair_matrix(z, np.asarray(g, dtype=float).reshape(z.size**2, z.size**2))
+    return float(np.sum(energies * np.abs(z) ** 2) + 0.5 * np.vdot(z, B @ z.conj()).real)
 
 
 @dataclass
@@ -270,11 +226,8 @@ class PhaseLockResult:
     gradient_norm: float
     steps: int
     converged: bool
-    equal_phase_residual: float
     phase_spread: float
     min_amplitude: float
-    g_sign: float
-    seed: int
     newton_steps: int
     end_state: str
     sign_pattern: str
@@ -297,10 +250,9 @@ def variational_phase_lock(
     gradient in z = alpha e^{i phi}, and guarded Newton tries finish it (see
     the module docstring), until the joint gradient norm drops below tol
     or max_steps descent and Newton steps are spent.  The result also
-    carries the equal-phase stationarity residual evaluated with the
-    seeded amplitudes, the terminal phase spread (max pairwise difference
-    mod 2 pi), the Newton step count and the end state with its sign
-    pattern, so callers can see whether this seed's basin locked.
+    carries the terminal phase spread (max pairwise difference of the live
+    phases mod 2 pi), the Newton step count and the end state with its
+    sign pattern, so callers can see whether this seed's basin locked.
     """
     if not 2 <= M <= 6:
         raise ValueError("M must be between 2 and 6")
@@ -309,16 +261,13 @@ def variational_phase_lock(
     if not (step > 0.0 and tol > 0.0 and max_steps >= 1):
         raise ValueError("step, tol, max_steps must be positive")
 
-    g = float(g_sign) * box_mode_tensor(M, length)
-    G2 = g.reshape(M * M, M * M)
+    G2 = float(g_sign) * box_mode_tensor(M, length).reshape(M * M, M * M)
     energies = box_mode_energies(M, length)
 
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
     amplitudes = rng.uniform(0.5, 1.5, M)
     amplitudes *= np.sqrt(M / np.sum(amplitudes**2))
-
-    residual_at_equal = equal_phase_residual(amplitudes, g)
 
     z = amplitudes * np.exp(1j * phases)
     newton_steps = 0
@@ -340,7 +289,8 @@ def variational_phase_lock(
     converged = gradient_norm < tol
     amplitudes = np.abs(z)
     phases = _output_phases(z, phases.sum())
-    diffs = np.angle(np.exp(1j * (phases[:, None] - phases[None, :])))
+    live = phases[amplitudes >= _DEAD_AMPLITUDE]
+    diffs = np.angle(np.exp(1j * (live[:, None] - live[None, :])))
     end_state, sign_pattern = _end_state(phases, amplitudes, converged)
     return PhaseLockResult(
         phases=phases,
@@ -348,11 +298,8 @@ def variational_phase_lock(
         gradient_norm=gradient_norm,
         steps=steps,
         converged=converged,
-        equal_phase_residual=residual_at_equal,
         phase_spread=float(np.max(np.abs(diffs))),
         min_amplitude=float(np.min(amplitudes)),
-        g_sign=float(g_sign),
-        seed=int(seed),
         newton_steps=newton_steps,
         end_state=end_state,
         sign_pattern=sign_pattern,

@@ -343,8 +343,8 @@ SIDECAR_CASES = [
      {"E_c", "E_J", "energy_unit", "sigma2", "variance_oscillator",
       "variance_gaussian_form", "factor_discrepancy", "coherence", "oscillator_oracle"}),
     (["phase-lock", "--seed", "6"], "phase_lock", {"descent_tol": 1e-10},
-     {"gradient_norm", "steps", "converged", "equal_phase_residual", "phase_spread",
-      "min_amplitude", "newton_steps", "end_state", "sign_pattern"}),
+     {"gradient_norm", "steps", "converged", "phase_spread", "min_amplitude",
+      "newton_steps", "end_state", "sign_pattern"}),
     (["checks"], "checks", {}, set(CHECK_NAMES)),
 ]
 
@@ -470,6 +470,15 @@ def test_eta_subcommand(tmp_path):
     assert run(["eta", "--k-points", "32", "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "eta.meta.json").read_text())
     assert meta["results"]["angle_convention"] == "half-angle"
+
+
+def test_eta_without_a_paired_mode_exits_two(tmp_path, capsys):
+    # at U = 0.5 U_c and n = 1e-9 the solution is a free gas whose sampled
+    # modes all lie above eps_F: Omega = 0 and eta is undefined
+    out = tmp_path / "run"
+    assert run(["eta", "--u", "0.5", "--n", "1e-9", "--out", str(out)]) == 2
+    assert "Omega = 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_physical_units_metadata(tmp_path):

@@ -117,6 +117,16 @@ def test_eta_statistics_requires_gap_context():
         eta_statistics(ens)
 
 
+def test_eta_statistics_requires_a_paired_mode():
+    # Omega = 0 (a free gas, no mode below eps_F): b = Omega^{-1/2} sum theta S-
+    # does not exist, so there is no eta to average
+    ens = PairEnsemble(k=np.array([1.0, 2.0]), eps=np.array([0.5, 3.5]),
+                       theta=np.zeros(2), Delta0=0.0)
+    assert ens.Omega == 0.0
+    with pytest.raises(ValueError, match="Omega = 0"):
+        eta_statistics(ens)
+
+
 def test_eta_statistics_far_above_fermi():
     params = PhysicalParams.dimensionless()
     sol = _solution(mu=0.1, Delta0=0.05)

@@ -1,9 +1,11 @@
-"""Quartic free-energy landscape: mode tensor, stationarity, descent locking.
+"""Quartic free-energy landscape: mode tensor, descent locking, Newton finish.
 
-The library computes every gradient from one mat-vec on z (x) z.  The real
-(alpha, phi) tensor formulas it replaced are kept here as the oracle:
-`tensor_gradients` builds the M^4 phase and amplitude-product tensors,
-and `oracle_descent` is the plain descent on z on top of them.  The
+The library computes every derivative from the pair matrix B of one mat-vec
+on z (x) z.  The real (alpha, phi) tensor formulas it replaced are kept
+here as the oracle: `tensor_gradients` builds the M^4 phase and
+amplitude-product tensors, `kernel_gradients` reads the same two
+gradients off the library's Wirtinger gradient, and `oracle_descent` is
+the plain descent on z on top of the tensors.  The
 closed-form box tensor has its quadrature oracle here too,
 `simpson_box_tensor`, and the analytic Hessian of the Newton finish in
 x = (Re z, Im z) has a central-difference oracle on the einsum gradient of
@@ -18,16 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsbec.coherent import (
-    box_mode_tensor,
-    equal_phase_residual,
-    phase_gradient,
-    variational_phase_lock,
-)
+from bcsbec import checks
+from bcsbec.coherent import box_mode_tensor, variational_phase_lock
 from bcsbec.coherent import phase_locking
 from bcsbec.coherent.phase_locking import (
     _end_state,
-    _gradients,
     _hessian,
     _newton_step,
     _output_phases,
@@ -138,6 +135,18 @@ def tensor_gradients(phases, amplitudes, g, energies):
     return dphi, damp
 
 
+def kernel_gradients(phases, amplitudes, g, energies):
+    """(dF/dphi, dF/dalpha) from the library's Wirtinger gradient g at z = alpha e^{i phi}.
+
+    conj(z) g = alpha dF/dalpha + i dF/dphi.
+    """
+    z = amplitudes * np.exp(1j * phases)
+    m = z.size
+    grad, _ = _hessian(z, g.reshape(m * m, m * m), energies)
+    along = z.conj() * grad
+    return along.imag, along.real / amplitudes
+
+
 def oracle_descent(M, seed, step=1e-2, tol=1e-10, max_steps=100_000):
     """The seeded box-mode descent of variational_phase_lock on tensor_gradients.
 
@@ -196,15 +205,6 @@ def test_box_tensor_parity_selection_rule():
             assert g[idx] == 0.0
 
 
-def test_equal_phases_are_stationary_for_any_symmetric_tensor():
-    rng = np.random.default_rng(99)
-    for _ in range(5):
-        m = int(rng.integers(2, 6))
-        g = random_symmetric_tensor(m, rng)
-        amps = rng.uniform(0.5, 1.5, m)
-        assert equal_phase_residual(amps, g) <= 1e-12
-
-
 def test_pi_twin_degeneracy():
     # adding pi to every odd-quantum-number mode leaves the free energy
     # unchanged: the parity selection rule only keeps even index sums
@@ -229,10 +229,9 @@ def test_gradients_match_tensor_oracle():
         phases = rng.uniform(0.0, 2.0 * np.pi, m)
         amps = rng.uniform(0.5, 1.5, m)
         dphi, damp = tensor_gradients(phases, amps, g, energies)
-        new_dphi, new_damp, _ = _gradients(phases, amps, g.reshape(m * m, m * m), energies)
+        new_dphi, new_damp = kernel_gradients(phases, amps, g, energies)
         assert np.abs(new_dphi - dphi).max() <= 1e-13
         assert np.abs(new_damp - damp).max() <= 1e-13
-        assert np.array_equal(phase_gradient(phases, amps, g), new_dphi)
 
 
 def test_gradient_matches_finite_differences():
@@ -240,7 +239,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
     amps = rng.uniform(0.5, 1.5, 3)
-    grad = phase_gradient(phases, amps, g)
+    grad, _ = kernel_gradients(phases, amps, g, np.zeros(3))
     h = 1e-6
     for r in range(3):
         bump = np.zeros(3)
@@ -257,7 +256,7 @@ def test_amplitude_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     phases = rng.uniform(0.0, 2.0 * np.pi, 3)
     amps = rng.uniform(0.5, 1.5, 3)
-    _, grad, _ = _gradients(phases, amps, g.reshape(9, 9), energies)
+    _, grad = kernel_gradients(phases, amps, g, energies)
     h = 1e-6
     for r in range(3):
         bump = np.zeros(3)
@@ -273,9 +272,7 @@ def test_descent_locks_from_a_pinned_seed():
     result = variational_phase_lock(3, seed=7)
     assert result.converged
     assert result.phase_spread < 1e-4
-    assert result.equal_phase_residual == 0.0
     assert result.min_amplitude > 1e-3
-    assert result.g_sign == -1.0
     # the amplitude normalization sum alpha^2 = M survives the descent
     assert float(np.sum(result.amplitudes**2)) == pytest.approx(3.0, rel=1e-9)
 
@@ -444,18 +441,35 @@ def test_dead_phase_does_not_move_the_live_phases():
         assert np.abs(phases[live] - result.phases[live]).max() <= 1e-12
 
 
+def test_phase_spread_is_taken_over_the_live_modes():
+    # seed 1 ends '+0-': the two live modes are pi apart, and the dead
+    # mode's dangling phase does not enter the spread
+    result = variational_phase_lock(3, seed=1)
+    assert result.sign_pattern == "+0-"
+    assert result.phase_spread == pytest.approx(np.pi, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed, pattern", [(4, "+-+"), (1, "+0-")])
+def test_phase_lock_check_fails_off_the_equal_phase_lock(monkeypatch, seed, pattern):
+    # the check fails once one of its seeds ends in a pi-twin or with a dead mode
+    monkeypatch.setattr(checks, "LOCKING_SEEDS", (*checks.LOCKING_SEEDS, seed))
+    result = checks.check_phase_lock()
+    assert not result.passed
+    assert result.measured["sign_patterns"][seed] == pattern
+
+
 def test_tangent_gradient_at_an_exact_zero_amplitude():
     # z_n = 0 takes angle z_n = 0: the norm is the (phi, alpha) one there,
     # finite and free of a 0/0 (whose RuntimeWarning fails the run)
     rng = np.random.default_rng(11)
-    G2 = random_symmetric_tensor(3, rng).reshape(9, 9)
+    g = random_symmetric_tensor(3, rng)
     energies = rng.uniform(0.0, 1.0, 3)
     amplitudes = np.array([1.3, 0.0, 0.9])
     amplitudes *= np.sqrt(3.0 / (amplitudes @ amplitudes))
     z = amplitudes * np.exp(1j * np.array([0.4, 2.0, -1.1]))
     assert z[1] == 0.0
-    grad, norm = _tangent_gradient(z, G2, energies)
-    dphi, damp, _ = _gradients(np.angle(z), amplitudes, G2, energies)
+    grad, norm = _tangent_gradient(z, g.reshape(9, 9), energies)
+    dphi, damp = tensor_gradients(np.angle(z), amplitudes, g, energies)
     damp_t = damp - amplitudes * (damp @ amplitudes) / 3.0
     assert np.isfinite(norm) and np.all(np.isfinite(grad)) and grad[1] != 0.0
     assert norm == pytest.approx(np.sqrt(dphi @ dphi + damp_t @ damp_t), rel=1e-13)

@@ -10,7 +10,8 @@ configured by a --config file, cold single-point solves at the pairing
 threshold and deep on the BEC side, the deep-BCS sweep at n = 1e-4, the
 same sweep from 0.1 U_c, whose first points have a gap below resolution,
 and two phase diagrams at E_c = 1e300, whose boundary G* lies near 1e151
-and, at n = 1e-4, near 4e153), all in one process,
+and, at n = 1e-4, near 4e153, and an eta run on a free gas, which exits 2
+because no sampled mode is paired), all in one process,
 and prints one line per output:
 
     <argv>  <file>  <sha256>
@@ -78,6 +79,7 @@ INVOCATIONS = (
     ["gap-sweep", "--u-min", "0.1", "--n", "1e-4"],
     ["phase-diagram", "--ec", "1e300", "--u-points", "1", "--g-points", "2"],
     ["phase-diagram", "--ec", "1e300", "--n", "1e-4", "--u-points", "1", "--g-points", "2"],
+    ["eta", "--u", "0.5", "--n", "1e-9"],
 )
 
 
