@@ -81,7 +81,6 @@ __all__ = [
     "PhaseLockResult",
     "box_mode_tensor",
     "box_mode_energies",
-    "free_energy",
     "variational_phase_lock",
 ]
 
@@ -208,13 +207,6 @@ def _end_state(phases, amplitudes, converged):
     pattern = "".join("0" if not alive else "+" if p else "-"
                       for alive, p in zip(live, plus))
     return ("locked" if live.all() else "locked, dead modes"), pattern
-
-
-def free_energy(phases, amplitudes, g, energies=0.0) -> float:
-    """F = sum E |z|^2 + (1/2) Re(z^H B conj(z)) at z = alpha e^{i phi}; quartic only by default."""
-    z = np.asarray(amplitudes, dtype=float) * np.exp(1j * np.asarray(phases, dtype=float))
-    B = _pair_matrix(z, np.asarray(g, dtype=float).reshape(z.size**2, z.size**2))
-    return float(np.sum(energies * np.abs(z) ** 2) + 0.5 * np.vdot(z, B @ z.conj()).real)
 
 
 @dataclass

@@ -49,6 +49,32 @@ bound_state_energy returns that closed form; the tests check it against an
 independent numerical root-find of the integral equation.  At zero gap and
 mu < 0 the gap equation is the bound-state equation with E_b = -2 mu, so
 for mu <= 0 it has a positive root exactly when mu > -E_b/2.
+
+The BEC end has a closed form (the molecular limit of Leggett 1980 and
+Nozieres & Schmitt-Rink 1985).  In eps0 = k0 = 1 units let b = U/U_c - 1,
+so E_b/2 = b^2, and nu = mu + E_b/2; then eps_k - mu = k^2 + b^2 - nu.
+To first order in Delta0^2 and nu the occupancy is 1 - eps/xi =
+Delta0^2 Gamma^2/(2 (k^2 + b^2)^2), and 1/xi = 1/(k^2 + b^2) + nu/(k^2 +
+b^2)^2 - Delta0^2 Gamma^2/(2 (k^2 + b^2)^3).  The zeroth order of the gap
+equation is the bound-state equation, so the two equations read
+
+    n  = (Delta0^2/2) I2,      nu = (Delta0^2/2) I4/I2,
+
+with I_p = Integral d^3k/(2 pi)^3 Gamma^p/(k^2 + b^2)^(p/2+1).  Both are
+rational: from Integral_0^inf k^2 dk/((k^2 + 1)(k^2 + b^2)) = pi/(2(1+b))
+and its derivatives in b^2, I2 = 1/(8 pi b (1+b)^2) and I4 = (1 + 4b)/(32
+pi b^3 (1+b)^4).  Hence, with m = n/k0^3, as n -> 0
+
+    Delta0 = sqrt(16 pi b (1+b)^2 m) eps0,   mu = -E_b/2 + 2 pi (1+4b) (m/b) eps0,
+
+and the solver's Delta0 and nu approach both forms with relative errors
+linear in n.  A cold solve above U_c hands this pair to the Newton polish
+as its first guess (_bec_seed) when that mu lies below eps_F, which no
+mean-field mu exceeds; near the threshold or at high density, where the
+expansion fails, the gate sends the solve straight to the search.  Deep on
+the BEC side the polish returns the seed unchanged: there nu falls below
+the rounding of mu, and the gap can fall below the resolution floor, so
+the search, which brackets mu in absolute terms, cannot reach the root.
 """
 
 from __future__ import annotations
@@ -336,6 +362,26 @@ def _warm_start(prev: GapSolution | None, U: float):
     return prev.mu, prev.Delta0
 
 
+def _bec_seed(Eb, n, eps_F, params):
+    """The molecular-limit (mu, Delta0) at binding energy Eb, or None.
+
+    With b = sqrt(Eb/(2 eps0)) = U/U_c - 1 and m = n/k0^3, the closed
+    forms mu = -Eb/2 + 2 pi (1 + 4b) (m/b) eps0 and Delta0 =
+    sqrt(16 pi b m) (1 + b) eps0, exact as n -> 0 (see the module
+    docstring).  None below or at the threshold (Eb None or 0), and when
+    the seed's mu is not below eps_F, which no mean-field solution exceeds.
+    """
+    if not Eb:
+        return None
+    eps0 = params.eps0
+    b = math.sqrt(0.5 * Eb / eps0)
+    m = n / params.k0**3
+    mu = -0.5 * Eb + 2.0 * math.pi * (1.0 + 4.0 * b) * (m / b) * eps0
+    if not mu < eps_F:
+        return None
+    return mu, math.sqrt(16.0 * math.pi * b * m) * (1.0 + b) * eps0
+
+
 def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
                           tol_gap: float = 1e-10, tol_number: float = 1e-8,
                           initial_guess: tuple[float, float] | None = None) -> GapSolution:
@@ -343,13 +389,20 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
 
     initial_guess (mu, Delta0) goes straight to the Newton polish, which
     sweeps exploit point to point; should the polish miss, the guess seeds
-    a cold solve.  A cold solve runs the safeguarded Newton of _safe_newton
-    on the density excess over the mu bracket (-E_b/2, inf), with lower end
-    0 below U_c: the gap equation loses its positive solution exactly at
-    mu = -E_b/2 (the two-body dissociation edge).  It starts at
-    mu = -E_b/2 + eps_F (eps_F = params.fermi_energy(n)), steps toward the
-    open upper end by at most half of scale = max(eps_F, eps0), and stops
-    at a bracket 1e-6 scale wide.  Each probe solves the gap at fixed mu
+    a cold solve.  Without one, a solve above U_c takes the molecular limit
+    as its guess, Delta0 = sqrt(16 pi b (1+b)^2 m) eps0 and mu = -E_b/2 +
+    2 pi (1+4b) (m/b) eps0 with b = U/U_c - 1 and m = n/k0^3, the first
+    order of n = (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2 (see
+    the module docstring), provided that mu lies below eps_F, which no
+    mean-field mu exceeds; should its polish miss, it seeds the search just
+    as a missed initial_guess does.  A cold solve runs the safeguarded
+    Newton of _safe_newton on the density excess over the mu bracket
+    (-E_b/2, inf), with lower end 0 below U_c: the gap equation loses its
+    positive solution exactly at mu = -E_b/2 (the two-body dissociation
+    edge).  It starts at mu = -E_b/2 + eps_F (eps_F =
+    params.fermi_energy(n)), steps toward the open upper end by at most
+    half of scale = max(eps_F, eps0), and stops at a bracket 1e-6 scale
+    wide.  Each probe solves the gap at fixed mu
     (_gap_at_mu) from the previous probe's gap moved along dDelta0/dmu, and
     one integral at that root gives the density and the slope dn/dmu.  The
     Newton polish starts from the search's root.  When the last probe found
@@ -368,6 +421,12 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
     last = None  # (mu, Delta0, dDelta0/dmu) of the last probe with a resolved gap
     free = False  # whether the last probe found no resolved gap
 
+    # E_b is taken once: up front by a cold solve, which may seed from it,
+    # and by a warm one only once its polish has missed
+    warm = initial_guess is not None
+    if not warm:
+        Eb = bound_state_energy(U, params)
+        initial_guess = _bec_seed(Eb, n, eps_F, params)
     if initial_guess is not None:
         mu0, D0 = initial_guess
         if D0 > 0:
@@ -378,7 +437,8 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
                 return GapSolution(U, n, mu, D, rg, rn, iterations, True, tangent=tangent)
             last = (mu0, D0, 0.0)
 
-    Eb = bound_state_energy(U, params)
+    if warm:
+        Eb = bound_state_energy(U, params)
     mu_lo = -0.5 * Eb * (1.0 - 1e-12) if Eb else 0.0
 
     def gap_near(mu):  # Delta0 at mu predicted from `last`, or None

@@ -61,6 +61,19 @@ def test_gap_below_resolution_converges_as_the_free_gas(tmp_path):
     assert free and all(row[1] == "1" and row[4] == "nan" for row in free)
 
 
+@pytest.mark.parametrize("n, ratio", [("1e-30", "2"), ("0.1", "1e6")])
+def test_deep_bec_single_point_converges(tmp_path, n, ratio):
+    # a gap of 1.4e-14 eps0, near the resolution floor, and a mu near
+    # -E_b/2 = -1e12 eps0, whose float spacing exceeds the mu search's
+    # bracket width: both converge from the molecular-limit seed
+    assert run(["gap-sweep", "--n", n, "--u-min", ratio, "--u-max", ratio, "--points", "1",
+                "--out", str(tmp_path)]) == 0
+    [row] = (tmp_path / "gap_sweep.csv").read_text().splitlines()[1:]
+    fields = row.split(",")
+    assert fields[6] == "1"
+    assert abs(float(fields[4])) <= 1e-10 and abs(float(fields[5])) <= 1e-8
+
+
 def test_phase_diagram_passes_its_tolerances_to_the_solver(tmp_path, monkeypatch):
     seen = []
     solve = bcsbec.diagram.solve_self_consistent

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
 import bcsbec.gap
 from bcsbec.core import PhysicalParams, critical_coupling
 from bcsbec.gap import (
     GapSolution,
+    _bec_seed,
     _breakpoints,
     _gap_at_mu,
     _newton_polish,
@@ -414,14 +415,74 @@ def integral_count(monkeypatch):
 
 
 def test_cold_solve_quadrature_budget(params, integral_count):
-    # an exact count: every cold solve on this grid takes at most 50 integrals
+    # exact counts: every cold solve on this grid takes at most 50 integrals,
+    # and one seeded from the molecular limit at most 6
     Uc = critical_coupling(params)
     for ratio in (0.6, 1.0, 1.2, 2.0, 4.0):
         for n in (0.003, 0.02, 0.1):
+            U = ratio * Uc
+            seeded = _bec_seed(bound_state_energy(U, params), n, params.fermi_energy(n),
+                               params) is not None
             before = integral_count()
-            sol = solve_self_consistent(ratio * Uc, n, params)
+            sol = solve_self_consistent(U, n, params)
             assert sol.converged
-            assert integral_count() - before <= 50, (ratio, n, integral_count() - before)
+            used = integral_count() - before
+            assert used <= (6 if seeded else 50), (ratio, n, seeded, used)
+
+
+@pytest.mark.parametrize("b", [0.05, 0.2, 1.0, 3.0, 10.0])
+def test_molecular_limit_seed_solves_its_integral_equations(params, b):
+    # n = (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2, with
+    # I_p = Integral d^3k/(2 pi)^3 Gamma^p/(k^2 + b^2)^(p/2+1) by scipy quad
+    def integral(p):
+        def f(k):
+            return k * k / (1.0 + k * k) ** (p / 2) / (k * k + b * b) ** (p / 2 + 1)
+
+        value, _ = quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13)
+        return value / (2.0 * math.pi**2)
+
+    i2, i4 = integral(2), integral(4)
+    n = 1e-6
+    mu, D = _bec_seed(2.0 * b * b, n, params.fermi_energy(n), params)
+    assert 0.5 * D * D * i2 == pytest.approx(n, rel=1e-12)
+    # mu + b^2 cancels about 1e-16 b^2/(mu + b^2) of its relative precision
+    assert mu + b * b == pytest.approx(0.5 * D * D * i4 / i2, rel=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [1.2, 2.0, 4.0])
+def test_solves_approach_the_molecular_limit_linearly_in_n(params, ratio):
+    # at these densities the polish moves the seed; the converged Delta0
+    # differs from the closed form by O(n), the same multiple of n at both
+    U = ratio * critical_coupling(params)
+    Eb = bound_state_energy(U, params)
+    slopes = []
+    for n in (1e-8, 1e-6):
+        mu0, D0 = _bec_seed(Eb, n, params.fermi_energy(n), params)
+        sol = solve_self_consistent(U, n, params)
+        assert sol.converged and sol.iterations >= 2
+        slopes.append((sol.Delta0 / D0 - 1.0) / n)
+    assert slopes[0] == pytest.approx(slopes[1], rel=1e-2)
+    # mu + E_b/2 has its first order right too: at n = 1e-6 it is within 300 n
+    assert abs((sol.mu + 0.5 * Eb) / (mu0 + 0.5 * Eb) - 1.0) <= 300.0 * n
+
+
+@settings(max_examples=30, deadline=None)
+@given(ratio=st.floats(1.05, 6.0), log_n=st.floats(-300.0, -14.0),
+       units=st.sampled_from(["dimensionless", "physical"]))
+@example(ratio=2.0, log_n=-30.0, units="dimensionless")
+@example(ratio=2.0, log_n=-20.0, units="dimensionless")
+@example(ratio=1.05, log_n=-300.0, units="physical")
+def test_deep_bec_solves_converge_above_the_dissociation_edge(ratio, log_n, units):
+    # n = 10^log_n k0^3: the gap sits near or below the resolution floor and
+    # mu + E_b/2 below the rounding of mu, yet every solve converges, with
+    # mu not below -E_b/2 and residuals recomputed within tolerance
+    params = _params(units)
+    U, n = ratio * critical_coupling(params), 10.0**log_n * params.k0**3
+    sol = solve_self_consistent(U, n, params)
+    assert sol.converged
+    assert sol.mu >= -0.5 * bound_state_energy(U, params)
+    assert abs(gap_residual(sol.Delta0, sol.mu, U, params)) <= 1e-10
+    assert abs(number_residual(sol.Delta0, sol.mu, n, params)) <= 1e-8
 
 
 @pytest.mark.parametrize("units", ["dimensionless", "physical"])
@@ -445,9 +506,10 @@ def test_locate_mu_zero_quadrature_budget(params, integral_count):
 
 
 def test_cold_solve_reports_an_exhausted_budget(params, monkeypatch):
-    # past _MAX_ITER the mu search stops and hands back its best probe, unconverged
+    # past _MAX_ITER the mu search stops and hands back its best probe,
+    # unconverged; below U_c no molecular-limit seed skips the search
     monkeypatch.setattr(bcsbec.gap, "_MAX_ITER", 10)
-    sol = solve_self_consistent(2.0 * critical_coupling(params), REFERENCE_N, params)
+    sol = solve_self_consistent(0.8 * critical_coupling(params), REFERENCE_N, params)
     assert not sol.converged
     assert sol.note == "mu search exhausted the budget"
     assert sol.iterations > 10 and sol.Delta0 > 0

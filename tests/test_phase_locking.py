@@ -2,7 +2,8 @@
 
 The library computes every derivative from the pair matrix B of one mat-vec
 on z (x) z.  The real (alpha, phi) tensor formulas it replaced are kept
-here as the oracle: `tensor_gradients` builds the M^4 phase and
+here as the oracle: `free_energy` sums the M^4 tensor against
+conj(z) conj(z) z z, `tensor_gradients` builds the M^4 phase and
 amplitude-product tensors, `kernel_gradients` reads the same two
 gradients off the library's Wirtinger gradient, and `oracle_descent` is
 the plain descent on z on top of the tensors.  The
@@ -30,7 +31,6 @@ from bcsbec.coherent.phase_locking import (
     _output_phases,
     _tangent_gradient,
     box_mode_energies,
-    free_energy,
 )
 
 # (steps, Newton steps) of the M = 3 attractive run for the seeds whose
@@ -101,6 +101,17 @@ def relative_live_phases(phases, amplitudes):
     """Phases of the live modes relative to the first live one, in (-pi, pi]."""
     live = amplitudes >= phase_locking._DEAD_AMPLITUDE
     return np.angle(np.exp(1j * (phases - phases[np.argmax(live)])))[live]
+
+
+def free_energy(phases, amplitudes, g, energies=0.0):
+    """F = sum E alpha^2 + (1/2) sum g alpha^4 cos(phi_t + phi_s - phi_n - phi_m), by einsum.
+
+    conj(z_n) conj(z_m) z_t z_s at z = alpha e^{i phi} carries the cosine as
+    its real part; the quartic term alone by default.
+    """
+    z = np.asarray(amplitudes, dtype=float) * np.exp(1j * np.asarray(phases, dtype=float))
+    quartic = np.einsum("nmts,n,m,t,s->", g, z.conj(), z.conj(), z, z).real
+    return float(np.sum(energies * np.abs(z) ** 2) + 0.5 * quartic)
 
 
 def tensor_gradients(phases, amplitudes, g, energies):

@@ -7,12 +7,13 @@ seed, an attractive and two repulsive phase locks that end with dead modes
 (the M = 2 one a long descent before its Newton finish), the incoherent
 E_J = 0 chain, a chain sized by its junction geometry, a gap sweep
 configured by a --config file, cold single-point solves at the pairing
-threshold and deep on the BEC side, the deep-BCS sweep at n = 1e-4, the
-same sweep from 0.1 U_c, whose first points have a gap below resolution,
-and two phase diagrams at E_c = 1e300, whose boundary G* lies near 1e151
-and, at n = 1e-4, near 4e153, and an eta run on a free gas, which exits 2
-because no sampled mode is paired), all in one process,
-and prints one line per output:
+threshold and deep on the BEC side (at 3 U_c, at n = 1e-30, whose gap is
+near the resolution floor, and at 1e6 U_c, whose mu is near -1e12 eps0),
+the deep-BCS sweep at n = 1e-4, the same sweep from 0.1 U_c, whose first
+points have a gap below resolution, and two phase diagrams at E_c = 1e300,
+whose boundary G* lies near 1e151 and, at n = 1e-4, near 4e153, and an eta
+run on a free gas, which exits 2 because no sampled mode is paired), all
+in one process, and prints one line per output:
 
     <argv>  <file>  <sha256>
 
@@ -75,6 +76,8 @@ INVOCATIONS = (
     ["gap-sweep", "--config", "sweep.cfg"],
     ["gap-sweep", "--points", "1", "--u-min", "1", "--u-max", "1"],
     ["gap-sweep", "--points", "1", "--u-min", "3", "--u-max", "3", "--n", "0.003"],
+    ["gap-sweep", "--n", "1e-30", "--u-min", "2", "--u-max", "2", "--points", "1"],
+    ["gap-sweep", "--n", "0.1", "--u-min", "1e6", "--u-max", "1e6", "--points", "1"],
     ["gap-sweep", "--n", "0.0001"],
     ["gap-sweep", "--u-min", "0.1", "--n", "1e-4"],
     ["phase-diagram", "--ec", "1e300", "--u-points", "1", "--g-points", "2"],
