@@ -4,11 +4,11 @@ Modules
 -------
 core        model parameters, dispersion, form factor, critical coupling
 quadrature  adaptive radial quadrature for isotropic 3D momentum integrals
-gap         gap/number self-consistency, two-body bound state, coupling sweeps
+gap         gap/number self-consistency, two-body bound state
 coherent    overlaps, pair-collective-mode diagnostics, exact Fock oracle,
             truncated phase operator, variational phase locking
 chain       Josephson-segment chains: energies, phase fluctuations, ODLRO
-diagram     coupling/charging-energy/hopping phase diagram
+diagram     coupling sweeps and the (U, E_c, G) phase diagram
 checks      runnable self-check inventory with measured tolerances
 runio       deterministic CSV and metadata sidecar writers
 cli         command-line interface
@@ -24,7 +24,6 @@ from .gap import (
     locate_mu_zero,
     number_residual,
     solve_self_consistent,
-    sweep_coupling,
 )
 from .coherent import (
     FockOracle,
@@ -57,6 +56,7 @@ from .diagram import (
     classify_point,
     critical_hopping,
     refine_hopping_boundary,
+    sweep_coupling,
     sweep_diagram,
 )
 from .checks import CHECK_NAMES, CheckResult, run_checks

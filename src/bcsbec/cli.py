@@ -10,17 +10,22 @@ Each subcommand takes only the flags it reads.  --out and --config go to
 all ten; --units to gap-sweep, phase-diagram, eta and chain;
 --seed to oracle, phase-lock and checks; --tol-gap and --tol-number to the
 three that solve the gap equations, gap-sweep, phase-diagram and eta.
-Any other flag, or config key, is unknown and exits 3.
+Any other flag, or config key, is unknown and exits 3; flags are never
+abbreviated.
 
 Configuration precedence: explicit command-line flags override values
 from an optional "key = value" config file (--config), which override the
-built-in defaults.  Config keys use the flag names with '-' or '_'.
+built-in defaults.  Keys are the flag names, with '-' or '_'; each line
+is parsed as --key=value ahead of the command line's flags.  A flag that
+takes no value (--help, checks --list) has no key, nor has --config.
 
 Unit modes: 'dimensionless' works in the natural gap-equation units
 (energies in eps0 = hbar^2 k0^2 / 2m with k0 = 1); 'physical' uses the
 free-electron mass and a k0 in inverse Angstroms (default 1.41), with
 energies reported in eV.  Charging and hopping energies are entered in
 micro-eV in physical mode, matching the scales of junction arrays.
+The chain geometry flags (--epsilon-r, --area-um2, --spacing-nm) give E_c
+in eV and need --units physical.
 Densities are always entered in units of k0^3.
 
 Exit codes: 0 success, 1 check failure, 2 solver non-convergence or a
@@ -63,8 +68,8 @@ from .coherent import (
     PairEnsemble,
 )
 from .core import E_CHARGE, EPSILON_0, PhysicalParams, critical_coupling
-from .diagram import critical_hopping, refine_hopping_boundary, sweep_diagram
-from .gap import bound_state_energy, solve_self_consistent, sweep_coupling
+from .diagram import critical_hopping, refine_hopping_boundary, sweep_coupling, sweep_diagram
+from .gap import bound_state_energy, solve_self_consistent
 from .checks import CHECK_NAMES, run_checks
 from .runio import write_csv, write_meta
 
@@ -91,7 +96,10 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit 2; this contract wants 3."""
+    """Flags match only in full, and usage errors exit 3, not argparse's 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -101,10 +109,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class _Range:
-    """argparse type: a finite `kind` value in [lo, hi], or (lo, hi] if open_lo.
-
-    `_typed_config` checks config-file values with the same callable.
-    """
+    """argparse type: a finite `kind` value in [lo, hi], or (lo, hi] if open_lo."""
 
     kind: type = float
     lo: float = -math.inf
@@ -248,8 +253,9 @@ def build_parser():
 # ---- config file handling ------------------------------------------------
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_tokens(path: str) -> list:
+    """The "key = value" lines of a config file as --key=value flag tokens."""
+    tokens = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -261,35 +267,11 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _typed_config(values: dict, subparser) -> dict:
-    """Convert raw config strings using the subparser's option types."""
-    actions = {a.dest: a for a in subparser._actions}
-    typed = {}
-    for key, raw in values.items():
-        if key == "config" or key not in actions:
+        key = key.strip().replace("_", "-")
+        if key == "config":
             raise ConfigError(f"unknown config key {key!r}")
-        action = actions[key]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            lowered = raw.lower()
-            if lowered not in ("true", "false", "0", "1"):
-                raise ConfigError(f"config key {key!r}: boolean expected, got {raw!r}")
-            typed[key] = lowered in ("true", "1")
-            continue
-        converter = action.type or str
-        try:
-            value = converter(raw)
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"config key {key!r}: bad value {raw!r}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(
-                f"config key {key!r}: {value!r} not in {sorted(action.choices)}"
-            )
-        typed[key] = value
-    return typed
+        tokens.append(f"--{key}={value.strip()}")
+    return tokens
 
 
 # ---- unit helpers --------------------------------------------------------
@@ -657,6 +639,8 @@ def cmd_chain(cfg: argparse.Namespace) -> int:
             raise ConfigError("give either --ec or the geometry trio, not both")
         if any(v is None for v in geometry):
             raise ConfigError("geometry needs --epsilon-r, --area-um2, --spacing-nm together")
+        if cfg.units != "physical":
+            raise ConfigError("the geometry trio gives E_c in eV: it needs --units physical")
         epsilon_r, area_um2, spacing_nm = geometry
         e_c = charging_energy(epsilon_r * EPSILON_0, area_um2 * 1e-12,
                               spacing_nm * 1e-9) / E_CHARGE  # eV
@@ -791,15 +775,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, command_parsers = build_parser()
+    parser, _ = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:
-            file_values = _typed_config(
-                _read_config_file(args.config), command_parsers[args.command]
-            )
-            command_parsers[args.command].set_defaults(**file_values)
-            args = parser.parse_args(argv)
+            # file flags go first, so one parse checks both and the user's own win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_tokens(args.config), *argv[at:]])
         args.started = time.monotonic()
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -10,11 +10,12 @@ Each point of the diagram is classified along two independent axes:
 
 The coherence boundary is an exact curve: E_J(G*) = 2 E_c gives
 G* = sqrt(4 E_c / Delta0), so G* falls monotonically as the gap grows
-along the coupling sweep (equivalently, as mu decreases).  The sweep
-solves the gap equations once per U at one charging energy E_c, reuses
-that solution across the G grid, and emits cells in deterministic
-row-major order (U outer, G inner).  Every cell carries the GapSolution
-it was classified from, a failed solve included.
+along the coupling sweep (equivalently, as mu decreases).  sweep_coupling
+is the one warm-started walk along a coupling grid; sweep_diagram
+classifies its solutions at one charging energy E_c, reusing each across
+the G grid, and emits cells in deterministic row-major order (U outer, G
+inner).  Every cell carries the GapSolution it was classified from, a
+failed solve included.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .chain import coherence_classify, josephson_energy, sigma_phi2
 from .core import PhysicalParams
-from .gap import GapSolution, _failed_solve, _warm_start, solve_self_consistent
+from .gap import GapSolution, _warm_start, solve_self_consistent
 
 __all__ = [
     "RegimeLabel",
@@ -34,6 +35,7 @@ __all__ = [
     "classify_point",
     "critical_hopping",
     "refine_hopping_boundary",
+    "sweep_coupling",
     "sweep_diagram",
 ]
 
@@ -162,30 +164,41 @@ def _validated_grid(values, name: str) -> np.ndarray:
     return arr
 
 
+def sweep_coupling(U_grid, n: float, params: PhysicalParams,
+                   tol_gap: float = 1e-10, tol_number: float = 1e-8) -> list[GapSolution]:
+    """Solve along a coupling grid, warm-starting each point from the last.
+
+    Each warm start is the tangent prediction from the last converged point
+    with a resolved gap (see gap._warm_start), so a warm point typically needs
+    two or three Newton steps.  Failed points, including numeric failures
+    (RuntimeError, ValueError), are recorded inline (converged = False, mu
+    and Delta0 NaN) without aborting the sweep.
+    """
+    out = []
+    last = None
+    for U in np.asarray(U_grid, dtype=float).tolist():
+        try:
+            sol = solve_self_consistent(U, n, params, tol_gap=tol_gap, tol_number=tol_number,
+                                        initial_guess=_warm_start(last, U))
+        except (RuntimeError, ValueError) as exc:  # QuadratureError is a RuntimeError
+            sol = GapSolution(U, n, np.nan, np.nan, np.nan, np.nan, 0, False,
+                              f"solver error: {exc}")
+        out.append(sol)
+        if sol.converged and sol.Delta0 > 0:
+            last = sol
+    return out
+
+
 def sweep_diagram(U_grid, E_c: float, G_grid, n: float, params: PhysicalParams,
                   tol_gap: float = 1e-10, tol_number: float = 1e-8) -> list[DiagramCell]:
     """Classify the (U, G) grid at charging energy E_c, solving once per U.
 
-    Cells come back row-major (U outer, G inner).  A solve that raises a
-    numeric failure (RuntimeError, ValueError) is recorded as the same
-    unconverged GapSolution that sweep_coupling records, so its cells come
-    back unlabeled.  Successive gap solves are warm-started along the U
-    grid from the tangent prediction of the last converged solve with a
-    resolved gap.
+    The solutions are those of sweep_coupling along the U grid, so a solve
+    that raised a numeric failure comes back as unlabeled cells.  Cells come
+    back row-major (U outer, G inner).
     """
     U_grid = _validated_grid(U_grid, "U")
     G_grid = _validated_grid(G_grid, "G")
-
-    cells = []
-    last = None
-    for U in U_grid:
-        try:
-            solution = solve_self_consistent(float(U), n, params, tol_gap=tol_gap,
-                                             tol_number=tol_number,
-                                             initial_guess=_warm_start(last, float(U)))
-        except (RuntimeError, ValueError) as exc:
-            solution = _failed_solve(U, n, exc)
-        if solution.converged and solution.Delta0 > 0:
-            last = solution
-        cells.extend(classify_point(solution, float(E_c), float(G), params) for G in G_grid)
-    return cells
+    return [classify_point(solution, float(E_c), float(G), params)
+            for solution in sweep_coupling(U_grid, n, params, tol_gap, tol_number)
+            for G in G_grid]

@@ -35,12 +35,13 @@ probe has no resolved gap, the answer is the free gas in closed form:
 mu = eps_F, Delta0 = 0, a number residual of 0, and a gap residual of NaN,
 because the gap integral diverges at Delta0 = 0 for mu > 0.
 
-Along a coupling sweep each point is warm-started from a first-order
-tangent prediction (Allgower & Georg, Numerical Continuation Methods,
-1990).  Since the gap residual depends on U only through -U I_gap/2, the
-tangent (dmu/dU, dDelta0/dU) solves J t = (I_gap/2, 0) with the Jacobian
-of the converged point, at no extra integral.  locate_mu_zero runs the same
-safeguarded Newton on mu(U), with dmu/dU from the tangent as the slope.
+Along a coupling sweep (bcsbec.diagram.sweep_coupling) each point is
+warm-started from a first-order tangent prediction (Allgower & Georg,
+Numerical Continuation Methods, 1990).  Since the gap residual depends on
+U only through -U I_gap/2, the tangent (dmu/dU, dDelta0/dU) solves J t =
+(I_gap/2, 0) with the Jacobian of the converged point, at no extra
+integral.  locate_mu_zero runs the same safeguarded Newton on mu(U), with
+dmu/dU from the tangent as the slope.
 
 The two-body bound state solves 1 = U Integral Gamma^2/(2 eps_k + E_b); it
 exists above the threshold coupling U_c and, for the separable form factor,
@@ -93,7 +94,6 @@ __all__ = [
     "number_residual",
     "solve_self_consistent",
     "bound_state_energy",
-    "sweep_coupling",
     "locate_mu_zero",
 ]
 
@@ -336,12 +336,6 @@ def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number):
     return mu, Delta0, r[0], r[1], it, tangent
 
 
-def _failed_solve(U: float, n: float, exc: Exception) -> GapSolution:
-    """The unconverged record a sweep keeps for a solve that raised `exc`."""
-    return GapSolution(float(U), n, np.nan, np.nan, np.nan, np.nan, 0, False,
-                       f"solver error: {exc}")
-
-
 def _warm_start(prev: GapSolution | None, U: float):
     """Warm start (mu, Delta0) for coupling U from the solution `prev`.
 
@@ -421,11 +415,8 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
     last = None  # (mu, Delta0, dDelta0/dmu) of the last probe with a resolved gap
     free = False  # whether the last probe found no resolved gap
 
-    # E_b is taken once: up front by a cold solve, which may seed from it,
-    # and by a warm one only once its polish has missed
-    warm = initial_guess is not None
-    if not warm:
-        Eb = bound_state_energy(U, params)
+    Eb = bound_state_energy(U, params)
+    if initial_guess is None:
         initial_guess = _bec_seed(Eb, n, eps_F, params)
     if initial_guess is not None:
         mu0, D0 = initial_guess
@@ -437,8 +428,6 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
                 return GapSolution(U, n, mu, D, rg, rn, iterations, True, tangent=tangent)
             last = (mu0, D0, 0.0)
 
-    if warm:
-        Eb = bound_state_energy(U, params)
     mu_lo = -0.5 * Eb * (1.0 - 1e-12) if Eb else 0.0
 
     def gap_near(mu):  # Delta0 at mu predicted from `last`, or None
@@ -508,30 +497,6 @@ def bound_state_energy(U: float, params: PhysicalParams) -> float | None:
     if Eb == np.inf:
         raise ValueError(f"E_b is not representable at U/U_c = {U / Uc:g}")
     return Eb
-
-
-def sweep_coupling(U_grid, n: float, params: PhysicalParams,
-                   tol_gap: float = 1e-10, tol_number: float = 1e-8) -> list[GapSolution]:
-    """Solve along a coupling grid, warm-starting each point from the last.
-
-    Each warm start is the tangent prediction from the last converged point
-    with a resolved gap (see _warm_start), so a warm point typically needs
-    two or three Newton steps.  Failed points, including numeric failures
-    (RuntimeError, ValueError), are recorded inline (converged = False)
-    without aborting the sweep.
-    """
-    out = []
-    last = None
-    for U in np.asarray(U_grid, dtype=float):
-        try:
-            sol = solve_self_consistent(U, n, params, tol_gap=tol_gap, tol_number=tol_number,
-                                        initial_guess=_warm_start(last, U))
-        except (RuntimeError, ValueError) as exc:  # QuadratureError is a RuntimeError
-            sol = _failed_solve(U, n, exc)
-        out.append(sol)
-        if sol.converged and sol.Delta0 > 0:
-            last = sol
-    return out
 
 
 def locate_mu_zero(n: float, params: PhysicalParams,

@@ -25,8 +25,13 @@ from bcsbec.checks import (
 )
 from bcsbec.cli import main as cli_main
 from bcsbec.core import PhysicalParams, critical_coupling
-from bcsbec.diagram import critical_hopping, refine_hopping_boundary, sweep_diagram
-from bcsbec.gap import bound_state_energy, locate_mu_zero, sweep_coupling
+from bcsbec.diagram import (
+    critical_hopping,
+    refine_hopping_boundary,
+    sweep_coupling,
+    sweep_diagram,
+)
+from bcsbec.gap import bound_state_energy, locate_mu_zero
 from bcsbec.quadrature import radial_integral
 
 DENSITY = 2e-2

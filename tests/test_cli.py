@@ -117,6 +117,12 @@ def test_invalid_configuration_exits_three(tmp_path):
     assert run([]) == 3
     assert run(["gap-sweep", "--points", "xyz"]) == 3
     assert run(["gap-sweep", "--tol-gap", "-1.0"]) == 3
+    out = tmp_path / "out"
+    assert run(["gap-sweep", "--poin", "2", "--out", str(out)]) == 3  # never abbreviated
+    # the geometry gives E_c in eV, which only physical mode reads as such
+    assert run(["chain", "--ej", "3", "--epsilon-r", "10", "--area-um2", "0.1",
+                "--spacing-nm", "2", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 # flag values outside their declared range: the argparse type must reject
@@ -212,12 +218,17 @@ def out_of_range_flags(draw):
 def test_any_out_of_range_flag_exits_three_at_parse_time(tmp_path_factory, argv):
     parser, _ = build_parser()
     out = tmp_path_factory.getbasetemp() / "never-written"
+    # the same value as a config key
+    command, flag = argv
+    cfg = tmp_path_factory.getbasetemp() / "drawn.cfg"
+    cfg.write_text(flag[2:].replace("=", " = ", 1) + "\n")
     with contextlib.redirect_stderr(io.StringIO()) as err:
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert run([*argv, "--out", str(out)]) == 3
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert exc.value.code == 3
-    assert "need a finite" in err.getvalue()
+    assert err.getvalue().count("need a finite") == 3
     assert not out.exists()
 
 
@@ -258,7 +269,7 @@ def test_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
     (["bound-state", "--u", "1e300"], "not representable"),
     (["eta", "--u", "1e300"], "not representable"),
     (["chain", "--ej", "1", "--epsilon-r", "1e-300", "--area-um2", "1e-300",
-      "--spacing-nm", "1e300"], "underflows"),
+      "--spacing-nm", "1e300", "--units", "physical"], "underflows"),
 ])
 def test_unrepresentable_energy_exits_two(tmp_path, argv, message, capsys):
     assert run([*argv, "--out", str(tmp_path / "out")]) == 2
@@ -427,11 +438,16 @@ def test_config_file_precedence(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense = 1\n")
-    assert run(["gap-sweep", "--config", str(cfg)]) == 3
-    cfg.write_text("points\n")
-    assert run(["gap-sweep", "--config", str(cfg)]) == 3
+    out = tmp_path / "out"
+    # keys are exactly the flags that take a value: no abbreviation, no
+    # --help, no --list and no --config
+    for command, line in [("gap-sweep", "nonsense = 1"), ("gap-sweep", "points"),
+                          ("gap-sweep", "poin = 2"), ("gap-sweep", "help = 1"),
+                          ("checks", "list = true"), ("gap-sweep", f"config = {cfg}")]:
+        cfg.write_text(line + "\n")
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 3, line
     assert run(["gap-sweep", "--config", str(tmp_path / "missing.cfg")]) == 3
+    assert not out.exists()
 
 
 def test_checks_list_names_all_seven(capsys):
@@ -537,7 +553,8 @@ def test_gap_side_never_loads_scipy(tmp_path):
         ["phase-diagram", "--u-points", "2", "--g-points", "2"],
         ["eta"],
         # E_J = 0 skips the oscillator oracle, the only chain code using scipy
-        ["chain", "--ej", "0", "--epsilon-r", "10", "--area-um2", "1", "--spacing-nm", "2"],
+        ["chain", "--ej", "0", "--epsilon-r", "10", "--area-um2", "1", "--spacing-nm", "2",
+         "--units", "physical"],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs), str(tmp_path)],

@@ -34,8 +34,8 @@ from bcsbec.gap import (
     locate_mu_zero,
     number_residual,
     solve_self_consistent,
-    sweep_coupling,
 )
+from bcsbec.diagram import sweep_coupling
 from bcsbec.quadrature import QuadratureError
 
 # Self-consistent point at U = 2 U_c, n = 2e-2 (dimensionless units),

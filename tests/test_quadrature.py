@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import bcsbec.gap
 import bcsbec.quadrature
 from bcsbec.core import PhysicalParams, critical_coupling
-from bcsbec.gap import sweep_coupling
+from bcsbec.diagram import sweep_coupling
 from bcsbec.quadrature import (
     QuadratureError,
     _initial_edges,

@@ -5,8 +5,11 @@ subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
 seed, an attractive and two repulsive phase locks that end with dead modes
 (the M = 2 one a long descent before its Newton finish), the incoherent
-E_J = 0 chain, a chain sized by its junction geometry, a gap sweep
-configured by a --config file, cold single-point solves at the pairing
+E_J = 0 chain, a chain sized by its junction geometry, four runs
+configured by --config files (a gap sweep, a gap sweep whose --points flag
+beats the file's points key, an overlap with the negative value dphi = -1,
+and a physical-unit phase diagram whose keys override the unit-mode
+defaults of its energy flags), cold single-point solves at the pairing
 threshold and deep on the BEC side (at 3 U_c, at n = 1e-30, whose gap is
 near the resolution floor, and at 1e6 U_c, whose mu is near -1e12 eps0),
 the deep-BCS sweep at n = 1e-4, the same sweep from 0.1 U_c, whose first
@@ -44,7 +47,12 @@ from pathlib import Path
 # Config files written into the temporary directory before the runs.  An
 # argv entry equal to a file name here is replaced by that file's path when
 # the run starts, so the printed argv carries no temporary path.
-CONFIG_FILES = {"sweep.cfg": "points = 3\nu-max = 2\n"}
+CONFIG_FILES = {
+    "sweep.cfg": "points = 3\nu-max = 2\n",
+    "points4.cfg": "points = 4\n",
+    "overlap.cfg": "dphi = -1\nm-max = 20\n",
+    "diagram.cfg": "ec = 80\ng-min = 500\nu-points = 3\ng-points = 3\n",
+}
 
 UNIT_AWARE = (
     ["gap-sweep"],
@@ -74,6 +82,9 @@ INVOCATIONS = (
     ["phase-lock", "--max-steps", "5"],
     ["checks"],
     ["gap-sweep", "--config", "sweep.cfg"],
+    ["gap-sweep", "--config", "points4.cfg", "--points", "2"],
+    ["overlap", "--config", "overlap.cfg"],
+    ["phase-diagram", "--units", "physical", "--config", "diagram.cfg"],
     ["gap-sweep", "--points", "1", "--u-min", "1", "--u-max", "1"],
     ["gap-sweep", "--points", "1", "--u-min", "3", "--u-max", "3", "--n", "0.003"],
     ["gap-sweep", "--n", "1e-30", "--u-min", "2", "--u-max", "2", "--points", "1"],
