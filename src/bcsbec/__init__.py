@@ -2,7 +2,7 @@
 
 Modules
 -------
-core        model parameters, dispersion, form factor, critical coupling
+core        natural units, dispersion, form factor, threshold coupling U_C
 quadrature  adaptive radial quadrature for isotropic 3D momentum integrals
 gap         gap/number self-consistency, two-body bound state
 coherent    overlaps, pair-collective-mode diagnostics, exact Fock oracle,
@@ -16,7 +16,7 @@ cli         command-line interface
 
 __version__ = "0.1.0"
 
-from .core import PhysicalParams, critical_coupling, dispersion, nsr_form_factor
+from .core import U_C, dispersion, eps0_ev, fermi_energy, nsr_form_factor
 from .gap import (
     GapSolution,
     bound_state_energy,
@@ -63,11 +63,12 @@ from .checks import CHECK_NAMES, CheckResult, run_checks
 
 __all__ = [
     "__version__",
-    "PhysicalParams",
+    "U_C",
     "GapSolution",
-    "critical_coupling",
     "dispersion",
     "nsr_form_factor",
+    "fermi_energy",
+    "eps0_ev",
     "gap_residual",
     "number_residual",
     "solve_self_consistent",

@@ -16,17 +16,23 @@ abbreviated.
 Configuration precedence: explicit command-line flags override values
 from an optional "key = value" config file (--config), which override the
 built-in defaults.  Keys are the flag names, with '-' or '_'; each line
-is parsed as --key=value ahead of the command line's flags.  A flag that
-takes no value (--help, checks --list) has no key, nor has --config.
+is parsed as --key=value by the subcommand's parser, and an error names
+the file and line.  A flag that takes no value (--help, checks --list)
+has no key, nor has --config.
 
-Unit modes: 'dimensionless' works in the natural gap-equation units
-(energies in eps0 = hbar^2 k0^2 / 2m with k0 = 1); 'physical' uses the
-free-electron mass and a k0 in inverse Angstroms (default 1.41), with
-energies reported in eV.  Charging and hopping energies are entered in
-micro-eV in physical mode, matching the scales of junction arrays.
-The chain geometry flags (--epsilon-r, --area-um2, --spacing-nm) give E_c
-in eV and need --units physical.
-Densities are always entered in units of k0^3.
+Unit modes: every solve runs in the natural gap-equation units (energies
+in eps0 = hbar^2 k0^2 / 2m, momenta in k0, densities in k0^3), where
+the model depends on k_F a alone.  'dimensionless' reports those units;
+'physical' takes the free-electron mass and a k0 in inverse Angstroms
+(default 1.41) and is a presentation step: energy inputs are divided by
+eps0(k0) in eV and the mu, Delta0 and E_J outputs multiplied by it, so
+energies are reported in eV.  Charging energies are entered in micro-eV
+in physical mode, matching the scales of junction arrays.  The hopping G
+is a dimensionless amplitude (E_J = G^2 Delta0/2); physical mode still
+reads --g-min/--g-max times 1e-6, as though in micro-eV.  The gap-sweep
+CSV holds only ratios, so it is the same in both modes.  The chain
+geometry flags (--epsilon-r, --area-um2, --spacing-nm) give E_c in eV
+and need --units physical.  Densities are always entered in units of k0^3.
 
 Exit codes: 0 success, 1 check failure, 2 solver non-convergence or a
 numeric failure (RuntimeError, ValueError), 3 invalid configuration: a
@@ -67,7 +73,7 @@ from .coherent import (
     variational_phase_lock,
     PairEnsemble,
 )
-from .core import E_CHARGE, EPSILON_0, PhysicalParams, critical_coupling
+from .core import E_CHARGE, EPSILON_0, U_C, eps0_ev, fermi_energy
 from .diagram import critical_hopping, refine_hopping_boundary, sweep_coupling, sweep_diagram
 from .gap import bound_state_energy, solve_self_consistent
 from .checks import CHECK_NAMES, run_checks
@@ -82,8 +88,8 @@ EXIT_INVALID_CONFIG = 3
 
 _EV_PER_UEV = 1e-6
 
-# Unit-mode defaults of the energy flags that have one, in the user-facing
-# unit (eps0 dimensionless, micro-eV physical).
+# Unit-mode defaults of the --ec and --g-min/--g-max flags, in the
+# user-facing unit (eps0 or 1 dimensionless, micro-eV or 1e-6 physical).
 _ENERGY_DEFAULTS = {
     "ec": {"dimensionless": 1e-5, "physical": 50.0},
     "g_min": {"dimensionless": 1e-3, "physical": 1000.0},
@@ -96,14 +102,20 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flags match only in full, and usage errors exit 3, not argparse's 2."""
+    """Flags match only in full, and usage errors exit 3, not argparse's 2.
+
+    While a config line is parsed, `where` names it ("<file>:<line>: ")
+    in every error.
+    """
+
+    where = ""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {self.where}{message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID_CONFIG)
 
 
@@ -186,8 +198,10 @@ def build_parser():
     p.add_argument("--u-points", type=_Range(int, 1), default=12)
     p.add_argument("--ec", type=_POSITIVE, default=None,
                    help="charging energy (micro-eV physical, eps0 units dimensionless)")
-    p.add_argument("--g-min", type=_NON_NEGATIVE, default=None, help="hopping grid start")
-    p.add_argument("--g-max", type=_POSITIVE, default=None, help="hopping grid end")
+    p.add_argument("--g-min", type=_NON_NEGATIVE, default=None,
+                   help="hopping amplitude grid start (read times 1e-6 physical)")
+    p.add_argument("--g-max", type=_POSITIVE, default=None,
+                   help="hopping amplitude grid end (read times 1e-6 physical)")
     p.add_argument("--g-points", type=_Range(int, 1), default=12)
     p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
@@ -253,54 +267,56 @@ def build_parser():
 # ---- config file handling ------------------------------------------------
 
 
-def _config_tokens(path: str) -> list:
-    """The "key = value" lines of a config file as --key=value flag tokens."""
-    tokens = []
+def _config_namespace(parser: _Parser, path: str) -> argparse.Namespace:
+    """Parse each "key = value" line of a config file as --key=value.
+
+    `parser` is the subcommand's; its errors name the file and line.  The
+    namespace also holds every default, so parsing the command line into it
+    afterwards lets an explicit flag win.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    namespace = argparse.Namespace()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        parser.where = f"{path}:{lineno}: "
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            parser.error("expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("_", "-")
-        if key == "config":
-            raise ConfigError(f"unknown config key {key!r}")
-        tokens.append(f"--{key}={value.strip()}")
-    return tokens
+        _, unknown = parser.parse_known_args([f"--{key}={value.strip()}"], namespace)
+        if unknown or key == "config":
+            parser.error(f"unknown config key {key!r}")
+    parser.where = ""
+    return namespace
 
 
 # ---- unit helpers --------------------------------------------------------
 
 
-def _make_params(cfg: argparse.Namespace) -> PhysicalParams:
-    if cfg.units == "physical":
-        return PhysicalParams.free_electron(k0=cfg.k0)
-    return PhysicalParams.dimensionless()
+def _energy_scale(cfg: argparse.Namespace) -> float:
+    """eV per eps0 in physical mode, 1 in dimensionless mode.
 
-
-def _density(cfg: argparse.Namespace, params: PhysicalParams) -> float:
-    """The --n density, entered in k0^3 units, in the internal length unit."""
-    try:
-        n = cfg.n * params.k0**3
-    except OverflowError:  # Python floats raise where numpy scalars give inf
-        n = math.inf
-    if not 0.0 < n < math.inf:
-        raise ConfigError(f"density --n {cfg.n:g} k0^3 at k0 = {params.k0:g} "
-                          f"is not a positive finite number")
-    return n
+    The solvers work in eps0 only; this factor is the one unit conversion.
+    """
+    if cfg.units != "physical":
+        return 1.0
+    scale = eps0_ev(cfg.k0)
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"eps0 at k0 = {cfg.k0:g} is not a positive finite number of eV")
+    return scale
 
 
 def _energy_unit(cfg: argparse.Namespace) -> str:
     return "eV" if cfg.units == "physical" else "eps0"
 
 
-def _input_energy(cfg: argparse.Namespace, key: str) -> float:
-    """Energy flag `key` in the internal unit; unset, its unit-mode default."""
+def _input_value(cfg: argparse.Namespace, key: str) -> float:
+    """Flag `key` as given (micro-eV read as eV in physical mode); unset, its default."""
     value = getattr(cfg, key)
     if value is None:
         value = _ENERGY_DEFAULTS[key][cfg.units]
@@ -343,16 +359,14 @@ def _emit(cfg: argparse.Namespace, stem: str, tables, tolerances: dict,
 
 
 def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
-    params = _make_params(cfg)
-    n = _density(cfg, params)
+    _energy_scale(cfg)  # checks --k0; every column is a ratio, the same in both modes
     if cfg.u_max < cfg.u_min:
         raise ConfigError("need u-min <= u-max")
-    u_c = critical_coupling(params)
     ratios = np.linspace(cfg.u_min, cfg.u_max, cfg.points)
     solutions = sweep_coupling(
-        ratios * u_c, n, params, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
+        ratios * U_C, cfg.n, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
     )
-    eps_f = params.fermi_energy(n)
+    eps_f = fermi_energy(cfg.n)
     rows = []
     for ratio, sol in zip(ratios, solutions):
         rows.append(
@@ -360,7 +374,7 @@ def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
                 float(ratio),
                 sol.mu / eps_f,
                 sol.Delta0 / eps_f,
-                sol.Delta0 / params.eps0,
+                sol.Delta0,
                 sol.residual_gap,
                 sol.residual_number,
                 sol.converged,
@@ -387,36 +401,35 @@ def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bound_state(cfg: argparse.Namespace) -> int:
-    params = PhysicalParams.dimensionless()  # E_b/eps0 at U/U_c is the same in any unit
     ratio = cfg.u
-    u_c = critical_coupling(params)
-    energy = bound_state_energy(ratio * u_c, params)
+    energy = bound_state_energy(ratio * U_C)  # in eps0, the same at any k0
     exists = energy is not None
-    row = (ratio, int(exists), energy / params.eps0 if exists else None)
+    row = (ratio, int(exists), energy)
     _emit(cfg, "bound_state",
           [("bound_state.csv", ("U_over_Uc", "has_bound_state", "E_b_over_eps0"), [row])],
           {})
     if exists:
-        print(f"bound-state: E_b = {energy / params.eps0:.12g} eps0 at U/U_c = {ratio}")
+        print(f"bound-state: E_b = {energy:.12g} eps0 at U/U_c = {ratio}")
     else:
         print(f"bound-state: no bound state at U/U_c = {ratio} (below threshold)")
     return EXIT_OK
 
 
 def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
-    params = _make_params(cfg)
-    n = _density(cfg, params)
-    e_c = _input_energy(cfg, "ec")
-    g_min, g_max = _input_energy(cfg, "g_min"), _input_energy(cfg, "g_max")
+    scale = _energy_scale(cfg)
+    e_c_in = _input_value(cfg, "ec")
+    e_c = e_c_in / scale
+    if not 0.0 < e_c < math.inf:
+        raise ConfigError(f"--ec is not a positive finite number of eps0 at k0 = {cfg.k0:g}")
+    g_min, g_max = _input_value(cfg, "g_min"), _input_value(cfg, "g_max")
     if not g_min < g_max:
         raise ConfigError("need g-min < g-max")
     if cfg.u_max < cfg.u_min:
         raise ConfigError("need u-min <= u-max")
 
-    u_c = critical_coupling(params)
     ratios = np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
     g_grid = np.linspace(g_min, g_max, cfg.g_points)
-    cells = sweep_diagram(ratios * u_c, e_c, g_grid, n, params, tol_gap=cfg.tol_gap,
+    cells = sweep_diagram(ratios * U_C, e_c, g_grid, cfg.n, tol_gap=cfg.tol_gap,
                           tol_number=cfg.tol_number)
 
     rows = []
@@ -424,12 +437,12 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
         sol = cell.solution
         rows.append(
             (
-                sol.U / u_c,
-                sol.mu,
-                sol.Delta0,
-                cell.E_c,
+                sol.U / U_C,
+                sol.mu * scale,
+                sol.Delta0 * scale,
+                e_c_in,
                 cell.G,
-                cell.E_J,
+                None if cell.E_J is None else cell.E_J * scale,
                 cell.sigma2,
                 cell.label.pairing if cell.label else "",
                 cell.label.coherence if cell.label else "",
@@ -458,11 +471,11 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
             g_star = critical_hopping(sol, e_c)
             g_bis = refine_hopping_boundary(sol.Delta0, e_c, sol.U)
         except ValueError as exc:  # no representable G*: leave the row's G* fields empty
-            print(f"phase-diagram: no boundary at U/U_c = {sol.U / u_c:g}: {exc}",
-                  file=sys.stderr)
+            print(f"phase-diagram: no boundary at U/U_c = {sol.U / U_C:g}, "
+                  f"E_c = {e_c_in:g} {_energy_unit(cfg)}: {exc}", file=sys.stderr)
             g_star = g_bis = None
             unresolved += 1
-        boundary_rows.append((sol.U / u_c, sol.mu, g_star, g_bis))
+        boundary_rows.append((sol.U / U_C, sol.mu * scale, g_star, g_bis))
     csv_path, boundary_path = _emit(
         cfg,
         "phase_diagram",
@@ -512,27 +525,23 @@ def cmd_overlap(cfg: argparse.Namespace) -> int:
 
 
 def cmd_eta(cfg: argparse.Namespace) -> int:
-    params = _make_params(cfg)
-    n = _density(cfg, params)
+    scale = _energy_scale(cfg)
     ratio = cfg.u
-    u_value = ratio * critical_coupling(params)
     solution = solve_self_consistent(
-        u_value, n, params, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
+        ratio * U_C, cfg.n, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
     )
     if not solution.converged:
         print("eta: gap solver did not converge", file=sys.stderr)
         return EXIT_NON_CONVERGENCE
     count = cfg.k_points
-    k_grid = (np.arange(count) + 0.5) * (cfg.k_max * params.k0 / count)
-    ens = PairEnsemble.from_gap_solution(
-        solution, params, k_grid, phi=cfg.phi,
-        convention=cfg.convention,
-    )
+    k_grid = (np.arange(count) + 0.5) * (cfg.k_max / count)
+    ens = PairEnsemble.from_gap_solution(solution, k_grid, phi=cfg.phi,
+                                         convention=cfg.convention)
     stats = eta_statistics(ens)
     row = (
         ratio,
-        solution.mu,
-        solution.Delta0,
+        solution.mu * scale,
+        solution.Delta0 * scale,
         ens.n_modes,
         ens.Omega,
         stats["mean"],
@@ -647,10 +656,10 @@ def cmd_chain(cfg: argparse.Namespace) -> int:
     elif e_c is None:
         raise ConfigError("chain needs --ec or the geometry trio")
     else:
-        e_c = _input_energy(cfg, "ec")
+        e_c = _input_value(cfg, "ec")
     if cfg.ej is None:
         raise ConfigError("chain needs --ej")
-    e_j = _input_energy(cfg, "ej")
+    e_j = _input_value(cfg, "ej")
 
     ground = ChainGroundState.for_chain(e_c, e_j)
     label = coherence_classify(e_c, e_j)
@@ -659,11 +668,7 @@ def cmd_chain(cfg: argparse.Namespace) -> int:
     oracle = None
     if e_j > 0.0:
         result = oscillator_oracle(e_c, e_j)
-        oracle = {
-            "ground_energy": result.ground_energy,
-            "variance": result.variance,
-            "variance_literal_closed_form": math.sqrt(8.0 * e_c / e_j),
-        }
+        oracle = {"ground_energy": result.ground_energy, "variance": result.variance}
     [csv_path] = _emit(
         cfg,
         "chain",
@@ -775,16 +780,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, _ = build_parser()
+    parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # file flags go first, so one parse checks both and the user's own win
-            at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_tokens(args.config), *argv[at:]])
-        args.started = time.monotonic()
-        return _COMMANDS[args.command](args)
+        # the subcommand and its config file; its own parser then reports
+        # what it does not know, with its own usage, and the file's values
+        # go first, so the user's flags win
+        args, _ = parser.parse_known_args(argv)
+        name = args.command
+        defaults = _config_namespace(commands[name], args.config) if args.config else None
+        args = commands[name].parse_args(argv[argv.index(name) + 1:], defaults)
+        args.command, args.started = name, time.monotonic()
+        return _COMMANDS[name](args)
     except ConfigError as exc:
         print(f"bcsbec: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

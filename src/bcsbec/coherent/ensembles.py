@@ -3,8 +3,9 @@
 A PairEnsemble is a finite sample of pairing modes: for each wavevector
 magnitude k it stores the shifted single-particle energy eps = eps_k - mu
 and the Bogoliubov angle theta_k, together with one common order-parameter
-phase phi and the gap context (Delta0, k0) needed to reconstruct
-xi_k = sqrt(eps^2 + Delta0^2 Gamma_k^2).  The collective weight
+phase phi and the gap Delta0 needed to reconstruct xi_k = sqrt(eps^2 +
+Delta0^2 Gamma_k^2).  Wavevectors are in k0 and energies in eps0, the
+natural units of bcsbec.core.  The collective weight
 Omega = sum theta_k^2 normalizes the pair mode built from these angles.
 
 Two angle conventions circulate for theta_k.  The consistent one,
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import PhysicalParams, dispersion, nsr_form_factor
+from ..core import dispersion, nsr_form_factor
 
 __all__ = ["PairEnsemble", "random_pair_ensemble"]
 
@@ -58,7 +59,6 @@ class PairEnsemble:
     phi : common order-parameter phase (radians).
     Delta0 : energy gap of the parent solution; needed by the eta
         statistics, optional for pure overlap work.
-    k0 : form-factor scale for Gamma_k.
     Omega : sum of theta^2, computed from theta.
     """
 
@@ -67,7 +67,6 @@ class PairEnsemble:
     theta: np.ndarray
     phi: float = 0.0
     Delta0: float | None = None
-    k0: float = 1.0
     Omega: float = field(init=False)
 
     def __post_init__(self):
@@ -82,8 +81,6 @@ class PairEnsemble:
             raise ValueError("theta must lie in [0, pi/2]")
         self.theta = np.clip(self.theta, 0.0, _HALF_PI)
         self.phi = float(self.phi)
-        if self.k0 <= 0.0:
-            raise ValueError("k0 must be positive")
         self.Omega = float(np.sum(self.theta**2))
         if self.Delta0 is not None and self.Delta0 < 0.0:
             raise ValueError("Delta0 must be >= 0")
@@ -93,7 +90,7 @@ class PairEnsemble:
         return self.theta.size
 
     def form_factor(self) -> np.ndarray:
-        return nsr_form_factor(self.k, self.k0)
+        return nsr_form_factor(self.k)
 
     def xi(self) -> np.ndarray:
         """Quasiparticle energies sqrt(eps^2 + Delta0^2 Gamma^2)."""
@@ -106,7 +103,6 @@ class PairEnsemble:
     def from_gap_solution(
         cls,
         solution,
-        params: PhysicalParams,
         k,
         phi: float = 0.0,
         convention: str = "half-angle",
@@ -118,8 +114,8 @@ class PairEnsemble:
         discretization, not quadrature weights.
         """
         k = _as_float_array(k, "k")
-        eps = dispersion(k, params) - solution.mu
-        gamma = nsr_form_factor(k, params.k0)
+        eps = dispersion(k) - solution.mu
+        gamma = nsr_form_factor(k)
         y = solution.Delta0 * gamma
         if convention == "half-angle":
             theta = 0.5 * np.arctan2(y, eps)
@@ -128,14 +124,7 @@ class PairEnsemble:
                 theta = np.abs(np.arctan(np.where(eps != 0.0, y / eps, np.inf)))
         else:
             raise ValueError(f"unknown angle convention {convention!r}")
-        return cls(
-            k=k,
-            eps=eps,
-            theta=theta,
-            phi=phi,
-            Delta0=solution.Delta0,
-            k0=params.k0,
-        )
+        return cls(k=k, eps=eps, theta=theta, phi=phi, Delta0=solution.Delta0)
 
 
 def random_pair_ensemble(
@@ -155,11 +144,8 @@ def random_pair_ensemble(
     k = np.sort(rng.uniform(0.05, _RANDOM_K_MAX, n_modes))
     mu = rng.uniform(-0.5, 1.5)
     Delta0 = rng.uniform(0.2, 2.0)
-    eps = k * k - mu
-    gamma = 1.0 / np.sqrt(1.0 + k * k)
-    theta = 0.5 * np.arctan2(Delta0 * gamma, eps)
+    eps = dispersion(k) - mu
+    theta = 0.5 * np.arctan2(Delta0 * nsr_form_factor(k), eps)
     if phi is None:
         phi = rng.uniform(0.0, 2.0 * np.pi)
-    return PairEnsemble(
-        k=k, eps=eps, theta=theta, phi=float(phi), Delta0=Delta0, k0=1.0
-    )
+    return PairEnsemble(k=k, eps=eps, theta=theta, phi=float(phi), Delta0=Delta0)

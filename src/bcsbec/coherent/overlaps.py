@@ -66,7 +66,7 @@ def bcs_overlap(thetas, dphi: float) -> complex:
 def eta_statistics(ens: PairEnsemble) -> dict:
     """Mean and variance of eta = 1 - [b, b+] in the paired ground state.
 
-    Requires the gap context (Delta0, k0) so that xi can be rebuilt from
+    Requires the gap context Delta0 so that xi can be rebuilt from
     eps and the form factor.  The occupancy 1 - eps/xi is evaluated in the
     cancellation-free form y^2/(xi (xi + eps)) for eps > 0, mirroring the
     number-equation integrand.  The occupancy counts both spin projections,

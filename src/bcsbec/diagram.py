@@ -15,7 +15,8 @@ is the one warm-started walk along a coupling grid; sweep_diagram
 classifies its solutions at one charging energy E_c, reusing each across
 the G grid, and emits cells in deterministic row-major order (U outer, G
 inner).  Every cell carries the GapSolution it was classified from, a
-failed solve included.
+failed solve included.  Energies are in eps0 and U in eps0/k0^3, the
+natural units of bcsbec.gap; G is a dimensionless hopping amplitude.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import coherence_classify, josephson_energy, sigma_phi2
-from .core import PhysicalParams
 from .gap import GapSolution, _warm_start, solve_self_consistent
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "sweep_diagram",
 ]
 
-# |mu| at or below this fraction of eps0 is labeled the pairing boundary
+# |mu| at or below this many eps0 is labeled the pairing boundary
 _MU_RTOL = 1e-9
 
 
@@ -66,8 +66,8 @@ class DiagramCell:
     label: RegimeLabel | None = None
 
 
-def _pairing_label(mu: float, energy_scale: float) -> str:
-    if abs(mu) <= _MU_RTOL * energy_scale:
+def _pairing_label(mu: float) -> str:
+    if abs(mu) <= _MU_RTOL:
         return "boundary"
     return "BCS" if mu > 0.0 else "BEC"
 
@@ -79,8 +79,7 @@ def _equal_segment_ej(G: float, U: float, Delta0: float) -> float:
     return josephson_energy(G, U, Delta0 / U, Delta0 / U)
 
 
-def classify_point(solution: GapSolution, E_c: float, G: float,
-                   params: PhysicalParams) -> DiagramCell:
+def classify_point(solution: GapSolution, E_c: float, G: float) -> DiagramCell:
     """Label the cell (E_c, G) at the coupling and density of `solution`.
 
     One solve is reused across many (E_c, G) cells; the cell keeps the
@@ -97,7 +96,7 @@ def classify_point(solution: GapSolution, E_c: float, G: float,
     cell.E_J = _equal_segment_ej(G, solution.U, solution.Delta0)
     cell.sigma2 = sigma_phi2(E_c, cell.E_J)
     cell.label = RegimeLabel(
-        pairing=_pairing_label(solution.mu, params.eps0),
+        pairing=_pairing_label(solution.mu),
         coherence=coherence_classify(E_c, cell.E_J),
     )
     return cell
@@ -119,7 +118,7 @@ def critical_hopping(solution: GapSolution, E_c: float) -> float:
         raise ValueError("no finite G*: gap below resolution")
     g_star = 2.0 * math.sqrt(E_c) / math.sqrt(solution.Delta0)
     if not math.isfinite(g_star):
-        raise ValueError(f"G* = sqrt(4 E_c/Delta0) is not representable at E_c = {E_c:g}")
+        raise ValueError("G* = sqrt(4 E_c/Delta0) is not representable")
     return g_star
 
 
@@ -144,8 +143,7 @@ def refine_hopping_boundary(
     while (e_j := _equal_segment_ej(hi, U, Delta0)) < 2.0 * E_c:
         hi *= 2.0
     if not (math.isfinite(hi) and math.isfinite(e_j)):
-        raise ValueError(f"G* is not representable: E_J overflows before reaching 2 E_c "
-                         f"at E_c = {E_c:g}")
+        raise ValueError("G* is not representable: E_J overflows before reaching 2 E_c")
     while (hi - lo) > rtol * max(hi, 1e-300):
         mid = 0.5 * (lo + hi)
         if _equal_segment_ej(mid, U, Delta0) < 2.0 * E_c:
@@ -164,8 +162,8 @@ def _validated_grid(values, name: str) -> np.ndarray:
     return arr
 
 
-def sweep_coupling(U_grid, n: float, params: PhysicalParams,
-                   tol_gap: float = 1e-10, tol_number: float = 1e-8) -> list[GapSolution]:
+def sweep_coupling(U_grid, n: float, tol_gap: float = 1e-10,
+                   tol_number: float = 1e-8) -> list[GapSolution]:
     """Solve along a coupling grid, warm-starting each point from the last.
 
     Each warm start is the tangent prediction from the last converged point
@@ -178,7 +176,7 @@ def sweep_coupling(U_grid, n: float, params: PhysicalParams,
     last = None
     for U in np.asarray(U_grid, dtype=float).tolist():
         try:
-            sol = solve_self_consistent(U, n, params, tol_gap=tol_gap, tol_number=tol_number,
+            sol = solve_self_consistent(U, n, tol_gap=tol_gap, tol_number=tol_number,
                                         initial_guess=_warm_start(last, U))
         except (RuntimeError, ValueError) as exc:  # QuadratureError is a RuntimeError
             sol = GapSolution(U, n, np.nan, np.nan, np.nan, np.nan, 0, False,
@@ -189,8 +187,8 @@ def sweep_coupling(U_grid, n: float, params: PhysicalParams,
     return out
 
 
-def sweep_diagram(U_grid, E_c: float, G_grid, n: float, params: PhysicalParams,
-                  tol_gap: float = 1e-10, tol_number: float = 1e-8) -> list[DiagramCell]:
+def sweep_diagram(U_grid, E_c: float, G_grid, n: float, tol_gap: float = 1e-10,
+                  tol_number: float = 1e-8) -> list[DiagramCell]:
     """Classify the (U, G) grid at charging energy E_c, solving once per U.
 
     The solutions are those of sweep_coupling along the U grid, so a solve
@@ -199,6 +197,6 @@ def sweep_diagram(U_grid, E_c: float, G_grid, n: float, params: PhysicalParams,
     """
     U_grid = _validated_grid(U_grid, "U")
     G_grid = _validated_grid(G_grid, "G")
-    return [classify_point(solution, float(E_c), float(G), params)
-            for solution in sweep_coupling(U_grid, n, params, tol_gap, tol_number)
+    return [classify_point(solution, float(E_c), float(G))
+            for solution in sweep_coupling(U_grid, n, tol_gap, tol_number)
             for G in G_grid]

@@ -27,6 +27,9 @@ solve starts from the previous root moved along dDelta0/dmu.  A 2D Newton
 polish then drives both residuals to tolerance, one integral per step,
 with the same analytic Jacobian.
 
+Everything here is in natural units (eps0 = k0 = 1, so eps_k = k^2 and
+U_c = 8 pi; see bcsbec.core): U in eps0/k0^3, n in k0^3, energies in eps0.
+
 This module alone decides when a gap is unresolved: a gap at fixed mu
 within a factor 2 of _GAP_FLOOR_REL eps0 counts as Delta0 = 0.  Deep in
 the BCS regime the mean-field gap falls as (8/e^2) eps_F
@@ -45,14 +48,14 @@ dmu/dU from the tangent as the slope.
 
 The two-body bound state solves 1 = U Integral Gamma^2/(2 eps_k + E_b); it
 exists above the threshold coupling U_c and, for the separable form factor,
-obeys the closed form E_b = (hbar^2 k0^2/m) (U/U_c - 1)^2 = 2 eps0 (U/U_c - 1)^2.
+obeys the closed form E_b = (hbar^2 k0^2/m) (U/U_c - 1)^2 = 2 (U/U_c - 1)^2 eps0.
 bound_state_energy returns that closed form; the tests check it against an
 independent numerical root-find of the integral equation.  At zero gap and
 mu < 0 the gap equation is the bound-state equation with E_b = -2 mu, so
 for mu <= 0 it has a positive root exactly when mu > -E_b/2.
 
 The BEC end has a closed form (the molecular limit of Leggett 1980 and
-Nozieres & Schmitt-Rink 1985).  In eps0 = k0 = 1 units let b = U/U_c - 1,
+Nozieres & Schmitt-Rink 1985).  Let b = U/U_c - 1,
 so E_b/2 = b^2, and nu = mu + E_b/2; then eps_k - mu = k^2 + b^2 - nu.
 To first order in Delta0^2 and nu the occupancy is 1 - eps/xi =
 Delta0^2 Gamma^2/(2 (k^2 + b^2)^2), and 1/xi = 1/(k^2 + b^2) + nu/(k^2 +
@@ -64,9 +67,9 @@ equation is the bound-state equation, so the two equations read
 with I_p = Integral d^3k/(2 pi)^3 Gamma^p/(k^2 + b^2)^(p/2+1).  Both are
 rational: from Integral_0^inf k^2 dk/((k^2 + 1)(k^2 + b^2)) = pi/(2(1+b))
 and its derivatives in b^2, I2 = 1/(8 pi b (1+b)^2) and I4 = (1 + 4b)/(32
-pi b^3 (1+b)^4).  Hence, with m = n/k0^3, as n -> 0
+pi b^3 (1+b)^4).  Hence, as n -> 0
 
-    Delta0 = sqrt(16 pi b (1+b)^2 m) eps0,   mu = -E_b/2 + 2 pi (1+4b) (m/b) eps0,
+    Delta0 = sqrt(16 pi b (1+b)^2 n),   mu = -E_b/2 + 2 pi (1+4b) n/b,
 
 and the solver's Delta0 and nu approach both forms with relative errors
 linear in n.  A cold solve above U_c hands this pair to the Newton polish
@@ -85,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams, critical_coupling
+from .core import U_C, fermi_energy
 from .quadrature import QuadratureError, radial_integral
 
 __all__ = [
@@ -97,7 +100,7 @@ __all__ = [
     "locate_mu_zero",
 ]
 
-# Delta0 below this fraction of the energy scale is treated as unresolved
+# Delta0 below this many eps0 is treated as unresolved
 _GAP_FLOOR_REL = 1e-13
 # budget of a cold solve's search in integrals, and of any safeguarded Newton
 _MAX_ITER = 500
@@ -129,7 +132,7 @@ class GapSolution:
     tangent: tuple[float, float] | None = None
 
 
-def _pair_integrand(mu, Delta0, params: PhysicalParams, column=None):
+def _pair_integrand(mu, Delta0, column=None):
     """Integrand without the radial weight: six columns, or only `column`.
 
     The columns are the gap g2/xi, the occupancy, and the closed-form
@@ -137,12 +140,10 @@ def _pair_integrand(mu, Delta0, params: PhysicalParams, column=None):
     -Delta0 g2^2/xi^3, d occ/dmu = y2/xi^3 and d occ/dDelta0 =
     eps Delta0 g2/xi^3 (eps = eps_k - mu, y2 = Delta0^2 g2).
     """
-    h2m = params.half_hbar2_over_m
-    k0 = params.k0
 
     def f(k):
-        eps = h2m * k * k - mu
-        g2 = 1.0 / (1.0 + (k / k0) ** 2)
+        eps = k * k - mu
+        g2 = 1.0 / (1.0 + k**2)
         y2 = Delta0 * Delta0 * g2
         xi = np.sqrt(eps * eps + y2)
         if column == 0:
@@ -159,24 +160,22 @@ def _pair_integrand(mu, Delta0, params: PhysicalParams, column=None):
     return f
 
 
-def _breakpoints(mu, Delta0, params: PhysicalParams):
+def _breakpoints(mu, Delta0):
     """Panel seeds: the form-factor knee plus the near-Fermi-surface peak."""
-    k0 = params.k0
-    h2m = params.half_hbar2_over_m
-    pts = [0.3 * k0, k0, 3.0 * k0, 10.0 * k0]
+    pts = [0.3, 1.0, 3.0, 10.0]
     if mu > 0:
-        kmu = np.sqrt(mu / h2m)
+        kmu = np.sqrt(mu)
         pts.append(kmu)
-        local_gap = Delta0 / np.sqrt(1.0 + (kmu / k0) ** 2)
+        local_gap = Delta0 / np.sqrt(1.0 + kmu**2)
         if local_gap > 0:
-            dk = local_gap / (2.0 * h2m * kmu)
+            dk = local_gap / (2.0 * kmu)
             for c in (1.0, 3.0, 10.0, 30.0, 100.0):
                 pts.extend([kmu - c * dk, kmu + c * dk])
     return [p for p in pts if p > 0]
 
 
-def _pair_integral(mu, Delta0, params, steer=None, column=None):
-    """Radial integral of _pair_integrand(mu, Delta0, params, column).
+def _pair_integral(mu, Delta0, steer=None, column=None):
+    """Radial integral of _pair_integrand(mu, Delta0, column).
 
     The first `steer` columns steer the refinement and the rest ride on
     their panels.  A single column is integrated on its own: adaptive
@@ -185,25 +184,25 @@ def _pair_integral(mu, Delta0, params, steer=None, column=None):
     and the gap column diverges at Delta0 = 0, where the occupancy alone
     still has a finite integral.
     """
-    return radial_integral(_pair_integrand(mu, Delta0, params, column), k0=params.k0,
-                           breakpoints=_breakpoints(mu, Delta0, params), steer=steer)
+    return radial_integral(_pair_integrand(mu, Delta0, column),
+                           breakpoints=_breakpoints(mu, Delta0), steer=steer)
 
 
-def _residuals_and_jacobian(mu, Delta0, U, n, params):
+def _residuals_and_jacobian(mu, Delta0, U, n):
     """Residuals (r_gap, r_number), their Jacobian in (mu, Delta0), and I_gap.
 
     One radial integral: the four derivative integrands ride on the panels
     that the gap and occupancy integrands choose (steer=2), so the residuals
     are bit-identical to those of a (gap, occupancy) integral alone.
     """
-    gap, density, dgap_mu, dgap_d, docc_mu, docc_d = _pair_integral(mu, Delta0, params, steer=2)
+    gap, density, dgap_mu, dgap_d, docc_mu, docc_d = _pair_integral(mu, Delta0, steer=2)
     r = np.array([1.0 - 0.5 * U * gap, (n - density) / n])
     J = np.array([[-0.5 * U * dgap_mu, -0.5 * U * dgap_d],
                   [-docc_mu / n, -docc_d / n]])
     return r, J, gap
 
 
-def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams) -> float:
+def gap_residual(Delta0: float, mu: float, U: float) -> float:
     """1 - (U/2) * gap integral; zero at self-consistency.
 
     Diverges (negative, via the log singularity at the Fermi surface) as
@@ -213,16 +212,16 @@ def gap_residual(Delta0: float, mu: float, U: float, params: PhysicalParams) -> 
         raise ValueError("Delta0 must be nonnegative")
     if U <= 0:
         raise ValueError("U must be positive")
-    return 1.0 - 0.5 * U * float(_pair_integral(mu, Delta0, params, column=0)[0])
+    return 1.0 - 0.5 * U * float(_pair_integral(mu, Delta0, column=0)[0])
 
 
-def number_residual(Delta0: float, mu: float, n: float, params: PhysicalParams) -> float:
+def number_residual(Delta0: float, mu: float, n: float) -> float:
     """(n - computed density)/n; equals 1 exactly for an empty state."""
     if Delta0 < 0:
         raise ValueError("Delta0 must be nonnegative")
     if n <= 0:
         raise ValueError("density must be positive")
-    return (n - float(_pair_integral(mu, Delta0, params, column=1)[0])) / n
+    return (n - float(_pair_integral(mu, Delta0, column=1)[0])) / n
 
 
 def _safe_newton(f, x, lo, hi, xtol, budget, cap=math.inf):
@@ -258,7 +257,7 @@ def _safe_newton(f, x, lo, hi, xtol, budget, cap=math.inf):
     raise RuntimeError(f"no root within {budget} evaluations")
 
 
-def _gap_at_mu(mu, U, params, guess=None):
+def _gap_at_mu(mu, U, guess=None):
     """Solve the gap equation at fixed mu; returns (Delta0, integrals).
 
     Safeguarded Newton in x = log Delta0 from `guess` (default eps0), on
@@ -270,7 +269,7 @@ def _gap_at_mu(mu, U, params, guess=None):
     below -E_b/2) or it is below resolution; a positive residual that
     close ends the solve.
     """
-    floor = _GAP_FLOOR_REL * params.eps0
+    floor = _GAP_FLOOR_REL
     edge = math.log(floor)  # the floor, then the highest failure
     top = math.inf  # the lowest x with r_gap > 0
     integrals = 0
@@ -280,9 +279,9 @@ def _gap_at_mu(mu, U, params, guess=None):
         D = math.exp(x)
         integrals += 1
         try:
-            vals = _pair_integral(mu, D, params, steer=1)
+            vals = _pair_integral(mu, D, steer=1)
         except QuadratureError:
-            if mu <= 0 or D >= 1e-4 * params.eps0:
+            if mu <= 0 or D >= 1e-4:
                 raise
             edge, value, slope = x, -math.inf, math.nan
         else:
@@ -292,12 +291,12 @@ def _gap_at_mu(mu, U, params, guess=None):
         # a zero stops the iteration at x, within a factor 2 of the edge
         return (0.0, math.nan) if top - edge < _LOG2 else (value, slope)
 
-    x0 = math.log(guess if guess is not None and guess > floor else params.eps0)
+    x0 = math.log(guess if guess is not None and guess > floor else 1.0)
     x, _ = _safe_newton(r, x0, edge, math.inf, _LOG_GAP_XTOL, _MAX_ITER, cap=_LOG_GAP_CAP)
     return (0.0 if x - edge < _LOG2 else math.exp(x)), integrals
 
 
-def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number):
+def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
     """2D Newton on (mu, Delta0) with the analytic Jacobian.
 
     Each step costs one radial integral, which yields the residuals and
@@ -310,7 +309,7 @@ def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number):
     no integral, and it is None when J is singular there.
     """
     it = 0
-    r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n, params)
+    r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n)
     for _ in range(_NEWTON_STEPS):
         it += 1
         if abs(r[0]) <= 0.05 * tol_gap and abs(r[1]) <= 0.05 * tol_number:
@@ -328,7 +327,7 @@ def _newton_polish(mu, Delta0, U, n, params, tol_gap, tol_number):
         if new_D <= 0:
             break
         mu, Delta0 = new_mu, new_D
-        r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n, params)
+        r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n)
     try:
         tangent = tuple(np.linalg.solve(J, [0.5 * gap, 0.0]))
     except np.linalg.LinAlgError:
@@ -356,48 +355,46 @@ def _warm_start(prev: GapSolution | None, U: float):
     return prev.mu, prev.Delta0
 
 
-def _bec_seed(Eb, n, eps_F, params):
+def _bec_seed(Eb, n, eps_F):
     """The molecular-limit (mu, Delta0) at binding energy Eb, or None.
 
-    With b = sqrt(Eb/(2 eps0)) = U/U_c - 1 and m = n/k0^3, the closed
-    forms mu = -Eb/2 + 2 pi (1 + 4b) (m/b) eps0 and Delta0 =
-    sqrt(16 pi b m) (1 + b) eps0, exact as n -> 0 (see the module
-    docstring).  None below or at the threshold (Eb None or 0), and when
-    the seed's mu is not below eps_F, which no mean-field solution exceeds.
+    With b = sqrt(Eb/2) = U/U_c - 1, the closed forms mu = -Eb/2 + 2 pi
+    (1 + 4b) n/b and Delta0 = sqrt(16 pi b n) (1 + b), exact as n -> 0
+    (see the module docstring).  None below or at the threshold (Eb None
+    or 0), and when the seed's mu is not below eps_F, which no mean-field
+    solution exceeds.
     """
     if not Eb:
         return None
-    eps0 = params.eps0
-    b = math.sqrt(0.5 * Eb / eps0)
-    m = n / params.k0**3
-    mu = -0.5 * Eb + 2.0 * math.pi * (1.0 + 4.0 * b) * (m / b) * eps0
+    b = math.sqrt(0.5 * Eb)
+    mu = -0.5 * Eb + 2.0 * math.pi * (1.0 + 4.0 * b) * (n / b)
     if not mu < eps_F:
         return None
-    return mu, math.sqrt(16.0 * math.pi * b * m) * (1.0 + b) * eps0
+    return mu, math.sqrt(16.0 * math.pi * b * n) * (1.0 + b)
 
 
-def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
+def solve_self_consistent(U: float, n: float, *,
                           tol_gap: float = 1e-10, tol_number: float = 1e-8,
                           initial_guess: tuple[float, float] | None = None) -> GapSolution:
     """Solve both equations for (mu, Delta0) at coupling U and density n.
 
-    initial_guess (mu, Delta0) goes straight to the Newton polish, which
-    sweeps exploit point to point; should the polish miss, the guess seeds
-    a cold solve.  Without one, a solve above U_c takes the molecular limit
-    as its guess, Delta0 = sqrt(16 pi b (1+b)^2 m) eps0 and mu = -E_b/2 +
-    2 pi (1+4b) (m/b) eps0 with b = U/U_c - 1 and m = n/k0^3, the first
-    order of n = (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2 (see
-    the module docstring), provided that mu lies below eps_F, which no
-    mean-field mu exceeds; should its polish miss, it seeds the search just
-    as a missed initial_guess does.  A cold solve runs the safeguarded
-    Newton of _safe_newton on the density excess over the mu bracket
-    (-E_b/2, inf), with lower end 0 below U_c: the gap equation loses its
-    positive solution exactly at mu = -E_b/2 (the two-body dissociation
-    edge).  It starts at mu = -E_b/2 + eps_F (eps_F =
-    params.fermi_energy(n)), steps toward the open upper end by at most
-    half of scale = max(eps_F, eps0), and stops at a bracket 1e-6 scale
-    wide.  Each probe solves the gap at fixed mu
-    (_gap_at_mu) from the previous probe's gap moved along dDelta0/dmu, and
+    U is in eps0/k0^3 (U_c = core.U_C), n in k0^3; mu and Delta0 come back
+    in eps0.  initial_guess (mu, Delta0) goes straight to the Newton
+    polish, which sweeps exploit point to point; should the polish miss,
+    the guess seeds a cold solve.  Without one, a solve above U_c takes the
+    molecular limit as its guess, Delta0 = sqrt(16 pi b (1+b)^2 n) and mu
+    = -E_b/2 + 2 pi (1+4b) n/b with b = U/U_c - 1, the first order of n =
+    (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2 (see the module
+    docstring), provided that mu lies below eps_F, which no mean-field mu
+    exceeds; should its polish miss, it seeds the search just as a missed
+    initial_guess does.  A cold solve runs the safeguarded Newton of
+    _safe_newton on the density excess over the mu bracket (-E_b/2, inf),
+    with lower end 0 below U_c: the gap equation loses its positive
+    solution exactly at mu = -E_b/2 (the two-body dissociation edge).  It
+    starts at mu = -E_b/2 + eps_F (eps_F = fermi_energy(n)), steps toward
+    the open upper end by at most half of scale = max(eps_F, eps0), and
+    stops at a bracket 1e-6 scale wide.  Each probe solves the gap at fixed
+    mu (_gap_at_mu) from the previous probe's gap moved along dDelta0/dmu, and
     one integral at that root gives the density and the slope dn/dmu.  The
     Newton polish starts from the search's root.  When the last probe found
     no resolved gap, the answer is instead the free gas (mu = eps_F,
@@ -409,20 +406,19 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
     """
     if U <= 0 or n <= 0:
         raise ValueError("U and n must be positive")
-    eps_F = params.fermi_energy(n)
-    scale = max(eps_F, params.eps0)
+    eps_F = fermi_energy(n)
+    scale = max(eps_F, 1.0)
     iterations = 0
     last = None  # (mu, Delta0, dDelta0/dmu) of the last probe with a resolved gap
     free = False  # whether the last probe found no resolved gap
 
-    Eb = bound_state_energy(U, params)
+    Eb = bound_state_energy(U)
     if initial_guess is None:
-        initial_guess = _bec_seed(Eb, n, eps_F, params)
+        initial_guess = _bec_seed(Eb, n, eps_F)
     if initial_guess is not None:
         mu0, D0 = initial_guess
         if D0 > 0:
-            mu, D, rg, rn, it, tangent = _newton_polish(mu0, D0, U, n, params, tol_gap,
-                                                        tol_number)
+            mu, D, rg, rn, it, tangent = _newton_polish(mu0, D0, U, n, tol_gap, tol_number)
             iterations += it
             if abs(rg) <= tol_gap and abs(rn) <= tol_number:
                 return GapSolution(U, n, mu, D, rg, rn, iterations, True, tangent=tangent)
@@ -441,14 +437,14 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
         nonlocal iterations, last, free
         if iterations > _MAX_ITER:
             raise RuntimeError("mu search exhausted the budget")
-        D, its = _gap_at_mu(mu, U, params, gap_near(mu))
+        D, its = _gap_at_mu(mu, U, gap_near(mu))
         iterations += its
         free = D == 0.0
-        if free:  # the free gas: n = k_mu^3/(3 pi^2) with k_mu^2 = mu/(hbar^2/2m)
-            k = math.sqrt(max(mu, 0.0) / params.half_hbar2_over_m)
-            return k**3 / (3.0 * math.pi**2) - n, k / (2.0 * math.pi**2 * params.half_hbar2_over_m)
+        if free:  # the free gas: n = k_mu^3/(3 pi^2) with k_mu^2 = mu
+            k = math.sqrt(max(mu, 0.0))
+            return k**3 / (3.0 * math.pi**2) - n, k / (2.0 * math.pi**2)
         iterations += 1
-        r, J, _ = _residuals_and_jacobian(mu, D, U, n, params)
+        r, J, _ = _residuals_and_jacobian(mu, D, U, n)
         # along the gap root dDelta0/dmu = -dr_gap/dmu / dr_gap/dDelta0, and
         # J[1] = -(d occ/dmu, d occ/dDelta0)/n
         last = (mu, D, -J[0, 0] / J[0, 1])
@@ -461,13 +457,12 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
         raise
     except RuntimeError:  # a budget of the search ran out: hand back its last gap
         mu, D = last[:2] if last else (mu_lo + eps_F, 0.0)
-        return GapSolution(U, n, mu, D, np.nan, number_residual(D, mu, n, params), iterations,
+        return GapSolution(U, n, mu, D, np.nan, number_residual(D, mu, n), iterations,
                            False, "mu search exhausted the budget")
     if free:  # the free gas: the gap integral diverges at Delta0 = 0, mu > 0
         return GapSolution(U, n, eps_F, 0.0, np.nan, 0.0, iterations, True,
                            "gap below resolution")
-    mu, D, rg, rn, it, tangent = _newton_polish(mu, gap_near(mu), U, n, params, tol_gap,
-                                                tol_number)
+    mu, D, rg, rn, it, tangent = _newton_polish(mu, gap_near(mu), U, n, tol_gap, tol_number)
     iterations += it
     conv = abs(rg) <= tol_gap and abs(rn) <= tol_number
     note = "" if conv else "tolerances not met within budget"
@@ -475,32 +470,30 @@ def solve_self_consistent(U: float, n: float, params: PhysicalParams, *,
                        tangent if conv else None)
 
 
-def bound_state_energy(U: float, params: PhysicalParams) -> float | None:
+def bound_state_energy(U: float) -> float | None:
     """Binding energy E_b >= 0 of the two-body problem, or None below threshold.
 
     E_b solves 1 = U * Integral d^3k/(2 pi)^3 Gamma^2/(2 eps_k + E_b), whose
-    solution for the separable form factor is E_b = 2 eps0 (U/U_c - 1)^2 with
-    U_c = critical_coupling(params).  Returns None for U < U_c, exactly 0.0
+    solution for the separable form factor is E_b = 2 (U/U_c - 1)^2 with
+    U_c = core.U_C.  Returns None for U < U_c, exactly 0.0
     at U = U_c (threshold) and the closed form above it.  Raises ValueError
     when E_b overflows the float range.
     """
     if not 0 < U < np.inf:
         raise ValueError("U must be positive and finite")
-    Uc = critical_coupling(params)
-    if U < Uc:
+    if U < U_C:
         return None
     with np.errstate(over="ignore"):
         try:
-            Eb = 2.0 * params.eps0 * (U / Uc - 1.0) ** 2
+            Eb = 2.0 * (U / U_C - 1.0) ** 2
         except OverflowError:  # Python floats raise where numpy scalars give inf
             Eb = np.inf
     if Eb == np.inf:
-        raise ValueError(f"E_b is not representable at U/U_c = {U / Uc:g}")
+        raise ValueError(f"E_b is not representable at U/U_c = {U / U_C:g}")
     return Eb
 
 
-def locate_mu_zero(n: float, params: PhysicalParams,
-                   tol_rel: float = 1e-6) -> tuple[float, GapSolution]:
+def locate_mu_zero(n: float, tol_rel: float = 1e-6) -> tuple[float, GapSolution]:
     """The coupling in [0.5, 4] U_c at which mu changes sign, and the last solve.
 
     Safeguarded Newton on mu(U), with the tangent dmu/dU of each solve as
@@ -510,15 +503,14 @@ def locate_mu_zero(n: float, params: PhysicalParams,
     are solves with mu >= 0 below and mu <= 0 above; raises ValueError when
     no such bracket forms in [0.5, 4] U_c.
     """
-    Uc = critical_coupling(params)
     last = None
     below, above = -math.inf, math.inf  # couplings solved with mu >= 0 and mu <= 0
 
     def minus_mu(U):
         nonlocal last, below, above
-        sol = solve_self_consistent(U, n, params, initial_guess=_warm_start(last, U))
+        sol = solve_self_consistent(U, n, initial_guess=_warm_start(last, U))
         if not sol.converged:
-            raise RuntimeError(f"no converged solution at U/U_c = {U / Uc}")
+            raise RuntimeError(f"no converged solution at U/U_c = {U / U_C}")
         last = sol
         if sol.mu >= 0.0:
             below = max(below, U)
@@ -526,7 +518,7 @@ def locate_mu_zero(n: float, params: PhysicalParams,
             above = min(above, U)
         return -sol.mu, -sol.tangent[0] if sol.tangent else math.nan
 
-    _safe_newton(minus_mu, 2.25 * Uc, 0.5 * Uc, 4.0 * Uc, tol_rel * Uc, _MAX_ITER)
-    if above - below > tol_rel * Uc:
+    _safe_newton(minus_mu, 2.25 * U_C, 0.5 * U_C, 4.0 * U_C, tol_rel * U_C, _MAX_ITER)
+    if above - below > tol_rel * U_C:
         raise ValueError("mu does not change sign on [0.5, 4] U_c")
     return 0.5 * (below + above), last

@@ -20,8 +20,10 @@ integrands sharing one set of panels).
 
 radial_integral is the one entry point, and every integral uses the one
 rule that the module constants fix: _PANELS initial panels of _NODES
-nodes on [0, _K_MAX k0], tolerances _TOL_ABS and _TOL_REL, and a
-refinement budget of _MAX_PANELS panels.  It returns the integral alone: a
+nodes on [0, _K_MAX], tolerances _TOL_ABS and _TOL_REL, and a
+refinement budget of _MAX_PANELS panels.  Momenta are in units of k0 and
+integrands in natural units (eps0 = k0 = 1), so the absolute tolerance is
+one fixed fraction of the model's own scales.  It returns the integral alone: a
 converged integral is within tolerance by construction, and one that
 cannot converge raises QuadratureError, which carries the best value and
 its error estimate.
@@ -49,7 +51,7 @@ __all__ = ["QuadratureError", "radial_integral"]
 # between the direct and the reciprocal-mapped region, not a truncation.
 # Doubling _PANELS changes any converged integral by less than _TOL_REL
 # (both runs refine to tolerance).
-_PANELS = 16          # initial panel count on [0, _K_MAX k0]
+_PANELS = 16          # initial panel count on [0, _K_MAX]
 _K_MAX = 40.0         # direct/tail boundary, units of k0
 _TOL_ABS = 1e-14
 _TOL_REL = 1e-12
@@ -187,29 +189,28 @@ def _tail_nodes(count, nodes):
     return edges, u
 
 
-def radial_integral(f, k0: float = 1.0, breakpoints=None, steer=None):
+def radial_integral(f, breakpoints=None, steer=None):
     """Integral d^3k/(2 pi)^3 f(k) = Integral_0^inf dk k^2/(2 pi^2) f(k) for isotropic f.
 
-    f maps a 1D array of k values to shape (npts,) or (npts, nf).  Returns
-    the integral, of shape (nf,).  The direct region is [0, _K_MAX*k0]; the
-    tail uses u = _K_MAX*k0/k on (0, 1].  The first wave of both regions is
+    f maps a 1D array of k values (in k0) to shape (npts,) or (npts, nf).
+    Returns the integral, of shape (nf,).  The direct region is [0, _K_MAX];
+    the tail uses u = _K_MAX/k on (0, 1].  The first wave of both regions is
     evaluated in one call of f; refinement waves call f per region.  Only
     the first `steer` components (all when None) steer the refinement; the
     others ride along on the same panels.
     """
-    kc = _K_MAX * k0
 
     def weighted(k):
         v = np.asarray(f(k), dtype=float)
         return (v[:, None] if v.ndim == 1 else v) * (k**2 / (2.0 * np.pi**2))[:, None]
 
     def tail_integrand(u):
-        return weighted(kc / u) * (kc / u**2)[:, None]
+        return weighted(_K_MAX / u) * (_K_MAX / u**2)[:, None]
 
-    edges = _initial_edges(0.0, kc, breakpoints, _PANELS)
+    edges = _initial_edges(0.0, _K_MAX, breakpoints, _PANELS)
     tail_edges, u = _tail_nodes(max(2, _PANELS // 4), _NODES)
     k, _ = _panel_nodes(edges[:-1], edges[1:], _NODES)
-    first = weighted(np.concatenate([k, kc / u]))
+    first = weighted(np.concatenate([k, _K_MAX / u]))
     direct = _adaptive(weighted, edges, first[: k.size], steer)
-    tail = _adaptive(tail_integrand, tail_edges, first[k.size:] * (kc / u**2)[:, None], steer)
+    tail = _adaptive(tail_integrand, tail_edges, first[k.size:] * (_K_MAX / u**2)[:, None], steer)
     return direct + tail

@@ -24,7 +24,7 @@ from bcsbec.checks import (
     check_phase_lock,
 )
 from bcsbec.cli import main as cli_main
-from bcsbec.core import PhysicalParams, critical_coupling
+from bcsbec.core import U_C, eps0_ev
 from bcsbec.diagram import (
     critical_hopping,
     refine_hopping_boundary,
@@ -39,44 +39,34 @@ U_CROSSING_REF = 1.74445063  # located once at coarse tolerance, frozen
 
 
 @pytest.fixture(scope="module")
-def dimless():
-    return PhysicalParams.dimensionless()
-
-
-@pytest.fixture(scope="module")
-def sweep50(dimless):
+def sweep50():
     """Fifty-point coupling sweep at fixed density (criteria 2 and 3)."""
     t0 = time.monotonic()
-    u_c = critical_coupling(dimless)
     ratios = np.linspace(0.5, 4.0, 50)
-    solutions = sweep_coupling(ratios * u_c, DENSITY, dimless)
-    return ratios, solutions, u_c, time.monotonic() - t0
+    solutions = sweep_coupling(ratios * U_C, DENSITY)
+    return ratios, solutions, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def diagram_ec50():
-    """Physical-units diagram cross-section at fixed charging energy."""
+    """Diagram cross-section at E_c = 50 micro-eV for k0 = 1.41/Angstrom."""
     t0 = time.monotonic()
-    params = PhysicalParams.free_electron(k0=1.41)
-    n = DENSITY * params.k0**3
-    e_c = 50e-6  # eV
-    u_c = critical_coupling(params)
+    e_c = 50e-6 / eps0_ev(1.41)  # in eps0
     ratios = np.linspace(0.5, 4.0, 12)
     g_grid = np.linspace(1e-3, 5e-2, 12)
-    cells = sweep_diagram(ratios * u_c, e_c, g_grid, n, params)
-    return params, n, e_c, u_c, ratios, g_grid, cells, time.monotonic() - t0
+    cells = sweep_diagram(ratios * U_C, e_c, g_grid, DENSITY)
+    return e_c, ratios, g_grid, cells, time.monotonic() - t0
 
 
-def test_01_pairing_threshold(dimless, acceptance_report):
+def test_01_pairing_threshold(acceptance_report):
     t0 = time.monotonic()
-    u_c = critical_coupling(dimless)
-    e_b = bound_state_energy(u_c, dimless)
+    e_b = bound_state_energy(U_C)
     kernel = radial_integral(lambda k: 1.0 / ((1.0 + k**2) * 2.0 * k**2))
-    identity_dev = abs(u_c * float(kernel[0]) - 1.0)
+    identity_dev = abs(U_C * float(kernel[0]) - 1.0)
     elapsed = time.monotonic() - t0
     ok = (
         e_b is not None
-        and abs(e_b) <= 1e-8 * dimless.eps0
+        and abs(e_b) <= 1e-8
         and identity_dev <= 1e-10
         and elapsed < 1.0
     )
@@ -89,8 +79,8 @@ def test_01_pairing_threshold(dimless, acceptance_report):
     assert ok
 
 
-def test_02_coupling_sweep(dimless, sweep50, acceptance_report):
-    ratios, solutions, u_c, elapsed = sweep50
+def test_02_coupling_sweep(sweep50, acceptance_report):
+    ratios, solutions, elapsed = sweep50
     t0 = time.monotonic()
     mus = np.array([s.mu for s in solutions])
     gaps = np.array([s.Delta0 for s in solutions])
@@ -101,13 +91,13 @@ def test_02_coupling_sweep(dimless, sweep50, acceptance_report):
     max_rg = max(abs(s.residual_gap) for s in solutions)
     max_rn = max(abs(s.residual_number) for s in solutions)
 
-    u_star, sol_star = locate_mu_zero(DENSITY, dimless, tol_rel=1e-6)
-    u_star_fine, _ = locate_mu_zero(DENSITY, dimless, tol_rel=1e-7)
+    u_star, sol_star = locate_mu_zero(DENSITY, tol_rel=1e-6)
+    u_star_fine, _ = locate_mu_zero(DENSITY, tol_rel=1e-7)
     located = abs(u_star - u_star_fine) <= 1.2e-6 * u_star
-    idx = int(np.searchsorted(ratios, u_star / u_c)) - 1
+    idx = int(np.searchsorted(ratios, u_star / U_C)) - 1
     bracketed = mus[idx] > 0.0 > mus[idx + 1]
-    sane = abs(u_star / u_c - U_CROSSING_REF) < 5e-4
-    eps_f = (3.0 * math.pi**2 * DENSITY) ** (2.0 / 3.0) * dimless.half_hbar2_over_m
+    sane = abs(u_star / U_C - U_CROSSING_REF) < 5e-4
+    eps_f = (3.0 * math.pi**2 * DENSITY) ** (2.0 / 3.0)
     elapsed += time.monotonic() - t0
 
     ok = (
@@ -127,18 +117,18 @@ def test_02_coupling_sweep(dimless, sweep50, acceptance_report):
         f"[acceptance 02] {'PASS' if ok else 'FAIL'} coupling sweep: "
         f"50 points converged={converged}, gap increasing={gap_up}, "
         f"mu decreasing={mu_down}, sign changes={crossings}, "
-        f"crossing U/U_c = {u_star / u_c:.8f} (located to 1e-6), "
+        f"crossing U/U_c = {u_star / U_C:.8f} (located to 1e-6), "
         f"residuals ({max_rg:.1e}, {max_rn:.1e}), {elapsed:.1f}s"
     )
     assert ok
 
 
-def test_03_strong_coupling_edge(dimless, sweep50, acceptance_report):
-    ratios, solutions, u_c, _ = sweep50
+def test_03_strong_coupling_edge(sweep50, acceptance_report):
+    ratios, solutions, _ = sweep50
     t0 = time.monotonic()
     assert ratios[-1] == 4.0
     sol = solutions[-1]
-    e_b = bound_state_energy(4.0 * u_c, dimless)
+    e_b = bound_state_energy(4.0 * U_C)
     rel = abs(sol.mu + 0.5 * e_b) / abs(sol.mu)
     elapsed = time.monotonic() - t0
     ok = rel <= 0.10 and elapsed < 5.0
@@ -233,7 +223,7 @@ def test_09_chain_variances_and_odlro(acceptance_report):
 
 
 def test_10_diagram_cross_section(diagram_ec50, acceptance_report):
-    params, n, e_c, u_c, ratios, g_grid, cells, elapsed = diagram_ec50
+    e_c, ratios, g_grid, cells, elapsed = diagram_ec50
     t0 = time.monotonic()
     converged = all(c.solution.converged for c in cells)
     labels = {(c.label.pairing, c.label.coherence) for c in cells if c.label}

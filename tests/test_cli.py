@@ -7,14 +7,17 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcsbec.diagram
 from bcsbec.checks import CHECK_NAMES
 from bcsbec.cli import _Range, build_parser, main
+from bcsbec.core import eps0_ev
 from bcsbec.quadrature import QuadratureError
 
 
@@ -107,7 +110,7 @@ def test_bound_state_at_threshold_is_zero(tmp_path):
     assert lines[1] == "1,1,0"
 
 
-def test_invalid_configuration_exits_three(tmp_path):
+def test_invalid_configuration_exits_three(tmp_path, capsys):
     assert run(["gap-sweep", "--points", "0", "--out", str(tmp_path)]) == 3
     assert run(["gap-sweep", "--u-min", "3.0", "--u-max", "1.0"]) == 3
     assert run(["phase-diagram", "--g-points", "0"]) == 3
@@ -118,7 +121,12 @@ def test_invalid_configuration_exits_three(tmp_path):
     assert run(["gap-sweep", "--points", "xyz"]) == 3
     assert run(["gap-sweep", "--tol-gap", "-1.0"]) == 3
     out = tmp_path / "out"
+    capsys.readouterr()
     assert run(["gap-sweep", "--poin", "2", "--out", str(out)]) == 3  # never abbreviated
+    # an unknown flag is the subcommand's error, shown with its usage
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bcsbec gap-sweep ")
+    assert "bcsbec gap-sweep: error: unrecognized arguments: --poin 2" in err
     # the geometry gives E_c in eV, which only physical mode reads as such
     assert run(["chain", "--ej", "3", "--epsilon-r", "10", "--area-um2", "0.1",
                 "--spacing-nm", "2", "--out", str(out)]) == 3
@@ -327,12 +335,24 @@ def test_unrepresentable_boundary_leaves_its_fields_empty(tmp_path, capsys):
     # the run exits 2
     assert run(["phase-diagram", "--ec", "1e308", "--u-points", "1", "--g-points", "2",
                 "--out", str(tmp_path)]) == 2
-    assert "not representable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not representable" in err and "E_c = 1e+308 eps0" in err
     rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()[1:]
     assert [row.split(",")[7:] for row in rows] == [["BCS", "local", "1"]] * 2
     [row] = (tmp_path / "boundary.csv").read_text().splitlines()[1:]
     assert row.split(",")[0] == "0.5" and row.split(",")[2:] == ["", ""]
     assert (tmp_path / "phase_diagram.meta.json").exists()
+
+
+def test_unrepresentable_boundary_reports_e_c_as_entered(tmp_path, capsys):
+    # physical mode solves at E_c/eps0(k0) but names E_c in eV, as the CSV
+    # echoes it; at k0 = 3e-4 that quotient is about 1.5e308 eps0 and E_J
+    # overflows before reaching 2 E_c
+    assert run(["phase-diagram", "--units", "physical", "--k0", "3e-4", "--ec", "5e307",
+                "--u-points", "1", "--g-points", "2", "--out", str(tmp_path)]) == 2
+    assert "E_c = 5e+301 eV: G* is not representable" in capsys.readouterr().err
+    [row] = (tmp_path / "boundary.csv").read_text().splitlines()[1:]
+    assert row.split(",")[2:] == ["", ""]
 
 
 def test_bug_propagates_from_main(tmp_path, monkeypatch):
@@ -436,7 +456,7 @@ def test_config_file_precedence(tmp_path):
     assert meta["config"]["u_max"] == 2.0
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     out = tmp_path / "out"
     # keys are exactly the flags that take a value: no abbreviation, no
@@ -444,8 +464,16 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     for command, line in [("gap-sweep", "nonsense = 1"), ("gap-sweep", "points"),
                           ("gap-sweep", "poin = 2"), ("gap-sweep", "help = 1"),
                           ("checks", "list = true"), ("gap-sweep", f"config = {cfg}")]:
-        cfg.write_text(line + "\n")
+        # a comment and a valid key first, so the bad line is the file's third
+        cfg.write_text(f"# {command}\nout = {out}\n{line}\n")
+        capsys.readouterr()
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 3, line
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: bcsbec {command} "), line
+        assert f"bcsbec {command}: error: {cfg}:3: " in err, line
+        key = line.split()[0]
+        if key in ("nonsense", "poin", "config"):
+            assert f"unknown config key {key!r}" in err, line
     assert run(["gap-sweep", "--config", str(tmp_path / "missing.cfg")]) == 3
     assert not out.exists()
 
@@ -517,6 +545,50 @@ def test_physical_units_metadata(tmp_path):
     meta = json.loads((tmp_path / "phase_diagram.meta.json").read_text())
     assert meta["unit_mode"] == "physical"
     assert meta["results"]["energy_unit"] == "eV"
+
+
+def _csv_columns(path):
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+# the columns of each output that physical mode reports in eV
+EV_COLUMNS = {"phase_diagram.csv": ("mu", "Delta0", "E_J"), "boundary.csv": ("mu",),
+              "eta.csv": ("mu", "Delta0")}
+
+
+@settings(max_examples=8, deadline=None)
+@given(k0=st.floats(0.01, 30.0))
+def test_physical_mode_is_the_dimensionless_run_times_eps0(k0):
+    # the solve is the same at every k0: a physical run is the dimensionless
+    # run at E_c/eps0 with its mu, Delta0 and E_J columns times eps0 in eV
+    eps0 = eps0_ev(k0)
+    # the physical defaults, 50, 1000 and 50000, read times 1e-6 as physical mode reads them
+    e_c, g_min, g_max = 50.0 * 1e-6, 1000.0 * 1e-6, 50000.0 * 1e-6
+    runs = [
+        (["gap-sweep", "--points", "2"], [], "gap_sweep.csv"),
+        (["phase-diagram", "--u-points", "3", "--g-points", "2"],
+         ["--ec", repr(e_c / eps0), "--g-min", repr(g_min), "--g-max", repr(g_max)],
+         "phase_diagram.csv", "boundary.csv"),
+        (["eta", "--k-points", "16"], [], "eta.csv"),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, dimensionless, *names in runs:
+            phys, dim = Path(tmp, "physical"), Path(tmp, "dimensionless")
+            assert run([*argv, "--units", "physical", "--k0", repr(k0), "--out", str(phys)]) == 0
+            assert run([*argv, *dimensionless, "--out", str(dim)]) == 0
+            for name in names:
+                if name == "gap_sweep.csv":
+                    assert (phys / name).read_bytes() == (dim / name).read_bytes()
+                    continue
+                got, want = _csv_columns(phys / name), _csv_columns(dim / name)
+                assert got.keys() == want.keys()
+                for column in got.keys() - {"E_c"}:
+                    if column in EV_COLUMNS[name]:
+                        assert [float(v) for v in got[column]] == [
+                            float(v) * eps0 for v in want[column]], (name, column)
+                    else:
+                        assert got[column] == want[column], (name, column)
 
 
 def test_console_script_entry_point(tmp_path):

@@ -10,7 +10,6 @@ from bcsbec.coherent import (
     eta_statistics,
     random_pair_ensemble,
 )
-from bcsbec.core import PhysicalParams
 from bcsbec.gap import GapSolution
 
 
@@ -34,12 +33,11 @@ def test_pair_ensemble_omega_defaults_to_theta_norm():
 
 
 def test_from_gap_solution_half_angle_vs_literal():
-    params = PhysicalParams.dimensionless()
     sol = _solution(mu=0.5, Delta0=1.0)
     # grid straddling the Fermi point k^2 = mu, including it exactly
     k = np.array([0.2, np.sqrt(0.5), 1.5])
-    half = PairEnsemble.from_gap_solution(sol, params, k)
-    literal = PairEnsemble.from_gap_solution(sol, params, k, convention="literal")
+    half = PairEnsemble.from_gap_solution(sol, k)
+    literal = PairEnsemble.from_gap_solution(sol, k, convention="literal")
     y = sol.Delta0 / np.sqrt(1.0 + k**2)
     eps = k**2 - sol.mu
     assert np.allclose(half.theta, 0.5 * np.arctan2(y, eps))
@@ -49,14 +47,13 @@ def test_from_gap_solution_half_angle_vs_literal():
     # below the Fermi point the conventions genuinely differ
     assert abs(half.theta[0] - literal.theta[0]) > 0.1
     with pytest.raises(ValueError):
-        PairEnsemble.from_gap_solution(sol, params, k, convention="other")
+        PairEnsemble.from_gap_solution(sol, k, convention="other")
 
 
 def test_xi_method():
-    params = PhysicalParams.dimensionless()
     sol = _solution(mu=-0.4, Delta0=2.0)
     k = np.linspace(0.1, 3.0, 7)
-    ens = PairEnsemble.from_gap_solution(sol, params, k)
+    ens = PairEnsemble.from_gap_solution(sol, k)
     expected = np.hypot(k**2 - sol.mu, sol.Delta0 / np.sqrt(1.0 + k**2))
     assert np.allclose(ens.xi(), expected, rtol=1e-14)
 
@@ -128,9 +125,8 @@ def test_eta_statistics_requires_a_paired_mode():
 
 
 def test_eta_statistics_far_above_fermi():
-    params = PhysicalParams.dimensionless()
     sol = _solution(mu=0.1, Delta0=0.05)
-    ens = PairEnsemble.from_gap_solution(sol, params, np.linspace(20.0, 30.0, 5))
+    ens = PairEnsemble.from_gap_solution(sol, np.linspace(20.0, 30.0, 5))
     stats = eta_statistics(ens)
     assert 0.0 <= stats["mean"] < 1e-4
     assert 0.0 <= stats["variance"] < 1e-8

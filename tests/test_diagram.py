@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bcsbec.core import PhysicalParams, critical_coupling
+from bcsbec.core import U_C
 from bcsbec.diagram import (
     classify_point,
     critical_hopping,
@@ -17,51 +17,46 @@ N_REF = 2e-2
 
 
 @pytest.fixture(scope="module")
-def params():
-    return PhysicalParams.dimensionless()
+def solved():
+    u = 2.0 * U_C
+    return u, solve_self_consistent(u, N_REF)
 
 
-@pytest.fixture(scope="module")
-def solved(params):
-    u = 2.0 * critical_coupling(params)
-    return u, solve_self_consistent(u, N_REF, params)
-
-
-def test_classify_point_reuses_solution(params, solved):
+def test_classify_point_reuses_solution(solved):
     u, sol = solved
-    cell = classify_point(sol, 1e-5, 1e-2, params)
+    cell = classify_point(sol, 1e-5, 1e-2)
     assert cell.solution is sol and (sol.U, sol.n) == (u, N_REF)
     assert (cell.E_c, cell.G) == (1e-5, 1e-2)
     assert cell.label.pairing == "BEC"  # mu < 0 at U = 2 U_c
     assert cell.E_J == pytest.approx(0.5 * 1e-2**2 * sol.Delta0, rel=1e-12)
 
 
-def test_zero_hopping_is_local(params, solved):
+def test_zero_hopping_is_local(solved):
     _, sol = solved
-    cell = classify_point(sol, 1e-5, 0.0, params)
+    cell = classify_point(sol, 1e-5, 0.0)
     assert cell.label.coherence == "local"
     assert cell.sigma2 == np.inf
 
 
-def test_label_consistency(params, solved):
+def test_label_consistency(solved):
     _, sol = solved
     e_c = 1e-5
     g_star = critical_hopping(sol, e_c)
     for g in (0.5 * g_star, 2.0 * g_star):
-        cell = classify_point(sol, e_c, g, params)
+        cell = classify_point(sol, e_c, g)
         expected = "global" if g > g_star else "local"
         assert cell.label.coherence == expected
-    at_boundary = classify_point(sol, e_c, g_star, params)
+    at_boundary = classify_point(sol, e_c, g_star)
     assert at_boundary.label.coherence == "boundary"
 
 
-def test_pairing_label_tracks_mu_sign(params):
-    weak = solve_self_consistent(0.5 * critical_coupling(params), N_REF, params)
-    cell = classify_point(weak, 1e-5, 1e-2, params)
+def test_pairing_label_tracks_mu_sign():
+    weak = solve_self_consistent(0.5 * U_C, N_REF)
+    cell = classify_point(weak, 1e-5, 1e-2)
     assert cell.label.pairing == "BCS"
 
 
-def test_critical_hopping_closed_form_vs_bisection(params, solved):
+def test_critical_hopping_closed_form_vs_bisection(solved):
     u, sol = solved
     e_c = 1e-5
     g_star = critical_hopping(sol, e_c)
@@ -95,20 +90,19 @@ def test_unrepresentable_boundary_raises():
         refine_hopping_boundary(1e-10, 1e308, 1.0)
 
 
-def test_unconverged_solution_gives_unlabeled_cell(params):
+def test_unconverged_solution_gives_unlabeled_cell():
     bad = GapSolution(U=1.0, n=N_REF, mu=np.nan, Delta0=np.nan, residual_gap=np.nan,
                       residual_number=np.nan, iterations=0, converged=False)
-    cell = classify_point(bad, 1e-5, 1e-2, params)
+    cell = classify_point(bad, 1e-5, 1e-2)
     assert cell.solution is bad
     assert (cell.label, cell.E_J, cell.sigma2) == (None, None, None)
 
 
-def test_sweep_shapes_and_order(params):
-    uc = critical_coupling(params)
-    u_grid = np.array([1.5, 2.5]) * uc
+def test_sweep_shapes_and_order():
+    u_grid = np.array([1.5, 2.5]) * U_C
     e_c = 1e-5
     g_grid = np.array([1e-3, 1e-2, 5e-2])
-    cells = sweep_diagram(u_grid, e_c, g_grid, N_REF, params)
+    cells = sweep_diagram(u_grid, e_c, g_grid, N_REF)
     assert len(cells) == 6
     # row-major: U outermost, G innermost
     assert [c.solution.U for c in cells] == pytest.approx(
@@ -122,19 +116,19 @@ def test_sweep_shapes_and_order(params):
         assert c.solution.iterations > 0
         assert c.solution is cells[i - i % 3].solution
     # a 1x1 sweep reduces to classify_point
-    single = sweep_diagram(u_grid[:1], e_c, g_grid[:1], N_REF, params)[0]
-    sol = solve_self_consistent(u_grid[0], N_REF, params)
-    direct = classify_point(sol, e_c, g_grid[0], params)
+    single = sweep_diagram(u_grid[:1], e_c, g_grid[:1], N_REF)[0]
+    sol = solve_self_consistent(u_grid[0], N_REF)
+    direct = classify_point(sol, e_c, g_grid[0])
     assert single.label == direct.label
     assert single.solution.mu == pytest.approx(sol.mu, abs=1e-10)
 
 
-def test_numeric_solver_failure_gives_unlabeled_cells(params, monkeypatch):
+def test_numeric_solver_failure_gives_unlabeled_cells(monkeypatch):
     def fail(*args, **kwargs):
         raise QuadratureError("panel budget exhausted")
 
     monkeypatch.setattr("bcsbec.diagram.solve_self_consistent", fail)
-    cells = sweep_diagram([1.0, 2.0], 1e-5, [1e-3, 1e-2], N_REF, params)
+    cells = sweep_diagram([1.0, 2.0], 1e-5, [1e-3, 1e-2], N_REF)
     assert len(cells) == 4
     # the same unconverged record that sweep_coupling keeps for a raised solve
     for cell, U in zip(cells, [1.0, 1.0, 2.0, 2.0]):
@@ -144,35 +138,34 @@ def test_numeric_solver_failure_gives_unlabeled_cells(params, monkeypatch):
         assert sol.note == "solver error: panel budget exhausted"
 
 
-def test_solver_bug_propagates(params, monkeypatch):
+def test_solver_bug_propagates(monkeypatch):
     def bug(*args, **kwargs):
         raise TypeError("solver bug")
 
     monkeypatch.setattr("bcsbec.diagram.solve_self_consistent", bug)
     # the match rules out a TypeError raised by the call itself
     with pytest.raises(TypeError, match="^solver bug$"):
-        sweep_diagram([1.0], 1e-5, [1e-2], N_REF, params)
+        sweep_diagram([1.0], 1e-5, [1e-2], N_REF)
 
 
-def test_boundary_monotone_in_coupling(params):
-    uc = critical_coupling(params)
+def test_boundary_monotone_in_coupling():
     stars = []
     guess = None
     for ratio in (1.0, 2.0, 3.0):
-        sol = solve_self_consistent(ratio * uc, N_REF, params, initial_guess=guess)
+        sol = solve_self_consistent(ratio * U_C, N_REF, initial_guess=guess)
         guess = (sol.mu, sol.Delta0)
         stars.append(critical_hopping(sol, 1e-5))
     # Delta0 grows with U, so the boundary hopping falls
     assert stars[0] > stars[1] > stars[2]
 
 
-def test_grid_validation(params, solved):
+def test_grid_validation(solved):
     with pytest.raises(ValueError):
-        sweep_diagram([], 1e-5, [1e-2], N_REF, params)
+        sweep_diagram([], 1e-5, [1e-2], N_REF)
     with pytest.raises(ValueError):
-        sweep_diagram([2.0, 1.0], 1e-5, [1e-2], N_REF, params)
+        sweep_diagram([2.0, 1.0], 1e-5, [1e-2], N_REF)
     _, sol = solved
     with pytest.raises(ValueError):
-        classify_point(sol, -1.0, 1e-2, params)
+        classify_point(sol, -1.0, 1e-2)
     with pytest.raises(ValueError):
-        classify_point(sol, 1e-5, -1e-2, params)
+        classify_point(sol, 1e-5, -1e-2)

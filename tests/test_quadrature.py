@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bcsbec.gap
 import bcsbec.quadrature
-from bcsbec.core import PhysicalParams, critical_coupling
+from bcsbec.core import U_C
 from bcsbec.diagram import sweep_coupling
 from bcsbec.quadrature import (
     QuadratureError,
@@ -110,9 +110,10 @@ def test_breakpoints_do_not_move_converged_value():
 
 
 def test_scale_covariance():
-    # int k^2 e^{-k/s} dk = 2 s^3; pass k0 = s so panel layout tracks the scale
+    # int k^2 e^{-k/s} dk = 2 s^3: integrands a few times narrower or wider
+    # than the k0 = 1 the panels are laid out for still meet the tolerance
     for s in (0.2, 5.0):
-        vals = radial_integral(lambda k: np.exp(-k / s), k0=s)
+        vals = radial_integral(lambda k: np.exp(-k / s))
         assert vals[0] == pytest.approx(2.0 * s**3 / (2.0 * np.pi**2), rel=1e-12)
 
 
@@ -176,8 +177,7 @@ def test_default_sweep_panel_set(monkeypatch):
         return radial_integral(counted, *args, **kwargs)
 
     monkeypatch.setattr(bcsbec.gap, "radial_integral", counting)
-    params = PhysicalParams.dimensionless()
-    sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * critical_coupling(params), 0.02, params)
+    sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * U_C, 0.02)
     assert all(s.converged for s in sols)
     assert points == 128_664
     # one integral per Newton step, and tangent-predicted warm starts
