@@ -7,11 +7,12 @@ wall clock, CSV hashes); rerunning an identical config reproduces the CSV
 bytes exactly.
 
 Each subcommand takes only the flags it reads.  --out and --config go to
-all ten; --units to gap-sweep, phase-diagram, eta and chain;
---seed to oracle, phase-lock and checks; --tol-gap and --tol-number to the
-three that solve the gap equations, gap-sweep, phase-diagram and eta.
-Any other flag, or config key, is unknown and exits 3; flags are never
-abbreviated.
+all ten; --units to phase-diagram, eta and chain; --seed to oracle,
+phase-lock and checks; --tol-gap and --tol-number to the three that solve
+the gap equations, gap-sweep, phase-diagram and eta.  Any other flag, or
+config key, is unknown and exits 3; flags are never abbreviated.  A call
+that starts with its subcommand builds only that subcommand's parser; the
+full command tree serves --help, --version and every other usage error.
 
 Configuration precedence: explicit command-line flags override values
 from an optional "key = value" config file (--config), which override the
@@ -30,9 +31,10 @@ energies are reported in eV.  Charging energies are entered in micro-eV
 in physical mode, matching the scales of junction arrays.  The hopping G
 is a dimensionless amplitude (E_J = G^2 Delta0/2); physical mode still
 reads --g-min/--g-max times 1e-6, as though in micro-eV.  The gap-sweep
-CSV holds only ratios, so it is the same in both modes.  The chain
-geometry flags (--epsilon-r, --area-um2, --spacing-nm) give E_c in eV
-and need --units physical.  Densities are always entered in units of k0^3.
+CSV holds only ratios, so gap-sweep, like bound-state, takes no --units
+or --k0.  The chain geometry flags (--epsilon-r, --area-um2,
+--spacing-nm) give E_c in eV and need --units physical.  Densities are
+always entered in units of k0^3.
 
 Exit codes: 0 success, 1 check failure, 2 solver non-convergence or a
 numeric failure (RuntimeError, ValueError), 3 invalid configuration: a
@@ -51,6 +53,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -146,52 +149,47 @@ _POSITIVE = _Range(lo=0.0, open_lo=True)
 _NON_NEGATIVE = _Range(lo=0.0)
 
 
-def _flag_groups():
-    """Parent parsers of the flag sets that several subcommands share."""
-    output, units, seed, tolerances = (argparse.ArgumentParser(add_help=False)
-                                       for _ in range(4))
-    output.add_argument("--out", default=".", help="output directory")
-    output.add_argument("--config", default=None, help="key = value config file")
-    units.add_argument(
-        "--units",
-        choices=("dimensionless", "physical"),
-        default="dimensionless",
-        help="unit system (default dimensionless)",
-    )
-    seed.add_argument(
-        "--seed", type=_Range(int, 0), default=1234, help="random seed (default 1234)"
-    )
-    tolerances.add_argument(
-        "--tol-gap", type=_POSITIVE, default=1e-10, help="gap residual tolerance"
-    )
-    tolerances.add_argument(
-        "--tol-number", type=_POSITIVE, default=1e-8, help="number residual tolerance"
-    )
-    return output, units, seed, tolerances
+# ---- flags: the shared sets, then each subcommand's --------------------
+# (--help lists a parser's flags in the order they are added)
 
 
-def build_parser():
-    output, units, seed, tolerances = _flag_groups()
-    solver = [output, units, tolerances]
-    parser = _Parser(
-        prog="bcsbec",
-        description="pairing crossover and phase-coherence toolkit",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _output_flags(p):
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--config", default=None, help="key = value config file")
 
-    p = sub.add_parser("gap-sweep", parents=solver, help="coupling sweep of the gap equations")
+
+def _units_flag(p):
+    p.add_argument("--units", choices=("dimensionless", "physical"), default="dimensionless",
+                   help="unit system (default dimensionless)")
+
+
+def _seed_flag(p):
+    p.add_argument("--seed", type=_Range(int, 0), default=1234, help="random seed (default 1234)")
+
+
+def _tolerance_flags(p):
+    p.add_argument("--tol-gap", type=_POSITIVE, default=1e-10, help="gap residual tolerance")
+    p.add_argument("--tol-number", type=_POSITIVE, default=1e-8, help="number residual tolerance")
+
+
+def _gap_sweep_flags(p):
+    _output_flags(p)
+    _tolerance_flags(p)
     p.add_argument("--n", type=_POSITIVE, default=2e-2, help="density in k0^3 units")
     p.add_argument("--u-min", type=_POSITIVE, default=0.5, help="lower U/U_c")
     p.add_argument("--u-max", type=_POSITIVE, default=4.0, help="upper U/U_c")
     p.add_argument("--points", type=_Range(int, 1), default=50, help="grid points")
-    p.add_argument("--k0", type=_POSITIVE, default=1.41, help="k0 in 1/Angstrom (physical mode)")
 
-    p = sub.add_parser("bound-state", parents=[output],
-                       help="two-body bound-state energy (unit-free: E_b/eps0 at U/U_c)")
+
+def _bound_state_flags(p):
+    _output_flags(p)
     p.add_argument("--u", type=_POSITIVE, default=2.0, help="coupling in U/U_c")
 
-    p = sub.add_parser("phase-diagram", parents=solver, help="regime labels over (U, E_c, G)")
+
+def _phase_diagram_flags(p):
+    _output_flags(p)
+    _units_flag(p)
+    _tolerance_flags(p)
     p.add_argument("--n", type=_POSITIVE, default=2e-2)
     p.add_argument("--u-min", type=_POSITIVE, default=0.5)
     p.add_argument("--u-max", type=_POSITIVE, default=4.0)
@@ -205,14 +203,20 @@ def build_parser():
     p.add_argument("--g-points", type=_Range(int, 1), default=12)
     p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
-    p = sub.add_parser("overlap", parents=[output], help="multimode overlap decay with mode count")
+
+def _overlap_flags(p):
+    _output_flags(p)
     p.add_argument("--theta", type=_Range(lo=0.0, hi=0.5 * math.pi), default=0.25 * math.pi,
                    help="pairing angle")
     p.add_argument("--dphi", type=_FINITE, default=0.5 * math.pi, help="phase rotation")
     p.add_argument("--alpha", type=_NON_NEGATIVE, default=0.3, help="bosonic amplitude per mode")
     p.add_argument("--m-max", type=_Range(int, 1), default=200, help="largest mode count")
 
-    p = sub.add_parser("eta", parents=solver, help="bosonization statistics of a solved state")
+
+def _eta_flags(p):
+    _output_flags(p)
+    _units_flag(p)
+    _tolerance_flags(p)
     p.add_argument("--u", type=_POSITIVE, default=2.0, help="coupling in U/U_c")
     p.add_argument("--n", type=_POSITIVE, default=2e-2)
     p.add_argument("--k-max", type=_POSITIVE, default=6.0, help="grid extent in k0")
@@ -221,12 +225,16 @@ def build_parser():
     p.add_argument("--convention", choices=("half-angle", "literal"), default="half-angle")
     p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
-    p = sub.add_parser("oracle", parents=[output, seed],
-                       help="exact finite-mode oracle comparison")
+
+def _oracle_flags(p):
+    _output_flags(p)
+    _seed_flag(p)
     p.add_argument("--modes", type=_Range(int, 1, 12), default=8, help="pair modes (<= 12)")
     p.add_argument("--dphi", type=_FINITE, default=1.0)
 
-    p = sub.add_parser("pegg-barnett", parents=[output], help="phase-operator commutator ladder")
+
+def _pegg_barnett_flags(p):
+    _output_flags(p)
     p.add_argument("--s", type=_Range(int, 1), default=64, help="base dimension minus one")
     p.add_argument("--theta0", type=_FINITE, default=0.0)
     p.add_argument("--omega", type=_POSITIVE, default=4.0, help="probe-state occupation")
@@ -234,8 +242,10 @@ def build_parser():
                    help="probe-state phase (default theta0 + pi)")
     p.add_argument("--rungs", type=_Range(int, 1), default=3, help="doubling ladder length")
 
-    p = sub.add_parser("chain", parents=[output, units],
-                       help="segment chain: variances and ODLRO decay")
+
+def _chain_flags(p):
+    _output_flags(p)
+    _units_flag(p)
     p.add_argument("--ec", type=_POSITIVE, default=None,
                    help="charging energy (micro-eV physical, eps0 units dimensionless)")
     p.add_argument("--ej", type=_NON_NEGATIVE, default=None,
@@ -247,9 +257,10 @@ def build_parser():
     p.add_argument("--delta-bar", type=_FINITE, default=1.0,
                    help="uniform per-segment correlation amplitude")
 
-    p = sub.add_parser("phase-lock", parents=[output, seed],
-                       help="seeded descent of the quartic free energy, finished by "
-                            "curvature-guarded Newton steps")
+
+def _phase_lock_flags(p):
+    _output_flags(p)
+    _seed_flag(p)
     p.add_argument("--modes", type=_Range(int, 2, 6), default=3, help="mode count (2..6)")
     p.add_argument("--sign", choices=("attractive", "repulsive"), default="attractive")
     p.add_argument("--length", type=_POSITIVE, default=10.0, help="box length")
@@ -258,10 +269,31 @@ def build_parser():
     p.add_argument("--max-steps", type=_Range(int, 1), default=100000,
                    help="budget of descent and Newton steps together")
 
-    p = sub.add_parser("checks", parents=[output, seed], help="run the self-check inventory")
+
+def _checks_flags(p):
+    _output_flags(p)
+    _seed_flag(p)
     p.add_argument("--list", action="store_true", help="list checks without running")
 
+
+def build_parser():
+    """The full command tree: `bcsbec --help`, `--version` and top-level errors."""
+    parser = _Parser(
+        prog="bcsbec",
+        description="pairing crossover and phase-coherence toolkit",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command in _COMMANDS.items():
+        command.add_flags(sub.add_parser(name, help=command.help))
     return parser, sub.choices
+
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of one subcommand, the same as build_parser()[1][name]."""
+    parser = _Parser(prog=f"bcsbec {name}")
+    _COMMANDS[name].add_flags(parser)
+    return parser
 
 
 # ---- config file handling ------------------------------------------------
@@ -359,7 +391,6 @@ def _emit(cfg: argparse.Namespace, stem: str, tables, tolerances: dict,
 
 
 def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
-    _energy_scale(cfg)  # checks --k0; every column is a ratio, the same in both modes
     if cfg.u_max < cfg.u_min:
         raise ConfigError("need u-min <= u-max")
     ratios = np.linspace(cfg.u_min, cfg.u_max, cfg.points)
@@ -765,33 +796,56 @@ def cmd_checks(cfg: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILURE
 
 
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+# every subcommand, in the order `bcsbec --help` lists them
 _COMMANDS = {
-    "gap-sweep": cmd_gap_sweep,
-    "bound-state": cmd_bound_state,
-    "phase-diagram": cmd_phase_diagram,
-    "overlap": cmd_overlap,
-    "eta": cmd_eta,
-    "oracle": cmd_oracle,
-    "pegg-barnett": cmd_pegg_barnett,
-    "chain": cmd_chain,
-    "phase-lock": cmd_phase_lock,
-    "checks": cmd_checks,
+    "gap-sweep": _Command("coupling sweep of the gap equations", _gap_sweep_flags,
+                          cmd_gap_sweep),
+    "bound-state": _Command("two-body bound-state energy (unit-free: E_b/eps0 at U/U_c)",
+                            _bound_state_flags, cmd_bound_state),
+    "phase-diagram": _Command("regime labels over (U, E_c, G)", _phase_diagram_flags,
+                              cmd_phase_diagram),
+    "overlap": _Command("multimode overlap decay with mode count", _overlap_flags,
+                        cmd_overlap),
+    "eta": _Command("bosonization statistics of a solved state", _eta_flags, cmd_eta),
+    "oracle": _Command("exact finite-mode oracle comparison", _oracle_flags, cmd_oracle),
+    "pegg-barnett": _Command("phase-operator commutator ladder", _pegg_barnett_flags,
+                             cmd_pegg_barnett),
+    "chain": _Command("segment chain: variances and ODLRO decay", _chain_flags, cmd_chain),
+    "phase-lock": _Command("seeded descent of the quartic free energy, finished by "
+                           "curvature-guarded Newton steps", _phase_lock_flags, cmd_phase_lock),
+    "checks": _Command("run the self-check inventory", _checks_flags, cmd_checks),
 }
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # the subcommand and its config file; its own parser then reports
-        # what it does not know, with its own usage, and the file's values
-        # go first, so the user's flags win
-        args, _ = parser.parse_known_args(argv)
-        name = args.command
-        defaults = _config_namespace(commands[name], args.config) if args.config else None
-        args = commands[name].parse_args(argv[argv.index(name) + 1:], defaults)
+        # a call that starts with its subcommand builds only that parser;
+        # anything else (--help, --version, a usage error) goes through
+        # the full tree, which exits unless a subcommand follows
+        if argv and argv[0] in _COMMANDS:
+            name = argv[0]
+            parser = _command_parser(name)
+        else:
+            top, commands = build_parser()
+            name = top.parse_known_args(argv)[0].command
+            parser = commands[name]
+        rest = argv[argv.index(name) + 1:]
+        # first the config file; the subcommand's parser then reports what
+        # it does not know, with its own usage, and the file's values go
+        # first, so the user's flags win
+        args, _ = parser.parse_known_args(rest)
+        defaults = _config_namespace(parser, args.config) if args.config else None
+        args = parser.parse_args(rest, defaults)
         args.command, args.started = name, time.monotonic()
-        return _COMMANDS[name](args)
+        return _COMMANDS[name].run(args)
     except ConfigError as exc:
         print(f"bcsbec: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import bcsbec.diagram
 from bcsbec.checks import CHECK_NAMES
-from bcsbec.cli import _Range, build_parser, main
+from bcsbec import __version__
+from bcsbec.cli import _command_parser, _Range, build_parser, main
 from bcsbec.core import eps0_ev
 from bcsbec.quadrature import QuadratureError
 
@@ -40,7 +41,7 @@ def test_gap_sweep_writes_csv_and_meta(tmp_path):
     assert meta["config"]["command"] == "gap-sweep"
     assert meta["config"]["points"] == 2
     assert "config" not in meta["config"] and "started" not in meta["config"]
-    assert meta["unit_mode"] == "dimensionless"
+    assert "unit_mode" not in meta  # every column is a ratio, the same in any unit
     assert meta["files"]["gap_sweep.csv"]["sha256"]
     assert meta["wall_clock_s"] >= 0.0
 
@@ -131,6 +132,47 @@ def test_invalid_configuration_exits_three(tmp_path, capsys):
     assert run(["chain", "--ej", "3", "--epsilon-r", "10", "--area-um2", "0.1",
                 "--spacing-nm", "2", "--out", str(out)]) == 3
     assert not out.exists()
+
+
+COMMANDS = ("gap-sweep", "bound-state", "phase-diagram", "overlap", "eta", "oracle",
+            "pegg-barnett", "chain", "phase-lock", "checks")
+
+
+def _actions(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices) for a in parser._actions]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_declaration_two_parsers(name):
+    # the parser a call builds for its subcommand is the full tree's one
+    one, tree = _command_parser(name), build_parser()[1][name]
+    assert one.prog == tree.prog == f"bcsbec {name}"
+    assert one.format_help() == tree.format_help()
+    assert _actions(one) == _actions(tree)
+
+
+def test_a_subcommand_call_builds_only_its_parser(tmp_path, monkeypatch):
+    def full_tree():
+        raise AssertionError("the full command tree was built")
+
+    monkeypatch.setattr("bcsbec.cli.build_parser", full_tree)
+    assert run(["bound-state", "--u", "2", "--out", str(tmp_path / "bound")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 2\n")
+    assert run(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+
+
+def test_top_level_paths_keep_their_contract(capsys):
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: bcsbec [-h] [--version]")
+    assert all(f"\n    {name} " in out for name in COMMANDS)
+    # no subcommand, an unknown one, or a flag before it: the top-level usage
+    for argv in ([], ["no-such-command"], ["--out", "x", "gap-sweep"]):
+        assert run(argv) == 3, argv
+        assert capsys.readouterr().err.startswith("usage: bcsbec [-h] [--version]"), argv
 
 
 # flag values outside their declared range: the argparse type must reject
@@ -287,7 +329,6 @@ def test_unrepresentable_energy_exits_two(tmp_path, argv, message, capsys):
 
 # a finite in-range --k0 whose density n k0^3 overflows
 @pytest.mark.parametrize("argv", [
-    ["gap-sweep", "--points", "1"],
     ["phase-diagram", "--u-points", "1", "--g-points", "2"],
     ["eta"],
 ])
@@ -421,7 +462,7 @@ def test_sidecar_contract(tmp_path, argv, stem, tolerances, results):
 
 # flags that some subcommands take and these ones never read, the two
 # Pegg-Barnett inputs of the calibrated checks, and the unit flags of the
-# unit-free bound-state
+# unit-free bound-state and of gap-sweep, whose CSV holds only ratios
 FOREIGN_OPTIONS = [
     ["overlap", "--tol-gap", "1e-3"],
     ["gap-sweep", "--seed", "1"],
@@ -429,6 +470,8 @@ FOREIGN_OPTIONS = [
     ["bound-state", "--tol-number", "1e-3"],
     ["bound-state", "--units", "physical"],
     ["bound-state", "--k0", "3"],
+    ["gap-sweep", "--units", "physical"],
+    ["gap-sweep", "--k0", "3"],
     ["checks", "--pegg-barnett-s", "32"],
 ]
 
@@ -566,7 +609,6 @@ def test_physical_mode_is_the_dimensionless_run_times_eps0(k0):
     # the physical defaults, 50, 1000 and 50000, read times 1e-6 as physical mode reads them
     e_c, g_min, g_max = 50.0 * 1e-6, 1000.0 * 1e-6, 50000.0 * 1e-6
     runs = [
-        (["gap-sweep", "--points", "2"], [], "gap_sweep.csv"),
         (["phase-diagram", "--u-points", "3", "--g-points", "2"],
          ["--ec", repr(e_c / eps0), "--g-min", repr(g_min), "--g-max", repr(g_max)],
          "phase_diagram.csv", "boundary.csv"),
@@ -578,9 +620,6 @@ def test_physical_mode_is_the_dimensionless_run_times_eps0(k0):
             assert run([*argv, "--units", "physical", "--k0", repr(k0), "--out", str(phys)]) == 0
             assert run([*argv, *dimensionless, "--out", str(dim)]) == 0
             for name in names:
-                if name == "gap_sweep.csv":
-                    assert (phys / name).read_bytes() == (dim / name).read_bytes()
-                    continue
                 got, want = _csv_columns(phys / name), _csv_columns(dim / name)
                 assert got.keys() == want.keys()
                 for column in got.keys() - {"E_c"}:
