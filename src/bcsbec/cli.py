@@ -53,7 +53,6 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -277,22 +276,23 @@ def _checks_flags(p):
 
 
 def build_parser():
-    """The full command tree: `bcsbec --help`, `--version` and top-level errors."""
+    """The full command tree, for --help, --version and top-level usage errors."""
     parser = _Parser(
         prog="bcsbec",
         description="pairing crossover and phase-coherence toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, command in _COMMANDS.items():
-        command.add_flags(sub.add_parser(name, help=command.help))
+    for name, (help_line, add_flags, _) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
     return parser, sub.choices
 
 
 def _command_parser(name: str) -> _Parser:
     """The parser of one subcommand, the same as build_parser()[1][name]."""
     parser = _Parser(prog=f"bcsbec {name}")
-    _COMMANDS[name].add_flags(parser)
+    _, add_flags, _ = _COMMANDS[name]
+    add_flags(parser)
     return parser
 
 
@@ -796,31 +796,22 @@ def cmd_checks(cfg: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILURE
 
 
-@dataclass(frozen=True)
-class _Command:
-    help: str
-    add_flags: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
-
-
-# every subcommand, in the order `bcsbec --help` lists them
+# name: (help line, flag declarations, implementation), in the order
+# `bcsbec --help` lists them
 _COMMANDS = {
-    "gap-sweep": _Command("coupling sweep of the gap equations", _gap_sweep_flags,
-                          cmd_gap_sweep),
-    "bound-state": _Command("two-body bound-state energy (unit-free: E_b/eps0 at U/U_c)",
-                            _bound_state_flags, cmd_bound_state),
-    "phase-diagram": _Command("regime labels over (U, E_c, G)", _phase_diagram_flags,
-                              cmd_phase_diagram),
-    "overlap": _Command("multimode overlap decay with mode count", _overlap_flags,
-                        cmd_overlap),
-    "eta": _Command("bosonization statistics of a solved state", _eta_flags, cmd_eta),
-    "oracle": _Command("exact finite-mode oracle comparison", _oracle_flags, cmd_oracle),
-    "pegg-barnett": _Command("phase-operator commutator ladder", _pegg_barnett_flags,
-                             cmd_pegg_barnett),
-    "chain": _Command("segment chain: variances and ODLRO decay", _chain_flags, cmd_chain),
-    "phase-lock": _Command("seeded descent of the quartic free energy, finished by "
-                           "curvature-guarded Newton steps", _phase_lock_flags, cmd_phase_lock),
-    "checks": _Command("run the self-check inventory", _checks_flags, cmd_checks),
+    "gap-sweep": ("coupling sweep of the gap equations", _gap_sweep_flags, cmd_gap_sweep),
+    "bound-state": ("two-body bound-state energy (unit-free: E_b/eps0 at U/U_c)",
+                    _bound_state_flags, cmd_bound_state),
+    "phase-diagram": ("regime labels over (U, E_c, G)", _phase_diagram_flags,
+                      cmd_phase_diagram),
+    "overlap": ("multimode overlap decay with mode count", _overlap_flags, cmd_overlap),
+    "eta": ("bosonization statistics of a solved state", _eta_flags, cmd_eta),
+    "oracle": ("exact finite-mode oracle comparison", _oracle_flags, cmd_oracle),
+    "pegg-barnett": ("phase-operator commutator ladder", _pegg_barnett_flags, cmd_pegg_barnett),
+    "chain": ("segment chain: variances and ODLRO decay", _chain_flags, cmd_chain),
+    "phase-lock": ("seeded descent of the quartic free energy, finished by "
+                   "curvature-guarded Newton steps", _phase_lock_flags, cmd_phase_lock),
+    "checks": ("run the self-check inventory", _checks_flags, cmd_checks),
 }
 
 
@@ -845,7 +836,8 @@ def main(argv=None) -> int:
         defaults = _config_namespace(parser, args.config) if args.config else None
         args = parser.parse_args(rest, defaults)
         args.command, args.started = name, time.monotonic()
-        return _COMMANDS[name].run(args)
+        _, _, run = _COMMANDS[name]
+        return run(args)
     except ConfigError as exc:
         print(f"bcsbec: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
