@@ -12,7 +12,8 @@ phase-lock and checks; --tol-gap and --tol-number to the three that solve
 the gap equations, gap-sweep, phase-diagram and eta.  Any other flag, or
 config key, is unknown and exits 3; flags are never abbreviated.  A call
 that starts with its subcommand builds only that subcommand's parser; the
-full command tree serves --help, --version and every other usage error.
+full command tree serves --help, --version and every other usage error,
+a flag before the subcommand among them.
 
 Configuration precedence: explicit command-line flags override values
 from an optional "key = value" config file (--config), which override the
@@ -819,16 +820,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # a call that starts with its subcommand builds only that parser;
-        # anything else (--help, --version, a usage error) goes through
-        # the full tree, which exits unless a subcommand follows
-        if argv and argv[0] in _COMMANDS:
-            name = argv[0]
-            parser = _command_parser(name)
-        else:
-            top, commands = build_parser()
+        # anything else goes through the full tree, which serves --help
+        # and --version and reports every usage error, including anything
+        # before a subcommand
+        if not (argv and argv[0] in _COMMANDS):
+            top, _ = build_parser()
             name = top.parse_known_args(argv)[0].command
-            parser = commands[name]
-        rest = argv[argv.index(name) + 1:]
+            top.error(f"unrecognized arguments: {' '.join(argv[:argv.index(name)])}")
+        name, rest = argv[0], argv[1:]
+        parser = _command_parser(name)
         # first the config file; the subcommand's parser then reports what
         # it does not know, with its own usage, and the file's values go
         # first, so the user's flags win

@@ -138,39 +138,60 @@ def _pair_integrand(mu, Delta0, column=None):
     The columns are the gap g2/xi, the occupancy, and the closed-form
     derivatives d(g2/xi)/dmu = g2 eps/xi^3, d(g2/xi)/dDelta0 =
     -Delta0 g2^2/xi^3, d occ/dmu = y2/xi^3 and d occ/dDelta0 =
-    eps Delta0 g2/xi^3 (eps = eps_k - mu, y2 = Delta0^2 g2).
+    eps Delta0 g2/xi^3 (eps = eps_k - mu, y2 = Delta0^2 g2).  The six
+    columns are written into one (6, npts) buffer and returned as its
+    transpose, so each column is contiguous.
     """
+    D2 = Delta0 * Delta0
 
     def f(k):
-        eps = k * k - mu
-        g2 = 1.0 / (1.0 + k**2)
-        y2 = Delta0 * Delta0 * g2
+        k2 = k**2
+        eps = k2 - mu
+        g2 = 1.0 / (1.0 + k2)
+        y2 = D2 * g2
         xi = np.sqrt(eps * eps + y2)
         if column == 0:
             return g2 / xi
-        # occupancy 1 - eps/xi in a cancellation-free form for eps > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            occ = np.where(eps > 0.0, y2 / (xi * (xi + eps)), 1.0 - eps / np.maximum(xi, 1e-300))
+        out = np.empty((6, k.size))
+        # occupancy 1 - eps/xi, in the cancellation-free form y2/(xi (xi +
+        # eps)) where eps > 0; the floor on xi only matters at Delta0 = 0
+        occ = out[1]
+        np.maximum(xi, 1e-300, out=occ)
+        np.divide(eps, occ, out=occ)
+        np.subtract(1.0, occ, out=occ)
+        np.divide(y2, xi * (xi + eps), out=occ, where=eps > 0.0)
         if column == 1:
             return occ
+        np.divide(g2, xi, out=out[0])
         xi3 = xi * xi * xi
-        return np.stack([g2 / xi, occ, g2 * eps / xi3, -Delta0 * g2 * g2 / xi3,
-                         y2 / xi3, eps * Delta0 * g2 / xi3], axis=1)
+        np.multiply(g2, eps, out=out[2])
+        np.multiply(g2, -Delta0, out=out[3])
+        out[3] *= g2
+        np.divide(y2, xi3, out=out[4])
+        np.multiply(eps, Delta0, out=out[5])
+        out[5] *= g2
+        out[2:4] /= xi3
+        out[5] /= xi3
+        return out.T
 
     return f
 
 
+_KNEES = (0.3, 1.0, 3.0, 10.0)
+_PEAK_WIDTHS = (1.0, 3.0, 10.0, 30.0, 100.0)
+
+
 def _breakpoints(mu, Delta0):
     """Panel seeds: the form-factor knee plus the near-Fermi-surface peak."""
-    pts = [0.3, 1.0, 3.0, 10.0]
-    if mu > 0:
-        kmu = np.sqrt(mu)
-        pts.append(kmu)
-        local_gap = Delta0 / np.sqrt(1.0 + kmu**2)
-        if local_gap > 0:
-            dk = local_gap / (2.0 * kmu)
-            for c in (1.0, 3.0, 10.0, 30.0, 100.0):
-                pts.extend([kmu - c * dk, kmu + c * dk])
+    if not mu > 0:
+        return _KNEES
+    kmu = math.sqrt(mu)
+    pts = [*_KNEES, kmu]
+    local_gap = Delta0 / math.sqrt(1.0 + kmu**2)
+    if local_gap > 0:
+        dk = local_gap / (2.0 * kmu)
+        for c in _PEAK_WIDTHS:
+            pts += (kmu - c * dk, kmu + c * dk)
     return [p for p in pts if p > 0]
 
 

@@ -18,6 +18,18 @@ its share of the tolerance.  Integrands are evaluated vectorized over every
 pending node of a refinement wave, and may be vector-valued (several
 integrands sharing one set of panels).
 
+One wave runs in a few numpy calls.  Each panel carries one layout of
+3n points, the n nodes and then the 2n nodes, so the wave's points are
+one (panels, 3n) array.  f is called once on them, and its values times
+the radial weights fill a (columns, points) buffer.  There each column is
+a contiguous (panels, 3n) block, and one matmul per rule reduces the
+stack block by block, one product per column.  A column's sums therefore
+never depend on the other columns.  The first wave covers the direct
+panels and the tail's, whose points and weights never change and are
+kept in a table.  The rule's nodes and weights and that table are built
+on first use, keyed on the module constants, so numpy.polynomial stays off
+the import path and a patched constant gets tables of its own.
+
 radial_integral is the one entry point, and every integral uses the one
 rule that the module constants fix: _PANELS initial panels of _NODES
 nodes on [0, _K_MAX], tolerances _TOL_ABS and _TOL_REL, and a
@@ -72,62 +84,86 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+# the radial weight k^2/(2 pi^2) is k^2 / _RADIAL
+_RADIAL = 2.0 * np.pi**2
 
 
-def _panel_nodes(a, b, nodes):
-    """Points of the n- and 2n-node Gauss-Legendre rules on panels [a_i, b_i].
+@lru_cache(maxsize=8)
+def _rule(nodes):
+    """One panel's layout of the n- and 2n-node Gauss-Legendre pair, read-only.
 
-    a, b are 1D arrays of panel edges.  Returns (points, half): the flat point
-    array that `_panel_sums` expects values at, and the panel half widths.
+    Returns (x, w1, w2): the 3n node offsets on [-1, 1], the n-node rule
+    first, and the weights of the two rules.  Built on first use, so
+    numpy.polynomial stays off the import path.
     """
-    x1, _ = _gl_nodes(nodes)
-    x2, _ = _gl_nodes(2 * nodes)
-    mid = 0.5 * (a + b)
+    x1, w1 = np.polynomial.legendre.leggauss(nodes)
+    x2, w2 = np.polynomial.legendre.leggauss(2 * nodes)
+    rule = (np.concatenate([x1, x2]), w1, w2)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+def _layout(a, b, x):
+    """Points of the node layout x on panels [a_i, b_i], panel by panel, and half widths."""
     half = 0.5 * (b - a)
-    pts1 = mid[:, None] + half[:, None] * x1[None, :]
-    pts2 = mid[:, None] + half[:, None] * x2[None, :]
-    return np.concatenate([pts1.ravel(), pts2.ravel()]), half
+    pts = np.multiply.outer(half, x)
+    pts += (0.5 * (a + b))[:, None]
+    return pts.ravel(), half
 
 
-def _panel_sums(vals, half, nodes):
-    """High-order estimates and embedded errors from values at `_panel_nodes`.
+def _direct(k):
+    """Momenta and radial weights k^2/(2 pi^2) at points k of the direct region."""
+    return k, k**2 / _RADIAL
 
-    vals has shape (npts, nf).  Returns (high, err) of shape (npanels, nf).
+
+def _tail(u):
+    """Momenta k = _K_MAX/u and weights (k^2/(2 pi^2)) dk/du at points u of the tail."""
+    k = _K_MAX / u
+    return k, k**2 / _RADIAL * (_K_MAX / u**2)
+
+
+def _estimates(f, k, weight, half, rule):
+    """Panel estimates of f at the `_layout` points of `rule` = (x, w1, w2).
+
+    k and weight are the momenta and weights at those points, and half the
+    panels' half widths.  Each column of f, times the weights, fills one
+    row of a (columns, points) buffer, where it forms one contiguous
+    (panels, 3n) block; matmul reduces the stack block by block, one
+    product per column and rule, so no column's sums depend on another
+    column.  Returns est of shape (2, columns, panels): est[0] holds the
+    2n-node estimates, est[1] their distance from the n-node ones.
     """
-    _, w1 = _gl_nodes(nodes)
-    _, w2 = _gl_nodes(2 * nodes)
-    npan = half.size
-    nf = vals.shape[1]
-    v1 = vals[: npan * nodes].reshape(npan, nodes, nf)
-    v2 = vals[npan * nodes:].reshape(npan, 2 * nodes, nf)
-    lo = half[:, None] * np.einsum("pnf,n->pf", v1, w1)
-    hi = half[:, None] * np.einsum("pnf,n->pf", v2, w2)
-    if not np.all(np.isfinite(hi)):
+    _, w1, w2 = rule
+    v = np.asarray(f(k), dtype=float)
+    buf = np.empty((1 if v.ndim == 1 else v.shape[1], k.size))
+    np.multiply(v.T, weight, out=buf)
+    blocks = buf.reshape(buf.shape[0], half.size, -1)
+    est = np.empty((2, *blocks.shape[:2]))
+    np.multiply(half, blocks[..., w1.size:] @ w2, out=est[0])
+    if not np.isfinite(est[0]).all():
         raise QuadratureError("non-finite integrand value inside a panel")
-    return hi, np.abs(hi - lo)
+    np.subtract(est[0], half * (blocks[..., :w1.size] @ w1), out=est[1])
+    np.abs(est[1], out=est[1])
+    return est
 
 
-def _adaptive(f, edges, first, steer=None):
-    """Refine panels with edges `edges` until the steering components converge.
+def _adaptive(f, region, a, b, est, steer):
+    """Refine the panels [a_i, b_i] of one region until its steering columns converge.
 
-    `first` holds f at the `_panel_nodes` of the initial panels, so the
-    caller can evaluate the first wave of several regions in one call.
-    The first `steer` components (all when None) steer the refinement; the
-    rest are integrated on the same panels.  Returns the integral.
+    region maps points to (momenta, weights), and est holds the panels'
+    `_estimates`.  The first `steer` columns (all when None) steer the
+    refinement; the rest are integrated on the same panels.  Returns the
+    integral.
     """
-    a = edges[:-1]
-    b = edges[1:]
-    vals, errs = _panel_sums(first, 0.5 * (b - a), _NODES)
+    rule = _rule(_NODES)
     while True:
-        total = vals.sum(axis=0)
-        err_tot = errs.sum(axis=0)
-        tol = np.maximum(_TOL_ABS, _TOL_REL * np.abs(total[:steer]))
-        if np.all(err_tot[:steer] <= tol):
+        total, err_tot = est.sum(axis=2)
+        # a few floats, where Python's arithmetic beats numpy's per-call cost
+        tol = [max(_TOL_ABS, _TOL_REL * abs(t)) for t in total[:steer].tolist()]
+        if all(e <= t for e, t in zip(err_tot[:steer].tolist(), tol)):
             return total
+        tol = np.array(tol)
         if a.size >= _MAX_PANELS:
             raise QuadratureError(
                 "panel budget %d exhausted; achieved error %s against tolerance %s"
@@ -135,82 +171,77 @@ def _adaptive(f, edges, first, steer=None):
                 value=total, error=err_tot,
             )
         # bisect every panel holding more than its per-panel share of the
-        # worst-converged component's tolerance
-        ratio = errs[:, :steer] / np.maximum(tol, 1e-300)[None, :]
-        share = np.max(ratio, axis=1)
+        # worst-converged column's tolerance
+        share = (est[1, :steer] / np.maximum(tol, 1e-300)[:, None]).max(axis=0)
         refine = share > 0.5 / a.size
-        if not np.any(refine):
-            refine = share >= np.max(share)
+        if not refine.any():
+            refine = share >= share.max()
+        keep = ~refine
         ra, rb = a[refine], b[refine]
         mid = 0.5 * (ra + rb)
-        new_a = np.concatenate([a[~refine], ra, mid])
-        new_b = np.concatenate([b[~refine], mid, rb])
-        pts, half = _panel_nodes(np.concatenate([ra, mid]), np.concatenate([mid, rb]), _NODES)
-        new_vals, new_errs = _panel_sums(f(pts), half, _NODES)
-        keep_vals = vals[~refine]
-        keep_errs = errs[~refine]
-        a, b = new_a, new_b
-        vals = np.concatenate([keep_vals, new_vals])
-        errs = np.concatenate([keep_errs, new_errs])
+        new_a = np.concatenate([ra, mid])
+        new_b = np.concatenate([mid, rb])
+        pts, half = _layout(new_a, new_b, rule[0])
+        new_est = _estimates(f, *region(pts), half, rule)
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        est = np.concatenate([est[..., keep], new_est], axis=2)
 
 
 def _initial_edges(lo, hi, breakpoints, count):
     """Edges of `count` initial panels on [lo, hi], seeded by the breakpoints.
 
     The breakpoints inside (lo, hi) become edges; then the longest segment
-    (the first one on ties) is halved until there are `count` panels.  The
-    returned array is shared between calls and therefore read-only.
+    (the first one on ties) is halved until there are `count` panels.
     """
-    pts = {lo, hi}
-    if breakpoints is not None:
-        pts.update(float(p) for p in np.atleast_1d(breakpoints) if lo < p < hi)
-    return _split_edges(tuple(sorted(pts)), count)
+    inner = () if breakpoints is None else {p for p in breakpoints if lo < p < hi}
+    edges = [lo, *sorted(inner), hi]
+    # lists of a few dozen floats, where numpy's per-call cost would
+    # dominate; each length is the difference of its segment's edges
+    lengths = [r - l for l, r in zip(edges, edges[1:])]
+    while len(lengths) < count:
+        i = lengths.index(max(lengths))
+        mid = 0.5 * (edges[i] + edges[i + 1])
+        edges.insert(i + 1, mid)
+        lengths[i:i + 1] = (mid - edges[i], edges[i + 2] - mid)
+    return np.array(edges)
 
 
-@lru_cache(maxsize=256)
-def _split_edges(seeds, count):
-    # list inserts on a few dozen floats: numpy's per-call overhead would
-    # dominate at this size
-    edges = list(seeds)
-    while len(edges) - 1 < count:
-        i = max(range(len(edges) - 1), key=lambda j: edges[j + 1] - edges[j])
-        edges.insert(i + 1, 0.5 * (edges[i] + edges[i + 1]))
-    edges = np.array(edges, dtype=float)
-    edges.flags.writeable = False
-    return edges
+@lru_cache(maxsize=8)
+def _tail_table(panels, nodes, k_max):
+    """The tail's initial panels and first-wave momenta and weights, read-only.
 
-
-@lru_cache(maxsize=32)
-def _tail_nodes(count, nodes):
-    """Initial tail edges on (0, 1] and their first-wave nodes, read-only."""
-    edges = _initial_edges(0.0, 1.0, None, count)
-    u, _ = _panel_nodes(edges[:-1], edges[1:], nodes)
-    u.flags.writeable = False
-    return edges, u
+    Returns (a, b, half, k, weight) for max(2, panels // 4) panels on
+    (0, 1]; k_max, the _K_MAX that `_tail` reads, only keys the table.
+    """
+    edges = _initial_edges(0.0, 1.0, None, max(2, panels // 4))
+    a, b = edges[:-1], edges[1:]
+    u, half = _layout(a, b, _rule(nodes)[0])
+    table = (a, b, half, *_tail(u))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def radial_integral(f, breakpoints=None, steer=None):
     """Integral d^3k/(2 pi)^3 f(k) = Integral_0^inf dk k^2/(2 pi^2) f(k) for isotropic f.
 
     f maps a 1D array of k values (in k0) to shape (npts,) or (npts, nf).
-    Returns the integral, of shape (nf,).  The direct region is [0, _K_MAX];
+    breakpoints, a sequence of momenta, seeds the initial panel edges (see
+    `_initial_edges`).  Returns the integral, of shape (nf,).  The direct
+    region is [0, _K_MAX];
     the tail uses u = _K_MAX/k on (0, 1].  The first wave of both regions is
     evaluated in one call of f; refinement waves call f per region.  Only
     the first `steer` components (all when None) steer the refinement; the
     others ride along on the same panels.
     """
-
-    def weighted(k):
-        v = np.asarray(f(k), dtype=float)
-        return (v[:, None] if v.ndim == 1 else v) * (k**2 / (2.0 * np.pi**2))[:, None]
-
-    def tail_integrand(u):
-        return weighted(_K_MAX / u) * (_K_MAX / u**2)[:, None]
-
+    rule = _rule(_NODES)
     edges = _initial_edges(0.0, _K_MAX, breakpoints, _PANELS)
-    tail_edges, u = _tail_nodes(max(2, _PANELS // 4), _NODES)
-    k, _ = _panel_nodes(edges[:-1], edges[1:], _NODES)
-    first = weighted(np.concatenate([k, _K_MAX / u]))
-    direct = _adaptive(weighted, edges, first[: k.size], steer)
-    tail = _adaptive(tail_integrand, tail_edges, first[k.size:] * (_K_MAX / u**2)[:, None], steer)
-    return direct + tail
+    ta, tb, t_half, t_k, t_weight = _tail_table(_PANELS, _NODES, _K_MAX)
+    a, b = edges[:-1], edges[1:]
+    k, half = _layout(a, b, rule[0])
+    est = _estimates(f, np.concatenate([k, t_k]), np.concatenate([_direct(k)[1], t_weight]),
+                     np.concatenate([half, t_half]), rule)
+    n = a.size
+    return (_adaptive(f, _direct, a, b, est[..., :n], steer)
+            + _adaptive(f, _tail, ta, tb, est[..., n:], steer))

@@ -170,7 +170,8 @@ def test_top_level_paths_keep_their_contract(capsys):
     assert out.startswith("usage: bcsbec [-h] [--version]")
     assert all(f"\n    {name} " in out for name in COMMANDS)
     # no subcommand, an unknown one, or a flag before it: the top-level usage
-    for argv in ([], ["no-such-command"], ["--out", "x", "gap-sweep"]):
+    for argv in ([], ["no-such-command"], ["--out", "x", "gap-sweep"],
+                 ["--units", "bound-state", "--u", "40"]):
         assert run(argv) == 3, argv
         assert capsys.readouterr().err.startswith("usage: bcsbec [-h] [--version]"), argv
 
@@ -641,15 +642,16 @@ def test_console_script_entry_point(tmp_path):
 
 
 # Imports bcsbec.cli, runs every gap-side subcommand in the same process and
-# prints the scipy modules loaded after the import and after each run.
+# prints the scipy modules loaded after the import and after each run, and
+# the numpy.polynomial modules loaded by the import.
 _SCIPY_PROBE = """
 import json, sys
 import bcsbec.cli
 
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+def loaded(prefix="scipy"):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
 
-report = {"import": loaded()}
+report = {"import": loaded(), "polynomial": loaded("numpy.polynomial")}
 for argv in json.loads(sys.argv[1]):
     code = bcsbec.cli.main([*argv, "--out", sys.argv[2]])
     report[" ".join(argv)] = (code, loaded())
@@ -673,4 +675,6 @@ def test_gap_side_never_loads_scipy(tmp_path):
     )
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report.pop("import") == []
+    # the quadrature rule's tables are built on first use, not at import
+    assert report.pop("polynomial") == []
     assert report == {" ".join(argv): [0, []] for argv in runs}

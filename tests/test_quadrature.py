@@ -9,9 +9,12 @@ import bcsbec.gap
 import bcsbec.quadrature
 from bcsbec.core import U_C
 from bcsbec.diagram import sweep_coupling
+from bcsbec.gap import solve_self_consistent
 from bcsbec.quadrature import (
     QuadratureError,
     _initial_edges,
+    _rule,
+    _tail_table,
     radial_integral,
 )
 
@@ -153,11 +156,24 @@ def test_initial_edges_match_array_insert_oracle(hi, breakpoints, count):
     assert np.array_equal(edges, reference_initial_edges(0.0, hi, breakpoints, count))
 
 
-def test_initial_edges_are_memoised_read_only():
-    edges = _initial_edges(0.0, 40.0, [0.3, 1.0, 3.0, 10.0], 16)
-    assert _initial_edges(0.0, 40.0, (10.0, 3.0, 1.0, 0.3, 50.0), 16) is edges
-    with pytest.raises(ValueError):
-        edges[1] = 0.5
+def test_rule_tables_are_read_only_and_follow_the_constants(monkeypatch):
+    quad = bcsbec.quadrature
+    for table in (*_rule(quad._NODES), *_tail_table(quad._PANELS, quad._NODES, quad._K_MAX)):
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+    # patched rule constants get tables of their own: the first wave takes
+    # 3 _NODES points on each of _PANELS direct and max(2, _PANELS // 4)
+    # tail panels
+    monkeypatch.setattr(quad, "_NODES", 4)
+    monkeypatch.setattr(quad, "_PANELS", 8)
+    sizes = []
+
+    def f(k):
+        sizes.append(k.size)
+        return np.exp(-k)
+
+    radial_integral(f)
+    assert sizes[0] == (8 + 2) * 3 * 4
 
 
 def test_default_sweep_panel_set(monkeypatch):
@@ -182,3 +198,28 @@ def test_default_sweep_panel_set(monkeypatch):
     assert points == 128_664
     # one integral per Newton step, and tangent-predicted warm starts
     assert calls <= 220
+
+
+def test_cold_solve_panel_set(monkeypatch):
+    # cold solves from the benchmark's coupling grid, below, near and well
+    # above U_c, take exactly this many integrals and integrand points:
+    # below and near U_c the count covers the steer=1 gap probes of the mu
+    # search, above 1.5 U_c the Newton polish from the molecular seed
+    points = calls = 0
+
+    def counting(f, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+
+        def counted(k):
+            nonlocal points
+            points += len(k)
+            return f(k)
+
+        return radial_integral(counted, *args, **kwargs)
+
+    monkeypatch.setattr(bcsbec.gap, "radial_integral", counting)
+    for ratio in (0.675, 1.025, 2.075):
+        for n in (10**-2.5, 0.02, 0.1):
+            assert solve_self_consistent(ratio * U_C, n).converged
+    assert (calls, points) == (115, 83_736)
