@@ -166,24 +166,27 @@ def sweep_coupling(U_grid, n: float, tol_gap: float = 1e-10,
                    tol_number: float = 1e-8) -> list[GapSolution]:
     """Solve along a coupling grid, warm-starting each point from the last.
 
-    Each warm start is the tangent prediction from the last converged point
-    with a resolved gap (see gap._warm_start), so a warm point typically needs
-    two or three Newton steps.  Failed points, including numeric failures
+    Each warm start is predicted from the last two converged points with a
+    resolved gap, by the cubic Hermite curve through their values and
+    tangents, or from the last one alone by its tangent line (see
+    gap._warm_start); a warm point then typically takes two or three
+    integrals, the last of which only confirms convergence.  Failed points,
+    including numeric failures
     (RuntimeError, ValueError), are recorded inline (converged = False, mu
     and Delta0 NaN) without aborting the sweep.
     """
     out = []
-    last = None
+    last = before = None
     for U in np.asarray(U_grid, dtype=float).tolist():
         try:
             sol = solve_self_consistent(U, n, tol_gap=tol_gap, tol_number=tol_number,
-                                        initial_guess=_warm_start(last, U))
+                                        initial_guess=_warm_start(last, U, before))
         except (RuntimeError, ValueError) as exc:  # QuadratureError is a RuntimeError
             sol = GapSolution(U, n, np.nan, np.nan, np.nan, np.nan, 0, False,
                               f"solver error: {exc}")
         out.append(sol)
         if sol.converged and sol.Delta0 > 0:
-            last = sol
+            before, last = last, sol
     return out
 
 

@@ -39,12 +39,16 @@ mu = eps_F, Delta0 = 0, a number residual of 0, and a gap residual of NaN,
 because the gap integral diverges at Delta0 = 0 for mu > 0.
 
 Along a coupling sweep (bcsbec.diagram.sweep_coupling) each point is
-warm-started from a first-order tangent prediction (Allgower & Georg,
-Numerical Continuation Methods, 1990).  Since the gap residual depends on
-U only through -U I_gap/2, the tangent (dmu/dU, dDelta0/dU) solves J t =
-(I_gap/2, 0) with the Jacobian of the converged point, at no extra
-integral.  locate_mu_zero runs the same safeguarded Newton on mu(U), with
-dmu/dU from the tangent as the slope.
+warm-started from a predictor (Allgower & Georg, Numerical Continuation
+Methods, 1990).  Since the gap residual depends on U only through -U
+I_gap/2, the tangent (dmu/dU, dDelta0/dU) solves J t = (I_gap/2, 0) with
+the Jacobian of the converged point, at no extra integral.  Once two
+converged points carry tangents, the prediction is the cubic Hermite
+curve through both, at their actual U spacing; before that, or when the
+cubic step fails the guard of _warm_start, it is the tangent line of the
+last point.  locate_mu_zero runs the same safeguarded Newton on mu(U),
+with dmu/dU from the tangent as the slope, and warm-starts each probe
+from the tangent line of the last.
 
 The two-body bound state solves 1 = U Integral Gamma^2/(2 eps_k + E_b); it
 exists above the threshold coupling U_c and, for the separable form factor,
@@ -79,6 +83,28 @@ expansion fails, the gate sends the solve straight to the search.  Deep on
 the BEC side the polish returns the seed unchanged: there nu falls below
 the rounding of mu, and the gap can fall below the resolution floor, so
 the search, which brackets mu in absolute terms, cannot reach the root.
+
+Every other cold solve takes its first guess from the universal crossover
+(_crossover_seed): the mean-field solution of the contact model, which
+the separable model approaches as k_F -> 0, at the same 1/(k_F a) = (1 -
+U_c/U)/k_F (Marini, Pistolesi & Strinati, Eur. Phys. J. B 1, 151
+(1998)).  With x0 = mu/Delta it reads
+
+    1/(k_F a) = -(2/pi) I1(x0) (2/(3 I2(x0)))^(1/3),
+    Delta/eps_F = (2/(3 I2(x0)))^(2/3),
+
+where I1 and I2 are closed forms in the complete elliptic integrals K
+and E (_crossover_integrals), evaluated by the arithmetic-geometric mean
+at no integral cost.  The first side falls monotonically in x0, so one
+safeguarded root-find gives x0, and the seed is mu = x0 Delta, Delta0 =
+Delta sqrt(1 + k_F^2).  Its distance from the model's root grows with
+k_F, but on the benchmark grid, up to k_F = 1.4 k0, the polish from it
+converges within 7 integrals.  The molecular seed stays wherever its gate
+passes: deep on the BEC side the contact binding energy 2 (b/(1+b))^2
+departs from the model's 2 b^2.  A root far in the BCS tail (x0 above
+sinh 12 = 8.1e4), where the gap nears what the quadrature resolves at the
+Fermi surface, goes to the search, and so does a polish that misses or
+steps to a gap whose integral fails.
 """
 
 from __future__ import annotations
@@ -112,6 +138,15 @@ _NEWTON_STEPS = 25
 _LOG_GAP_XTOL = 1e-6
 _LOG_GAP_CAP = 2.0
 _LOG2 = math.log(2.0)
+# the crossover seed: its root in t = asinh(mu/Delta) is sought in _SEED_T
+# to a bracket _SEED_T_XTOL wide.  Above sinh(12) = 8.1e4, Delta/mu comes
+# within a decade or two of the smallest gap the quadrature resolves at the
+# Fermi surface (about 1e-6 mu), so such a root, or a seed Delta0 within a
+# factor 2 of the floor, goes to the search instead.
+_SEED_T = (-20.0, 12.0)
+_SEED_T_XTOL = 1e-10
+# step cap of the arithmetic-geometric mean
+_AGM_STEPS = 32
 
 
 @dataclass
@@ -323,16 +358,18 @@ def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
     Each step costs one radial integral, which yields the residuals and
     their Jacobian together (`_residuals_and_jacobian`).  Stops once
     |r_gap| <= 0.05 tol_gap and |r_number| <= 0.05 tol_number, after
-    _NEWTON_STEPS steps, on a singular Jacobian, or when halving the step
-    30 times cannot keep Delta0 positive.  Returns (mu, Delta0, r_gap,
-    r_number, steps, tangent).  tangent = (dmu/dU, dDelta0/dU) at the final
-    point solves J t = (I_gap/2, 0), because dr_gap/dU = -I_gap/2; it costs
-    no integral, and it is None when J is singular there.
+    _NEWTON_STEPS steps, on a singular Jacobian, when halving the step
+    30 times cannot keep Delta0 positive, or when the integral after a step
+    fails (a step to a gap below resolution); it then returns the point
+    before that step.  Returns (mu, Delta0, r_gap, r_number, integrals,
+    tangent), where integrals counts every integral taken, a failed one
+    too.  tangent = (dmu/dU, dDelta0/dU) at the final point solves J t =
+    (I_gap/2, 0), because dr_gap/dU = -I_gap/2; it costs no integral, and
+    it is None when J is singular there.
     """
-    it = 0
+    it = 1
     r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n)
     for _ in range(_NEWTON_STEPS):
-        it += 1
         if abs(r[0]) <= 0.05 * tol_gap and abs(r[1]) <= 0.05 * tol_number:
             break
         try:
@@ -347,8 +384,12 @@ def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
             shrink += 1
         if new_D <= 0:
             break
+        it += 1
+        try:
+            r, J, gap = _residuals_and_jacobian(new_mu, new_D, U, n)
+        except QuadratureError:  # a step to a gap below resolution
+            break
         mu, Delta0 = new_mu, new_D
-        r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n)
     try:
         tangent = tuple(np.linalg.solve(J, [0.5 * gap, 0.0]))
     except np.linalg.LinAlgError:
@@ -356,24 +397,49 @@ def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
     return mu, Delta0, r[0], r[1], it, tangent
 
 
-def _warm_start(prev: GapSolution | None, U: float):
-    """Warm start (mu, Delta0) for coupling U from the solution `prev`.
+def _hermite(before: GapSolution, last: GapSolution, U: float):
+    """Cubic Hermite extrapolation of (mu, Delta0) to U through two solutions.
 
-    The first-order tangent prediction (mu, Delta0) + (U - prev.U) prev.tangent,
-    or prev's own (mu, Delta0) when prev has no tangent or the prediction
-    leaves the linear regime: a predicted Delta0 outside (0.5, 2) x
-    prev.Delta0, or a non-finite mu (far steps such as U -> 1e300 U_c would
-    otherwise overflow the integrand).  None when prev is None.
+    With h = last.U - before.U and t = (U - before.U)/h, each of mu and
+    Delta0 is h00 y_before + h10 h y'_before + h01 y_last + h11 h y'_last,
+    the standard Hermite basis times the values and tangents of both
+    points.  Runs on Python floats, which overflow to inf without a
+    warning.
     """
-    if prev is None:
+    h = float(last.U) - float(before.U)
+    t = (float(U) - float(before.U)) / h
+    s = t - 1.0
+    h00, h10, h01, h11 = (1.0 + 2.0 * t) * s * s, t * s * s, t * t * (1.0 - 2.0 * s), t * t * s
+    return tuple(h00 * float(a) + h10 * h * float(da) + h01 * float(b) + h11 * h * float(db)
+                 for a, da, b, db in zip((before.mu, before.Delta0), before.tangent,
+                                         (last.mu, last.Delta0), last.tangent))
+
+
+def _warm_start(last: GapSolution | None, U: float, before: GapSolution | None = None):
+    """Warm start (mu, Delta0) for coupling U from the solution `last`.
+
+    When `before`, an earlier solution at another coupling, and `last` both
+    carry tangents, the cubic Hermite prediction through both (_hermite;
+    Allgower & Georg, Numerical Continuation Methods, 1990); otherwise, or
+    when that prediction fails the guard below, the first-order tangent
+    prediction (mu, Delta0) + (U - last.U) last.tangent.  The guard rejects
+    a predicted Delta0 outside (0.5, 2) x last.Delta0 and a non-finite mu
+    (far steps such as U -> 1e300 U_c would otherwise overflow the
+    integrand).  Falls back to last's own (mu, Delta0) when last has no
+    tangent or neither prediction passes.  None when last is None.
+    """
+    if last is None:
         return None
-    if prev.tangent is not None:
-        dU = U - prev.U
-        mu = prev.mu + dU * prev.tangent[0]
-        D = prev.Delta0 + dU * prev.tangent[1]
-        if math.isfinite(mu) and 0.5 * prev.Delta0 < D < 2.0 * prev.Delta0:
+    if last.tangent is None:
+        return last.mu, last.Delta0
+    predictions = [(last.mu + (U - last.U) * last.tangent[0],
+                    last.Delta0 + (U - last.U) * last.tangent[1])]
+    if before is not None and before.tangent is not None and before.U != last.U:
+        predictions.insert(0, _hermite(before, last, U))
+    for mu, D in predictions:
+        if math.isfinite(mu) and 0.5 * last.Delta0 < D < 2.0 * last.Delta0:
             return mu, D
-    return prev.mu, prev.Delta0
+    return last.mu, last.Delta0
 
 
 def _bec_seed(Eb, n, eps_F):
@@ -394,6 +460,81 @@ def _bec_seed(Eb, n, eps_F):
     return mu, math.sqrt(16.0 * math.pi * b * n) * (1.0 + b)
 
 
+def _elliptic_k_s(m, m1):
+    """K(m) and s = 1 - E(m)/K(m) by the arithmetic-geometric mean.
+
+    m1 = 1 - m comes separately, so that it keeps its precision as m -> 1.
+    K = pi/(2 AGM(1, sqrt(m1))) and s = sum_j 2^(j-1) c_j^2 with c_0^2 = m
+    (Abramowitz & Stegun 17.6).  The loop stops once c_j is below 1e-9
+    a_j, where the next term is below rounding, and after _AGM_STEPS steps
+    at most: a tighter test can miss forever when a_j and b_j settle a unit
+    in the last place apart.  s carries no cancellation as m -> 0.
+    """
+    a, b = 1.0, math.sqrt(m1)
+    s, w = 0.5 * m, 0.5
+    for _ in range(_AGM_STEPS):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        w += w
+        s += w * c * c
+        if c <= 1e-9 * a:
+            break
+    return 0.5 * math.pi / a, s
+
+
+def _crossover_integrals(x0):
+    """I1 and I2 of the contact-model mean-field crossover at x0 = mu/Delta.
+
+    I1 = Int_0^inf x^2 (1/sqrt((x^2 - x0)^2 + 1) - 1/x^2) dx and I2 =
+    Int_0^inf x^2 (1 - (x^2 - x0)/sqrt((x^2 - x0)^2 + 1)) dx, in closed
+    form (Marini, Pistolesi & Strinati, Eur. Phys. J. B 1, 151 (1998)):
+    with r = sqrt(1 + x0^2) and m = (1 + x0/r)/2, I1 = r^(1/2) (K - 2E)
+    and I2 = r^(1/2) ((r - x0) K + 2 x0 E)/3.  Written with s = 1 - E/K
+    and r -/+ x0, whose product is 1, neither loses precision at large
+    |x0|.
+    """
+    r = math.hypot(1.0, x0)
+    below, above = (1.0 / (r + x0), r + x0) if x0 > 0 else (r - x0, 1.0 / (r - x0))
+    K, s = _elliptic_k_s(0.5 * above / r, 0.5 * below / r)
+    scale = math.sqrt(r) * K
+    return scale * (2.0 * s - 1.0), scale * (below * s + above * (1.0 - s)) / 3.0
+
+
+def _crossover_seed(U, n, eps_F):
+    """The universal crossover's (mu, Delta0) at U and n, or None.
+
+    The contact-model mean-field crossover at the same 1/(k_F a) = (1 -
+    U_c/U)/k_F, k_F = sqrt(eps_F) (see the module docstring): x0 = mu/Delta
+    solves -(2/pi) I1 (2/(3 I2))^(1/3) = 1/(k_F a) (_crossover_integrals),
+    and Delta/eps_F = (2/(3 I2))^(2/3).  The seed is mu = x0 Delta and
+    Delta0 = Delta sqrt(1 + k_F^2), which undoes the form factor at k_F.
+    The left side falls monotonically in t = asinh x0, where a safeguarded
+    secant (_safe_newton, with the slope through the last two evaluations)
+    finds the root in _SEED_T.  None when the root lies outside _SEED_T or
+    the seed's Delta0 is within a factor 2 of the floor _GAP_FLOOR_REL.
+    """
+    inverse_kfa = (1.0 - U_C / U) / math.sqrt(eps_F)
+    last = []
+
+    def excess(t):  # increasing in t
+        I1, I2 = _crossover_integrals(math.sinh(t))
+        value = inverse_kfa + 2.0 / math.pi * I1 * (2.0 / (3.0 * I2)) ** (1.0 / 3.0)
+        slope = (value - last[1]) / (t - last[0]) if last else math.nan
+        last[:] = t, value
+        return value, slope
+
+    lo, hi = _SEED_T
+    if not excess(lo)[0] < 0.0 < excess(hi)[0]:
+        return None
+    t, _ = _safe_newton(excess, 0.0, lo, hi, _SEED_T_XTOL, _MAX_ITER)
+    x0 = math.sinh(t)
+    Delta = (2.0 / (3.0 * _crossover_integrals(x0)[1])) ** (2.0 / 3.0) * eps_F
+    Delta0 = Delta * math.sqrt(1.0 + eps_F)
+    if not Delta0 > 2.0 * _GAP_FLOOR_REL:
+        return None
+    return x0 * Delta, Delta0
+
+
 def solve_self_consistent(U: float, n: float, *,
                           tol_gap: float = 1e-10, tol_number: float = 1e-8,
                           initial_guess: tuple[float, float] | None = None) -> GapSolution:
@@ -407,8 +548,12 @@ def solve_self_consistent(U: float, n: float, *,
     = -E_b/2 + 2 pi (1+4b) n/b with b = U/U_c - 1, the first order of n =
     (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2 (see the module
     docstring), provided that mu lies below eps_F, which no mean-field mu
-    exceeds; should its polish miss, it seeds the search just as a missed
-    initial_guess does.  A cold solve runs the safeguarded Newton of
+    exceeds.  Any other solve takes the universal crossover at 1/(k_F a) =
+    (1 - U_c/U)/k_F as its guess (_crossover_seed), unless that root lies
+    so deep in the BCS tail that its gap nears the quadrature's resolution.
+    Both guesses count as a cold start; should a seeded polish miss, the
+    seed starts the search just as a missed initial_guess does.  The
+    search runs the safeguarded Newton of
     _safe_newton on the density excess over the mu bracket (-E_b/2, inf),
     with lower end 0 below U_c: the gap equation loses its positive
     solution exactly at mu = -E_b/2 (the two-body dissociation edge).  It
@@ -435,7 +580,7 @@ def solve_self_consistent(U: float, n: float, *,
 
     Eb = bound_state_energy(U)
     if initial_guess is None:
-        initial_guess = _bec_seed(Eb, n, eps_F)
+        initial_guess = _bec_seed(Eb, n, eps_F) or _crossover_seed(U, n, eps_F)
     if initial_guess is not None:
         mu0, D0 = initial_guess
         if D0 > 0:

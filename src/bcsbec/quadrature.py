@@ -132,7 +132,10 @@ def _estimates(f, k, weight, half, rule):
     (panels, 3n) block; matmul reduces the stack block by block, one
     product per column and rule, so no column's sums depend on another
     column.  Returns est of shape (2, columns, panels): est[0] holds the
-    2n-node estimates, est[1] their distance from the n-node ones.
+    2n-node estimates, est[1] their distance from the n-node ones.  Both
+    estimates are checked before they are differenced: a non-finite value
+    at a node of either rule raises QuadratureError, and two equal
+    infinities are never subtracted.
     """
     _, w1, w2 = rule
     v = np.asarray(f(k), dtype=float)
@@ -141,9 +144,10 @@ def _estimates(f, k, weight, half, rule):
     blocks = buf.reshape(buf.shape[0], half.size, -1)
     est = np.empty((2, *blocks.shape[:2]))
     np.multiply(half, blocks[..., w1.size:] @ w2, out=est[0])
-    if not np.isfinite(est[0]).all():
+    np.multiply(half, blocks[..., :w1.size] @ w1, out=est[1])
+    if not np.isfinite(est).all():
         raise QuadratureError("non-finite integrand value inside a panel")
-    np.subtract(est[0], half * (blocks[..., :w1.size] @ w1), out=est[1])
+    np.subtract(est[0], est[1], out=est[1])
     np.abs(est[1], out=est[1])
     return est
 

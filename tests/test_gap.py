@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
+from scipy.special import ellipe, ellipk, ellipkm1
 
 import bcsbec.gap
 from bcsbec.core import U_C, fermi_energy
@@ -24,11 +25,16 @@ from bcsbec.gap import (
     GapSolution,
     _bec_seed,
     _breakpoints,
+    _crossover_integrals,
+    _crossover_seed,
+    _elliptic_k_s,
     _gap_at_mu,
+    _hermite,
     _newton_polish,
     _pair_integrand,
     _residuals_and_jacobian,
     _safe_newton,
+    _warm_start,
     bound_state_energy,
     gap_residual,
     locate_mu_zero,
@@ -197,6 +203,62 @@ def test_warm_start_equals_cold_start(ratio, n):
     eps_f = fermi_energy(n)
     assert abs(warm.mu - cold.mu) <= 1e-8 * eps_f
     assert abs(warm.Delta0 - cold.Delta0) <= 1e-8 * cold.Delta0
+
+
+def _close(sol, ref):
+    """Whether sol matches ref: mu within 1e-8 max(|mu|, eps_F), Delta0 within 1e-8."""
+    return (abs(sol.mu - ref.mu) <= 1e-8 * max(abs(ref.mu), fermi_energy(ref.n))
+            and abs(sol.Delta0 - ref.Delta0) <= 1e-8 * ref.Delta0)
+
+
+@pytest.mark.parametrize("ratios, n", [
+    (np.linspace(0.5, 4.0, 30), 0.003),
+    (np.linspace(0.5, 4.0, 30), 0.02),
+    (np.linspace(0.5, 4.0, 30), 0.1),
+    # non-uniform spacing: the Hermite prediction uses the actual U steps
+    (0.5 + 3.5 * np.linspace(0.0, 1.0, 25) ** 2, 0.02),
+    (np.sort(np.concatenate([np.geomspace(0.5, 4.0, 12), [0.97, 1.0, 1.03, 2.9, 2.95]])), 0.1),
+    # deep BCS from 0.1 U_c: the first points have no resolved gap
+    (np.linspace(0.1, 4.0, 50), 1e-4),
+])
+def test_sweep_equals_per_point_cold_solves(ratios, n):
+    sweep = sweep_coupling(ratios * U_C, n)
+    for sol in sweep:
+        cold = solve_self_consistent(sol.U, n)
+        assert sol.converged and cold.converged
+        assert sol.note == cold.note
+        assert _close(sol, cold), (sol.U / U_C, sol.mu, cold.mu, sol.Delta0, cold.Delta0)
+    if n == 1e-4:
+        assert sweep[0].Delta0 == 0.0 and sweep[-1].Delta0 > 0.0
+
+
+def test_hermite_prediction_is_exact_for_a_cubic():
+    # a cubic branch is reproduced exactly from two points, their slopes and
+    # an uneven spacing, inside and outside the pair
+    def branch(U):
+        return (2.0 - U + 0.3 * U**2 - 0.05 * U**3, 1.0 + 0.2 * U**3)
+
+    def slope(U):
+        return (-1.0 + 0.6 * U - 0.15 * U**2, 0.6 * U**2)
+
+    before, last = (GapSolution(U, 0.02, *branch(U), 0.0, 0.0, 1, True, tangent=slope(U))
+                    for U in (1.0, 1.7))
+    for U in (1.2, 2.1, 2.6):
+        assert _hermite(before, last, U) == pytest.approx(branch(U), rel=1e-13)
+
+
+def test_warm_start_falls_back_to_the_linear_prediction():
+    # a Hermite step that would take Delta0 out of (0.5, 2) x last.Delta0 is
+    # replaced by the tangent step, and a failing tangent step by the point
+    before = GapSolution(1.0, 0.02, 0.5, 1.0, 0.0, 0.0, 1, True, tangent=(0.0, 10.0))
+    last = GapSolution(1.1, 0.02, 0.5, 1.0, 0.0, 0.0, 1, True, tangent=(0.1, 0.5))
+    assert not 0.5 < _hermite(before, last, 1.3)[1] < 2.0
+    assert _warm_start(last, 1.3, before) == pytest.approx((0.52, 1.1))
+    assert _warm_start(last, 5.0, before) == (0.5, 1.0)
+    assert _warm_start(last, 1.3) == pytest.approx((0.52, 1.1))
+    # two points at one coupling give no Hermite step
+    assert _warm_start(last, 1.3, last) == pytest.approx((0.52, 1.1))
+    assert _warm_start(None, 1.3, before) is None
 
 
 def bisect_gap(mu, U, start):
@@ -386,8 +448,8 @@ def integral_count(monkeypatch):
 
 
 def test_cold_solve_quadrature_budget(integral_count):
-    # exact counts: every cold solve on this grid takes at most 50 integrals,
-    # and one seeded from the molecular limit at most 6
+    # exact counts: every cold solve on this grid takes at most 6 integrals,
+    # whether seeded from the molecular limit or from the crossover
     for ratio in (0.6, 1.0, 1.2, 2.0, 4.0):
         for n in (0.003, 0.02, 0.1):
             U = ratio * U_C
@@ -396,7 +458,7 @@ def test_cold_solve_quadrature_budget(integral_count):
             sol = solve_self_consistent(U, n)
             assert sol.converged
             used = integral_count() - before
-            assert used <= (6 if seeded else 50), (ratio, n, seeded, used)
+            assert used <= 6, (ratio, n, seeded, used)
 
 
 @pytest.mark.parametrize("b", [0.05, 0.2, 1.0, 3.0, 10.0])
@@ -416,6 +478,90 @@ def test_molecular_limit_seed_solves_its_integral_equations(b):
     assert 0.5 * D * D * i2 == pytest.approx(n, rel=1e-12)
     # mu + b^2 cancels about 1e-16 b^2/(mu + b^2) of its relative precision
     assert mu + b * b == pytest.approx(0.5 * D * D * i4 / i2, rel=1e-9)
+
+
+def _crossover_oracle(x0):
+    """I1 and I2 by scipy quad, in cancellation-free forms, split at sqrt(x0)."""
+    def i1(x):
+        root = math.hypot(x * x - x0, 1.0)
+        return (2.0 * x0 * x * x - x0 * x0 - 1.0) / (root * (x * x + root))
+
+    def i2(x):
+        e = x * x - x0
+        root = math.hypot(e, 1.0)
+        return x * x * (1.0 / (root * (root + e)) if e > 0.0 else 1.0 - e / root)
+
+    cut = math.sqrt(x0) if x0 > 0.0 else 1.0
+    return [quad(f, 0.0, cut, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            + quad(f, cut, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0] for f in (i1, i2)]
+
+
+@pytest.mark.parametrize("x0", [-3.0, 0.0, 0.86, 2.0, 10.0])
+def test_crossover_integrals_match_quadrature(x0):
+    # 0.86 sits near unitarity, where I1 nearly vanishes: compare absolutely
+    i1, i2 = _crossover_integrals(x0)
+    q1, q2 = _crossover_oracle(x0)
+    assert i1 == pytest.approx(q1, rel=1e-12, abs=1e-13)
+    assert i2 == pytest.approx(q2, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-300, 1e-12, 0.3, 0.5, 0.9, 1.0 - 1e-9])
+def test_elliptic_integrals_match_scipy(m):
+    K, s = _elliptic_k_s(m, 1.0 - m)
+    assert K == pytest.approx(ellipk(m), rel=1e-14)
+    assert K * (1.0 - s) == pytest.approx(ellipe(m), rel=1e-14)
+
+
+def test_elliptic_integrals_stay_finite_at_the_ends():
+    # m = 0 ends after one step; m1 = 1 - m = 1e-16 still resolves
+    # K = ln(4/sqrt(m1)) + O(m1 ln m1) and E = 1 + O(m1 ln m1)
+    assert _elliptic_k_s(0.0, 1.0) == (0.5 * math.pi, 0.0)
+    K, s = _elliptic_k_s(1.0 - 1e-16, 1e-16)
+    assert math.isfinite(K) and math.isfinite(s)
+    assert K == pytest.approx(ellipkm1(1e-16), rel=1e-14)
+    assert K * (1.0 - s) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("inverse_kfa, mu, Delta", [
+    (-1.0, 0.9540, 0.2084), (0.0, 0.5906, 0.6864), (1.0, -0.8010, 1.3319)])
+def test_crossover_seed_gives_the_universal_curve(inverse_kfa, mu, Delta):
+    # (mu, Delta)/eps_F of the contact-model mean-field crossover (Marini,
+    # Pistolesi & Strinati 1998) at U = U_c/(1 - k_F/(k_F a))
+    n = 1e-3
+    eps_F = fermi_energy(n)
+    U = U_C / (1.0 - inverse_kfa * math.sqrt(eps_F))
+    seed_mu, seed_D0 = _crossover_seed(U, n, eps_F)
+    assert seed_mu / eps_F == pytest.approx(mu, abs=1e-4)
+    assert seed_D0 / math.sqrt(1.0 + eps_F) / eps_F == pytest.approx(Delta, abs=1e-4)
+
+
+def test_crossover_seed_declines_unresolvable_gaps():
+    # deep in BCS the root lies beyond the bracket: the search answers
+    n = 1e-4
+    assert _crossover_seed(0.1 * U_C, n, fermi_energy(n)) is None
+    assert _crossover_seed(0.3 * U_C, 1e-12, fermi_energy(1e-12)) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(ratio=st.floats(0.3, 1.5), n=st.floats(1e-4, 0.3))
+@example(ratio=0.8, n=0.02)
+@example(ratio=1.0, n=1e-4)
+def test_crossover_seeded_solve_matches_the_search(ratio, n):
+    # the same root with and without the seed, where the seed applies
+    U = ratio * U_C
+    eps_F = fermi_energy(n)
+    if _bec_seed(bound_state_energy(U), n, eps_F) is not None:
+        return
+    seeded = solve_self_consistent(U, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bcsbec.gap, "_crossover_seed", lambda *args: None)
+        searched = solve_self_consistent(U, n)
+    assert seeded.converged and searched.converged
+    assert seeded.note == searched.note
+    if searched.Delta0 == 0.0:
+        assert (seeded.mu, seeded.Delta0) == (searched.mu, 0.0)
+    else:
+        assert _close(seeded, searched)
 
 
 @pytest.mark.parametrize("ratio", [1.2, 2.0, 4.0])
@@ -472,14 +618,32 @@ def test_locate_mu_zero_quadrature_budget(integral_count):
 
 def test_cold_solve_reports_an_exhausted_budget(monkeypatch):
     # past _MAX_ITER the mu search stops and hands back its best probe,
-    # unconverged; below U_c no molecular-limit seed skips the search
+    # unconverged; below U_c the crossover seed's polish converges in 6
+    # integrals, so a 2-step polish budget makes it miss and reach the search
     monkeypatch.setattr(bcsbec.gap, "_MAX_ITER", 10)
+    monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 2)
     sol = solve_self_consistent(0.8 * U_C, REFERENCE_N)
     assert not sol.converged
     assert sol.note == "mu search exhausted the budget"
     assert sol.iterations > 10 and sol.Delta0 > 0
     assert sol.residual_number == pytest.approx(
         number_residual(sol.Delta0, sol.mu, REFERENCE_N), rel=1e-12)
+
+
+def test_polish_counts_every_integral(integral_count, monkeypatch):
+    # a polish that runs out of steps took the first integral and one per
+    # step, and one that steps to a gap below resolution counts the failure
+    monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 2)
+    *_, integrals, _ = _newton_polish(0.69, 0.17, 0.8 * U_C, REFERENCE_N, 1e-10, 1e-8)
+    assert integrals == integral_count() == 3
+    # from the crossover seed at 0.2 U_c, n = 0.0178 the fifth integral, at
+    # Delta0 = 1.4e-7, exhausts the panel budget: the polish stops and hands
+    # back the point before that step
+    monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 25)
+    _, D, _, _, integrals, _ = _newton_polish(0.652049308377974, 3.788914032938654e-4,
+                                              0.2 * U_C, 0.01778279410038923, 1e-10, 1e-8)
+    assert integrals == integral_count() - 3 == 5
+    assert D == pytest.approx(2.342155229488469e-06, rel=1e-6)
 
 
 def test_validation_errors():

@@ -137,6 +137,24 @@ def test_non_finite_integrand_raises():
         radial_integral(f)
 
 
+def test_nan_seen_only_by_the_n_node_rule_raises():
+    # each panel lays out its n nodes first, so the fourth point of the
+    # first call is an n-node point of the first panel: the 2n-node
+    # estimate stays finite and only the n-node one sees the NaN
+    calls = 0
+
+    def f(k):
+        nonlocal calls
+        calls += 1
+        v = np.exp(-k)
+        if calls == 1:
+            v[3] = np.nan
+        return v
+
+    with pytest.raises(QuadratureError):
+        radial_integral(f)
+
+
 _point = st.one_of(
     st.floats(-10.0, 60.0, allow_nan=False),
     st.sampled_from([0.0, 1.0, 3.0, 10.0, 40.0, -0.5, 45.0]),
@@ -195,16 +213,16 @@ def test_default_sweep_panel_set(monkeypatch):
     monkeypatch.setattr(bcsbec.gap, "radial_integral", counting)
     sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * U_C, 0.02)
     assert all(s.converged for s in sols)
-    assert points == 128_664
-    # one integral per Newton step, and tangent-predicted warm starts
-    assert calls <= 220
+    assert points == 88_416
+    # one integral per Newton step, from Hermite-predicted warm starts
+    assert calls == 119
 
 
 def test_cold_solve_panel_set(monkeypatch):
     # cold solves from the benchmark's coupling grid, below, near and well
     # above U_c, take exactly this many integrals and integrand points:
-    # below and near U_c the count covers the steer=1 gap probes of the mu
-    # search, above 1.5 U_c the Newton polish from the molecular seed
+    # each is a Newton polish, from the crossover seed below and near U_c
+    # and from the molecular seed above 1.5 U_c
     points = calls = 0
 
     def counting(f, *args, **kwargs):
@@ -222,4 +240,4 @@ def test_cold_solve_panel_set(monkeypatch):
     for ratio in (0.675, 1.025, 2.075):
         for n in (10**-2.5, 0.02, 0.1):
             assert solve_self_consistent(ratio * U_C, n).converged
-    assert (calls, points) == (115, 83_736)
+    assert (calls, points) == (49, 36_072)
