@@ -30,6 +30,13 @@ with the same analytic Jacobian.
 Everything here is in natural units (eps0 = k0 = 1, so eps_k = k^2 and
 U_c = 8 pi; see bcsbec.core): U in eps0/k0^3, n in k0^3, energies in eps0.
 
+Every integral maps the quadrature at the integrand's one scale
+(_pair_integral): k = k_mu + w sinh(s) at the Fermi surface for mu > 0,
+with w the half width of the peak of 1/xi, and k = w sinh(s) with w =
+sqrt(Delta0 - mu) for mu <= 0.  Gaps down to the floor below therefore
+resolve at any mu > 0, and the deep BEC side integrates at its own scale,
+near b k0 with b = U/U_c - 1.
+
 This module alone decides when a gap is unresolved: a gap at fixed mu
 within a factor 2 of _GAP_FLOOR_REL eps0 counts as Delta0 = 0.  Deep in
 the BCS regime the mean-field gap falls as (8/e^2) eps_F
@@ -101,10 +108,9 @@ Delta sqrt(1 + k_F^2).  Its distance from the model's root grows with
 k_F, but on the benchmark grid, up to k_F = 1.4 k0, the polish from it
 converges within 7 integrals.  The molecular seed stays wherever its gate
 passes: deep on the BEC side the contact binding energy 2 (b/(1+b))^2
-departs from the model's 2 b^2.  A root far in the BCS tail (x0 above
-sinh 12 = 8.1e4), where the gap nears what the quadrature resolves at the
-Fermi surface, goes to the search, and so does a polish that misses or
-steps to a gap whose integral fails.
+departs from the model's 2 b^2.  A root beyond the seed's bracket (x0
+above sinh 12 = 8.1e4) goes to the search, and so does a polish that
+misses or steps to a gap whose integral fails.
 """
 
 from __future__ import annotations
@@ -139,10 +145,11 @@ _LOG_GAP_XTOL = 1e-6
 _LOG_GAP_CAP = 2.0
 _LOG2 = math.log(2.0)
 # the crossover seed: its root in t = asinh(mu/Delta) is sought in _SEED_T
-# to a bracket _SEED_T_XTOL wide.  Above sinh(12) = 8.1e4, Delta/mu comes
-# within a decade or two of the smallest gap the quadrature resolves at the
-# Fermi surface (about 1e-6 mu), so such a root, or a seed Delta0 within a
-# factor 2 of the floor, goes to the search instead.
+# to a bracket _SEED_T_XTOL wide.  A root above sinh(12) = 8.1e4, where
+# Delta/mu < 1.2e-5, or a seed Delta0 within a factor 2 of the floor, goes
+# to the search instead.  The quadrature resolves every gap above the
+# floor, so the upper end is not a resolution limit; it bounds how much
+# of the BCS tail the seed covers until the search itself is reduced.
 _SEED_T = (-20.0, 12.0)
 _SEED_T_XTOL = 1e-10
 # step cap of the arithmetic-geometric mean
@@ -167,27 +174,31 @@ class GapSolution:
     tangent: tuple[float, float] | None = None
 
 
-def _pair_integrand(mu, Delta0, column=None):
+def _pair_integrand(mu, Delta0, column=None, centre=0.0):
     """Integrand without the radial weight: six columns, or only `column`.
 
-    The columns are the gap g2/xi, the occupancy, and the closed-form
-    derivatives d(g2/xi)/dmu = g2 eps/xi^3, d(g2/xi)/dDelta0 =
-    -Delta0 g2^2/xi^3, d occ/dmu = y2/xi^3 and d occ/dDelta0 =
-    eps Delta0 g2/xi^3 (eps = eps_k - mu, y2 = Delta0^2 g2).  The six
-    columns are written into one (6, npts) buffer and returned as its
-    transpose, so each column is contiguous.
+    The integrand takes offsets t = k - centre and forms eps_k - mu as t (t
+    + 2 centre) + (centre^2 - mu), which carries no cancellation near the
+    Fermi surface when centre = sqrt(mu).  The columns are the gap g2/xi,
+    the occupancy, and the closed-form derivatives d(g2/xi)/dmu = g2
+    eps/xi^3, d(g2/xi)/dDelta0 = -Delta0 g2^2/xi^3, d occ/dmu = y2/xi^3 and
+    d occ/dDelta0 = eps Delta0 g2/xi^3 (eps = eps_k - mu, y2 = Delta0^2
+    g2).  The six columns are written into one (6, npts) buffer and
+    returned as its transpose, so each column is contiguous.  1/xi^3 is
+    formed as (1/xi)^3, which underflows where xi^3 would overflow.
     """
     D2 = Delta0 * Delta0
+    shift = centre * centre - mu
 
-    def f(k):
-        k2 = k**2
-        eps = k2 - mu
-        g2 = 1.0 / (1.0 + k2)
+    def f(t):
+        p = t * (t + 2.0 * centre)
+        eps = p + shift
+        g2 = 1.0 / (p + (1.0 + centre * centre))
         y2 = D2 * g2
         xi = np.sqrt(eps * eps + y2)
         if column == 0:
             return g2 / xi
-        out = np.empty((6, k.size))
+        out = np.empty((6, t.size))
         # occupancy 1 - eps/xi, in the cancellation-free form y2/(xi (xi +
         # eps)) where eps > 0; the floor on xi only matters at Delta0 = 0
         occ = out[1]
@@ -198,50 +209,45 @@ def _pair_integrand(mu, Delta0, column=None):
         if column == 1:
             return occ
         np.divide(g2, xi, out=out[0])
-        xi3 = xi * xi * xi
+        inv3 = np.reciprocal(xi, out=xi)
+        inv3 *= inv3 * inv3
         np.multiply(g2, eps, out=out[2])
         np.multiply(g2, -Delta0, out=out[3])
         out[3] *= g2
-        np.divide(y2, xi3, out=out[4])
+        np.multiply(y2, inv3, out=out[4])
         np.multiply(eps, Delta0, out=out[5])
         out[5] *= g2
-        out[2:4] /= xi3
-        out[5] /= xi3
+        out[2:4] *= inv3
+        out[5] *= inv3
         return out.T
 
     return f
 
 
-_KNEES = (0.3, 1.0, 3.0, 10.0)
-_PEAK_WIDTHS = (1.0, 3.0, 10.0, 30.0, 100.0)
-
-
-def _breakpoints(mu, Delta0):
-    """Panel seeds: the form-factor knee plus the near-Fermi-surface peak."""
-    if not mu > 0:
-        return _KNEES
-    kmu = math.sqrt(mu)
-    pts = [*_KNEES, kmu]
-    local_gap = Delta0 / math.sqrt(1.0 + kmu**2)
-    if local_gap > 0:
-        dk = local_gap / (2.0 * kmu)
-        for c in _PEAK_WIDTHS:
-            pts += (kmu - c * dk, kmu + c * dk)
-    return [p for p in pts if p > 0]
-
-
 def _pair_integral(mu, Delta0, steer=None, column=None):
     """Radial integral of _pair_integrand(mu, Delta0, column).
 
-    The first `steer` columns steer the refinement and the rest ride on
-    their panels.  A single column is integrated on its own: adaptive
-    refinement follows every column that steers it, so slicing a wider
-    result would refine different panels and cost more integrand points,
-    and the gap column diverges at Delta0 = 0, where the occupancy alone
-    still has a finite integral.
+    The quadrature maps the direct region onto k = c + w sinh(s) at the
+    integrand's one scale.  For mu > 0 that is the Fermi surface: c =
+    sqrt(mu) = k_mu and w = Delta0 Gamma(k_mu)/(2 k_mu), the half width of
+    the peak of 1/xi, or w = k_mu at Delta0 = 0, where the occupancy steps
+    at k_mu.  For mu <= 0 it is c = 0 and w = sqrt(Delta0 - mu) (1 when
+    both vanish), about the momentum where k^2 overtakes -mu and Delta0
+    and the integrands turn over.  The first
+    `steer` columns steer the refinement and the rest ride on their
+    panels.  A single column is integrated on its own: adaptive refinement
+    follows every column that steers it, so slicing a wider result would
+    refine different panels and cost more integrand points, and the gap
+    column diverges at Delta0 = 0, where the occupancy alone still has a
+    finite integral.
     """
-    return radial_integral(_pair_integrand(mu, Delta0, column),
-                           breakpoints=_breakpoints(mu, Delta0), steer=steer)
+    if mu > 0:
+        centre = math.sqrt(mu)
+        width = Delta0 / (2.0 * centre * math.sqrt(1.0 + mu)) if Delta0 > 0 else centre
+    else:
+        centre, width = 0.0, math.sqrt(Delta0 - mu) or 1.0
+    return radial_integral(_pair_integrand(mu, Delta0, column, centre),
+                           peak=(centre, width), steer=steer)
 
 
 def _residuals_and_jacobian(mu, Delta0, U, n):
@@ -318,38 +324,30 @@ def _gap_at_mu(mu, U, guess=None):
 
     Safeguarded Newton in x = log Delta0 from `guess` (default eps0), on
     r_gap and dr_gap/dx from one integral with the gap column steering
-    (steer=1).  For mu > 0 r_gap -> -inf as Delta0 -> 0+ (log singularity
-    at the Fermi surface), and a quadrature failure below 1e-4 eps0 counts
-    as r_gap = -inf.  Delta0 = 0: no root a factor 2 above the floor
-    _GAP_FLOOR_REL eps0 and every failure, because none exists (mu at or
-    below -E_b/2) or it is below resolution; a positive residual that
-    close ends the solve.
+    (steer=1), in the bracket (log _GAP_FLOOR_REL, inf).  For mu > 0 r_gap
+    -> -inf as Delta0 -> 0+ (log singularity at the Fermi surface).
+    Delta0 = 0 when there is no root a factor 2 above the floor
+    _GAP_FLOOR_REL eps0, because none exists (mu at or below -E_b/2) or it
+    is below resolution; a positive residual that close ends the solve.
     """
-    floor = _GAP_FLOOR_REL
-    edge = math.log(floor)  # the floor, then the highest failure
+    floor = math.log(_GAP_FLOOR_REL)
     top = math.inf  # the lowest x with r_gap > 0
     integrals = 0
 
     def r(x):
-        nonlocal integrals, edge, top
+        nonlocal integrals, top
         D = math.exp(x)
         integrals += 1
-        try:
-            vals = _pair_integral(mu, D, steer=1)
-        except QuadratureError:
-            if mu <= 0 or D >= 1e-4:
-                raise
-            edge, value, slope = x, -math.inf, math.nan
-        else:
-            value, slope = 1.0 - 0.5 * U * vals[0], -0.5 * U * D * vals[3]
-            if value > 0.0:
-                top = min(top, x)
-        # a zero stops the iteration at x, within a factor 2 of the edge
-        return (0.0, math.nan) if top - edge < _LOG2 else (value, slope)
+        vals = _pair_integral(mu, D, steer=1)
+        value = 1.0 - 0.5 * U * vals[0]
+        if value > 0.0:
+            top = min(top, x)
+        # a zero stops the iteration at x, within a factor 2 of the floor
+        return (0.0, math.nan) if top - floor < _LOG2 else (value, -0.5 * U * D * vals[3])
 
-    x0 = math.log(guess if guess is not None and guess > floor else 1.0)
-    x, _ = _safe_newton(r, x0, edge, math.inf, _LOG_GAP_XTOL, _MAX_ITER, cap=_LOG_GAP_CAP)
-    return (0.0 if x - edge < _LOG2 else math.exp(x)), integrals
+    x0 = math.log(guess if guess is not None and guess > _GAP_FLOOR_REL else 1.0)
+    x, _ = _safe_newton(r, x0, floor, math.inf, _LOG_GAP_XTOL, _MAX_ITER, cap=_LOG_GAP_CAP)
+    return (0.0 if x - floor < _LOG2 else math.exp(x)), integrals
 
 
 def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
@@ -550,7 +548,7 @@ def solve_self_consistent(U: float, n: float, *,
     docstring), provided that mu lies below eps_F, which no mean-field mu
     exceeds.  Any other solve takes the universal crossover at 1/(k_F a) =
     (1 - U_c/U)/k_F as its guess (_crossover_seed), unless that root lies
-    so deep in the BCS tail that its gap nears the quadrature's resolution.
+    beyond the seed's bracket, deep in the BCS tail.
     Both guesses count as a cold start; should a seeded polish miss, the
     seed starts the search just as a missed initial_guess does.  The
     search runs the safeguarded Newton of

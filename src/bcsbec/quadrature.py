@@ -4,13 +4,21 @@ Isotropic integrals reduce to the radial form
 
     Integral d^3k/(2 pi)^3 f(k)  =  Integral_0^inf dk  k^2/(2 pi^2) f(k),
 
-evaluated here by adaptive Gauss-Legendre panels on [0, k_max] plus an exact
-treatment of the tail: on (k_max, inf) the substitution u = k_max/k maps the
-remainder onto (0, 1], where the transformed integrand is smooth and bounded
-for every integrand in this package (they decay at least like k^-2 radially,
-thanks to Gamma^2).  A sharp truncation at k_max alone would lose O(1/k_max)
-of the gap integral, far above the solver tolerances, so the tail is
-integrated rather than bounded.
+evaluated here by adaptive Gauss-Legendre panels in two mapped variables.
+The direct region [0, k_t] is mapped by k = c + w sinh(s) (Johnston &
+Elliott, Int. J. Numer. Meth. Engng 62 (2005) 564), where the caller names
+the integrand's one scale as peak = (c, w): a centre c >= 0 and a width w.
+Near c the map is linear with step w, so a peak of width w, and the
+log-singular 1/xi of the gap integral, are smooth in s; far from c it is
+logarithmic, so one panel count covers scales from w to k_t.  Panels are
+uniform in s, and s = 0 is an edge when c > 0, so a step of the integrand
+at k = c falls between panels.  f receives the offsets t = k - c, which
+carry no rounding of c near the peak.  The tail (k_t, inf), with k_t =
+max(_K_MAX, c + _K_MAX w), is mapped by u = k_t/k onto (0, 1], where the
+transformed integrand is smooth and bounded for every integrand in this
+package (they decay at least like k^-2 radially, thanks to Gamma^2).  A
+sharp truncation at k_t alone would lose O(1/k_t) of the gap integral, far
+above the solver tolerances, so the tail is integrated rather than bounded.
 
 Panels are refined by bisecting wherever the embedded error estimate
 (difference between an n-node and a 2n-node rule on the same panel) exceeds
@@ -26,14 +34,15 @@ a contiguous (panels, 3n) block, and one matmul per rule reduces the
 stack block by block, one product per column.  A column's sums therefore
 never depend on the other columns.  The first wave covers the direct
 panels and the tail's, whose points and weights never change and are
-kept in a table.  The rule's nodes and weights and that table are built
-on first use, keyed on the module constants, so numpy.polynomial stays off
-the import path and a patched constant gets tables of its own.
+kept in a table for a tail at _K_MAX and scaled to any other k_t.  The
+rule's nodes and weights and that table are built on first use, keyed on
+the module constants, so numpy.polynomial stays off the import path and a
+patched constant gets tables of its own.
 
 radial_integral is the one entry point, and every integral uses the one
-rule that the module constants fix: _PANELS initial panels of _NODES
-nodes on [0, _K_MAX], tolerances _TOL_ABS and _TOL_REL, and a
-refinement budget of _MAX_PANELS panels.  Momenta are in units of k0 and
+rule that the module constants and the peak fix: _PANELS initial panels
+of _NODES nodes in s, tolerances _TOL_ABS and _TOL_REL, and a refinement
+budget of _MAX_PANELS panels per region.  Momenta are in units of k0 and
 integrands in natural units (eps0 = k0 = 1), so the absolute tolerance is
 one fixed fraction of the model's own scales.  It returns the integral alone: a
 converged integral is within tolerance by construction, and one that
@@ -53,18 +62,20 @@ tolerance until the panel budget runs out.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["QuadratureError", "radial_integral"]
 
-# The one integration rule.  _K_MAX, in units of k0, marks the boundary
-# between the direct and the reciprocal-mapped region, not a truncation.
-# Doubling _PANELS changes any converged integral by less than _TOL_REL
-# (both runs refine to tolerance).
-_PANELS = 16          # initial panel count on [0, _K_MAX]
-_K_MAX = 40.0         # direct/tail boundary, units of k0
+# The one integration rule.  The tail starts at _K_MAX k0 or _K_MAX peak
+# widths past the peak's centre, whichever is further out; that is the
+# boundary between the direct and the reciprocal-mapped region, not a
+# truncation.  Doubling _PANELS changes any converged integral by less
+# than _TOL_REL (both runs refine to tolerance).
+_PANELS = 16          # initial panel count of the direct region, in s
+_K_MAX = 40.0         # lowest direct/tail boundary, units of k0
 _TOL_ABS = 1e-14
 _TOL_REL = 1e-12
 _NODES = 12           # nodes per panel; error from the 2*_NODES rule
@@ -112,21 +123,22 @@ def _layout(a, b, x):
     return pts.ravel(), half
 
 
-def _direct(k):
-    """Momenta and radial weights k^2/(2 pi^2) at points k of the direct region."""
-    return k, k**2 / _RADIAL
+def _sinh_map(s, c, w):
+    """Offsets t = k - c and weights (k^2/(2 pi^2)) dk/ds at points s of k = c + w sinh(s)."""
+    t = w * np.sinh(s)
+    return t, (t + c) ** 2 * np.cosh(s) * (w / _RADIAL)
 
 
-def _tail(u):
-    """Momenta k = _K_MAX/u and weights (k^2/(2 pi^2)) dk/du at points u of the tail."""
-    k = _K_MAX / u
-    return k, k**2 / _RADIAL * (_K_MAX / u**2)
+def _tail(u, k_t, c):
+    """Offsets t = k - c and weights (k^2/(2 pi^2)) dk/du at points u of k = k_t/u."""
+    k = k_t / u
+    return k - c, k * k * (k_t / _RADIAL) / (u * u)
 
 
-def _estimates(f, k, weight, half, rule):
+def _estimates(f, t, weight, half, rule):
     """Panel estimates of f at the `_layout` points of `rule` = (x, w1, w2).
 
-    k and weight are the momenta and weights at those points, and half the
+    t and weight are the offsets and weights at those points, and half the
     panels' half widths.  Each column of f, times the weights, fills one
     row of a (columns, points) buffer, where it forms one contiguous
     (panels, 3n) block; matmul reduces the stack block by block, one
@@ -138,8 +150,8 @@ def _estimates(f, k, weight, half, rule):
     infinities are never subtracted.
     """
     _, w1, w2 = rule
-    v = np.asarray(f(k), dtype=float)
-    buf = np.empty((1 if v.ndim == 1 else v.shape[1], k.size))
+    v = np.asarray(f(t), dtype=float)
+    buf = np.empty((1 if v.ndim == 1 else v.shape[1], t.size))
     np.multiply(v.T, weight, out=buf)
     blocks = buf.reshape(buf.shape[0], half.size, -1)
     est = np.empty((2, *blocks.shape[:2]))
@@ -155,7 +167,7 @@ def _estimates(f, k, weight, half, rule):
 def _adaptive(f, region, a, b, est, steer):
     """Refine the panels [a_i, b_i] of one region until its steering columns converge.
 
-    region maps points to (momenta, weights), and est holds the panels'
+    region maps points to (offsets, weights), and est holds the panels'
     `_estimates`.  The first `steer` columns (all when None) steer the
     refinement; the rest are integrated on the same panels.  Returns the
     integral.
@@ -192,60 +204,55 @@ def _adaptive(f, region, a, b, est, steer):
         est = np.concatenate([est[..., keep], new_est], axis=2)
 
 
-def _initial_edges(lo, hi, breakpoints, count):
-    """Edges of `count` initial panels on [lo, hi], seeded by the breakpoints.
-
-    The breakpoints inside (lo, hi) become edges; then the longest segment
-    (the first one on ties) is halved until there are `count` panels.
-    """
-    inner = () if breakpoints is None else {p for p in breakpoints if lo < p < hi}
-    edges = [lo, *sorted(inner), hi]
-    # lists of a few dozen floats, where numpy's per-call cost would
-    # dominate; each length is the difference of its segment's edges
-    lengths = [r - l for l, r in zip(edges, edges[1:])]
-    while len(lengths) < count:
-        i = lengths.index(max(lengths))
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        edges.insert(i + 1, mid)
-        lengths[i:i + 1] = (mid - edges[i], edges[i + 2] - mid)
-    return np.array(edges)
-
-
 @lru_cache(maxsize=8)
 def _tail_table(panels, nodes, k_max):
     """The tail's initial panels and first-wave momenta and weights, read-only.
 
-    Returns (a, b, half, k, weight) for max(2, panels // 4) panels on
-    (0, 1]; k_max, the _K_MAX that `_tail` reads, only keys the table.
+    Returns (a, b, half, k, weight) for max(2, panels // 4) uniform panels
+    on (0, 1], with the tail starting at k_max.
     """
-    edges = _initial_edges(0.0, 1.0, None, max(2, panels // 4))
+    edges = np.linspace(0.0, 1.0, max(2, panels // 4) + 1)
     a, b = edges[:-1], edges[1:]
     u, half = _layout(a, b, _rule(nodes)[0])
-    table = (a, b, half, *_tail(u))
+    table = (a, b, half, *_tail(u, k_max, 0.0))
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def radial_integral(f, breakpoints=None, steer=None):
+def radial_integral(f, peak=None, steer=None):
     """Integral d^3k/(2 pi)^3 f(k) = Integral_0^inf dk k^2/(2 pi^2) f(k) for isotropic f.
 
-    f maps a 1D array of k values (in k0) to shape (npts,) or (npts, nf).
-    breakpoints, a sequence of momenta, seeds the initial panel edges (see
-    `_initial_edges`).  Returns the integral, of shape (nf,).  The direct
-    region is [0, _K_MAX];
-    the tail uses u = _K_MAX/k on (0, 1].  The first wave of both regions is
-    evaluated in one call of f; refinement waves call f per region.  Only
-    the first `steer` components (all when None) steer the refinement; the
-    others ride along on the same panels.
+    peak = (c, w), a centre c >= 0 and a width w > 0 in k0, maps the
+    direct region onto k = c + w sinh(s) (default (0, 1)); the tail
+    starts at k_t = max(_K_MAX, c + _K_MAX w) and uses u = k_t/k on (0, 1].
+    f maps a 1D array of offsets t = k - c (k itself when c = 0) to shape
+    (npts,) or (npts, nf).  Returns the integral, of shape (nf,).  The
+    first wave of both regions is evaluated in one call of f; refinement
+    waves call f per region.  Only the first `steer` components (all when
+    None) steer the refinement; the others ride along on the same panels.
     """
+    c, w = (0.0, 1.0) if peak is None else peak
+    k_t = max(_K_MAX, c + _K_MAX * w)
+    s_lo, s_hi = math.asinh(-c / w), math.asinh((k_t - c) / w)
+    # uniform panels on each side of the centre s = 0, split in proportion
+    # to the sides' lengths; s = 0 is an edge when c > 0, so a step of f
+    # at t = 0 falls between panels
+    left = min(max(round(_PANELS * s_lo / (s_lo - s_hi)), 1), _PANELS - 1) if c > 0 else 0
+    right = _PANELS - left
+    edges = np.array([s_lo - s_lo * i / left for i in range(left)]
+                     + [s_hi * i / right for i in range(right + 1)])
     rule = _rule(_NODES)
-    edges = _initial_edges(0.0, _K_MAX, breakpoints, _PANELS)
     ta, tb, t_half, t_k, t_weight = _tail_table(_PANELS, _NODES, _K_MAX)
+    if k_t != _K_MAX:
+        scale = k_t / _K_MAX
+        # a product, which overflows to inf where scale**3 would raise
+        t_k, t_weight = t_k * scale, t_weight * (scale * scale * scale)
     a, b = edges[:-1], edges[1:]
-    k, half = _layout(a, b, rule[0])
-    est = _estimates(f, np.concatenate([k, t_k]), np.concatenate([_direct(k)[1], t_weight]),
+    s, half = _layout(a, b, rule[0])
+    t, weight = _sinh_map(s, c, w)
+    est = _estimates(f, np.concatenate([t, t_k - c]), np.concatenate([weight, t_weight]),
                      np.concatenate([half, t_half]), rule)
     n = a.size
-    return (_adaptive(f, _direct, a, b, est[..., :n], steer)
-            + _adaptive(f, _tail, ta, tb, est[..., n:], steer))
+    return (_adaptive(f, lambda s: _sinh_map(s, c, w), a, b, est[..., :n], steer)
+            + _adaptive(f, lambda u: _tail(u, k_t, c), ta, tb, est[..., n:], steer))

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -63,15 +64,21 @@ def test_gap_below_resolution_converges_as_the_free_gas(tmp_path):
     assert len(rows) == 50 and all(row[6] == "1" for row in rows)
     free = [row for row in rows if float(row[2]) == 0.0]
     assert free and all(row[1] == "1" and row[4] == "nan" for row in free)
+    # the fifth point, at U/U_c = 0.418, resolves a gap of 1.6e-7 eps_F
+    assert float(rows[4][3]) == pytest.approx(3.3131e-9, rel=1e-4)
 
 
-@pytest.mark.parametrize("n, ratio", [("1e-30", "2"), ("0.1", "1e6")])
+@pytest.mark.parametrize("n, ratio", [("1e-30", "2"), ("0.1", "1e6"), ("0.02", "1e20"),
+                                      ("0.02", "1e50")])
 def test_deep_bec_single_point_converges(tmp_path, n, ratio):
-    # a gap of 1.4e-14 eps0, near the resolution floor, and a mu near
-    # -E_b/2 = -1e12 eps0, whose float spacing exceeds the mu search's
-    # bracket width: both converge from the molecular-limit seed
-    assert run(["gap-sweep", "--n", n, "--u-min", ratio, "--u-max", ratio, "--points", "1",
-                "--out", str(tmp_path)]) == 0
+    # a gap of 1.4e-14 eps0, near the resolution floor, and mu near -E_b/2
+    # = -1e12, -1e40 and -1e100 eps0, whose float spacing exceeds the mu
+    # search's bracket width: all converge from the molecular-limit seed,
+    # without an overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["gap-sweep", "--n", n, "--u-min", ratio, "--u-max", ratio, "--points", "1",
+                    "--out", str(tmp_path)]) == 0
     [row] = (tmp_path / "gap_sweep.csv").read_text().splitlines()[1:]
     fields = row.split(",")
     assert fields[6] == "1"

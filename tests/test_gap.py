@@ -24,13 +24,13 @@ from bcsbec.core import U_C, fermi_energy
 from bcsbec.gap import (
     GapSolution,
     _bec_seed,
-    _breakpoints,
     _crossover_integrals,
     _crossover_seed,
     _elliptic_k_s,
     _gap_at_mu,
     _hermite,
     _newton_polish,
+    _pair_integral,
     _pair_integrand,
     _residuals_and_jacobian,
     _safe_newton,
@@ -169,9 +169,10 @@ def test_locate_mu_zero():
 
 
 def test_free_gas_density_at_zero_gap():
-    # Delta0 = 0, mu = eps_F reproduces the free-gas density exactly
-    r = number_residual(0.0, fermi_energy(REFERENCE_N), REFERENCE_N)
-    assert abs(r) <= 1e-10
+    # Delta0 = 0, mu = eps_F reproduces the free-gas density exactly: the
+    # occupancy steps at k_mu, which is a panel edge
+    for n in (1e-4, REFERENCE_N):
+        assert abs(number_residual(0.0, fermi_energy(n), n)) <= 1e-15
 
 
 def test_gap_residual_monotone_in_delta(reference_solution):
@@ -387,9 +388,10 @@ def test_jacobian_riders_leave_the_residuals_unchanged():
     U, n = 0.5 * U_C, 1e-4
     sol = solve_self_consistent(U, n)
     r, _, gap = _residuals_and_jacobian(sol.mu, sol.Delta0, U, n)
-    f = _pair_integrand(sol.mu, sol.Delta0)
+    kmu = math.sqrt(sol.mu)
+    f = _pair_integrand(sol.mu, sol.Delta0, centre=kmu)
     plain_gap, density = bcsbec.gap.radial_integral(
-        lambda k: f(k)[:, :2], breakpoints=_breakpoints(sol.mu, sol.Delta0))
+        lambda t: f(t)[:, :2], peak=(kmu, sol.Delta0 / (2.0 * kmu * math.sqrt(1.0 + sol.mu))))
     assert gap == plain_gap
     assert list(r) == [1.0 - 0.5 * U * plain_gap, (n - density) / n]
 
@@ -430,6 +432,16 @@ def test_gap_at_mu_reports_no_resolvable_root_as_zero():
     for seed in (None, 1e-6):
         D, integrals = _gap_at_mu(mu, 0.1 * U_C, guess=seed)
         assert D == 0.0 and integrals <= 10
+
+
+@pytest.mark.parametrize("Delta0, expected", [(1e-8, 0.1823356984589556316),
+                                              (1e-13, 0.26439586090818909787)])
+def test_deep_bcs_gap_integral_matches_mpmath(Delta0, expected):
+    # Integral d^3k/(2 pi)^3 Gamma^2/xi at n = 1e-4, mu = eps_F against
+    # 30-digit mpmath values: a gap down to the floor resolves at the Fermi
+    # surface
+    value = _pair_integral(fermi_energy(1e-4), Delta0, column=0)[0]
+    assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 @pytest.fixture
@@ -636,10 +648,19 @@ def test_polish_counts_every_integral(integral_count, monkeypatch):
     monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 2)
     *_, integrals, _ = _newton_polish(0.69, 0.17, 0.8 * U_C, REFERENCE_N, 1e-10, 1e-8)
     assert integrals == integral_count() == 3
-    # from the crossover seed at 0.2 U_c, n = 0.0178 the fifth integral, at
-    # Delta0 = 1.4e-7, exhausts the panel budget: the polish stops and hands
-    # back the point before that step
+    # from the crossover seed at 0.2 U_c, n = 0.0178 the fifth integral is
+    # at Delta0 = 1.4e-7; made to fail there, after it is taken, it stops the
+    # polish, which hands back the point before that step
     monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 25)
+    pair_integral = bcsbec.gap._pair_integral
+
+    def failing_below_1e_6(mu, Delta0, **kwargs):
+        vals = pair_integral(mu, Delta0, **kwargs)
+        if Delta0 < 1e-6:
+            raise QuadratureError("panel budget exhausted")
+        return vals
+
+    monkeypatch.setattr(bcsbec.gap, "_pair_integral", failing_below_1e_6)
     _, D, _, _, integrals, _ = _newton_polish(0.652049308377974, 3.788914032938654e-4,
                                               0.2 * U_C, 0.01778279410038923, 1e-10, 1e-8)
     assert integrals == integral_count() - 3 == 5

@@ -12,24 +12,10 @@ from bcsbec.diagram import sweep_coupling
 from bcsbec.gap import solve_self_consistent
 from bcsbec.quadrature import (
     QuadratureError,
-    _initial_edges,
     _rule,
     _tail_table,
     radial_integral,
 )
-
-
-def reference_initial_edges(lo, hi, breakpoints, count):
-    """The original array-insert edge builder, kept as the oracle."""
-    pts = [lo, hi]
-    if breakpoints is not None:
-        pts += [p for p in np.atleast_1d(breakpoints) if lo < p < hi]
-    edges = np.array(sorted(set(pts)))
-    while edges.size - 1 < count:
-        lengths = np.diff(edges)
-        i = int(np.argmax(lengths))
-        edges = np.insert(edges, i + 1, 0.5 * (edges[i] + edges[i + 1]))
-    return edges
 
 
 def test_exponential_moment():
@@ -52,10 +38,7 @@ def test_slow_algebraic_tail():
 
 def test_threshold_identity():
     # U_c * int d^3k/(2pi)^3 Gamma^2/(2 eps) = 1 exactly (dimensionless units)
-    vals = radial_integral(
-        lambda k: 1.0 / (1.0 + k**2) / (2.0 * k**2),
-        breakpoints=[0.3, 1.0, 3.0, 10.0],
-    )
+    vals = radial_integral(lambda k: 1.0 / (1.0 + k**2) / (2.0 * k**2), peak=(0.0, 0.3))
     assert 8.0 * np.pi * vals[0] == pytest.approx(1.0, rel=1e-13)
 
 
@@ -105,11 +88,12 @@ def test_panel_doubling_invariance(monkeypatch):
     assert abs(v1[0] - v2[0]) <= 1e-12 * abs(v1[0])
 
 
-def test_breakpoints_do_not_move_converged_value():
-    f = lambda k: np.exp(-k)
-    v1 = radial_integral(f)
-    v2 = radial_integral(f, breakpoints=[0.7, 1.9, 7.3])
-    assert abs(v1[0] - v2[0]) <= 1e-12 * abs(v1[0])
+def test_converged_value_does_not_depend_on_peak():
+    # f receives offsets t = k - c from the centre c
+    v1 = radial_integral(lambda k: np.exp(-k))
+    for c, w in ((0.0, 0.3), (0.0, 7.3), (1.9, 1e-3), (0.7, 2.0), (25.0, 1e-9)):
+        v2 = radial_integral(lambda t: np.exp(-(t + c)), peak=(c, w))
+        assert abs(v1[0] - v2[0]) <= bcsbec.quadrature._TOL_REL * abs(v1[0])
 
 
 def test_scale_covariance():
@@ -155,25 +139,6 @@ def test_nan_seen_only_by_the_n_node_rule_raises():
         radial_integral(f)
 
 
-_point = st.one_of(
-    st.floats(-10.0, 60.0, allow_nan=False),
-    st.sampled_from([0.0, 1.0, 3.0, 10.0, 40.0, -0.5, 45.0]),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    hi=st.sampled_from([1.0, 12.5, 40.0]),
-    breakpoints=st.one_of(st.none(), st.lists(_point, max_size=12).map(lambda p: p + p[:3])),
-    count=st.integers(1, 40),
-)
-def test_initial_edges_match_array_insert_oracle(hi, breakpoints, count):
-    # points outside (0, hi), duplicated points and ties between segment
-    # lengths must all give exactly the oracle's edges
-    edges = _initial_edges(0.0, hi, breakpoints, count)
-    assert np.array_equal(edges, reference_initial_edges(0.0, hi, breakpoints, count))
-
-
 def test_rule_tables_are_read_only_and_follow_the_constants(monkeypatch):
     quad = bcsbec.quadrature
     for table in (*_rule(quad._NODES), *_tail_table(quad._PANELS, quad._NODES, quad._K_MAX)):
@@ -213,7 +178,7 @@ def test_default_sweep_panel_set(monkeypatch):
     monkeypatch.setattr(bcsbec.gap, "radial_integral", counting)
     sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * U_C, 0.02)
     assert all(s.converged for s in sols)
-    assert points == 88_416
+    assert points == 85_824
     # one integral per Newton step, from Hermite-predicted warm starts
     assert calls == 119
 
@@ -240,4 +205,4 @@ def test_cold_solve_panel_set(monkeypatch):
     for ratio in (0.675, 1.025, 2.075):
         for n in (10**-2.5, 0.02, 0.1):
             assert solve_self_consistent(ratio * U_C, n).converged
-    assert (calls, points) == (49, 36_072)
+    assert (calls, points) == (49, 35_280)
