@@ -57,7 +57,8 @@ its value at the rejected one.  `steps` counts descent and Newton steps
 together against the budget.  Given the step, stop and budget (defaults
 1e-2, 1e-10 and 1e5, which the CLI sets), every trajectory is reproducible
 from its seed.  Output phases are angle z relative to the first live mode,
-shifted so that the live ones sum to the seeded sum.
+with a pi-twin always on the +pi side, shifted so that the live ones sum
+to the seeded sum.
 
 A finished run is labelled with one end state.  'budget exhausted' means
 it did not converge.  A converged run is 'locked' when z is real up to one
@@ -188,9 +189,16 @@ def _newton_finish(z, gradient_norm, G2, energies, tol, budget):
 
 
 def _output_phases(z, seeded_sum):
-    """Phases of z relative to its first live mode, the live ones shifted to sum to seeded_sum."""
+    """Phases of z relative to its first live mode, the live ones shifted to sum to seeded_sum.
+
+    A pi-twin comes out of np.angle as +pi or as just above -pi by the sign
+    of a rounding-level imaginary part; folding the latter onto +pi keeps
+    that sign from moving every phase by 2 pi/(live modes) per twin through
+    the shift.
+    """
     live = np.abs(z) >= _DEAD_AMPLITUDE
     relative = np.angle(z * z[np.argmax(live)].conj())
+    relative[relative < _LOCK_TOL - np.pi] += 2.0 * np.pi
     return relative + (seeded_sum - relative[live].sum()) / np.count_nonzero(live)
 
 

@@ -12,20 +12,16 @@ energy gap (the quantity whose product with Gamma(k) enters xi_k).  The
 occupancy 1 - eps/xi counts both spin projections, so a vanishing gap at
 mu = eps_F reproduces the free-gas density k_F^3/(3 pi^2).
 
-Every root-find on the gap side is one safeguarded Newton iteration,
-_safe_newton: Newton steps kept inside a sign bracket, bisecting when a
-step leaves it (rtsafe; Press et al., Numerical Recipes, 3rd ed., sec.
-9.4).  The slopes come from closed-form derivative integrands that ride on
-the panels of the residual integrands, so a slope costs no extra integral.
-
-A cold solve nests two: the gap residual is monotone in x = log Delta0 at
-fixed mu, and the density excess n(mu) - n is monotone in mu on (-E_b/2,
-inf), whose lower end, the dissociation edge, costs no integral (gap and
-density vanish there).  One integral at the gap root gives the density and
-dn/dmu = d occ/dmu - d occ/dDelta0 (dgap/dmu)/(dgap/dDelta0), and each gap
-solve starts from the previous root moved along dDelta0/dmu.  A 2D Newton
-polish then drives both residuals to tolerance, one integral per step,
-with the same analytic Jacobian.
+Every cold solve is one 2D Newton polish in (mu, x = log Delta0) from a
+closed-form seed, one integral per step: the residuals and their analytic
+Jacobian come from closed-form derivative integrands that ride on the
+panels of the residual integrands, so a slope costs no extra integral.
+The seed is the molecular limit on the BEC side and the universal
+crossover everywhere else (both below).  One-dimensional roots, the
+crossover seed's and locate_mu_zero's, are found by one safeguarded
+Newton iteration, _safe_newton: Newton steps kept inside a sign bracket,
+bisecting when a step leaves it (rtsafe; Press et al., Numerical Recipes,
+3rd ed., sec. 9.4).
 
 Everything here is in natural units (eps0 = k0 = 1, so eps_k = k^2 and
 U_c = 8 pi; see bcsbec.core): U in eps0/k0^3, n in k0^3, energies in eps0.
@@ -37,12 +33,14 @@ sqrt(Delta0 - mu) for mu <= 0.  Gaps down to the floor below therefore
 resolve at any mu > 0, and the deep BEC side integrates at its own scale,
 near b k0 with b = U/U_c - 1.
 
-This module alone decides when a gap is unresolved: a gap at fixed mu
-within a factor 2 of _GAP_FLOOR_REL eps0 counts as Delta0 = 0.  Deep in
-the BCS regime the mean-field gap falls as (8/e^2) eps_F
-exp(-pi/(2 k_F |a|)) (Leggett 1980) and soon drops below that floor.  When the search's last
-probe has no resolved gap, the answer is the free gas in closed form:
-mu = eps_F, Delta0 = 0, a number residual of 0, and a gap residual of NaN,
+This module alone decides when a gap is unresolved: a gap within a
+factor 2 of _GAP_FLOOR_REL eps0 counts as Delta0 = 0.  Deep in the BCS
+regime the mean-field gap falls as (8/e^2) eps_F exp(-pi/(2 k_F |a|))
+(Leggett 1980) and soon drops below that floor.  The polish never steps
+below it, and when no polish converges, one gap integral at mu = eps_F
+and Delta0 = 2 _GAP_FLOOR_REL decides: r_gap >= 0 there puts the root
+below the floor, and the answer is the free gas in closed form: mu =
+eps_F, Delta0 = 0, a number residual of 0, and a gap residual of NaN,
 because the gap integral diverges at Delta0 = 0 for mu > 0.
 
 Along a coupling sweep (bcsbec.diagram.sweep_coupling) each point is
@@ -84,14 +82,14 @@ pi b^3 (1+b)^4).  Hence, as n -> 0
 
 and the solver's Delta0 and nu approach both forms with relative errors
 linear in n.  A cold solve above U_c hands this pair to the Newton polish
-as its first guess (_bec_seed) when that mu lies below eps_F, which no
+as its seed (_bec_seed) when that mu lies below eps_F, which no
 mean-field mu exceeds; near the threshold or at high density, where the
-expansion fails, the gate sends the solve straight to the search.  Deep on
-the BEC side the polish returns the seed unchanged: there nu falls below
-the rounding of mu, and the gap can fall below the resolution floor, so
-the search, which brackets mu in absolute terms, cannot reach the root.
+expansion fails, the gate passes the solve to the crossover seed.  Deep
+on the BEC side the polish returns the seed unchanged: there nu falls
+below the rounding of mu, and the seed's gap, exact there, can lie below
+the resolution floor.
 
-Every other cold solve takes its first guess from the universal crossover
+Every other cold solve takes its seed from the universal crossover
 (_crossover_seed): the mean-field solution of the contact model, which
 the separable model approaches as k_F -> 0, at the same 1/(k_F a) = (1 -
 U_c/U)/k_F (Marini, Pistolesi & Strinati, Eur. Phys. J. B 1, 151
@@ -106,11 +104,11 @@ at no integral cost.  The first side falls monotonically in x0, so one
 safeguarded root-find gives x0, and the seed is mu = x0 Delta, Delta0 =
 Delta sqrt(1 + k_F^2).  Its distance from the model's root grows with
 k_F, but on the benchmark grid, up to k_F = 1.4 k0, the polish from it
-converges within 7 integrals.  The molecular seed stays wherever its gate
+converges within 6 integrals.  The molecular seed stays wherever its gate
 passes: deep on the BEC side the contact binding energy 2 (b/(1+b))^2
 departs from the model's 2 b^2.  A root beyond the seed's bracket (x0
-above sinh 12 = 8.1e4) goes to the search, and so does a polish that
-misses or steps to a gap whose integral fails.
+above sinh 40 = 1.2e17), or a seed gap within a factor 2 of the floor,
+leaves the solve without a seed, and the free-gas integral decides it.
 """
 
 from __future__ import annotations
@@ -134,23 +132,17 @@ __all__ = [
 
 # Delta0 below this many eps0 is treated as unresolved
 _GAP_FLOOR_REL = 1e-13
-# budget of a cold solve's search in integrals, and of any safeguarded Newton
+# evaluation budget of any safeguarded Newton
 _MAX_ITER = 500
-# step budget of one Newton polish
+# step budget of one Newton polish, and the longest step it takes in log Delta0
 _NEWTON_STEPS = 25
-# the gap at fixed mu: Newton in log Delta0 stops at a bracket _LOG_GAP_XTOL
-# wide, steps at most _LOG_GAP_CAP toward an open end, and counts a root
-# within a factor 2 (_LOG2) of the floor or a quadrature failure unresolved
-_LOG_GAP_XTOL = 1e-6
 _LOG_GAP_CAP = 2.0
-_LOG2 = math.log(2.0)
 # the crossover seed: its root in t = asinh(mu/Delta) is sought in _SEED_T
-# to a bracket _SEED_T_XTOL wide.  A root above sinh(12) = 8.1e4, where
-# Delta/mu < 1.2e-5, or a seed Delta0 within a factor 2 of the floor, goes
-# to the search instead.  The quadrature resolves every gap above the
-# floor, so the upper end is not a resolution limit; it bounds how much
-# of the BCS tail the seed covers until the search itself is reduced.
-_SEED_T = (-20.0, 12.0)
+# to a bracket _SEED_T_XTOL wide.  At the upper end Delta/mu is 8.5e-18,
+# so a root above it leaves a gap below the floor unless eps_F exceeds 2e4
+# eps0; such a root, like a seed Delta0 within a factor 2 of the floor,
+# gives the solve no seed.
+_SEED_T = (-20.0, 40.0)
 _SEED_T_XTOL = 1e-10
 # step cap of the arithmetic-geometric mean
 _AGM_STEPS = 32
@@ -286,14 +278,13 @@ def number_residual(Delta0: float, mu: float, n: float) -> float:
     return (n - float(_pair_integral(mu, Delta0, column=1)[0])) / n
 
 
-def _safe_newton(f, x, lo, hi, xtol, budget, cap=math.inf):
+def _safe_newton(f, x, lo, hi, xtol, budget):
     """Root of an increasing f, (value, slope) = f(x), in the sign bracket (lo, hi).
 
     rtsafe (Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4): each
     evaluation moves the end of its sign to x, and a Newton step that
     leaves the bracket, or has a zero or NaN slope, becomes a bisection.
-    An end may be infinite (open); steps toward it are at most `cap` long.
-    Steps shorter than xtol/2 are lengthened to xtol/2, so the bracket
+    Both ends are finite.  Steps shorter than xtol/2 are lengthened to xtol/2, so the bracket
     closes.  Returns (root, evaluations) once the bracket is no wider than
     xtol, the root being the next iterate; raises RuntimeError after
     `budget` evaluations.
@@ -308,9 +299,7 @@ def _safe_newton(f, x, lo, hi, xtol, budget, cap=math.inf):
             hi = x
         new = x - fx / slope if slope else math.nan
         if not lo < new < hi:
-            new = 0.5 * (lo + hi)  # +-inf toward an open end, capped below
-        if math.isinf(lo) or math.isinf(hi):
-            new = min(max(new, x - cap), x + cap)
+            new = 0.5 * (lo + hi)
         if hi - lo <= xtol:
             return new, evals
         if abs(new - x) < 0.5 * xtol:
@@ -319,52 +308,26 @@ def _safe_newton(f, x, lo, hi, xtol, budget, cap=math.inf):
     raise RuntimeError(f"no root within {budget} evaluations")
 
 
-def _gap_at_mu(mu, U, guess=None):
-    """Solve the gap equation at fixed mu; returns (Delta0, integrals).
-
-    Safeguarded Newton in x = log Delta0 from `guess` (default eps0), on
-    r_gap and dr_gap/dx from one integral with the gap column steering
-    (steer=1), in the bracket (log _GAP_FLOOR_REL, inf).  For mu > 0 r_gap
-    -> -inf as Delta0 -> 0+ (log singularity at the Fermi surface).
-    Delta0 = 0 when there is no root a factor 2 above the floor
-    _GAP_FLOOR_REL eps0, because none exists (mu at or below -E_b/2) or it
-    is below resolution; a positive residual that close ends the solve.
-    """
-    floor = math.log(_GAP_FLOOR_REL)
-    top = math.inf  # the lowest x with r_gap > 0
-    integrals = 0
-
-    def r(x):
-        nonlocal integrals, top
-        D = math.exp(x)
-        integrals += 1
-        vals = _pair_integral(mu, D, steer=1)
-        value = 1.0 - 0.5 * U * vals[0]
-        if value > 0.0:
-            top = min(top, x)
-        # a zero stops the iteration at x, within a factor 2 of the floor
-        return (0.0, math.nan) if top - floor < _LOG2 else (value, -0.5 * U * D * vals[3])
-
-    x0 = math.log(guess if guess is not None and guess > _GAP_FLOOR_REL else 1.0)
-    x, _ = _safe_newton(r, x0, floor, math.inf, _LOG_GAP_XTOL, _MAX_ITER, cap=_LOG_GAP_CAP)
-    return (0.0 if x - floor < _LOG2 else math.exp(x)), integrals
-
-
 def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
-    """2D Newton on (mu, Delta0) with the analytic Jacobian.
+    """2D Newton on (mu, x = log Delta0) with the analytic Jacobian.
 
     Each step costs one radial integral, which yields the residuals and
-    their Jacobian together (`_residuals_and_jacobian`).  Stops once
+    their Jacobian together (`_residuals_and_jacobian`).  The x column of
+    the Jacobian is Delta0 times its Delta0 column, so the x step is the
+    Delta0 step over Delta0.  On the BCS side r_gap is about a + b x,
+    so the step in x lands near the root where a step in Delta0 would
+    overshoot.  The x step is at most _LOG_GAP_CAP long.  Stops once
     |r_gap| <= 0.05 tol_gap and |r_number| <= 0.05 tol_number, after
-    _NEWTON_STEPS steps, on a singular Jacobian, when halving the step
-    30 times cannot keep Delta0 positive, or when the integral after a step
-    fails (a step to a gap below resolution); it then returns the point
-    before that step.  Returns (mu, Delta0, r_gap, r_number, integrals,
-    tangent), where integrals counts every integral taken, a failed one
-    too.  tangent = (dmu/dU, dDelta0/dU) at the final point solves J t =
-    (I_gap/2, 0), because dr_gap/dU = -I_gap/2; it costs no integral, and
+    _NEWTON_STEPS steps, on a singular Jacobian, before a step to a gap
+    within a factor 2 of the floor _GAP_FLOOR_REL, or when the integral
+    after a step fails; it then returns the point before that step.
+    Returns (mu, Delta0, r_gap, r_number, integrals, tangent), where
+    integrals counts every integral taken, a failed one too.  tangent =
+    (dmu/dU, dDelta0/dU) at the final point solves J t = (I_gap/2, 0) in
+    (mu, Delta0), because dr_gap/dU = -I_gap/2; it costs no integral, and
     it is None when J is singular there.
     """
+    floor = math.log(2.0 * _GAP_FLOOR_REL)
     it = 1
     r, J, gap = _residuals_and_jacobian(mu, Delta0, U, n)
     for _ in range(_NEWTON_STEPS):
@@ -374,18 +337,14 @@ def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             break
-        new_mu, new_D = mu + step[0], Delta0 + step[1]
-        shrink = 0
-        while new_D <= 0 and shrink < 30:
-            step *= 0.5
-            new_mu, new_D = mu + step[0], Delta0 + step[1]
-            shrink += 1
-        if new_D <= 0:
+        x = math.log(Delta0) + min(max(step[1] / Delta0, -_LOG_GAP_CAP), _LOG_GAP_CAP)
+        if not x >= floor:
             break
+        new_mu, new_D = mu + step[0], math.exp(x)
         it += 1
         try:
             r, J, gap = _residuals_and_jacobian(new_mu, new_D, U, n)
-        except QuadratureError:  # a step to a gap below resolution
+        except QuadratureError:
             break
         mu, Delta0 = new_mu, new_D
     try:
@@ -539,99 +498,51 @@ def solve_self_consistent(U: float, n: float, *,
     """Solve both equations for (mu, Delta0) at coupling U and density n.
 
     U is in eps0/k0^3 (U_c = core.U_C), n in k0^3; mu and Delta0 come back
-    in eps0.  initial_guess (mu, Delta0) goes straight to the Newton
-    polish, which sweeps exploit point to point; should the polish miss,
-    the guess seeds a cold solve.  Without one, a solve above U_c takes the
-    molecular limit as its guess, Delta0 = sqrt(16 pi b (1+b)^2 n) and mu
-    = -E_b/2 + 2 pi (1+4b) n/b with b = U/U_c - 1, the first order of n =
-    (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2 (see the module
-    docstring), provided that mu lies below eps_F, which no mean-field mu
-    exceeds.  Any other solve takes the universal crossover at 1/(k_F a) =
-    (1 - U_c/U)/k_F as its guess (_crossover_seed), unless that root lies
-    beyond the seed's bracket, deep in the BCS tail.
-    Both guesses count as a cold start; should a seeded polish miss, the
-    seed starts the search just as a missed initial_guess does.  The
-    search runs the safeguarded Newton of
-    _safe_newton on the density excess over the mu bracket (-E_b/2, inf),
-    with lower end 0 below U_c: the gap equation loses its positive
-    solution exactly at mu = -E_b/2 (the two-body dissociation edge).  It
-    starts at mu = -E_b/2 + eps_F (eps_F = fermi_energy(n)), steps toward
-    the open upper end by at most half of scale = max(eps_F, eps0), and
-    stops at a bracket 1e-6 scale wide.  Each probe solves the gap at fixed
-    mu (_gap_at_mu) from the previous probe's gap moved along dDelta0/dmu, and
-    one integral at that root gives the density and the slope dn/dmu.  The
-    Newton polish starts from the search's root.  When the last probe found
-    no resolved gap, the answer is instead the free gas (mu = eps_F,
-    Delta0 = 0, residual_gap NaN), converged, with the note "gap below
-    resolution".  A search that runs past _MAX_ITER iterations returns its
-    last resolved probe, unconverged, with a note.  A converged solution
-    with a resolved gap carries the tangent (dmu/dU, dDelta0/dU) of the
-    solution branch, from which sweeps predict the next start.
+    in eps0.  Each guess (mu, Delta0) goes to the Newton polish: first
+    initial_guess, which sweeps pass point to point, then the cold seed.
+    Above U_c that is the molecular limit, Delta0 = sqrt(16 pi b (1+b)^2
+    n) and mu = -E_b/2 + 2 pi (1+4b) n/b with b = U/U_c - 1, the first
+    order of n = (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2 (see
+    the module docstring), provided that mu lies below eps_F, which no
+    mean-field mu exceeds.  Any other solve takes the universal crossover
+    at 1/(k_F a) = (1 - U_c/U)/k_F (_crossover_seed), unless its gap lies
+    within a factor 2 of the floor.  A converged solution with a resolved
+    gap carries the tangent (dmu/dU, dDelta0/dU) of the solution branch,
+    from which sweeps predict the next start.
+
+    When every polish misses, one gap integral at mu = eps_F (eps_F =
+    fermi_energy(n)) and Delta0 = 2 _GAP_FLOOR_REL decides.  For mu > 0
+    r_gap rises with Delta0, so r_gap >= 0 there puts any root below the
+    floor: the answer is the free gas (mu = eps_F, Delta0 = 0, residual_gap
+    NaN), converged, with the note "gap below resolution".  Otherwise the
+    last polish point comes back unconverged, with the note "tolerances
+    not met within budget".
     """
     if U <= 0 or n <= 0:
         raise ValueError("U and n must be positive")
     eps_F = fermi_energy(n)
-    scale = max(eps_F, 1.0)
-    iterations = 0
-    last = None  # (mu, Delta0, dDelta0/dmu) of the last probe with a resolved gap
-    free = False  # whether the last probe found no resolved gap
-
     Eb = bound_state_energy(U)
-    if initial_guess is None:
-        initial_guess = _bec_seed(Eb, n, eps_F) or _crossover_seed(U, n, eps_F)
-    if initial_guess is not None:
-        mu0, D0 = initial_guess
-        if D0 > 0:
-            mu, D, rg, rn, it, tangent = _newton_polish(mu0, D0, U, n, tol_gap, tol_number)
-            iterations += it
-            if abs(rg) <= tol_gap and abs(rn) <= tol_number:
-                return GapSolution(U, n, mu, D, rg, rn, iterations, True, tangent=tangent)
-            last = (mu0, D0, 0.0)
+    iterations = 0
+    # handed back, unconverged, should no guess reach the polish
+    mu, D, rg, rn = eps_F, 2.0 * _GAP_FLOOR_REL, np.nan, np.nan
 
-    mu_lo = -0.5 * Eb * (1.0 - 1e-12) if Eb else 0.0
+    def guesses():  # the cold seed only once the warm guess has missed
+        yield initial_guess
+        yield _bec_seed(Eb, n, eps_F) or _crossover_seed(U, n, eps_F)
 
-    def gap_near(mu):  # Delta0 at mu predicted from `last`, or None
-        if last is None:
-            return None
-        D = last[1] + last[2] * (mu - last[0])
-        return D if D > 0.0 else last[1]
-
-    def excess(mu):
-        """n(mu) - n at the gap of mu, and its total derivative dn/dmu."""
-        nonlocal iterations, last, free
-        if iterations > _MAX_ITER:
-            raise RuntimeError("mu search exhausted the budget")
-        D, its = _gap_at_mu(mu, U, gap_near(mu))
-        iterations += its
-        free = D == 0.0
-        if free:  # the free gas: n = k_mu^3/(3 pi^2) with k_mu^2 = mu
-            k = math.sqrt(max(mu, 0.0))
-            return k**3 / (3.0 * math.pi**2) - n, k / (2.0 * math.pi**2)
-        iterations += 1
-        r, J, _ = _residuals_and_jacobian(mu, D, U, n)
-        # along the gap root dDelta0/dmu = -dr_gap/dmu / dr_gap/dDelta0, and
-        # J[1] = -(d occ/dmu, d occ/dDelta0)/n
-        last = (mu, D, -J[0, 0] / J[0, 1])
-        return -n * r[1], -n * (J[1, 0] + J[1, 1] * last[2])
-
-    try:
-        mu, _ = _safe_newton(excess, mu_lo + eps_F, mu_lo, math.inf, 1e-6 * scale, _MAX_ITER,
-                             cap=0.5 * scale)
-    except QuadratureError:
-        raise
-    except RuntimeError:  # a budget of the search ran out: hand back its last gap
-        mu, D = last[:2] if last else (mu_lo + eps_F, 0.0)
-        return GapSolution(U, n, mu, D, np.nan, number_residual(D, mu, n), iterations,
-                           False, "mu search exhausted the budget")
-    if free:  # the free gas: the gap integral diverges at Delta0 = 0, mu > 0
+    for guess in guesses():
+        if guess is None or not guess[1] > 0:
+            continue
+        mu, D, rg, rn, it, tangent = _newton_polish(*guess, U, n, tol_gap, tol_number)
+        iterations += it
+        if abs(rg) <= tol_gap and abs(rn) <= tol_number:
+            return GapSolution(U, n, mu, D, rg, rn, iterations, True, tangent=tangent)
+    iterations += 1
+    if gap_residual(2.0 * _GAP_FLOOR_REL, eps_F, U) >= 0.0:
+        # the free gas: the gap integral diverges at Delta0 = 0, mu > 0
         return GapSolution(U, n, eps_F, 0.0, np.nan, 0.0, iterations, True,
                            "gap below resolution")
-    mu, D, rg, rn, it, tangent = _newton_polish(mu, gap_near(mu), U, n, tol_gap, tol_number)
-    iterations += it
-    conv = abs(rg) <= tol_gap and abs(rn) <= tol_number
-    note = "" if conv else "tolerances not met within budget"
-    return GapSolution(U, n, mu, D, rg, rn, iterations, conv, note,
-                       tangent if conv else None)
+    return GapSolution(U, n, mu, D, rg, rn, iterations, False, "tolerances not met within budget")
 
 
 def bound_state_energy(U: float) -> float | None:

@@ -72,9 +72,9 @@ def test_gap_below_resolution_converges_as_the_free_gas(tmp_path):
                                       ("0.02", "1e50")])
 def test_deep_bec_single_point_converges(tmp_path, n, ratio):
     # a gap of 1.4e-14 eps0, near the resolution floor, and mu near -E_b/2
-    # = -1e12, -1e40 and -1e100 eps0, whose float spacing exceeds the mu
-    # search's bracket width: all converge from the molecular-limit seed,
-    # without an overflow on the way
+    # = -1e12, -1e40 and -1e100 eps0, more than 1e11 eps_F in magnitude:
+    # all converge from the molecular-limit seed, without an overflow on
+    # the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["gap-sweep", "--n", n, "--u-min", ratio, "--u-max", ratio, "--points", "1",

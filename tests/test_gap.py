@@ -27,7 +27,6 @@ from bcsbec.gap import (
     _crossover_integrals,
     _crossover_seed,
     _elliptic_k_s,
-    _gap_at_mu,
     _hermite,
     _newton_polish,
     _pair_integral,
@@ -41,6 +40,7 @@ from bcsbec.gap import (
     number_residual,
     solve_self_consistent,
 )
+from bcsbec.cli import main as cli_main
 from bcsbec.diagram import sweep_coupling
 from bcsbec.quadrature import QuadratureError
 
@@ -407,33 +407,6 @@ def test_tangent_matches_central_difference_of_cold_solves(ratio, n):
     np.testing.assert_allclose(sol.tangent, fd, rtol=1e-4, atol=0.0)
 
 
-@pytest.mark.parametrize("ratio, n", [(1.0, 0.02), (1.6375, 0.0422), (0.6, 0.02),
-                                      (1.025, 0.02), (2.0, 0.02)])
-def test_gap_at_mu_does_not_depend_on_a_tiny_seed(ratio, n):
-    # at mu = eps_F the gap is of order eps0; a seed far below it must not
-    # end in the "gap below resolution" answer Delta0 = 0
-    U = ratio * U_C
-    mu = fermi_energy(n)
-    root, _ = _gap_at_mu(mu, U)
-    assert root > 0.01
-    for seed in (1e-3, 1e-6, 1e-9):
-        D, _ = _gap_at_mu(mu, U, guess=seed)
-        assert D == pytest.approx(root, rel=1e-10)
-
-
-def test_gap_at_mu_reports_no_resolvable_root_as_zero():
-    # no root below the dissociation edge -E_b/2, and at U = 0.1 U_c the gap
-    # at mu = eps_F lies below resolution: each answer takes a few integrals,
-    # not a bisection down to the floor or to the first quadrature failure
-    U = 2.0 * U_C
-    D, integrals = _gap_at_mu(-bound_state_energy(U), U)
-    assert D == 0.0 and integrals <= 10
-    mu = fermi_energy(1e-4)
-    for seed in (None, 1e-6):
-        D, integrals = _gap_at_mu(mu, 0.1 * U_C, guess=seed)
-        assert D == 0.0 and integrals <= 10
-
-
 @pytest.mark.parametrize("Delta0, expected", [(1e-8, 0.1823356984589556316),
                                               (1e-13, 0.26439586090818909787)])
 def test_deep_bcs_gap_integral_matches_mpmath(Delta0, expected):
@@ -548,7 +521,7 @@ def test_crossover_seed_gives_the_universal_curve(inverse_kfa, mu, Delta):
 
 
 def test_crossover_seed_declines_unresolvable_gaps():
-    # deep in BCS the root lies beyond the bracket: the search answers
+    # deep in BCS the seed's gap lies below the floor: the free-gas test answers
     n = 1e-4
     assert _crossover_seed(0.1 * U_C, n, fermi_energy(n)) is None
     assert _crossover_seed(0.3 * U_C, 1e-12, fermi_energy(1e-12)) is None
@@ -559,21 +532,23 @@ def test_crossover_seed_declines_unresolvable_gaps():
 @example(ratio=0.8, n=0.02)
 @example(ratio=1.0, n=1e-4)
 def test_crossover_seeded_solve_matches_the_search(ratio, n):
-    # the same root with and without the seed, where the seed applies
+    # the seeded polish finds the root of the test-side bisection search on
+    # mu, and it answers the free gas exactly where that search's gap at
+    # mu = eps_F lies within a factor 2 of the floor
     U = ratio * U_C
     eps_F = fermi_energy(n)
     if _bec_seed(bound_state_energy(U), n, eps_F) is not None:
         return
     seeded = solve_self_consistent(U, n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bcsbec.gap, "_crossover_seed", lambda *args: None)
-        searched = solve_self_consistent(U, n)
-    assert seeded.converged and searched.converged
-    assert seeded.note == searched.note
-    if searched.Delta0 == 0.0:
-        assert (seeded.mu, seeded.Delta0) == (searched.mu, 0.0)
+    assert seeded.converged
+    if seeded.Delta0 == 0.0:
+        assert seeded.note == "gap below resolution" and seeded.mu == eps_F
+        assert bisect_gap(eps_F, U, 1.0) <= 2.0 * bcsbec.gap._GAP_FLOOR_REL
     else:
-        assert _close(seeded, searched)
+        assert bisect_gap(eps_F, U, 1.0) > 2.0 * bcsbec.gap._GAP_FLOOR_REL
+        mu, D = bisection_solve(U, n)
+        assert abs(seeded.mu - mu) <= 1e-8 * max(abs(mu), eps_F)
+        assert abs(seeded.Delta0 - D) <= 1e-8 * D
 
 
 @pytest.mark.parametrize("ratio", [1.2, 2.0, 4.0])
@@ -622,35 +597,71 @@ def test_gap_below_resolution_is_the_free_gas(integral_count):
     assert sol.tangent is None
 
 
+@settings(max_examples=40, deadline=None)
+@given(ratio=st.floats(0.05, 8.0), log_n=st.floats(-10.0, math.log10(0.5)))
+@example(ratio=0.1, log_n=math.log10(0.0915))
+@example(ratio=0.1, log_n=math.log10(0.166))
+@example(ratio=0.1, log_n=math.log10(0.3))
+def test_cold_solves_keep_their_gap_above_the_floor(ratio, log_n):
+    # one path, one floor: a converged cold solve is either the free gas or
+    # a gap more than a factor 2 above _GAP_FLOOR_REL
+    sol = solve_self_consistent(ratio * U_C, 10.0**log_n)
+    assert sol.converged
+    if sol.Delta0 == 0.0:
+        assert sol.note == "gap below resolution"
+    else:
+        assert sol.Delta0 > 2.0 * bcsbec.gap._GAP_FLOOR_REL and sol.note == ""
+
+
+def test_warm_guess_that_misses_falls_back_to_the_cold_seed(monkeypatch):
+    # from Delta0 at 1e-3 of the root the polish converges in 8 integrals
+    # and from the cold seed in 6; with 5 steps the warm polish misses, and
+    # the cold seed's polish still lands on the cold root
+    U, n = 0.8 * U_C, REFERENCE_N
+    cold = solve_self_consistent(U, n)
+    guess = (cold.mu, 1e-3 * cold.Delta0)
+    far = solve_self_consistent(U, n, initial_guess=guess)
+    assert far.converged and far.iterations == 8 and _close(far, cold)
+    monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 5)
+    assert solve_self_consistent(U, n).iterations == 6
+    fallback = solve_self_consistent(U, n, initial_guess=guess)
+    assert fallback.converged and fallback.iterations == 6 + 6
+    assert _close(fallback, cold)
+    assert abs(fallback.residual_gap) <= 1e-10 and abs(fallback.residual_number) <= 1e-8
+
+
 def test_locate_mu_zero_quadrature_budget(integral_count):
     # an exact count: the crossing at n = 0.02, to 1e-6 U_c, takes at most 50 integrals
     locate_mu_zero(REFERENCE_N)
     assert integral_count() <= 50
 
 
-def test_cold_solve_reports_an_exhausted_budget(monkeypatch):
-    # past _MAX_ITER the mu search stops and hands back its best probe,
-    # unconverged; below U_c the crossover seed's polish converges in 6
-    # integrals, so a 2-step polish budget makes it miss and reach the search
-    monkeypatch.setattr(bcsbec.gap, "_MAX_ITER", 10)
+def test_cold_solve_reports_unmet_tolerances(monkeypatch, tmp_path):
+    # below U_c the crossover seed's polish converges in 6 integrals; with a
+    # 2-step budget it misses after 3, the free-gas test's one integral finds
+    # a gap above the floor, and the solve hands back the polish's last
+    # point, unconverged
     monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 2)
     sol = solve_self_consistent(0.8 * U_C, REFERENCE_N)
     assert not sol.converged
-    assert sol.note == "mu search exhausted the budget"
-    assert sol.iterations > 10 and sol.Delta0 > 0
+    assert sol.note == "tolerances not met within budget"
+    assert sol.iterations == 4 and sol.Delta0 > 0 and sol.tangent is None
     assert sol.residual_number == pytest.approx(
         number_residual(sol.Delta0, sol.mu, REFERENCE_N), rel=1e-12)
+    argv = ["gap-sweep", "--points", "1", "--u-min", "0.8", "--u-max", "0.8",
+            "--n", str(REFERENCE_N), "--out", str(tmp_path)]
+    assert cli_main(argv) == 2
 
 
 def test_polish_counts_every_integral(integral_count, monkeypatch):
     # a polish that runs out of steps took the first integral and one per
-    # step, and one that steps to a gap below resolution counts the failure
+    # step, and one whose integral fails counts the failure
     monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 2)
     *_, integrals, _ = _newton_polish(0.69, 0.17, 0.8 * U_C, REFERENCE_N, 1e-10, 1e-8)
     assert integrals == integral_count() == 3
-    # from the crossover seed at 0.2 U_c, n = 0.0178 the fifth integral is
-    # at Delta0 = 1.4e-7; made to fail there, after it is taken, it stops the
-    # polish, which hands back the point before that step
+    # from the crossover seed at 0.2 U_c, n = 0.0178 (root 9.2e-7) the
+    # fourth integral is at Delta0 = 9.2e-7; made to fail there, after it is
+    # taken, it stops the polish, which hands back the point before that step
     monkeypatch.setattr(bcsbec.gap, "_NEWTON_STEPS", 25)
     pair_integral = bcsbec.gap._pair_integral
 
@@ -663,8 +674,8 @@ def test_polish_counts_every_integral(integral_count, monkeypatch):
     monkeypatch.setattr(bcsbec.gap, "_pair_integral", failing_below_1e_6)
     _, D, _, _, integrals, _ = _newton_polish(0.652049308377974, 3.788914032938654e-4,
                                               0.2 * U_C, 0.01778279410038923, 1e-10, 1e-8)
-    assert integrals == integral_count() - 3 == 5
-    assert D == pytest.approx(2.342155229488469e-06, rel=1e-6)
+    assert integrals == integral_count() - 3 == 4
+    assert D == pytest.approx(6.939638120776179e-06, rel=1e-6)
 
 
 def test_validation_errors():
@@ -715,22 +726,16 @@ MONOTONE_FUNCTIONS = {
     below=st.floats(1e-6, 10.0),
     above=st.floats(1e-6, 10.0),
     start=st.floats(0.0, 1.0),
-    open_end=st.sampled_from([None, "lo", "hi"]),
     slope=st.sampled_from(["exact", "zero", "nan", "wrong sign"]),
     log_xtol=st.floats(-12.0, -2.0),
 )
-def test_safe_newton_keeps_its_bracket(kind, root, c, below, above, start, open_end, slope,
-                                       log_xtol):
+def test_safe_newton_keeps_its_bracket(kind, root, c, below, above, start, slope, log_xtol):
     g, dg = MONOTONE_FUNCTIONS[kind]
     lo, hi = root - below, root + above
     x0 = lo + start * (hi - lo)
     if not lo < x0 < hi:
         x0 = 0.5 * (lo + hi)
-    if open_end == "lo":
-        lo = -math.inf
-    elif open_end == "hi":
-        hi = math.inf
-    xtol, cap = 10.0**log_xtol, 1.0
+    xtol = 10.0**log_xtol
     bad = {"exact": None, "zero": lambda x: 0.0, "nan": lambda x: math.nan,
            "wrong sign": lambda x: -dg(x, root, c)}[slope]
     iterates = []
@@ -739,23 +744,20 @@ def test_safe_newton_keeps_its_bracket(kind, root, c, below, above, start, open_
         iterates.append(x)
         return g(x, root, c), (bad or (lambda x: dg(x, root, c)))(x)
 
-    x, evals = _safe_newton(f, x0, lo, hi, xtol, 200, cap)
+    x, evals = _safe_newton(f, x0, lo, hi, xtol, 200)
     assert evals == len(iterates)
     assert abs(x - root) <= xtol
     # every iterate lies inside the bracket its predecessors left; with a bad
-    # slope each step is a bisection, or a step of cap toward an open end
+    # slope each step is a bisection
     a, b = lo, hi
     for prev, nxt in zip(iterates, iterates[1:] + [None]):
         assert a < prev < b
         fx = g(prev, root, c)
         a, b = (prev, b) if fx < 0.0 else (a, prev)
         if bad and nxt is not None:
-            expected = 0.5 * (a + b)
-            if math.isinf(expected):
-                expected = prev + math.copysign(cap, -fx)
-            assert nxt == expected
+            assert nxt == 0.5 * (a + b)
     # the same run with one evaluation fewer runs out of budget
     if evals > 1:
         iterates.clear()
         with pytest.raises(RuntimeError, match="no root within"):
-            _safe_newton(f, x0, lo, hi, xtol, evals - 1, cap)
+            _safe_newton(f, x0, lo, hi, xtol, evals - 1)

@@ -439,6 +439,16 @@ def test_output_keeps_the_seeded_gauge_and_norm(M, g_sign, seed, max_steps):
     assert abs(np.sum(result.amplitudes**2) - M) <= 1e-12
 
 
+@pytest.mark.parametrize("M, seed", [(3, 8), (4, 19)])
+def test_output_phases_do_not_depend_on_the_stop(M, seed):
+    # both runs end in pi-twins whose sign from np.angle flipped between the
+    # two stops, which moved every phase by 2 pi/M per twin before the fold
+    loose, tight = (variational_phase_lock(M, seed=seed, tol=tol) for tol in (1e-10, 1e-12))
+    assert loose.converged and tight.converged
+    assert loose.sign_pattern == tight.sign_pattern
+    np.testing.assert_allclose(tight.phases, loose.phases, rtol=0.0, atol=1e-9)
+
+
 def test_dead_phase_does_not_move_the_live_phases():
     # seed 1 ends '+0-': turning the dead mode's dangling phase changes no
     # live output phase

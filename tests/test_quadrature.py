@@ -205,4 +205,4 @@ def test_cold_solve_panel_set(monkeypatch):
     for ratio in (0.675, 1.025, 2.075):
         for n in (10**-2.5, 0.02, 0.1):
             assert solve_self_consistent(ratio * U_C, n).converged
-    assert (calls, points) == (49, 35_280)
+    assert (calls, points) == (45, 32_400)

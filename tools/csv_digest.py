@@ -13,7 +13,11 @@ defaults of its energy flags), cold single-point solves at the pairing
 threshold and deep on the BEC side (at 3 U_c, at n = 1e-30, whose gap is
 near the resolution floor, and at 1e6 U_c, whose mu is near -1e12 eps0),
 the deep-BCS sweep at n = 1e-4, the same sweep from 0.1 U_c, whose first
-points have a gap below resolution, and two phase diagrams at E_c = 1e300,
+points have a gap below resolution, a cold solve at 0.1 U_c, n = 0.3,
+which pins the free-gas verdict for a gap below the resolution floor
+(there the polish from the crossover seed can meet both tolerances at
+Delta0 = 2e-16 eps0, which must still read as the free gas), and two
+phase diagrams at E_c = 1e300,
 whose boundary G* lies near 1e151 and, at n = 1e-4, near 4e153, an eta
 run on a free gas, which exits 2 because no sampled mode is paired, and
 a physical eta run at k0 = 30/Angstrom that exercises the eV scale
@@ -92,6 +96,7 @@ INVOCATIONS = (
     ["gap-sweep", "--n", "0.1", "--u-min", "1e6", "--u-max", "1e6", "--points", "1"],
     ["gap-sweep", "--n", "0.0001"],
     ["gap-sweep", "--u-min", "0.1", "--n", "1e-4"],
+    ["gap-sweep", "--points", "1", "--u-min", "0.1", "--u-max", "0.1", "--n", "0.3"],
     ["phase-diagram", "--ec", "1e300", "--u-points", "1", "--g-points", "2"],
     ["phase-diagram", "--ec", "1e300", "--n", "1e-4", "--u-points", "1", "--g-points", "2"],
     ["eta", "--u", "0.5", "--n", "1e-9"],
