@@ -264,10 +264,10 @@ def _phase_lock_flags(p):
     p.add_argument("--modes", type=_Range(int, 2, 6), default=3, help="mode count (2..6)")
     p.add_argument("--sign", choices=("attractive", "repulsive"), default="attractive")
     p.add_argument("--length", type=_POSITIVE, default=10.0, help="box length")
-    p.add_argument("--step", type=_POSITIVE, default=1e-2, help="descent step")
+    p.add_argument("--step", type=_POSITIVE, default=1e-2, help="first descent step")
     p.add_argument("--tol", type=_POSITIVE, default=1e-10, help="gradient-norm stop")
     p.add_argument("--max-steps", type=_Range(int, 1), default=100000,
-                   help="budget of descent and Newton steps together")
+                   help="budget of gradient evaluations and Newton steps")
 
 
 def _checks_flags(p):

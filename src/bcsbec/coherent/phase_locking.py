@@ -35,30 +35,45 @@ point, at one of its degenerate pi-twins, or with a dead mode
 landscape, not by numerical accident; callers who want the locked basin
 must choose seeds that land in it.
 
-Descent takes fixed steps on z along the Wirtinger gradient g
+Descent follows the Wirtinger gradient flow dz/dt = -g on z, with g
 projected onto the sphere |z|^2 = M (the chemical potential only enforces
-that norm), then rescales z onto it; a mode crosses alpha = 0 with no
-reflection and no phase singularity (angle 0 is taken at z_n = 0).  The stop
-is the joint (phi, alpha) gradient norm, from dF/dphi = Im(conj(z) g) and
-projected dF/dalpha = Re(conj(z) g) / |z|.  The descent converges only
-linearly, so a Newton finish in the same variables, x = (Re z, Im z), takes
-over near a minimum: the constrained (KKT) step with the analytic Hessian
-minus the multiplier's 2 lambda, reduced to the complement of x (the norm)
-and i x (the global phase).  A dead mode, z_n = 0, is an ordinary point in
-x, so runs that end with one finish by Newton too.  The finish is first
-tried once the gradient norm is below _NEWTON_SWITCH = 1e-2.  A try takes
-Newton iterates until the norm is below the stop; it is rejected as soon as
-an iterate fails the guard (the smallest reduced eigenvalue must exceed
+that norm), by Heun steps with the embedded Euler step as error estimate
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).  A step of length h
+takes the Euler trial z - h g(z), rescaled onto the sphere, then the Heun
+state z - (h/2) (g(z) + g(trial)), rescaled too; a mode crosses alpha = 0
+with no reflection and no phase singularity (angle 0 is taken at z_n = 0).
+The two states differ by (h/2) |g(trial) - g(z)|, which is measured
+relative to the step's own length h |g(z)|: the step is accepted when that
+ratio is at most _STEP_TOL = 0.2, and either way the next h is h times
+_STEP_SAFETY / sqrt(ratio / _STEP_TOL), at most _STEP_GROWTH = 5 (with
+_STEP_SAFETY = 0.9).  Near a minimum the ratio is about h/2 times the
+curvature along g, so an accepted step keeps h times that curvature below
+0.4, well inside Heun's stability limit of 2; an absolute tolerance on
+|z_Heun - z_Euler| lets h hover at that limit, where the descent without
+the Newton finish stalls.  A run forgets its first step within a few
+evaluations.  The stop is the joint (phi, alpha) gradient norm, from
+dF/dphi = Im(conj(z) g) and projected dF/dalpha = Re(conj(z) g) / |z|.
+The descent converges only linearly, so a Newton finish in the same
+variables, x = (Re z, Im z), takes over near a minimum: the constrained
+(KKT) step with the analytic Hessian minus the multiplier's 2 lambda,
+reduced to the complement of x (the norm) and i x (the global phase).  A
+dead mode, z_n = 0, is an ordinary point in x, so runs that end with one
+finish by Newton too.  The finish is first tried at an accepted state
+whose gradient norm is below _NEWTON_SWITCH = 1e-2.  A try takes Newton
+iterates until the norm is below the stop; it is rejected as soon as an
+iterate fails the guard (the smallest reduced eigenvalue must exceed
 _EIGEN_FLOOR = 1e-6 times the largest, so Newton cannot stop at a saddle)
 or does not lower the norm.  A rejected try is thrown away, its steps
 uncounted, and the descent resumes from the state before it, bit for bit;
 the next try comes once the norm has fallen below _RETRY_FALL = 0.1 times
-its value at the rejected one.  `steps` counts descent and Newton steps
-together against the budget.  Given the step, stop and budget (defaults
-1e-2, 1e-10 and 1e5, which the CLI sets), every trajectory is reproducible
-from its seed.  Output phases are angle z relative to the first live mode,
-with a pi-twin always on the +pi side, shifted so that the live ones sum
-to the seeded sum.
+its value at the rejected one.  `steps` counts gradient evaluations (the
+seed's, each trial's and each accepted state's) and Newton steps together
+against the budget, which they never exceed: a trial that spends the last
+evaluation is not accepted.  Given the first step, stop and budget
+(defaults 1e-2, 1e-10 and 1e5, which the CLI sets), every trajectory is
+reproducible from its seed.  Output phases are angle z relative to the
+first live mode, with a pi-twin always on the +pi side, shifted so that
+the live ones sum to the seeded sum.
 
 A finished run is labelled with one end state.  'budget exhausted' means
 it did not converge.  A converged run is 'locked' when z is real up to one
@@ -92,6 +107,10 @@ _RETRY_FALL = 0.1
 _EIGEN_FLOOR = 1e-6
 _DEAD_AMPLITUDE = 1e-6
 _LOCK_TOL = 1e-6
+# The descent's step control; see the module docstring.
+_STEP_TOL = 0.2
+_STEP_GROWTH = 5.0
+_STEP_SAFETY = 0.9
 
 
 def box_mode_tensor(M: int, length: float = 10.0) -> np.ndarray:
@@ -127,6 +146,11 @@ def box_mode_energies(M: int, length: float = 10.0) -> np.ndarray:
 def _pair_matrix(z, G2):
     """B = (G2 (z (x) z)).reshape(M, M) = d2F/dconj(z)dconj(z); see the module docstring."""
     return (G2 @ (z[:, None] * z).ravel()).reshape(z.size, z.size)
+
+
+def _on_sphere(z):
+    """z rescaled onto |z|^2 = M."""
+    return z * np.sqrt(z.size / np.vdot(z, z).real)
 
 
 def _tangent_gradient(z, G2, energies):
@@ -165,8 +189,7 @@ def _newton_step(z, G2, energies):
         return None
     tangent = vectors.T @ (basis.T @ np.concatenate([grad.real, grad.imag]))
     x = x - basis @ (vectors @ (tangent / eigenvalues))
-    z = x[:M] + 1j * x[M:]
-    return z * np.sqrt(M / np.vdot(z, z).real)
+    return _on_sphere(x[:M] + 1j * x[M:])
 
 
 def _newton_finish(z, gradient_norm, G2, energies, tol, budget):
@@ -246,10 +269,11 @@ def variational_phase_lock(
 
     The seed fixes the whole trajectory: phases are drawn uniform on
     [0, 2 pi), amplitudes uniform on [0.5, 1.5] and renormalized to
-    sum alpha^2 = M.  Descent takes fixed steps along the sphere-projected
-    gradient in z = alpha e^{i phi}, and guarded Newton tries finish it (see
-    the module docstring), until the joint gradient norm drops below tol
-    or max_steps descent and Newton steps are spent.  The result also
+    sum alpha^2 = M.  Descent follows the sphere-projected gradient flow in
+    z = alpha e^{i phi} by adaptive Heun steps, the first of length step,
+    and guarded Newton tries finish it (see the module docstring), until
+    the joint gradient norm drops below tol or max_steps gradient
+    evaluations and Newton steps are spent.  The result also
     carries the terminal phase spread (max pairwise difference of the live
     phases mod 2 pi), the Newton step count and the end state with its
     sign pattern, so callers can see whether this seed's basin locked.
@@ -270,21 +294,27 @@ def variational_phase_lock(
     amplitudes *= np.sqrt(M / np.sum(amplitudes**2))
 
     z = amplitudes * np.exp(1j * phases)
-    newton_steps = 0
+    grad, gradient_norm = _tangent_gradient(z, G2, energies)
+    steps, newton_steps = 1, 0
     switch = _NEWTON_SWITCH
-    for steps in range(1, max_steps + 1):
-        grad, gradient_norm = _tangent_gradient(z, G2, energies)
-        if gradient_norm < tol:
-            break
-        if gradient_norm < switch and steps < max_steps:
+    while gradient_norm >= tol and steps < max_steps:
+        if gradient_norm < switch:
             finish = _newton_finish(z, gradient_norm, G2, energies, tol, max_steps - steps)
             if finish is not None:
                 z, gradient_norm, newton_steps = finish
                 steps += newton_steps
                 break
             switch = _RETRY_FALL * gradient_norm
-        z = z - step * grad
-        z *= np.sqrt(M / np.vdot(z, z).real)
+        trial = _on_sphere(z - step * grad)
+        trial_grad, _ = _tangent_gradient(trial, G2, energies)
+        steps += 1
+        # Heun's error over the tolerance, both relative to the step h |g|
+        ratio = 0.5 * np.linalg.norm(trial_grad - grad) / (_STEP_TOL * np.linalg.norm(grad))
+        if ratio <= 1.0 and steps < max_steps:
+            z = _on_sphere(z - 0.5 * step * (grad + trial_grad))
+            grad, gradient_norm = _tangent_gradient(z, G2, energies)
+            steps += 1
+        step *= min(_STEP_GROWTH, _STEP_SAFETY / np.sqrt(ratio)) if ratio > 0.0 else _STEP_GROWTH
 
     converged = gradient_norm < tol
     amplitudes = np.abs(z)

@@ -4,7 +4,7 @@ Runs every subcommand once with its default arguments, the unit-aware
 subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
 seed, an attractive and two repulsive phase locks that end with dead modes
-(the M = 2 one a long descent before its Newton finish), the incoherent
+(each ended by the Newton finish), the incoherent
 E_J = 0 chain, a chain sized by its junction geometry, four runs
 configured by --config files (a gap sweep, a gap sweep whose --points flag
 beats the file's points key, an overlap with the negative value dphi = -1,
