@@ -1,18 +1,22 @@
 """Exact finite-mode oracle for the pair algebra (brute force, small M).
 
-Each pairing mode k is a two-level system: the pair (k up, -k down) is
-either empty or occupied, so M modes span a 2^M dimensional space indexed
-by bit patterns (bit k = occupancy of mode k).  On that space the pair
-annihilator S-^(k) of mode k is an exact sparse matrix; its transpose
+Each pairing mode k is a two-level system (Anderson's pseudo-spin): the
+pair (k up, -k down) is either empty or occupied, so M modes span a 2^M
+dimensional space indexed by bit patterns (bit k = occupancy of mode k).
+The pair annihilator S-^(k) of mode k maps bit k from 1 to 0, its adjoint
 S+^(k) creates the pair, (S+)^2 = 0, and the particle number is
 N = 2 sum_k n_k with n_k = S+^(k) S-^(k).
 
-The collective mode is b = Omega^{-1/2} sum_k theta_k S-^(k); its
-commutator defect eta = 1 - [b, b+] is diagonal, and every analytic
-statement about overlaps and eta statistics can be checked against dense
-state vectors here with no approximation.  The construction is deliberately
-brute force and capped at M <= 12 (dim 4096) as a memory guard; it is an
-oracle, not a production method.
+The collective mode is b = Omega^{-1/2} sum_k theta_k S-^(k).  No matrix
+is built: viewed as shape (2^(M-1-k), 2, 2^k), a state vector's middle
+axis is bit k, so b psi is M strided slice-adds of the occupied half onto
+the empty one, and b+ psi the mirror image.  The commutator defect
+eta = 1 - [b, b+] follows from [b, b+] psi = b (b+ psi) - b+ (b psi), and
+every analytic statement about overlaps and eta statistics is checked
+against dense state vectors here with no approximation.  The oracle is
+deliberately brute force, never the closed form eta = (2/Omega)
+sum_k theta_k^2 n_k that it checks, and is capped at M <= 12 (dim 4096),
+which bounds each operator application to M 2^M work.
 
 The paired product state with common phase phi is
 
@@ -29,17 +33,10 @@ every odd-sector overlap vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ensembles import PairEnsemble
-
-# scipy.sparse is imported inside the methods that build matrices, so that
-# importing the package loads no scipy module
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = ["FockOracle", "build_fock_oracle", "number_phase_derivative_check"]
 
@@ -48,7 +45,7 @@ _MAX_MODES = 12
 
 @dataclass
 class FockOracle:
-    """Sparse operator set and state builder on the 2^M pair space."""
+    """Matrix-free pair operators and state builder on the 2^M pair space."""
 
     theta: np.ndarray
     phi: float = 0.0
@@ -64,46 +61,40 @@ class FockOracle:
             )
         self.dim = 1 << self.n_modes
         self.Omega = float(np.sum(self.theta**2))
-        self._indices = np.arange(self.dim)
+        self._weights = self.theta / np.sqrt(self.Omega)
 
-    # ---- operator matrices -------------------------------------------
+    # ---- operators, applied to a state vector ------------------------
 
-    def s_minus(self, k: int) -> sparse.csr_matrix:
-        """Pair annihilator of mode k: |...1_k...> -> |...0_k...>."""
-        from scipy import sparse
+    def _pair_hop(self, psi: np.ndarray, to_bit: int) -> np.ndarray:
+        """sum_k w_k |to_bit><1 - to_bit| on mode k, applied to psi: b for 0, b+ for 1.
 
-        self._check_mode(k)
-        bit = 1 << k
-        cols = self._indices[(self._indices & bit) != 0]
-        rows = cols ^ bit
-        data = np.ones(cols.size)
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.dim, self.dim)
-        )
+        w = theta / sqrt(Omega).
+        """
+        psi = np.asarray(psi)
+        if psi.shape != (self.dim,):
+            raise ValueError(f"state vector must have shape ({self.dim},)")
+        out = np.zeros_like(psi)
+        for k, w in enumerate(self._weights):
+            out.reshape(-1, 2, 1 << k)[:, to_bit, :] += (
+                w * psi.reshape(-1, 2, 1 << k)[:, 1 - to_bit, :]
+            )
+        return out
 
-    @property
-    def b(self) -> sparse.csr_matrix:
-        """Collective annihilator Omega^{-1/2} sum_k theta_k S-^(k)."""
-        from scipy import sparse
+    def b(self, psi: np.ndarray) -> np.ndarray:
+        """Collective annihilator Omega^{-1/2} sum_k theta_k S-^(k) applied to psi."""
+        return self._pair_hop(psi, 0)
 
-        acc = sparse.csr_matrix((self.dim, self.dim))
-        for k in range(self.n_modes):
-            acc = acc + self.theta[k] * self.s_minus(k)
-        return (acc / np.sqrt(self.Omega)).tocsr()
+    def b_dagger(self, psi: np.ndarray) -> np.ndarray:
+        """Collective creator b+ applied to psi."""
+        return self._pair_hop(psi, 1)
 
-    @property
-    def commutator_b(self) -> sparse.csr_matrix:
-        """[b, b+] as a sparse (diagonal) matrix."""
-        b = self.b
-        bd = b.T.tocsr()
-        return (b @ bd - bd @ b).tocsr()
+    def commutator_b(self, psi: np.ndarray) -> np.ndarray:
+        """[b, b+] psi = b (b+ psi) - b+ (b psi)."""
+        return self.b(self.b_dagger(psi)) - self.b_dagger(self.b(psi))
 
-    @property
-    def eta_op(self) -> sparse.csr_matrix:
-        """eta = 1 - [b, b+] = (2/Omega) sum_k theta_k^2 n_k."""
-        from scipy import sparse
-
-        return (sparse.identity(self.dim, format="csr") - self.commutator_b).tocsr()
+    def eta(self, psi: np.ndarray) -> np.ndarray:
+        """eta psi = psi - [b, b+] psi."""
+        return psi - self.commutator_b(psi)
 
     # ---- states and expectations -------------------------------------
 
@@ -111,32 +102,29 @@ class FockOracle:
         """Dense vector of the paired product state at phase phi."""
         if phi is None:
             phi = self.phi
-        factors = [
-            np.array([np.cos(t), np.exp(1j * phi) * np.sin(t)])
-            for t in self.theta
-        ]
-        # kron's first factor is the most significant index block, so the
-        # list runs from mode M-1 down to mode 0 to keep bit k = mode k
-        return reduce(np.kron, factors[::-1])
+        phase = np.exp(1j * phi)
+        psi = np.ones(1, dtype=complex)
+        # modes M-1 down to 0, each doubling the vector as its new lowest
+        # bit, keep bit k = mode k and multiply in the order of the Kronecker
+        # product of the mode factors
+        for t in self.theta[::-1]:
+            psi = np.stack((psi * np.cos(t), psi * (phase * np.sin(t))), axis=-1).ravel()
+        return psi
 
     def overlap(self, phi_prime: float, phi: float) -> complex:
         """Exact inner product <phi'|phi> of two product states."""
         return complex(np.vdot(self.state(phi_prime), self.state(phi)))
 
-    def expectation(self, op: sparse.spmatrix, psi: np.ndarray) -> complex:
-        return complex(np.vdot(psi, op @ psi))
-
     def eta_moments(self, phi: float | None = None) -> dict:
-        """<eta> and <eta^2> - <eta>^2 on the product state."""
-        psi = self.state(phi)
-        eta = self.eta_op
-        m1 = self.expectation(eta, psi).real
-        m2 = self.expectation((eta @ eta).tocsr(), psi).real
-        return {"mean": m1, "variance": m2 - m1 * m1}
+        """<eta> and <eta^2> - <eta>^2 on the product state.
 
-    def _check_mode(self, k: int):
-        if not 0 <= k < self.n_modes:
-            raise ValueError(f"mode index {k} outside 0..{self.n_modes - 1}")
+        eta is Hermitian, so <eta^2> = ||eta psi||^2.
+        """
+        psi = self.state(phi)
+        eta_psi = self.eta(psi)
+        m1 = float(np.vdot(psi, eta_psi).real)
+        m2 = float(np.vdot(eta_psi, eta_psi).real)
+        return {"mean": m1, "variance": m2 - m1 * m1}
 
 
 def build_fock_oracle(ens: PairEnsemble) -> FockOracle:
@@ -170,10 +158,7 @@ def number_phase_derivative_check(
         return 0.0
 
     pairs = n_target // 2
-    sel = np.array(
-        [i for i in range(oracle.dim) if bin(i).count("1") == pairs],
-        dtype=int,
-    )
+    sel = np.flatnonzero(np.bitwise_count(np.arange(oracle.dim)) == pairs)
     if sel.size == 0:
         return 0.0
 

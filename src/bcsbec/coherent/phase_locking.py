@@ -51,8 +51,10 @@ curvature along g, so an accepted step keeps h times that curvature below
 0.4, well inside Heun's stability limit of 2; an absolute tolerance on
 |z_Heun - z_Euler| lets h hover at that limit, where the descent without
 the Newton finish stalls.  A run forgets its first step within a few
-evaluations.  The stop is the joint (phi, alpha) gradient norm, from
-dF/dphi = Im(conj(z) g) and projected dF/dalpha = Re(conj(z) g) / |z|.
+evaluations; a far too long one is shrunk by rejected trials, in about
+1,000 evaluations from h = 1e300.  The stop is the joint (phi, alpha)
+gradient norm, from dF/dphi = Im(conj(z) g) and projected
+dF/dalpha = Re(conj(z) g) / |z|.
 The descent converges only linearly, so a Newton finish in the same
 variables, x = (Re z, Im z), takes over near a minimum: the constrained
 (KKT) step with the analytic Hessian minus the multiplier's 2 lambda,
@@ -89,6 +91,7 @@ spread, like the sign pattern, is taken over the live modes only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +152,16 @@ def _pair_matrix(z, G2):
 
 
 def _on_sphere(z):
-    """z rescaled onto |z|^2 = M."""
-    return z * np.sqrt(z.size / np.vdot(z, z).real)
+    """z rescaled onto |z|^2 = M.
+
+    When |z|^2 overflows (a trial z - h g from a huge step h), z is first
+    divided by its largest modulus.
+    """
+    norm2 = np.vdot(z, z).real
+    if not math.isfinite(norm2):
+        z = z / np.abs(z).max()
+        norm2 = np.vdot(z, z).real
+    return z * np.sqrt(z.size / norm2)
 
 
 def _tangent_gradient(z, G2, energies):

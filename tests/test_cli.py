@@ -648,7 +648,7 @@ def test_console_script_entry_point(tmp_path):
     assert "E_b" in proc.stdout
 
 
-# Imports bcsbec.cli, runs every gap-side subcommand in the same process and
+# Imports bcsbec.cli, runs the given subcommands in the same process and
 # prints the scipy modules loaded after the import and after each run, and
 # the numpy.polynomial modules loaded by the import.
 _SCIPY_PROBE = """
@@ -666,6 +666,14 @@ print(json.dumps(report))
 """
 
 
+def _scipy_probe(runs, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_gap_side_never_loads_scipy(tmp_path):
     runs = [
         ["gap-sweep", "--points", "3"],
@@ -676,12 +684,19 @@ def test_gap_side_never_loads_scipy(tmp_path):
         ["chain", "--ej", "0", "--epsilon-r", "10", "--area-um2", "1", "--spacing-nm", "2",
          "--units", "physical"],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs), str(tmp_path)],
-        capture_output=True, text=True, check=True,
-    )
-    report = json.loads(proc.stdout.splitlines()[-1])
+    report = _scipy_probe(runs, tmp_path)
     assert report.pop("import") == []
     # the quadrature rule's tables are built on first use, not at import
     assert report.pop("polynomial") == []
     assert report == {" ".join(argv): [0, []] for argv in runs}
+
+
+def test_coherent_side_never_loads_scipy_sparse(tmp_path):
+    # the Fock oracle applies b and b+ to state vectors, so only the
+    # oscillator-oracle check loads scipy, and that is scipy.linalg
+    report = _scipy_probe([["oracle", "--modes", "4"], ["overlap"], ["checks"]], tmp_path)
+    assert report["oracle --modes 4"] == [0, []]
+    assert report["overlap"] == [0, []]
+    code, loaded = report["checks"]
+    assert code == 0
+    assert [m for m in loaded if m.startswith("scipy.sparse")] == []

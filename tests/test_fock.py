@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsbec.coherent import (
     bcs_overlap,
@@ -20,38 +22,82 @@ def test_mode_cap():
         FockOracle(theta=np.array([]))
 
 
+def dense_s_minus(n_modes, k):
+    """S-^(k) as a dense 2^M matrix: 1 at (i - 2^k, i) for every pattern i with bit k set."""
+    dim, bit = 1 << n_modes, 1 << k
+    cols = np.array([i for i in range(dim) if i & bit], dtype=int)
+    mat = np.zeros((dim, dim))
+    mat[cols ^ bit, cols] = 1.0
+    return mat
+
+
+def dense_b(theta):
+    """b = Omega^{-1/2} sum_k theta_k S-^(k) as a dense matrix."""
+    return sum(t * dense_s_minus(theta.size, k) for k, t in enumerate(theta)) / np.sqrt(
+        np.sum(theta**2)
+    )
+
+
+def as_matrix(op, dim):
+    """Dense matrix of a linear map, column j being op applied to basis vector j."""
+    return np.column_stack([op(e) for e in np.eye(dim)])
+
+
 def test_pair_operators_single_mode():
-    orc = FockOracle(theta=np.array([0.7]), phi=0.0)
-    s_minus = orc.s_minus(0).toarray()
-    assert np.array_equal(s_minus, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a single nonzero angle makes b the pair annihilator of that mode
+    for k in range(3):
+        theta = np.zeros(3)
+        theta[k] = 0.75
+        orc = FockOracle(theta=theta)
+        assert np.array_equal(as_matrix(orc.b, 8), dense_s_minus(3, k))
+    orc = FockOracle(theta=np.array([0.75]), phi=0.0)
+    assert np.array_equal(as_matrix(orc.b, 2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_pair_raising_squares_to_zero():
-    orc = FockOracle(theta=np.array([0.3, 0.9, 1.2]))
+    psi = np.random.default_rng(4).normal(size=8)
     for k in range(3):
-        sp = orc.s_minus(k).T
-        assert abs(sp @ sp).max() == 0.0
+        theta = np.zeros(3)
+        theta[k] = 0.9
+        orc = FockOracle(theta=theta)
+        assert np.abs(orc.b_dagger(orc.b_dagger(psi))).max() == 0.0
 
 
 def test_b_is_the_weighted_mode_sum():
     theta = np.array([0.4, 1.0])
     orc = FockOracle(theta=theta)
-    manual = sum(
-        theta[k] * orc.s_minus(k) for k in range(2)
-    ) / np.sqrt(np.sum(theta**2))
-    assert abs((orc.b - manual)).max() < 1e-15
+    assert np.abs(as_matrix(orc.b, 4) - dense_b(theta)).max() < 1e-15
 
 
 def test_single_mode_commutator_and_eta():
     theta = 0.7
     orc = FockOracle(theta=np.array([theta]), phi=0.2)
     # Omega = theta^2, so [b, b+] = diag(1, -1) and eta = I - [b,b+] = diag(0, 2)
-    comm = orc.commutator_b.toarray()
+    comm = as_matrix(orc.commutator_b, 2)
     assert np.allclose(comm, np.diag([1.0, -1.0]), atol=1e-15)
-    eta = orc.eta_op.toarray()
+    eta = as_matrix(orc.eta, 2)
     assert np.allclose(eta, np.diag([0.0, 2.0]), atol=1e-15)
     moments = orc.eta_moments()
     assert moments["mean"] == pytest.approx(2.0 * np.sin(theta) ** 2, rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.lists(st.floats(0.01, 1.56), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_operators_match_dense_matrices(theta, seed):
+    theta = np.array(theta)
+    orc = FockOracle(theta=theta)
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(2, orc.dim)) + 1j * rng.normal(size=(2, orc.dim))
+    b = dense_b(theta)
+    assert np.abs(orc.b(y) - b @ y).max() <= 1e-14
+    assert np.abs(orc.b_dagger(y) - b.T @ y).max() <= 1e-14
+    # b+ is the adjoint of b
+    scale = np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(np.vdot(x, orc.b(y)) - np.vdot(orc.b_dagger(x), y)) <= 1e-14 * scale
+    # each off-diagonal entry of [b, b+] is one product w_k w_k' taken twice
+    comm = as_matrix(orc.commutator_b, orc.dim)
+    assert np.array_equal(comm, np.diag(np.diag(comm)))
 
 
 def test_single_mode_eta_matches_occupancy_identity():

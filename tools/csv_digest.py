@@ -2,7 +2,8 @@
 
 Runs every subcommand once with its default arguments, the unit-aware
 subcommands in both unit modes, and a few fixed non-default runs (the
-benchmark's five-rung Pegg-Barnett ladder, the longest pinned phase-lock
+benchmark's five-rung Pegg-Barnett ladder, the Fock oracle at its 12-mode
+cap (dimension 4096), the longest pinned phase-lock
 seed, an attractive and two repulsive phase locks that end with dead modes
 (each ended by the Newton finish), the incoherent
 E_J = 0 chain, a chain sized by its junction geometry, four runs
@@ -77,6 +78,7 @@ INVOCATIONS = (
      "--units", "physical"],
     ["overlap"],
     ["oracle"],
+    ["oracle", "--modes", "12", "--seed", "3"],
     ["pegg-barnett"],
     ["pegg-barnett", "--s", "64", "--rungs", "5"],
     ["phase-lock", "--seed", "6"],
