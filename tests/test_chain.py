@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import constants as const
 
 from bcsbec.chain import (
@@ -15,6 +17,7 @@ from bcsbec.chain import (
     oscillator_oracle,
     sigma_phi2,
 )
+from bcsbec.cli import main
 
 
 def test_charging_energy_reference_geometry():
@@ -113,6 +116,56 @@ def test_oscillator_rejects_clipping_box():
         oscillator_oracle(1.0, 1.0, span=2.0)
     with pytest.raises(ValueError):
         oscillator_oracle(0.0, 1.0)
+
+
+def _dense_ground_state(E_c, E_J, points):
+    """Lowest eigenpair of the oracle's default grid by dense numpy.linalg.eigh."""
+    span = 8.5 * (32.0 * E_c / E_J) ** 0.25
+    x = np.linspace(-span, span, points)
+    h = x[1] - x[0]
+    off = np.full(points - 1, -16.0 * E_c / h**2)
+    matrix = np.diag(32.0 * E_c / h**2 + 0.5 * E_J * x**2) + np.diag(off, 1) + np.diag(off, -1)
+    energies, vectors = np.linalg.eigh(matrix)
+    weight = vectors[:, 0] ** 2
+    return energies[0], np.sum(weight * x * x) / np.sum(weight)
+
+
+@pytest.mark.parametrize("points", [101, 201, 401, 801])
+@pytest.mark.parametrize("E_c, E_J", [(1.0, 1.0), (1.0, 4.0), (3.0, 0.2), (1e-3, 1e2)])
+def test_oscillator_matches_dense_diagonalization(E_c, E_J, points):
+    energy, variance = _dense_ground_state(E_c, E_J, points)
+    result = oscillator_oracle(E_c, E_J, points=points)
+    assert result.ground_energy == pytest.approx(energy, rel=1e-12)
+    assert result.variance == pytest.approx(variance, rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(E_c=st.floats(0.1, 10.0), E_J=st.floats(0.1, 10.0), exponent=st.floats(-6.0, 6.0))
+def test_oscillator_scales_with_a_common_energy_factor(E_c, E_J, exponent):
+    scale = 10.0**exponent
+    base = oscillator_oracle(E_c, E_J)
+    scaled = oscillator_oracle(scale * E_c, scale * E_J)
+    assert scaled.ground_energy == pytest.approx(scale * base.ground_energy, rel=1e-12)
+    assert scaled.variance == pytest.approx(base.variance, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_oscillator_rejects_non_finite_grids_without_a_warning(tmp_path, capsys):
+    # sigma_0 = (32 E_c/E_J)^(1/4) overflows, so no grid can be laid out
+    for ec, ej in (("1e300", "1e-300"), ("1", "1e-320")):
+        assert main(["chain", "--ec", ec, "--ej", ej, "--out", str(tmp_path)]) == 2
+        assert "sigma_0" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="sigma_0"):
+        oscillator_oracle(1e-320, 1e300)
+    for span in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="span"):
+            oscillator_oracle(1.0, 1.0, span=span)
+    with pytest.raises(ValueError, match="grid spacing"):
+        oscillator_oracle(1.0, 1.0, span=1e-320)
+    with pytest.raises(ValueError, match="16 E_c/h\\^2"):
+        oscillator_oracle(1.0, 1.0, span=1e200)
+    with pytest.raises(ValueError, match="edge overflows"):
+        oscillator_oracle(1e300, 1e300, span=1e10)
 
 
 def test_coherence_classification():

@@ -323,14 +323,15 @@ def test_first_step_does_not_matter():
         assert (result.end_state, result.sign_pattern) == ("locked", "+++")
         assert result.steps <= 50
         assert np.abs(result.amplitudes - default.amplitudes).max() <= 1e-12
-    # a first step so long that |z - h g|^2 overflows is shrunk like any
-    # other rejected trial, without a numpy warning on the way
+    # a first step so long that |z - h g|^2 would overflow is cut to
+    # sqrt(M)/|g| before its first trial, without a numpy warning on the way
     for step in (1e160, 1e300):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = variational_phase_lock(3, seed=6, step=step)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert (result.end_state, result.sign_pattern) == ("locked", "+++")
+        assert result.steps <= 50
         assert np.abs(result.amplitudes - default.amplitudes).max() <= 1e-15
 
 

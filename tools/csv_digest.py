@@ -5,8 +5,11 @@ subcommands in both unit modes, and a few fixed non-default runs (the
 benchmark's five-rung Pegg-Barnett ladder, the Fock oracle at its 12-mode
 cap (dimension 4096), the longest pinned phase-lock
 seed, an attractive and two repulsive phase locks that end with dead modes
-(each ended by the Newton finish), the incoherent
-E_J = 0 chain, a chain sized by its junction geometry, four runs
+(each ended by the Newton finish), a phase lock from a first step of
+1e300, which the step cap cuts before its first trial, the incoherent
+E_J = 0 chain, a chain at E_c = 1e300, E_J = 1e-300, which exits 2
+because the oscillator oracle's sigma_0 overflows, a chain sized by its
+junction geometry, four runs
 configured by --config files (a gap sweep, a gap sweep whose --points flag
 beats the file's points key, an overlap with the negative value dphi = -1,
 and a physical-unit phase diagram whose keys override the unit-mode
@@ -74,6 +77,7 @@ INVOCATIONS = (
     ["bound-state", "--u", "0.8"],
     ["bound-state", "--u", "1"],
     ["chain", "--ec", "1", "--ej", "0"],
+    ["chain", "--ec", "1e300", "--ej", "1e-300"],
     ["chain", "--ej", "3", "--epsilon-r", "10", "--area-um2", "0.1", "--spacing-nm", "2",
      "--units", "physical"],
     ["overlap"],
@@ -87,6 +91,7 @@ INVOCATIONS = (
     ["phase-lock", "--sign", "repulsive", "--seed", "3"],
     ["phase-lock", "--modes", "2", "--sign", "repulsive", "--seed", "4"],
     ["phase-lock", "--max-steps", "5"],
+    ["phase-lock", "--step", "1e300"],
     ["checks"],
     ["gap-sweep", "--config", "sweep.cfg"],
     ["gap-sweep", "--config", "points4.cfg", "--points", "2"],
