@@ -1,10 +1,14 @@
 """Command-line front end: solvers, sweeps, oracles, checks, CSV output.
 
 Subcommands: gap-sweep, bound-state, phase-diagram, overlap, eta, oracle,
-pegg-barnett, chain, phase-lock, checks.  Every run writes plot-ready CSV
-plus a JSON metadata sidecar (config echo, version, unit mode, tolerances,
-wall clock, CSV hashes); rerunning an identical config reproduces the CSV
-bytes exactly.
+pegg-barnett, chain, phase-lock, checks.  A subcommand only computes: it
+returns its tables, printed lines, sidecar results and exit code, and
+`main` then writes the plot-ready CSVs plus a JSON metadata sidecar
+(config echo, version, unit mode, tolerances, wall clock, CSV hashes),
+prints the lines and returns the code.  `checks` writes only its sidecar;
+`checks --list`, a run that exits 3, a failed `eta` solve and a numeric
+failure caught by `main` write nothing.  Rerunning an identical config
+reproduces the CSV bytes exactly.
 
 Each subcommand takes only the flags it reads.  --out and --config go to
 all ten; --units to phase-diagram, eta and chain; --seed to oracle,
@@ -52,7 +56,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -309,7 +313,7 @@ def _config_namespace(parser: _Parser, path: str) -> argparse.Namespace:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     namespace = argparse.Namespace()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -360,38 +364,51 @@ def _input_value(cfg: argparse.Namespace, key: str) -> float:
 
 # ---- output --------------------------------------------------------------
 
+# sidecar `tolerances` key of each flag that sets a stopping tolerance
+_TOLERANCE_FLAGS = {"tol_gap": "tol_gap", "tol_number": "tol_number", "tol": "descent_tol"}
 
-def _solver_tolerances(cfg: argparse.Namespace) -> dict:
-    return {"tol_gap": cfg.tol_gap, "tol_number": cfg.tol_number}
+
+@dataclass(frozen=True)
+class _Run:
+    """What one subcommand produced; `main` writes, prints and exits from it.
+
+    `tables` holds (csv name, header, rows) entries; None writes nothing,
+    not even the sidecar.  `results` is the sidecar's results block.
+    """
+
+    tables: list | None
+    out: list = field(default_factory=list)
+    err: list = field(default_factory=list)
+    results: dict | None = None
+    code: int = EXIT_OK
 
 
-def _emit(cfg: argparse.Namespace, stem: str, tables, tolerances: dict,
-          extra: dict | None = None) -> list:
+def _emit(cfg: argparse.Namespace, tables, results: dict | None) -> None:
     """Write each (csv name, header, rows) table, then the JSON sidecar.
 
-    The sidecar `<stem>.meta.json` echoes the parsed flags, hashes every
-    CSV of the run and records the wall clock since `cfg.started`, the end
-    of argument parsing.  Returns the CSV paths in order.
+    The sidecar `<command>.meta.json` ('-' read as '_') echoes the parsed
+    flags and their stopping tolerances, hashes every CSV of the run and
+    records the wall clock since `cfg.started`, the end of argument parsing.
     """
     out = Path(cfg.out)
     csv_paths = [write_csv(out / name, header, rows) for name, header, rows in tables]
     write_meta(
-        out / f"{stem}.meta.json",
+        out / f"{cfg.command.replace('-', '_')}.meta.json",
         config={k: v for k, v in vars(cfg).items() if k not in ("config", "started")},
         version=__version__,
         unit_mode=getattr(cfg, "units", None),
-        tolerances=tolerances,
+        tolerances={key: getattr(cfg, flag) for flag, key in _TOLERANCE_FLAGS.items()
+                    if hasattr(cfg, flag)},
         wall_clock_s=time.monotonic() - cfg.started,
         csv_paths=csv_paths,
-        extra=extra,
+        extra=results,
     )
-    return csv_paths
 
 
 # ---- subcommand implementations -----------------------------------------
 
 
-def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
+def cmd_gap_sweep(cfg: argparse.Namespace) -> _Run:
     if cfg.u_max < cfg.u_min:
         raise ConfigError("need u-min <= u-max")
     ratios = np.linspace(cfg.u_min, cfg.u_max, cfg.points)
@@ -421,33 +438,29 @@ def cmd_gap_sweep(cfg: argparse.Namespace) -> int:
         "residual_number",
         "converged",
     )
-    [csv_path] = _emit(cfg, "gap_sweep", [("gap_sweep.csv", header, rows)],
-                       _solver_tolerances(cfg))
-    failed = [i for i, sol in enumerate(solutions) if not sol.converged]
+    tables = [("gap_sweep.csv", header, rows)]
+    failed = sum(not sol.converged for sol in solutions)
     if failed:
-        print(f"gap-sweep: {len(failed)} of {len(solutions)} points not converged",
-              file=sys.stderr)
-        return EXIT_NON_CONVERGENCE
-    print(f"gap-sweep: {len(solutions)} points -> {csv_path}")
-    return EXIT_OK
+        return _Run(tables, err=[f"gap-sweep: {failed} of {len(solutions)} points not converged"],
+                    code=EXIT_NON_CONVERGENCE)
+    return _Run(tables,
+                [f"gap-sweep: {len(solutions)} points -> {Path(cfg.out) / 'gap_sweep.csv'}"])
 
 
-def cmd_bound_state(cfg: argparse.Namespace) -> int:
+def cmd_bound_state(cfg: argparse.Namespace) -> _Run:
     ratio = cfg.u
     energy = bound_state_energy(ratio * U_C)  # in eps0, the same at any k0
     exists = energy is not None
     row = (ratio, int(exists), energy)
-    _emit(cfg, "bound_state",
-          [("bound_state.csv", ("U_over_Uc", "has_bound_state", "E_b_over_eps0"), [row])],
-          {})
     if exists:
-        print(f"bound-state: E_b = {energy:.12g} eps0 at U/U_c = {ratio}")
+        line = f"bound-state: E_b = {energy:.12g} eps0 at U/U_c = {ratio}"
     else:
-        print(f"bound-state: no bound state at U/U_c = {ratio} (below threshold)")
-    return EXIT_OK
+        line = f"bound-state: no bound state at U/U_c = {ratio} (below threshold)"
+    return _Run([("bound_state.csv", ("U_over_Uc", "has_bound_state", "E_b_over_eps0"), [row])],
+                [line])
 
 
-def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
+def cmd_phase_diagram(cfg: argparse.Namespace) -> _Run:
     scale = _energy_scale(cfg)
     e_c_in = _input_value(cfg, "ec")
     e_c = e_c_in / scale
@@ -495,7 +508,7 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
     )
 
     boundary_rows = []
-    unresolved = 0
+    err = []
     for sol in (cell.solution for cell in cells[::cfg.g_points]):
         if not sol.converged:
             continue
@@ -503,32 +516,26 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> int:
             g_star = critical_hopping(sol, e_c)
             g_bis = refine_hopping_boundary(sol.Delta0, e_c, sol.U)
         except ValueError as exc:  # no representable G*: leave the row's G* fields empty
-            print(f"phase-diagram: no boundary at U/U_c = {sol.U / U_C:g}, "
-                  f"E_c = {e_c_in:g} {_energy_unit(cfg)}: {exc}", file=sys.stderr)
+            err.append(f"phase-diagram: no boundary at U/U_c = {sol.U / U_C:g}, "
+                       f"E_c = {e_c_in:g} {_energy_unit(cfg)}: {exc}")
             g_star = g_bis = None
-            unresolved += 1
         boundary_rows.append((sol.U / U_C, sol.mu * scale, g_star, g_bis))
-    csv_path, boundary_path = _emit(
-        cfg,
-        "phase_diagram",
-        [
-            ("phase_diagram.csv", header, rows),
-            ("boundary.csv", ("U_over_Uc", "mu", "G_star", "G_star_bisect"), boundary_rows),
-        ],
-        _solver_tolerances(cfg),
-        extra={"energy_unit": _energy_unit(cfg)},
-    )
-    bad = [c for c in cells if not c.solution.converged]
+    tables = [
+        ("phase_diagram.csv", header, rows),
+        ("boundary.csv", ("U_over_Uc", "mu", "G_star", "G_star_bisect"), boundary_rows),
+    ]
+    results = {"energy_unit": _energy_unit(cfg)}
+    bad = sum(not c.solution.converged for c in cells)
     if bad:
-        print(f"phase-diagram: {len(bad)} of {len(cells)} cells unconverged",
-              file=sys.stderr)
-    if bad or unresolved:
-        return EXIT_NON_CONVERGENCE
-    print(f"phase-diagram: {len(cells)} cells -> {csv_path}, boundary -> {boundary_path}")
-    return EXIT_OK
+        err.append(f"phase-diagram: {bad} of {len(cells)} cells unconverged")
+    if err:
+        return _Run(tables, err=err, results=results, code=EXIT_NON_CONVERGENCE)
+    out = Path(cfg.out)
+    return _Run(tables, [f"phase-diagram: {len(cells)} cells -> {out / 'phase_diagram.csv'}, "
+                         f"boundary -> {out / 'boundary.csv'}"], results=results)
 
 
-def cmd_overlap(cfg: argparse.Namespace) -> int:
+def cmd_overlap(cfg: argparse.Namespace) -> _Run:
     theta = cfg.theta
     dphi = cfg.dphi
     alpha = cfg.alpha
@@ -545,26 +552,21 @@ def cmd_overlap(cfg: argparse.Namespace) -> int:
             (m, value.real, value.imag, abs(value), prev_log - log_abs, abs(bose))
         )
         prev_log = log_abs
-    [csv_path] = _emit(
-        cfg,
-        "overlap",
+    return _Run(
         [("overlap.csv", ("M", "bcs_re", "bcs_im", "bcs_abs", "bcs_rate", "bec_abs"), rows)],
-        {},
-        extra={"rate_exact": rate_exact},
+        [f"overlap: per-mode decay rate {rate_exact:.12g} -> {Path(cfg.out) / 'overlap.csv'}"],
+        results={"rate_exact": rate_exact},
     )
-    print(f"overlap: per-mode decay rate {rate_exact:.12g} -> {csv_path}")
-    return EXIT_OK
 
 
-def cmd_eta(cfg: argparse.Namespace) -> int:
+def cmd_eta(cfg: argparse.Namespace) -> _Run:
     scale = _energy_scale(cfg)
     ratio = cfg.u
     solution = solve_self_consistent(
         ratio * U_C, cfg.n, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
     )
     if not solution.converged:
-        print("eta: gap solver did not converge", file=sys.stderr)
-        return EXIT_NON_CONVERGENCE
+        return _Run(None, err=["eta: gap solver did not converge"], code=EXIT_NON_CONVERGENCE)
     count = cfg.k_points
     k_grid = (np.arange(count) + 0.5) * (cfg.k_max / count)
     ens = PairEnsemble.from_gap_solution(solution, k_grid, phi=cfg.phi,
@@ -579,23 +581,20 @@ def cmd_eta(cfg: argparse.Namespace) -> int:
         stats["mean"],
         stats["variance"],
     )
-    [csv_path] = _emit(
-        cfg,
-        "eta",
+    return _Run(
         [("eta.csv",
           ("U_over_Uc", "mu", "Delta0", "modes", "Omega", "eta_mean", "eta_variance"),
           [row])],
-        _solver_tolerances(cfg),
-        extra={
+        [f"eta: mean {stats['mean']:.6g}, variance {stats['variance']:.6g} "
+         f"-> {Path(cfg.out) / 'eta.csv'}"],
+        results={
             "angle_convention": cfg.convention,
             "note": "finite k-grid sample of the continuum; statistics are grid relative",
         },
     )
-    print(f"eta: mean {stats['mean']:.6g}, variance {stats['variance']:.6g} -> {csv_path}")
-    return EXIT_OK
 
 
-def cmd_oracle(cfg: argparse.Namespace) -> int:
+def cmd_oracle(cfg: argparse.Namespace) -> _Run:
     modes = cfg.modes
     rng = np.random.default_rng(cfg.seed)
     ens = random_pair_ensemble(modes, rng)
@@ -626,18 +625,15 @@ def cmd_oracle(cfg: argparse.Namespace) -> int:
         overlap_dev,
         np_dev,
     )
-    [csv_path] = _emit(cfg, "oracle", [("oracle.csv", header, [row])], {})
-    print(
-        f"oracle: eta mean dev {abs(stats['mean'] - moments['mean']):.3e}, "
-        f"overlap dev {overlap_dev:.3e} -> {csv_path}"
-    )
-    return EXIT_OK
+    return _Run([("oracle.csv", header, [row])],
+                [f"oracle: eta mean dev {abs(stats['mean'] - moments['mean']):.3e}, "
+                 f"overlap dev {overlap_dev:.3e} -> {Path(cfg.out) / 'oracle.csv'}"])
 
 
-def cmd_pegg_barnett(cfg: argparse.Namespace) -> int:
+def cmd_pegg_barnett(cfg: argparse.Namespace) -> _Run:
     s = cfg.s
     rungs = cfg.rungs
-    rows = []
+    rows, err = [], []
     for level in range(rungs):
         s_level = s * (1 << level)
         with warnings.catch_warnings(record=True) as caught:
@@ -648,8 +644,7 @@ def cmd_pegg_barnett(cfg: argparse.Namespace) -> int:
                 cfg.omega,
                 state_phase=cfg.state_phase,
             )
-        for warning in caught:
-            print(f"pegg-barnett: warning: {warning.message}", file=sys.stderr)
+        err += [f"pegg-barnett: warning: {warning.message}" for warning in caught]
         rows.append(
             (
                 s_level,
@@ -660,19 +655,17 @@ def cmd_pegg_barnett(cfg: argparse.Namespace) -> int:
                 report.truncation_warning,
             )
         )
-    [csv_path] = _emit(
-        cfg,
-        "pegg_barnett",
+    return _Run(
         [("pegg_barnett.csv",
           ("s", "comm_re", "comm_im", "deviation", "truncation_error", "warned"),
           rows)],
-        {},
+        [f"pegg-barnett: deviation {rows[0][3]:.6e} at s={s} "
+         f"-> {Path(cfg.out) / 'pegg_barnett.csv'}"],
+        err,
     )
-    print(f"pegg-barnett: deviation {rows[0][3]:.6e} at s={s} -> {csv_path}")
-    return EXIT_OK
 
 
-def cmd_chain(cfg: argparse.Namespace) -> int:
+def cmd_chain(cfg: argparse.Namespace) -> _Run:
     geometry = [cfg.epsilon_r, cfg.area_um2, cfg.spacing_nm]
     e_c = cfg.ec
     if any(v is not None for v in geometry):
@@ -701,12 +694,11 @@ def cmd_chain(cfg: argparse.Namespace) -> int:
     if e_j > 0.0:
         result = oscillator_oracle(e_c, e_j)
         oracle = {"ground_energy": result.ground_energy, "variance": result.variance}
-    [csv_path] = _emit(
-        cfg,
-        "chain",
+    return _Run(
         [("chain.csv", ("separation", "rho"), rows)],
-        {},
-        extra={
+        [f"chain: sigma_phi2 {ground.sigma2:.6g}, coherence {label} "
+         f"-> {Path(cfg.out) / 'chain.csv'}"],
+        results={
             "E_c": e_c,
             "E_J": e_j,
             "energy_unit": _energy_unit(cfg),
@@ -718,13 +710,9 @@ def cmd_chain(cfg: argparse.Namespace) -> int:
             "oscillator_oracle": oracle,
         },
     )
-    print(
-        f"chain: sigma_phi2 {ground.sigma2:.6g}, coherence {label} -> {csv_path}"
-    )
-    return EXIT_OK
 
 
-def cmd_phase_lock(cfg: argparse.Namespace) -> int:
+def cmd_phase_lock(cfg: argparse.Namespace) -> _Run:
     modes = cfg.modes
     sign = -1.0 if cfg.sign == "attractive" else 1.0
     result = variational_phase_lock(
@@ -739,62 +727,38 @@ def cmd_phase_lock(cfg: argparse.Namespace) -> int:
     rows = [
         (k, result.phases[k], result.amplitudes[k]) for k in range(modes)
     ]
-    [csv_path] = _emit(
-        cfg,
-        "phase_lock",
-        [("phase_lock.csv", ("mode", "phase", "amplitude"), rows)],
-        {"descent_tol": cfg.tol},
-        extra={
-            "gradient_norm": result.gradient_norm,
-            "steps": result.steps,
-            "converged": result.converged,
-            "phase_spread": result.phase_spread,
-            "min_amplitude": result.min_amplitude,
-            "newton_steps": result.newton_steps,
-            "end_state": result.end_state,
-            "sign_pattern": result.sign_pattern,
-        },
-    )
+    tables = [("phase_lock.csv", ("mode", "phase", "amplitude"), rows)]
+    results = {
+        "gradient_norm": result.gradient_norm,
+        "steps": result.steps,
+        "converged": result.converged,
+        "phase_spread": result.phase_spread,
+        "min_amplitude": result.min_amplitude,
+        "newton_steps": result.newton_steps,
+        "end_state": result.end_state,
+        "sign_pattern": result.sign_pattern,
+    }
     steps = f"{result.steps} steps ({result.newton_steps} Newton)"
     if not result.converged:
-        print(
-            f"phase-lock: {result.end_state} "
-            f"(gradient norm {result.gradient_norm:.3e} after {steps})",
-            file=sys.stderr,
-        )
-        return EXIT_NON_CONVERGENCE
+        return _Run(tables, err=[f"phase-lock: {result.end_state} "
+                                 f"(gradient norm {result.gradient_norm:.3e} after {steps})"],
+                    results=results, code=EXIT_NON_CONVERGENCE)
     pattern = f" [{result.sign_pattern}]" if result.sign_pattern else ""
-    print(
-        f"phase-lock: {result.end_state}{pattern}, spread {result.phase_spread:.3e} "
-        f"after {steps} -> {csv_path}"
-    )
-    return EXIT_OK
+    return _Run(tables, [f"phase-lock: {result.end_state}{pattern}, spread "
+                         f"{result.phase_spread:.3e} after {steps} "
+                         f"-> {Path(cfg.out) / 'phase_lock.csv'}"], results=results)
 
 
-def cmd_checks(cfg: argparse.Namespace) -> int:
+def cmd_checks(cfg: argparse.Namespace) -> _Run:
     if cfg.list:
-        for name, description in CHECK_NAMES.items():
-            print(f"{name}: {description}")
-        return EXIT_OK
-    results = run_checks(cfg.seed)
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
-    _emit(
-        cfg,
-        "checks",
-        [],
-        {},
-        extra={
-            r.name: {"passed": r.passed, "measured": r.measured} for r in results
-        },
-    )
-    if all(r.passed for r in results):
-        print(f"checks: all {len(results)} passed")
-        return EXIT_OK
-    failed = [r.name for r in results if not r.passed]
-    print(f"checks: FAILED {failed}", file=sys.stderr)
-    return EXIT_CHECK_FAILURE
+        return _Run(None, [f"{name}: {description}" for name, description in CHECK_NAMES.items()])
+    checks = run_checks(cfg.seed)
+    out = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in checks]
+    results = {r.name: {"passed": r.passed, "measured": r.measured} for r in checks}
+    failed = [r.name for r in checks if not r.passed]
+    if failed:
+        return _Run([], out, [f"checks: FAILED {failed}"], results, EXIT_CHECK_FAILURE)
+    return _Run([], [*out, f"checks: all {len(checks)} passed"], results=results)
 
 
 # name: (help line, flag declarations, implementation), in the order
@@ -836,8 +800,15 @@ def main(argv=None) -> int:
         defaults = _config_namespace(parser, args.config) if args.config else None
         args = parser.parse_args(rest, defaults)
         args.command, args.started = name, time.monotonic()
-        _, _, run = _COMMANDS[name]
-        return run(args)
+        _, _, cmd = _COMMANDS[name]
+        run = cmd(args)
+        if run.tables is not None:
+            _emit(args, run.tables, run.results)
+        for line in run.out:
+            print(line)
+        for line in run.err:
+            print(line, file=sys.stderr)
+        return run.code
     except ConfigError as exc:
         print(f"bcsbec: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

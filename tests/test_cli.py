@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bcsbec.diagram
-from bcsbec.checks import CHECK_NAMES
+from bcsbec.checks import CHECK_NAMES, CheckResult
 from bcsbec import __version__
 from bcsbec.cli import _command_parser, _Range, build_parser, main
 from bcsbec.core import eps0_ev
@@ -529,12 +529,35 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_checks_list_names_all_seven(capsys):
-    assert run(["checks", "--list"]) == 0
+def test_config_file_that_is_not_utf8_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfepoints = 3\n")
+    out = tmp_path / "out"
+    assert run(["gap-sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checks_list_names_all_seven(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run(["checks", "--list", "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     for name in ("overlap-decay", "eta-oracle", "number-phase", "pegg-barnett",
                  "phase-lock", "oscillator-oracle", "odlro-slope"):
         assert name in out
+    # listing writes nothing, not even the sidecar
+    assert not out_dir.exists()
+
+
+def test_failed_check_exits_one(tmp_path, monkeypatch, capsys):
+    failing = CheckResult("odlro-slope", False, {"slope": 1.0}, "slope 1 above bound")
+    monkeypatch.setattr("bcsbec.cli.run_checks", lambda seed: [failing])
+    assert run(["checks", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL odlro-slope: slope 1 above bound\n"
+    assert captured.err == "checks: FAILED ['odlro-slope']\n"
+    meta = json.loads((tmp_path / "checks.meta.json").read_text())
+    assert meta["results"] == {"odlro-slope": {"passed": False, "measured": {"slope": 1.0}}}
 
 
 def test_overlap_csv(tmp_path):

@@ -31,15 +31,19 @@ factor), all in one process, and prints one line per output:
 
 for each CSV, the same for each JSON sidecar with `wall_clock_s` and
 `config.out` removed (the only fields that legitimately differ between two
-runs of the same code), and `<argv>  exit  <code>` for each run.  Two
-checkouts produce the same outputs exactly when their digests are equal:
+runs of the same code), `<argv>  exit  <code>` for each run, and
+`<argv>  stdout  <sha256>` and `<argv>  stderr  <sha256>` for what the run
+printed, with its temporary output directory replaced by `<out>`.  The
+set also holds `checks --list`, which writes nothing, and a gap sweep
+with u-min above u-max, which exits 3.  Two checkouts produce the same
+outputs exactly when their digests are equal:
 
     python3 tools/csv_digest.py > new.txt
     python3 tools/csv_digest.py --src ../other/src > old.txt
     diff old.txt new.txt
 
 --src selects the `bcsbec` package to run (default: src/ of this checkout).
-The whole set runs in about 6 s on a 2-vCPU x86-64 VM.
+The whole set runs in about 1 s on a 2-vCPU x86-64 VM.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ INVOCATIONS = (
     ["phase-diagram", "--ec", "1e300", "--n", "1e-4", "--u-points", "1", "--g-points", "2"],
     ["eta", "--u", "0.5", "--n", "1e-9"],
     ["eta", "--units", "physical", "--k0", "30"],
+    ["checks", "--list"],
+    ["gap-sweep", "--u-min", "2", "--u-max", "1"],
 )
 
 
@@ -133,11 +139,14 @@ def main(argv=None) -> int:
         for i, run in enumerate(INVOCATIONS):
             out = Path(tmp) / f"run{i:02d}"
             argv = [str(Path(tmp) / arg) if arg in CONFIG_FILES else arg for arg in run]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli_main([*argv, "--out", str(out)])
             label = " ".join(run)
             print(f"{label}  exit  {code}")
+            for stream, text in (("stdout", stdout), ("stderr", stderr)):
+                masked = text.getvalue().replace(str(out), "<out>")
+                print(f"{label}  {stream}  {hashlib.sha256(masked.encode('utf-8')).hexdigest()}")
             for path in sorted(out.glob("*")) if out.exists() else ():
                 if path.suffix == ".csv":
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
