@@ -161,8 +161,10 @@ class GapSolution:
     iterations: int
     converged: bool
     note: str = ""
-    # (dmu/dU, dDelta0/dU) along the solution branch at this point; None for
-    # an unconverged solve, a gap below resolution or a singular Jacobian
+    # (dmu/dU, dDelta0/dU) along the solution branch at this point, solved
+    # in closed form from the final Jacobian (gap._solve_2x2); None for an
+    # unconverged solve, a gap below resolution or a Jacobian whose
+    # determinant is 0 or not finite
     tangent: tuple[float, float] | None = None
 
 
@@ -243,17 +245,39 @@ def _pair_integral(mu, Delta0, steer=None, column=None):
 
 
 def _residuals_and_jacobian(mu, Delta0, U, n):
-    """Residuals (r_gap, r_number), their Jacobian in (mu, Delta0), and I_gap.
+    """Residuals r = (r_gap, r_number), their Jacobian J in (mu, Delta0), and I_gap.
 
     One radial integral: the four derivative integrands ride on the panels
     that the gap and occupancy integrands choose (steer=2), so the residuals
-    are bit-identical to those of a (gap, occupancy) integral alone.
+    are bit-identical to those of a (gap, occupancy) integral alone.  r is
+    a 2-tuple and J a nested 2x2 tuple of Python floats, ready for
+    `_solve_2x2`.
     """
-    gap, density, dgap_mu, dgap_d, docc_mu, docc_d = _pair_integral(mu, Delta0, steer=2)
-    r = np.array([1.0 - 0.5 * U * gap, (n - density) / n])
-    J = np.array([[-0.5 * U * dgap_mu, -0.5 * U * dgap_d],
-                  [-docc_mu / n, -docc_d / n]])
+    gap, density, dgap_mu, dgap_d, docc_mu, docc_d = _pair_integral(mu, Delta0, steer=2).tolist()
+    r = (1.0 - 0.5 * U * gap, (n - density) / n)
+    J = ((-0.5 * U * dgap_mu, -0.5 * U * dgap_d),
+         (-docc_mu / n, -docc_d / n))
     return r, J, gap
+
+
+def _solve_2x2(J, rhs):
+    """The solution of J x = rhs for a nested 2x2 J, by Cramer's rule, or None.
+
+    x = ((e d - b f)/det, (a f - e c)/det) for J = ((a, b), (c, d)), rhs
+    = (e, f) and det = a d - b c.  For n = 2 Cramer's rule is forward
+    stable (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, sec. 1.10.1): its error is of the size that the backward
+    stable LU solve of numpy.linalg.solve makes.  None where det is 0 or
+    not finite, which covers every J at which numpy.linalg.solve raises
+    LinAlgError.  det is formed unscaled, so a J whose products a d and b
+    c both underflow reads as singular too.
+    """
+    (a, b), (c, d) = J
+    e, f = rhs
+    det = a * d - b * c
+    if not (det != 0.0 and math.isfinite(det)):
+        return None
+    return (e * d - b * f) / det, (a * f - e * c) / det
 
 
 def gap_residual(Delta0: float, mu: float, U: float) -> float:
@@ -316,16 +340,19 @@ def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
     the Jacobian is Delta0 times its Delta0 column, so the x step is the
     Delta0 step over Delta0.  On the BCS side r_gap is about a + b x,
     so the step in x lands near the root where a step in Delta0 would
-    overshoot.  The x step is at most _LOG_GAP_CAP long.  Stops once
-    |r_gap| <= 0.05 tol_gap and |r_number| <= 0.05 tol_number, after
-    _NEWTON_STEPS steps, on a singular Jacobian, before a step to a gap
-    within a factor 2 of the floor _GAP_FLOOR_REL, or when the integral
-    after a step fails; it then returns the point before that step.
-    Returns (mu, Delta0, r_gap, r_number, integrals, tangent), where
-    integrals counts every integral taken, a failed one too.  tangent =
-    (dmu/dU, dDelta0/dU) at the final point solves J t = (I_gap/2, 0) in
-    (mu, Delta0), because dr_gap/dU = -I_gap/2; it costs no integral, and
-    it is None when J is singular there.
+    overshoot.  The x step is at most _LOG_GAP_CAP long.  Both the step
+    and the tangent below are solved in closed form by Cramer's rule on
+    Python floats (`_solve_2x2`), with no numpy call outside the integral.
+    Stops once |r_gap| <= 0.05 tol_gap and |r_number| <= 0.05 tol_number,
+    after _NEWTON_STEPS steps, on a singular Jacobian (`_solve_2x2`
+    returns None: det is 0 or not finite), before a step to a gap within a
+    factor 2 of the floor _GAP_FLOOR_REL or to a mu that is not finite,
+    or when the integral after a step fails; it then returns the point
+    before that step.  Returns (mu, Delta0, r_gap, r_number, integrals,
+    tangent), where integrals counts every integral taken, a failed one
+    too.  tangent = (dmu/dU, dDelta0/dU) at the final point solves J t =
+    (I_gap/2, 0) in (mu, Delta0), because dr_gap/dU = -I_gap/2; it costs
+    no integral, and it is None when J is singular there.
     """
     floor = math.log(2.0 * _GAP_FLOOR_REL)
     it = 1
@@ -333,25 +360,21 @@ def _newton_polish(mu, Delta0, U, n, tol_gap, tol_number):
     for _ in range(_NEWTON_STEPS):
         if abs(r[0]) <= 0.05 * tol_gap and abs(r[1]) <= 0.05 * tol_number:
             break
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
+        step = _solve_2x2(J, (-r[0], -r[1]))
+        if step is None:
             break
+        new_mu = mu + step[0]
         x = math.log(Delta0) + min(max(step[1] / Delta0, -_LOG_GAP_CAP), _LOG_GAP_CAP)
-        if not x >= floor:
+        if not (x >= floor and math.isfinite(new_mu)):
             break
-        new_mu, new_D = mu + step[0], math.exp(x)
+        new_D = math.exp(x)
         it += 1
         try:
             r, J, gap = _residuals_and_jacobian(new_mu, new_D, U, n)
         except QuadratureError:
             break
         mu, Delta0 = new_mu, new_D
-    try:
-        tangent = tuple(np.linalg.solve(J, [0.5 * gap, 0.0]))
-    except np.linalg.LinAlgError:
-        tangent = None
-    return mu, Delta0, r[0], r[1], it, tangent
+    return mu, Delta0, r[0], r[1], it, _solve_2x2(J, (0.5 * gap, 0.0))
 
 
 def _hermite(before: GapSolution, last: GapSolution, U: float):
@@ -500,6 +523,8 @@ def solve_self_consistent(U: float, n: float, *,
     U is in eps0/k0^3 (U_c = core.U_C), n in k0^3; mu and Delta0 come back
     in eps0.  Each guess (mu, Delta0) goes to the Newton polish: first
     initial_guess, which sweeps pass point to point, then the cold seed.
+    A guess whose mu is not finite, or whose Delta0 is not finite and
+    positive, is skipped.
     Above U_c that is the molecular limit, Delta0 = sqrt(16 pi b (1+b)^2
     n) and mu = -E_b/2 + 2 pi (1+4b) n/b with b = U/U_c - 1, the first
     order of n = (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2 (see
@@ -531,7 +556,7 @@ def solve_self_consistent(U: float, n: float, *,
         yield _bec_seed(Eb, n, eps_F) or _crossover_seed(U, n, eps_F)
 
     for guess in guesses():
-        if guess is None or not guess[1] > 0:
+        if guess is None or not (math.isfinite(guess[0]) and 0.0 < guess[1] < math.inf):
             continue
         mu, D, rg, rn, it, tangent = _newton_polish(*guess, U, n, tol_gap, tol_number)
         iterations += it

@@ -33,11 +33,21 @@ the radial weights fill a (columns, points) buffer.  There each column is
 a contiguous (panels, 3n) block, and one matmul per rule reduces the
 stack block by block, one product per column.  A column's sums therefore
 never depend on the other columns.  The first wave covers the direct
-panels and the tail's, whose points and weights never change and are
-kept in a table for a tail at _K_MAX and scaled to any other k_t.  The
-rule's nodes and weights and that table are built on first use, keyed on
-the module constants, so numpy.polynomial stays off the import path and a
-patched constant gets tables of its own.
+panels and the tail's, and both come from read-only tables.  The direct
+panels are uniform in s on each side of s = 0, so for each split of the
+_PANELS panels between the sides a table holds their points, half widths
+and edges in units of the region's ends: s = s_lo A + s_hi B, one
+product (s_lo, s_hi) @ table per integral, with one of A and B zero in
+every entry.  Those edges are the only ones the first wave has, so a
+panel that refinement bisects is exactly the panel whose estimate the
+wave computed.  The tail's points and weights never change; its table
+holds them for a tail at _K_MAX, scaled to any other k_t.  The offsets
+and weights of both regions are written into one pair of arrays, and
+one test of both regions' sums passes a region whose steering columns
+meet the tolerance without refinement.  The rule's nodes and weights and
+both tables are built on first use, keyed on the module constants, so
+numpy.polynomial stays off the import path and a patched constant gets
+tables of its own.
 
 radial_integral is the one entry point, and every integral uses the one
 rule that the module constants and the peak fix: _PANELS initial panels
@@ -123,10 +133,19 @@ def _layout(a, b, x):
     return pts.ravel(), half
 
 
-def _sinh_map(s, c, w):
-    """Offsets t = k - c and weights (k^2/(2 pi^2)) dk/ds at points s of k = c + w sinh(s)."""
-    t = w * np.sinh(s)
-    return t, (t + c) ** 2 * np.cosh(s) * (w / _RADIAL)
+def _sinh_map(s, c, w, t=None, weight=None):
+    """Offsets t = k - c and weights (k^2/(2 pi^2)) dk/ds at points s of k = c + w sinh(s).
+
+    Written into the arrays t and weight when given.
+    """
+    t = np.sinh(s, out=t)
+    t *= w
+    weight = np.cosh(s, out=weight)
+    k = t + c
+    k *= k
+    weight *= k
+    weight *= w / _RADIAL
+    return t, weight
 
 
 def _tail(u, k_t, c):
@@ -164,6 +183,14 @@ def _estimates(f, t, weight, half, rule):
     return est
 
 
+def _converged(total, err):
+    """Whether each error estimate meets the tolerance of its total (lists of floats)."""
+    for t, e in zip(total, err):
+        if not (e <= _TOL_ABS or e <= _TOL_REL * abs(t)):
+            return False
+    return True
+
+
 def _adaptive(f, region, a, b, est, steer):
     """Refine the panels [a_i, b_i] of one region until its steering columns converge.
 
@@ -176,10 +203,9 @@ def _adaptive(f, region, a, b, est, steer):
     while True:
         total, err_tot = est.sum(axis=2)
         # a few floats, where Python's arithmetic beats numpy's per-call cost
-        tol = [max(_TOL_ABS, _TOL_REL * abs(t)) for t in total[:steer].tolist()]
-        if all(e <= t for e, t in zip(err_tot[:steer].tolist(), tol)):
+        if _converged(total[:steer].tolist(), err_tot[:steer].tolist()):
             return total
-        tol = np.array(tol)
+        tol = np.maximum(_TOL_ABS, _TOL_REL * np.abs(total[:steer]))
         if a.size >= _MAX_PANELS:
             raise QuadratureError(
                 "panel budget %d exhausted; achieved error %s against tolerance %s"
@@ -220,39 +246,77 @@ def _tail_table(panels, nodes, k_max):
     return table
 
 
+@lru_cache(maxsize=64)
+def _direct_table(left, right, nodes):
+    """The direct region's first-wave layout in units of its ends s_lo and s_hi, read-only.
+
+    The region has `left` uniform panels on [s_lo, 0] and `right` on [0,
+    s_hi].  Returns a (2, m) array whose columns hold the `_layout` points
+    of every panel, then the panels' half widths, then their left + right
+    + 1 edges, each as the pair (A, B) of s = s_lo A + s_hi B.  One of A
+    and B is zero in every column, so (s_lo, s_hi) @ table rounds each
+    entry once.
+    """
+    panels, x = left + right, _rule(nodes)[0]
+    table = np.zeros((2, (x.size + 2) * panels + 1))
+    points, half, edges = np.split(table, [x.size * panels, (x.size + 1) * panels], axis=1)
+    unit_lo = 1.0 - np.arange(left + 1) / max(left, 1)   # s_lo to 0 in units of s_lo
+    unit_hi = np.arange(right + 1) / right                # 0 to s_hi in units of s_hi
+    points[0, :x.size * left], half[0, :left] = _layout(unit_lo[:-1], unit_lo[1:], x)
+    points[1, x.size * left:], half[1, left:] = _layout(unit_hi[:-1], unit_hi[1:], x)
+    edges[0, :left], edges[1, left:] = unit_lo[:-1], unit_hi
+    table.flags.writeable = False
+    return table
+
+
 def radial_integral(f, peak=None, steer=None):
     """Integral d^3k/(2 pi)^3 f(k) = Integral_0^inf dk k^2/(2 pi^2) f(k) for isotropic f.
 
-    peak = (c, w), a centre c >= 0 and a width w > 0 in k0, maps the
-    direct region onto k = c + w sinh(s) (default (0, 1)); the tail
-    starts at k_t = max(_K_MAX, c + _K_MAX w) and uses u = k_t/k on (0, 1].
-    f maps a 1D array of offsets t = k - c (k itself when c = 0) to shape
-    (npts,) or (npts, nf).  Returns the integral, of shape (nf,).  The
-    first wave of both regions is evaluated in one call of f; refinement
-    waves call f per region.  Only the first `steer` components (all when
+    peak = (c, w), a finite centre c >= 0 and a finite width w > 0 in k0,
+    maps the direct region onto k = c + w sinh(s) (default (0, 1)); the
+    tail starts at k_t = max(_K_MAX, c + _K_MAX w) and uses u = k_t/k on
+    (0, 1].  Any other peak, or one whose c/w or k_t/w overflows, raises
+    ValueError.  f maps a 1D array of offsets t = k - c (k itself when c =
+    0) to shape (npts,) or (npts, nf).  Returns the integral, of shape
+    (nf,).  The first wave of both regions is evaluated in one call of f;
+    a region whose first wave misses the tolerance is refined on its own,
+    one call of f per wave.  Only the first `steer` components (all when
     None) steer the refinement; the others ride along on the same panels.
     """
     c, w = (0.0, 1.0) if peak is None else peak
+    if not (0.0 <= c < math.inf and 0.0 < w < math.inf):
+        raise ValueError(f"peak (c, w) = ({c!r}, {w!r}) needs a finite c >= 0 "
+                         "and a finite w > 0")
     k_t = max(_K_MAX, c + _K_MAX * w)
     s_lo, s_hi = math.asinh(-c / w), math.asinh((k_t - c) / w)
+    if not s_hi - s_lo < math.inf:
+        raise ValueError(f"peak (c, w) = ({c!r}, {w!r}): c/w or k_t/w overflows")
     # uniform panels on each side of the centre s = 0, split in proportion
     # to the sides' lengths; s = 0 is an edge when c > 0, so a step of f
     # at t = 0 falls between panels
     left = min(max(round(_PANELS * s_lo / (s_lo - s_hi)), 1), _PANELS - 1) if c > 0 else 0
-    right = _PANELS - left
-    edges = np.array([s_lo - s_lo * i / left for i in range(left)]
-                     + [s_hi * i / right for i in range(right + 1)])
-    rule = _rule(_NODES)
+    layout = np.dot((s_lo, s_hi), _direct_table(left, _PANELS - left, _NODES))
+    m = layout.size - 2 * _PANELS - 1                    # direct points
+    s, half, edges = layout[:m], layout[m:m + _PANELS], layout[m + _PANELS:]
     ta, tb, t_half, t_k, t_weight = _tail_table(_PANELS, _NODES, _K_MAX)
-    if k_t != _K_MAX:
-        scale = k_t / _K_MAX
-        # a product, which overflows to inf where scale**3 would raise
-        t_k, t_weight = t_k * scale, t_weight * (scale * scale * scale)
-    a, b = edges[:-1], edges[1:]
-    s, half = _layout(a, b, rule[0])
-    t, weight = _sinh_map(s, c, w)
-    est = _estimates(f, np.concatenate([t, t_k - c]), np.concatenate([weight, t_weight]),
-                     np.concatenate([half, t_half]), rule)
-    n = a.size
-    return (_adaptive(f, lambda s: _sinh_map(s, c, w), a, b, est[..., :n], steer)
-            + _adaptive(f, lambda u: _tail(u, k_t, c), ta, tb, est[..., n:], steer))
+    # offsets and weights of both regions, the direct points first; the
+    # tail's table holds k_t = _K_MAX, where scale is 1
+    t, weight = np.empty((2, m + t_k.size))
+    _sinh_map(s, c, w, t[:m], weight[:m])
+    scale = k_t / _K_MAX
+    np.multiply(t_k, scale, out=t[m:])
+    t[m:] -= c
+    # a product, which overflows to inf where scale**3 would raise
+    np.multiply(t_weight, scale * scale * scale, out=weight[m:])
+    est = _estimates(f, t, weight, np.concatenate([half, t_half]), _rule(_NODES))
+    sums = np.empty((2, *est.shape[:2]))               # (region, total/error, column)
+    est[..., :_PANELS].sum(axis=2, out=sums[0])
+    est[..., _PANELS:].sum(axis=2, out=sums[1])
+    # one test of both regions' steering columns, on a few floats, where
+    # Python's arithmetic beats numpy's per-call cost
+    met = [_converged(*region) for region in sums[:, :, :steer].tolist()]
+    direct = sums[0, 0] if met[0] else _adaptive(
+        f, lambda s: _sinh_map(s, c, w), edges[:-1], edges[1:], est[..., :_PANELS], steer)
+    tail = sums[1, 0] if met[1] else _adaptive(
+        f, lambda u: _tail(u, k_t, c), ta, tb, est[..., _PANELS:], steer)
+    return direct + tail

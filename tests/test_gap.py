@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
@@ -33,6 +33,7 @@ from bcsbec.gap import (
     _pair_integrand,
     _residuals_and_jacobian,
     _safe_newton,
+    _solve_2x2,
     _warm_start,
     bound_state_energy,
     gap_residual,
@@ -676,6 +677,71 @@ def test_polish_counts_every_integral(integral_count, monkeypatch):
                                               0.2 * U_C, 0.01778279410038923, 1e-10, 1e-8)
     assert integrals == integral_count() - 3 == 4
     assert D == pytest.approx(6.939638120776179e-06, rel=1e-6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(entries=st.lists(st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+                        min_size=6, max_size=6))
+def test_closed_form_2x2_solve_matches_numpy(entries):
+    # entries far from underflow, where Cramer's unscaled determinant holds
+    a, b, c, d, e, f = entries
+    J = ((a, b), (c, d))
+    cond = np.linalg.cond(J)
+    assume(cond < 1e8)
+    x = np.linalg.solve(J, [e, f])
+    # both solves are forward stable: errors of order cond * eps * |x|
+    np.testing.assert_allclose(_solve_2x2(J, (e, f)), x, rtol=0.0,
+                               atol=10.0 * cond * np.finfo(float).eps * np.abs(x).max() + 1e-300)
+
+
+def test_closed_form_2x2_solve_of_a_singular_jacobian_is_none():
+    for J in (((1.0, 2.0), (2.0, 4.0)), ((0.0, 0.0), (0.0, 0.0))):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(J, [1.0, 0.0])
+        assert _solve_2x2(J, (1.0, 0.0)) is None
+    # a determinant that is not finite counts as singular too
+    assert _solve_2x2(((1e200, 1.0), (1.0, 1e200)), (1.0, 0.0)) is None
+    assert _solve_2x2(((math.nan, 1.0), (1.0, 1.0)), (1.0, 0.0)) is None
+
+
+def test_polish_from_a_singular_jacobian_stops_without_a_tangent(monkeypatch):
+    calls = []
+
+    def singular(*args):
+        calls.append(args)
+        return (0.5, 0.5), ((1.0, 2.0), (2.0, 4.0)), 1.0
+
+    monkeypatch.setattr(bcsbec.gap, "_residuals_and_jacobian", singular)
+    result = _newton_polish(0.3, 0.1, U_C, REFERENCE_N, 1e-10, 1e-8)
+    assert result == (0.3, 0.1, 0.5, 0.5, 1, None) and len(calls) == 1
+
+
+def test_polish_stops_before_a_step_to_a_non_finite_mu(monkeypatch):
+    # a Jacobian with a finite, nonzero determinant whose step in mu
+    # overflows: the polish stops at its start instead of integrating at
+    # mu = -inf, where the quadrature would raise ValueError for the peak
+    residuals_and_jacobian = bcsbec.gap._residuals_and_jacobian
+    calls = []
+
+    def overflowing(mu, Delta0, U, n):
+        calls.append(mu)
+        if len(calls) > 1:
+            return residuals_and_jacobian(mu, Delta0, U, n)
+        return (1e10, 0.0), ((1e-300, 0.0), (0.0, 1.0)), 1.0
+
+    monkeypatch.setattr(bcsbec.gap, "_residuals_and_jacobian", overflowing)
+    mu, D, r_gap, r_number, integrals, tangent = _newton_polish(0.3, 0.1, U_C, REFERENCE_N,
+                                                                1e-10, 1e-8)
+    assert calls == [0.3] and (mu, D, r_gap, integrals) == (0.3, 0.1, 1e10, 1)
+    assert tangent == (0.5 / 1e-300, 0.0)
+
+
+@pytest.mark.parametrize("guess", [(math.inf, 0.1), (math.nan, 0.1), (0.3, math.inf)])
+def test_non_finite_initial_guess_falls_back_to_the_cold_seed(guess):
+    cold = solve_self_consistent(0.8 * U_C, REFERENCE_N)
+    sol = solve_self_consistent(0.8 * U_C, REFERENCE_N, initial_guess=guess)
+    assert sol.converged and (sol.mu, sol.Delta0, sol.iterations) == (
+        cold.mu, cold.Delta0, cold.iterations)
 
 
 def test_validation_errors():

@@ -12,6 +12,8 @@ from bcsbec.diagram import sweep_coupling
 from bcsbec.gap import solve_self_consistent
 from bcsbec.quadrature import (
     QuadratureError,
+    _direct_table,
+    _layout,
     _rule,
     _tail_table,
     radial_integral,
@@ -141,22 +143,106 @@ def test_nan_seen_only_by_the_n_node_rule_raises():
 
 def test_rule_tables_are_read_only_and_follow_the_constants(monkeypatch):
     quad = bcsbec.quadrature
-    for table in (*_rule(quad._NODES), *_tail_table(quad._PANELS, quad._NODES, quad._K_MAX)):
+    for table in (*_rule(quad._NODES), *_tail_table(quad._PANELS, quad._NODES, quad._K_MAX),
+                  _direct_table(0, quad._PANELS, quad._NODES),
+                  _direct_table(5, quad._PANELS - 5, quad._NODES)):
         with pytest.raises(ValueError):
             table[0] = 0.5
     # patched rule constants get tables of their own: the first wave takes
     # 3 _NODES points on each of _PANELS direct and max(2, _PANELS // 4)
-    # tail panels
+    # tail panels, and the direct table holds their points, half widths
+    # and edges
     monkeypatch.setattr(quad, "_NODES", 4)
     monkeypatch.setattr(quad, "_PANELS", 8)
-    sizes = []
+    first_waves = []
+    for peak in (None, (0.5, 0.2)):
+        sizes = []
+        c = peak[0] if peak else 0.0
 
-    def f(k):
-        sizes.append(k.size)
-        return np.exp(-k)
+        def f(t):
+            sizes.append(t.size)
+            return np.exp(-(t + c))
 
-    radial_integral(f)
-    assert sizes[0] == (8 + 2) * 3 * 4
+        radial_integral(f, peak=peak)
+        first_waves.append(sizes[0])
+    assert first_waves == [(8 + 2) * 3 * 4] * 2
+    for left in range(8):
+        assert _direct_table(left, 8 - left, 4).shape == (2, 8 * 3 * 4 + 8 + 9)
+
+
+def _first_wave(left, s_lo, s_hi):
+    """The direct region's first-wave points, half widths and edges at one split."""
+    panels, nodes = bcsbec.quadrature._PANELS, bcsbec.quadrature._NODES
+    layout = np.dot((s_lo, s_hi), _direct_table(left, panels - left, nodes))
+    m = layout.size - 2 * panels - 1
+    return layout[:m], layout[m:m + panels], layout[m + panels:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(s_lo=st.floats(-720.0, -1e-6), s_hi=st.floats(1e-6, 720.0))
+def test_cached_layout_is_the_layout_of_its_edges(s_lo, s_hi):
+    # at every split, the table's points and half widths are those that
+    # _layout gives on the table's own edges, up to a few roundings; the
+    # edges run from s_lo (0 without left panels) through 0 to s_hi exactly
+    panels = bcsbec.quadrature._PANELS
+    x = _rule(bcsbec.quadrature._NODES)[0]
+    for left in range(panels):
+        s, half, edges = _first_wave(left, s_lo, s_hi)
+        assert edges[0] == (s_lo if left else 0.0) and edges[left] == 0.0 and edges[-1] == s_hi
+        assert np.all(np.diff(edges) > 0.0)
+        points, widths = _layout(edges[:-1], edges[1:], x)
+        scale = 8.0 * np.finfo(float).eps * np.repeat(np.abs(edges[1:]) + np.abs(edges[:-1]),
+                                                      x.size)
+        np.testing.assert_array_less(np.abs(s - points), scale)
+        np.testing.assert_allclose(half, widths, rtol=1e-14, atol=0.0)
+
+
+def test_refinement_bisects_the_first_wave_panels(monkeypatch):
+    # a peak near k = 2.1 forces the direct region to refine; every panel
+    # it bisects is a panel of the first wave, edge for edge, and the
+    # direct panels handed to refinement are the table's
+    quad = bcsbec.quadrature
+    c, w = 0.9, 0.4
+    seen, bisected = [], []
+    adaptive, layout = quad._adaptive, quad._layout
+
+    def spy_adaptive(f, region, a, b, est, steer):
+        seen.append((a.copy(), b.copy()))
+        return adaptive(f, region, a, b, est, steer)
+
+    def spy_layout(a, b, x):
+        half = a.size // 2
+        bisected.append((a[:half].copy(), b[half:].copy()))
+        return layout(a, b, x)
+
+    radial_integral(lambda t: np.exp(-(t + c)), peak=(c, w))     # both tables cached
+    monkeypatch.setattr(quad, "_adaptive", spy_adaptive)
+    monkeypatch.setattr(quad, "_layout", spy_layout)
+    radial_integral(lambda t: np.exp(-(t + c)) / ((t + c - 2.1) ** 2 + 1e-4), peak=(c, w))
+    (a, b), = [(a, b) for a, b in seen if a[0] < 0.0]
+    assert bisected
+    left = int(np.sum(a < 0.0))
+    edges = _first_wave(left, a[0], b[-1])[2]
+    assert np.array_equal(a, edges[:-1]) and np.array_equal(b, edges[1:])
+    ra, rb = bisected[0]
+    first = {(lo, hi) for lo, hi in zip(a.tolist(), b.tolist())}
+    assert all((lo, hi) in first for lo, hi in zip(ra.tolist(), rb.tolist()))
+
+
+@pytest.mark.parametrize("peak", [(-1.0, 1.0), (1.0, 0.0), (1.0, np.inf)],
+                         ids=["negative-centre", "zero-width", "infinite-width"])
+def test_invalid_peak_raises_naming_it(peak):
+    # a negative centre would integrate from k = c < 0 (0.10946 instead of
+    # 1/pi^2 for e^{-|t + c|} at c = -1), and a zero or infinite width has
+    # no sinh map
+    with pytest.raises(ValueError, match=r"peak \(c, w\) = \(%r, %r\)" % peak):
+        radial_integral(lambda t: np.exp(-np.abs(t + peak[0])), peak=peak)
+
+
+def test_peak_whose_map_overflows_raises():
+    for peak in ((1e300, 1e-300), (0.0, 1e-310)):
+        with pytest.raises(ValueError, match="overflows"):
+            radial_integral(lambda t: np.exp(-(t + peak[0])), peak=peak)
 
 
 def test_default_sweep_panel_set(monkeypatch):

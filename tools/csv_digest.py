@@ -43,6 +43,19 @@ outputs exactly when their digests are equal:
     diff old.txt new.txt
 
 --src selects the `bcsbec` package to run (default: src/ of this checkout).
+Given twice, it runs the set with both packages, one after the other,
+and compares their CSVs by value instead of printing hashes:
+
+    python3 tools/csv_digest.py --src ../other/src --src src
+
+prints one line per CSV column of each run, `<argv>  <file>  <column>
+max_rel  <x>`, with x the largest relative difference |a - b|/max(|a|,
+|b|) between the two sides' cells (0 where they are equal, NaN against
+NaN included, and inf for text that differs or a column missing on one
+side).  A residual column (its name starts with `residual`) also gets
+`max_abs  <a>  <b>`, the largest |value| on each side, since at
+round-off its relative change means nothing.  The last line gives the
+largest difference over every non-residual column.
 The whole set runs in about 1 s on a 2-vCPU x86-64 VM.
 """
 
@@ -50,9 +63,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -125,34 +140,123 @@ def _sidecar_digest(path: Path) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _run_all(src, root: Path):
+    """Run every invocation with the bcsbec package in src, writing under root.
+
+    Yields (label, exit code, stdout, stderr, out directory) per run, the
+    out directory replaced by `<out>` in both streams.  Any bcsbec already
+    imported is dropped first, so two trees run one after the other in one
+    process.
+    """
+    for name in [m for m in sys.modules if m == "bcsbec" or m.startswith("bcsbec.")]:
+        del sys.modules[name]
+    path = str(Path(src).resolve())
+    sys.path.insert(0, path)
+    try:
+        from bcsbec.cli import main as cli_main
+    finally:
+        sys.path.remove(path)
+    root.mkdir()
+    for name, text in CONFIG_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+    for i, run in enumerate(INVOCATIONS):
+        out = root / f"run{i:02d}"
+        argv = [str(root / arg) if arg in CONFIG_FILES else arg for arg in run]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main([*argv, "--out", str(out)])
+        yield (" ".join(run), code, *(text.getvalue().replace(str(out), "<out>")
+                                      for text in (stdout, stderr)), out)
+
+
+def _digest(runs) -> None:
+    """Print the exit code, stream hashes and output file hashes of each run."""
+    for label, code, stdout, stderr, out in runs:
+        print(f"{label}  exit  {code}")
+        for stream, text in (("stdout", stdout), ("stderr", stderr)):
+            print(f"{label}  {stream}  {hashlib.sha256(text.encode('utf-8')).hexdigest()}")
+        for path in sorted(out.glob("*")) if out.exists() else ():
+            if path.suffix == ".csv":
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            else:
+                digest = _sidecar_digest(path)
+            print(f"{label}  {path.name}  {digest}")
+
+
+def _relative_difference(a: str, b: str) -> float:
+    """|x - y|/max(|x|, |y|) for two CSV cells; 0 when equal, inf when not comparable."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+
+
+def _largest_magnitude(cells) -> float:
+    """The largest |value| among numeric cells, skipping NaN and text; NaN if none is left."""
+    values = []
+    for cell in cells:
+        with contextlib.suppress(ValueError):
+            values.append(abs(float(cell)))
+    return max((v for v in values if not math.isnan(v)), default=math.nan)
+
+
+def _read_columns(path: Path) -> dict:
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+def _compare(old_runs, new_runs) -> None:
+    """Print each CSV column's largest relative difference between two trees' runs.
+
+    A residual column (its name starts with `residual`) also gets the
+    largest |value| on each side, since at round-off its relative change
+    says nothing.  A column missing on one side, or of another length,
+    reads inf.  The last line is the largest difference over every
+    non-residual column.
+    """
+    worst = 0.0
+    for (label, *_, old_out), (_, *_, new_out) in zip(old_runs, new_runs):
+        names = sorted({p.name for out in (old_out, new_out) if out.exists()
+                        for p in out.glob("*.csv")})
+        for name in names:
+            sides = [_read_columns(out / name) if (out / name).exists() else {}
+                     for out in (old_out, new_out)]
+            for column in dict.fromkeys([*sides[0], *sides[1]]):
+                old, new = (side.get(column) for side in sides)
+                if old is None or new is None or len(old) != len(new):
+                    diff = math.inf
+                else:
+                    diff = max(map(_relative_difference, old, new), default=0.0)
+                line = f"{label}  {name}  {column}  max_rel  {diff:.3g}"
+                if column.startswith("residual"):
+                    line += "  max_abs  " + "  ".join(
+                        f"{_largest_magnitude(cells or ()):.3g}" for cells in (old, new))
+                else:
+                    worst = max(worst, diff)
+                print(line)
+    print(f"all  non-residual columns  max_rel  {worst:.3g}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
-                        help="directory holding the bcsbec package to run")
+    parser.add_argument("--src", action="append",
+                        help="directory holding the bcsbec package to run (default: src/ of "
+                             "this checkout); given twice, compare the two trees' CSVs by value")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    from bcsbec.cli import main as cli_main
-
+    srcs = args.src or [str(Path(__file__).resolve().parents[1] / "src")]
+    if len(srcs) > 2:
+        parser.error("--src is given at most twice")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in CONFIG_FILES.items():
-            (Path(tmp) / name).write_text(text, encoding="utf-8")
-        for i, run in enumerate(INVOCATIONS):
-            out = Path(tmp) / f"run{i:02d}"
-            argv = [str(Path(tmp) / arg) if arg in CONFIG_FILES else arg for arg in run]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli_main([*argv, "--out", str(out)])
-            label = " ".join(run)
-            print(f"{label}  exit  {code}")
-            for stream, text in (("stdout", stdout), ("stderr", stderr)):
-                masked = text.getvalue().replace(str(out), "<out>")
-                print(f"{label}  {stream}  {hashlib.sha256(masked.encode('utf-8')).hexdigest()}")
-            for path in sorted(out.glob("*")) if out.exists() else ():
-                if path.suffix == ".csv":
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                else:
-                    digest = _sidecar_digest(path)
-                print(f"{label}  {path.name}  {digest}")
+        if len(srcs) == 1:
+            _digest(_run_all(srcs[0], Path(tmp) / "run"))
+        else:
+            _compare(*(list(_run_all(src, Path(tmp) / f"tree{i}")) for i, src in enumerate(srcs)))
     return 0
 
 
