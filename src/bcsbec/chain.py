@@ -126,9 +126,6 @@ class OscillatorResult:
 
     ground_energy: float
     variance: float
-    span: float
-    points: int
-    boundary_amplitude: float
 
 
 def oscillator_oracle(
@@ -224,13 +221,7 @@ def oscillator_oracle(
         )
     weight = psi * psi
     variance = float(np.sum(weight * x * x) / np.sum(weight))
-    return OscillatorResult(
-        ground_energy=float(kinetic * energy),
-        variance=variance,
-        span=float(span),
-        points=int(points),
-        boundary_amplitude=boundary,
-    )
+    return OscillatorResult(ground_energy=float(kinetic * energy), variance=variance)
 
 
 def coherence_classify(E_c: float, E_J: float) -> str:

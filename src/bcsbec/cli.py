@@ -4,11 +4,11 @@ Subcommands: gap-sweep, bound-state, phase-diagram, overlap, eta, oracle,
 pegg-barnett, chain, phase-lock, checks.  A subcommand only computes: it
 returns its tables, printed lines, sidecar results and exit code, and
 `main` then writes the plot-ready CSVs plus a JSON metadata sidecar
-(config echo, version, unit mode, tolerances, wall clock, CSV hashes),
-prints the lines and returns the code.  `checks` writes only its sidecar;
-`checks --list`, a run that exits 3, a failed `eta` solve and a numeric
-failure caught by `main` write nothing.  Rerunning an identical config
-reproduces the CSV bytes exactly.
+(config echo, version, unit mode, tolerances, wall clock, and the sha256
+of each CSV's bytes as written), prints the lines and returns the code.
+`checks` writes only its sidecar; `checks --list`, a run that exits 3, a
+failed `eta` solve and a numeric failure caught by `main` write nothing.
+Rerunning an identical config reproduces the CSV bytes exactly.
 
 Each subcommand takes only the flags it reads.  --out and --config go to
 all ten; --units to phase-diagram, eta and chain; --seed to oracle,
@@ -52,6 +52,7 @@ exception is a bug and propagates with a traceback.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 import time
@@ -84,7 +85,7 @@ from .core import E_CHARGE, EPSILON_0, U_C, eps0_ev, fermi_energy
 from .diagram import critical_hopping, refine_hopping_boundary, sweep_coupling, sweep_diagram
 from .gap import bound_state_energy, solve_self_consistent
 from .checks import CHECK_NAMES, run_checks
-from .runio import write_csv, write_meta
+from .runio import render_csv, write_csv, write_meta
 
 __all__ = ["main"]
 
@@ -386,23 +387,32 @@ class _Run:
 def _emit(cfg: argparse.Namespace, tables, results: dict | None) -> None:
     """Write each (csv name, header, rows) table, then the JSON sidecar.
 
-    The sidecar `<command>.meta.json` ('-' read as '_') echoes the parsed
-    flags and their stopping tolerances, hashes every CSV of the run and
-    records the wall clock since `cfg.started`, the end of argument parsing.
+    `--out` is made once.  Each table is rendered to bytes once, and the
+    sidecar's sha256 and byte count are taken from the bytes written, so
+    no file is read back.  The sidecar `<command>.meta.json` ('-' read as
+    '_') echoes the parsed flags and their stopping tolerances, and records
+    the wall clock since `cfg.started`, the end of argument parsing.
     """
     out = Path(cfg.out)
-    csv_paths = [write_csv(out / name, header, rows) for name, header, rows in tables]
-    write_meta(
-        out / f"{cfg.command.replace('-', '_')}.meta.json",
-        config={k: v for k, v in vars(cfg).items() if k not in ("config", "started")},
-        version=__version__,
-        unit_mode=getattr(cfg, "units", None),
-        tolerances={key: getattr(cfg, flag) for flag, key in _TOLERANCE_FLAGS.items()
-                    if hasattr(cfg, flag)},
-        wall_clock_s=time.monotonic() - cfg.started,
-        csv_paths=csv_paths,
-        extra=results,
-    )
+    out.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for name, header, rows in tables:
+        data = render_csv(header, rows)
+        write_csv(out / name, data)
+        files[name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    payload = {
+        "config": {k: v for k, v in vars(cfg).items() if k not in ("config", "started")},
+        "version": __version__,
+        "tolerances": {key: getattr(cfg, flag) for flag, key in _TOLERANCE_FLAGS.items()
+                       if hasattr(cfg, flag)},
+        "wall_clock_s": time.monotonic() - cfg.started,
+        "files": files,
+    }
+    if hasattr(cfg, "units"):
+        payload["unit_mode"] = cfg.units
+    if results:
+        payload["results"] = results
+    write_meta(out / f"{cfg.command.replace('-', '_')}.meta.json", payload)
 
 
 # ---- subcommand implementations -----------------------------------------

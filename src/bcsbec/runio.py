@@ -1,24 +1,28 @@
-"""Deterministic CSV and metadata output for CLI runs.
+"""Deterministic CSV and metadata bytes for CLI runs.
 
 Every run writes plot-ready CSV (UTF-8, comma-delimited, one header row,
 floats at 17 significant digits so values round-trip exactly) plus a JSON
-sidecar carrying the config echo, tool version, unit mode (for commands
-that take one), tolerances, wall clock, and a sha256 of each CSV.
-Rerunning an identical config must reproduce the CSV bytes exactly, so
-the writers pin the line terminator and keep anything time dependent out
-of the CSV files; the sidecar alone carries the wall clock.
+sidecar.  Output takes one pass: `render_csv` turns a table into its
+bytes once, the caller writes those bytes with `write_csv` and hashes the
+same bytes, so no file is read back; `write_meta` only serializes the
+sidecar payload that the caller built.  This module owns the byte format
+alone: the caller makes the output directory and decides what the
+sidecar holds.  Rerunning an identical config must reproduce the CSV
+bytes exactly, so the renderer pins the line terminator and keeps
+anything time dependent out of the CSV; the sidecar alone carries the
+wall clock.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_cell", "write_csv", "sha256_file", "write_meta"]
+__all__ = ["format_cell", "render_csv", "write_csv", "write_meta"]
 
 
 def format_cell(value) -> str:
@@ -34,61 +38,24 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> Path:
-    """Write header plus rows with pinned formatting and line endings."""
+def render_csv(header, rows) -> bytes:
+    """Header plus rows as UTF-8 CSV bytes, with pinned formatting and line endings."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(v) for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def write_csv(path, data: bytes) -> Path:
+    """Write rendered CSV bytes into an existing directory."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+    path.write_bytes(data)
     return path
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def write_meta(
-    path,
-    config: dict,
-    version: str,
-    unit_mode: str | None,
-    tolerances: dict,
-    wall_clock_s: float,
-    csv_paths=(),
-    extra: dict | None = None,
-) -> Path:
-    """JSON sidecar for one run; hashes every produced CSV.
-
-    A unit_mode of None, for a command without unit modes, is left out.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for p in csv_paths:
-        p = Path(p)
-        files[p.name] = {
-            "sha256": sha256_file(p),
-            "bytes": p.stat().st_size,
-        }
-    payload = {
-        "config": config,
-        "version": version,
-        "tolerances": tolerances,
-        "wall_clock_s": wall_clock_s,
-        "files": files,
-    }
-    if unit_mode is not None:
-        payload["unit_mode"] = unit_mode
-    if extra:
-        payload["results"] = extra
+def write_meta(path, payload: dict) -> None:
+    """Serialize one run's sidecar payload as indented, key-sorted JSON."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-    return path

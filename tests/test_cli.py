@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -200,8 +201,9 @@ BAD_VALUES = [
     ["phase-lock", "--length", "-1"],
     ["phase-lock", "--step", "nan"],
     ["phase-lock", "--length", "0"],
-    ["checks", "--pegg-barnett-s", "0"],
-    ["checks", "--pegg-barnett-omega", "-1"],
+    ["checks", "--seed", "-1"],
+    ["pegg-barnett", "--s", "0"],
+    ["pegg-barnett", "--rungs", "0"],
     ["bound-state", "--u", "nan"],
     ["bound-state", "--u", "inf"],
     ["oracle", "--dphi", "inf"],
@@ -210,10 +212,12 @@ BAD_VALUES = [
 
 
 @pytest.mark.parametrize("argv", BAD_VALUES, ids=[" ".join(argv) for argv in BAD_VALUES])
-def test_out_of_range_value_exits_three(tmp_path, argv):
+def test_out_of_range_value_exits_three(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 3
     assert not out.exists()
+    # a flag the subcommand does not take would exit 3 before any range check
+    assert "unrecognized arguments" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, line", [
@@ -466,6 +470,50 @@ def test_sidecar_contract(tmp_path, argv, stem, tolerances, results):
         assert "results" not in meta
     else:
         assert set(meta["results"]) == results
+
+
+# ("open" or "os.mkdir", path, flags) of each audit event under a run's
+# --out, collected while a list is pushed; the hook stays installed, since
+# audit hooks cannot be removed
+_AUDIT_EVENTS = []
+
+
+def _audit(event, args):
+    if _AUDIT_EVENTS and event in ("open", "os.mkdir"):
+        _AUDIT_EVENTS[-1].append((event, str(args[0]), args[2] if event == "open" else None))
+
+
+sys.addaudithook(_audit)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap-sweep", "--points", "2"],
+    ["phase-diagram", "--u-points", "2", "--g-points", "2"],
+    ["checks"],
+], ids=lambda argv: argv[0])
+def test_outputs_are_written_in_one_pass(tmp_path, argv):
+    """--out is made once, up front; no output is read back; hashes match the disk."""
+    out = tmp_path / "deep" / "nested"
+    events = []
+    _AUDIT_EVENTS.append(events)
+    try:
+        assert run([*argv, "--out", str(out)]) == 0
+    finally:
+        _AUDIT_EVENTS.pop()
+    events = [e for e in events if e[1].startswith(str(tmp_path))]
+    opens = [(path, flags) for event, path, flags in events if event == "open"]
+    assert opens and all(flags & os.O_ACCMODE == os.O_WRONLY for _, flags in opens), opens
+    # every mkdir comes before the first file is opened
+    first_open = next(i for i, e in enumerate(events) if e[0] == "open")
+    assert all(e[0] == "open" for e in events[first_open:]), events
+    assert out.is_dir()
+    meta_name = f"{argv[0].replace('-', '_')}.meta.json"
+    meta = json.loads((out / meta_name).read_text())
+    assert sorted(meta["files"]) == sorted(p.name for p in out.iterdir() if p.name != meta_name)
+    assert len(opens) == len(meta["files"]) + 1
+    for name, entry in meta["files"].items():
+        data = (out / name).read_bytes()
+        assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 # flags that some subcommands take and these ones never read, the two

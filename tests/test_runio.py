@@ -1,10 +1,10 @@
-"""Deterministic CSV writing and the metadata sidecar."""
+"""Deterministic CSV bytes and the metadata sidecar's serialization."""
 
 import csv
-import hashlib
+import io
 import json
 
-from bcsbec.runio import format_cell, sha256_file, write_csv, write_meta
+from bcsbec.runio import format_cell, render_csv, write_csv, write_meta
 
 
 def test_format_cell():
@@ -21,51 +21,36 @@ def test_format_cell():
 def test_write_csv_is_byte_stable(tmp_path):
     header = ("a", "b", "c")
     rows = [(1.0 / 3.0, None, True), (2.5, "x", False)]
-    p1 = write_csv(tmp_path / "one.csv", header, rows)
-    p2 = write_csv(tmp_path / "two.csv", header, rows)
+    data = render_csv(header, rows)
+    assert data == render_csv(header, rows)
+    p1 = write_csv(tmp_path / "one.csv", data)
+    p2 = write_csv(tmp_path / "two.csv", render_csv(header, rows))
+    assert p1 == tmp_path / "one.csv"
     b1 = p1.read_bytes()
-    assert b1 == p2.read_bytes()
+    assert b1 == data == p2.read_bytes()
     # unix newlines regardless of platform
     assert b"\r" not in b1
-    with open(p1, newline="") as fh:
-        parsed = list(csv.reader(fh))
+    parsed = list(csv.reader(io.StringIO(b1.decode("utf-8"), newline="")))
     assert parsed[0] == list(header)
     assert parsed[1][1] == ""
     assert parsed[1][2] == "1"
-
-
-def test_write_csv_creates_directories(tmp_path):
-    target = tmp_path / "deep" / "nested" / "out.csv"
-    write_csv(target, ("x",), [(1,)])
-    assert target.exists()
-
-
-def test_sha256_file(tmp_path):
-    p = tmp_path / "blob.bin"
-    p.write_bytes(b"hello world\n")
-    assert sha256_file(p) == hashlib.sha256(b"hello world\n").hexdigest()
+    assert float(parsed[1][0]) == 1.0 / 3.0
 
 
 def test_write_meta_contents(tmp_path):
-    csv_path = write_csv(tmp_path / "data.csv", ("x",), [(1.5,)])
-    meta_path = write_meta(
-        tmp_path / "data.meta.json",
-        config={"command": "demo", "points": 3},
-        version="0.1.0",
-        unit_mode="dimensionless",
-        tolerances={"tol_gap": 1e-10},
-        wall_clock_s=0.123,
-        csv_paths=[csv_path],
-        extra={"answer": 42},
-    )
-    meta = json.loads(meta_path.read_text())
-    assert meta["config"]["command"] == "demo"
-    assert meta["version"] == "0.1.0"
-    assert meta["unit_mode"] == "dimensionless"
-    assert meta["tolerances"]["tol_gap"] == 1e-10
-    assert meta["wall_clock_s"] == 0.123
-    assert meta["results"]["answer"] == 42
-    entry = meta["files"]["data.csv"]
-    assert entry["sha256"] == sha256_file(csv_path)
-    assert entry["bytes"] == csv_path.stat().st_size
-    assert meta_path.read_text().endswith("\n")
+    payload = {
+        "config": {"command": "demo", "points": 3},
+        "version": "0.1.0",
+        "unit_mode": "dimensionless",
+        "tolerances": {"tol_gap": 1e-10},
+        "wall_clock_s": 0.123,
+        "files": {"data.csv": {"sha256": "0" * 64, "bytes": 6}},
+        "results": {"answer": 42},
+    }
+    meta_path = tmp_path / "data.meta.json"
+    write_meta(meta_path, payload)
+    text = meta_path.read_text()
+    assert json.loads(text) == payload
+    assert text.endswith("\n")
+    # indented and key-sorted, so an identical payload gives identical bytes
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
