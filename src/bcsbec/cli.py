@@ -30,16 +30,14 @@ Unit modes: every solve runs in the natural gap-equation units (energies
 in eps0 = hbar^2 k0^2 / 2m, momenta in k0, densities in k0^3), where
 the model depends on k_F a alone.  'dimensionless' reports those units;
 'physical' takes the free-electron mass and a k0 in inverse Angstroms
-(default 1.41) and is a presentation step: energy inputs are divided by
-eps0(k0) in eV and the mu, Delta0 and E_J outputs multiplied by it, so
-energies are reported in eV.  Charging energies are entered in micro-eV
-in physical mode, matching the scales of junction arrays.  The hopping G
-is a dimensionless amplitude (E_J = G^2 Delta0/2); physical mode still
-reads --g-min/--g-max times 1e-6, as though in micro-eV.  The gap-sweep
-CSV holds only ratios, so gap-sweep, like bound-state, takes no --units
-or --k0.  The chain geometry flags (--epsilon-r, --area-um2,
---spacing-nm) give E_c in eV and need --units physical.  Densities are
-always entered in units of k0^3.
+(default 1.41) and is a presentation step with one rule: the energy
+flags (--ec, --ej) are read in micro-eV, matching the scales of junction
+arrays, and the energy columns (mu, Delta0, E_J) are written in eV,
+while the hopping G (E_J = G^2 Delta0/2), U/U_c and the density n (in
+k0^3) are unit-free in both modes.  The gap-sweep CSV holds only ratios,
+so gap-sweep, like bound-state, takes no --units or --k0.  The chain
+geometry flags (--epsilon-r, --area-um2, --spacing-nm) give E_c in eV
+and need --units physical.
 
 Exit codes: 0 success, 1 check failure, 2 solver non-convergence or a
 numeric failure (RuntimeError, ValueError), 3 invalid configuration: a
@@ -96,13 +94,9 @@ EXIT_INVALID_CONFIG = 3
 
 _EV_PER_UEV = 1e-6
 
-# Unit-mode defaults of the --ec and --g-min/--g-max flags, in the
-# user-facing unit (eps0 or 1 dimensionless, micro-eV or 1e-6 physical).
-_ENERGY_DEFAULTS = {
-    "ec": {"dimensionless": 1e-5, "physical": 50.0},
-    "g_min": {"dimensionless": 1e-3, "physical": 1000.0},
-    "g_max": {"dimensionless": 5e-2, "physical": 50000.0},
-}
+# Unit-mode default of phase-diagram's --ec, in the user-facing unit
+# (eps0 dimensionless, micro-eV physical).
+_EC_DEFAULTS = {"dimensionless": 1e-5, "physical": 50.0}
 
 
 class ConfigError(Exception):
@@ -201,10 +195,10 @@ def _phase_diagram_flags(p):
     p.add_argument("--u-points", type=_Range(int, 1), default=12)
     p.add_argument("--ec", type=_POSITIVE, default=None,
                    help="charging energy (micro-eV physical, eps0 units dimensionless)")
-    p.add_argument("--g-min", type=_NON_NEGATIVE, default=None,
-                   help="hopping amplitude grid start (read times 1e-6 physical)")
-    p.add_argument("--g-max", type=_POSITIVE, default=None,
-                   help="hopping amplitude grid end (read times 1e-6 physical)")
+    p.add_argument("--g-min", type=_NON_NEGATIVE, default=1e-3,
+                   help="hopping amplitude grid start (unit-free)")
+    p.add_argument("--g-max", type=_POSITIVE, default=5e-2,
+                   help="hopping amplitude grid end (unit-free)")
     p.add_argument("--g-points", type=_Range(int, 1), default=12)
     p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
@@ -226,7 +220,6 @@ def _eta_flags(p):
     p.add_argument("--n", type=_POSITIVE, default=2e-2)
     p.add_argument("--k-max", type=_POSITIVE, default=6.0, help="grid extent in k0")
     p.add_argument("--k-points", type=_Range(int, 1), default=128)
-    p.add_argument("--phi", type=_FINITE, default=0.0)
     p.add_argument("--convention", choices=("half-angle", "literal"), default="half-angle")
     p.add_argument("--k0", type=_POSITIVE, default=1.41)
 
@@ -241,10 +234,9 @@ def _oracle_flags(p):
 def _pegg_barnett_flags(p):
     _output_flags(p)
     p.add_argument("--s", type=_Range(int, 1), default=64, help="base dimension minus one")
-    p.add_argument("--theta0", type=_FINITE, default=0.0)
     p.add_argument("--omega", type=_POSITIVE, default=4.0, help="probe-state occupation")
     p.add_argument("--state-phase", type=_FINITE, default=None,
-                   help="probe-state phase (default theta0 + pi)")
+                   help="probe-state phase; the branch cut is at 0 (default pi)")
     p.add_argument("--rungs", type=_Range(int, 1), default=3, help="doubling ladder length")
 
 
@@ -354,10 +346,10 @@ def _energy_unit(cfg: argparse.Namespace) -> str:
 
 
 def _input_value(cfg: argparse.Namespace, key: str) -> float:
-    """Flag `key` as given (micro-eV read as eV in physical mode); unset, its default."""
+    """Energy flag `key` as given (micro-eV read as eV in physical mode); unset, --ec's default."""
     value = getattr(cfg, key)
     if value is None:
-        value = _ENERGY_DEFAULTS[key][cfg.units]
+        value = _EC_DEFAULTS[cfg.units]
     if cfg.units == "physical":
         return value * _EV_PER_UEV
     return value
@@ -476,14 +468,13 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> _Run:
     e_c = e_c_in / scale
     if not 0.0 < e_c < math.inf:
         raise ConfigError(f"--ec is not a positive finite number of eps0 at k0 = {cfg.k0:g}")
-    g_min, g_max = _input_value(cfg, "g_min"), _input_value(cfg, "g_max")
-    if not g_min < g_max:
+    if not cfg.g_min < cfg.g_max:
         raise ConfigError("need g-min < g-max")
     if cfg.u_max < cfg.u_min:
         raise ConfigError("need u-min <= u-max")
 
     ratios = np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
-    g_grid = np.linspace(g_min, g_max, cfg.g_points)
+    g_grid = np.linspace(cfg.g_min, cfg.g_max, cfg.g_points)
     cells = sweep_diagram(ratios * U_C, e_c, g_grid, cfg.n, tol_gap=cfg.tol_gap,
                           tol_number=cfg.tol_number)
 
@@ -571,19 +562,17 @@ def cmd_overlap(cfg: argparse.Namespace) -> _Run:
 
 def cmd_eta(cfg: argparse.Namespace) -> _Run:
     scale = _energy_scale(cfg)
-    ratio = cfg.u
     solution = solve_self_consistent(
-        ratio * U_C, cfg.n, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
+        cfg.u * U_C, cfg.n, tol_gap=cfg.tol_gap, tol_number=cfg.tol_number
     )
     if not solution.converged:
         return _Run(None, err=["eta: gap solver did not converge"], code=EXIT_NON_CONVERGENCE)
     count = cfg.k_points
     k_grid = (np.arange(count) + 0.5) * (cfg.k_max / count)
-    ens = PairEnsemble.from_gap_solution(solution, k_grid, phi=cfg.phi,
-                                         convention=cfg.convention)
+    ens = PairEnsemble.from_gap_solution(solution, k_grid, convention=cfg.convention)
     stats = eta_statistics(ens)
     row = (
-        ratio,
+        cfg.u,
         solution.mu * scale,
         solution.Delta0 * scale,
         ens.n_modes,
@@ -641,19 +630,12 @@ def cmd_oracle(cfg: argparse.Namespace) -> _Run:
 
 
 def cmd_pegg_barnett(cfg: argparse.Namespace) -> _Run:
-    s = cfg.s
-    rungs = cfg.rungs
     rows, err = [], []
-    for level in range(rungs):
-        s_level = s * (1 << level)
+    for level in range(cfg.rungs):
+        s_level = cfg.s * (1 << level)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = pegg_barnett(
-                s_level,
-                cfg.theta0,
-                cfg.omega,
-                state_phase=cfg.state_phase,
-            )
+            report = pegg_barnett(s_level, Omega=cfg.omega, state_phase=cfg.state_phase)
         err += [f"pegg-barnett: warning: {warning.message}" for warning in caught]
         rows.append(
             (
@@ -669,7 +651,7 @@ def cmd_pegg_barnett(cfg: argparse.Namespace) -> _Run:
         [("pegg_barnett.csv",
           ("s", "comm_re", "comm_im", "deviation", "truncation_error", "warned"),
           rows)],
-        [f"pegg-barnett: deviation {rows[0][3]:.6e} at s={s} "
+        [f"pegg-barnett: deviation {rows[0][3]:.6e} at s={cfg.s} "
          f"-> {Path(cfg.out) / 'pegg_barnett.csv'}"],
         err,
     )

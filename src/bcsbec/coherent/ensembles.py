@@ -100,18 +100,13 @@ class PairEnsemble:
         return np.hypot(self.eps, y)
 
     @classmethod
-    def from_gap_solution(
-        cls,
-        solution,
-        k,
-        phi: float = 0.0,
-        convention: str = "half-angle",
-    ) -> "PairEnsemble":
+    def from_gap_solution(cls, solution, k, convention: str = "half-angle") -> "PairEnsemble":
         """Sample the pairing angles of a converged solution on a k grid.
 
         ``solution`` is a GapSolution (mu, Delta0); the grid is a finite
         stand-in for the continuum, so ensemble statistics carry the grid
-        discretization, not quadrature weights.
+        discretization, not quadrature weights.  The common phase phi
+        keeps its default 0, which the eta statistics do not read.
         """
         k = _as_float_array(k, "k")
         eps = dispersion(k) - solution.mu
@@ -124,7 +119,7 @@ class PairEnsemble:
                 theta = np.abs(np.arctan(np.where(eps != 0.0, y / eps, np.inf)))
         else:
             raise ValueError(f"unknown angle convention {convention!r}")
-        return cls(k=k, eps=eps, theta=theta, phi=phi, Delta0=solution.Delta0)
+        return cls(k=k, eps=eps, theta=theta, Delta0=solution.Delta0)
 
 
 def random_pair_ensemble(

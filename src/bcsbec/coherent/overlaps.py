@@ -36,14 +36,22 @@ def bec_overlap(amplitudes, dphi: float) -> complex:
     amplitudes may be any sequence of alpha_n >= 0; the return value is
     prod_n exp[-alpha_n^2 (1 - e^{i dphi})].  The exponents are
     accumulated before a single exponential, so the result underflows
-    gracefully instead of losing precision factor by factor.
+    gracefully instead of losing precision factor by factor.  Where
+    e^{i dphi} == 1 the twin is the state itself and the overlap is
+    exactly 1; otherwise a sum of alpha_n^2 that overflows gives the
+    limit 0.
     """
     alpha = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     if np.any(alpha < 0.0):
         raise ValueError("amplitudes must be >= 0")
-    alpha2 = alpha**2
-    exponent = -np.sum(alpha2) * (1.0 - np.exp(1j * float(dphi)))
-    return complex(np.exp(exponent))
+    rotation = np.exp(1j * float(dphi))
+    if rotation == 1.0:
+        return complex(1.0)
+    with np.errstate(over="ignore"):
+        total = np.sum(alpha**2)
+        if total == np.inf:
+            return complex(0.0)
+        return complex(np.exp(-total * (1.0 - rotation)))
 
 
 def bcs_overlap(thetas, dphi: float) -> complex:

@@ -291,6 +291,8 @@ def variational_phase_lock(
     carries the terminal phase spread (max pairwise difference of the live
     phases mod 2 pi), the Newton step count and the end state with its
     sign pattern, so callers can see whether this seed's basin locked.
+    ValueError is raised before the descent when the box is so short that
+    a gradient norm on the sphere could overflow when squared.
     """
     if not 2 <= M <= 6:
         raise ValueError("M must be between 2 and 6")
@@ -298,6 +300,16 @@ def variational_phase_lock(
         raise ValueError("g_sign must be +1 (repulsive) or -1 (attractive)")
     if not (step > 0.0 and tol > 0.0 and max_steps >= 1):
         raise ValueError("step, tol, max_steps must be positive")
+    if not 0.0 < length < math.inf:
+        raise ValueError("length must be positive and finite")
+    # On the sphere |z|^2 = M no gradient entry exceeds 2 sqrt(M) E_M + 3 M^3/L,
+    # with E_M the top box level and 3/(2L) the largest tensor entry, and the
+    # norms the descent squares are at most sqrt(4 (M + 1) M) times that.
+    top = (M * math.pi / length) * (M * math.pi / length) / 2.0
+    bound = math.sqrt(4.0 * (M + 1) * M) * (2.0 * math.sqrt(M) * top + 3.0 * M**3 / length)
+    if not bound * bound < math.inf:
+        raise ValueError(f"length {length:g}: the top box level {top:.3g} allows gradient "
+                         f"norms up to {bound:.3g}, whose squares overflow")
 
     G2 = float(g_sign) * box_mode_tensor(M, length).reshape(M * M, M * M)
     energies = box_mode_energies(M, length)

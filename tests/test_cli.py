@@ -326,12 +326,14 @@ def test_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert "panel budget exhausted" in capsys.readouterr().err
 
 
-# finite in-range flags whose E_b overflows or whose capacitance underflows
+# finite in-range flags whose E_b overflows, whose capacitance underflows, or
+# whose box levels would overflow the phase-lock gradient norms
 @pytest.mark.parametrize("argv, message", [
     (["bound-state", "--u", "1e300"], "not representable"),
     (["eta", "--u", "1e300"], "not representable"),
     (["chain", "--ej", "1", "--epsilon-r", "1e-300", "--area-um2", "1e-300",
       "--spacing-nm", "1e300", "--units", "physical"], "underflows"),
+    (["phase-lock", "--length", "1e-80"], "whose squares overflow"),
 ])
 def test_unrepresentable_energy_exits_two(tmp_path, argv, message, capsys):
     assert run([*argv, "--out", str(tmp_path / "out")]) == 2
@@ -517,8 +519,11 @@ def test_outputs_are_written_in_one_pass(tmp_path, argv):
 
 
 # flags that some subcommands take and these ones never read, the two
-# Pegg-Barnett inputs of the calibrated checks, and the unit flags of the
-# unit-free bound-state and of gap-sweep, whose CSV holds only ratios
+# Pegg-Barnett inputs of the calibrated checks, the unit flags of the
+# unit-free bound-state and of gap-sweep, whose CSV holds only ratios, and
+# two values that would reach no output: eta's common phase, which the eta
+# statistics never read, and pegg-barnett's theta0, since the commutator
+# depends only on the state phase minus theta0
 FOREIGN_OPTIONS = [
     ["overlap", "--tol-gap", "1e-3"],
     ["gap-sweep", "--seed", "1"],
@@ -529,6 +534,8 @@ FOREIGN_OPTIONS = [
     ["gap-sweep", "--units", "physical"],
     ["gap-sweep", "--k0", "3"],
     ["checks", "--pegg-barnett-s", "32"],
+    ["eta", "--phi", "1"],
+    ["pegg-barnett", "--theta0", "1"],
 ]
 
 
@@ -683,13 +690,14 @@ EV_COLUMNS = {"phase_diagram.csv": ("mu", "Delta0", "E_J"), "boundary.csv": ("mu
 @given(k0=st.floats(0.01, 30.0))
 def test_physical_mode_is_the_dimensionless_run_times_eps0(k0):
     # the solve is the same at every k0: a physical run is the dimensionless
-    # run at E_c/eps0 with its mu, Delta0 and E_J columns times eps0 in eV
+    # run at E_c/eps0 with its mu, Delta0 and E_J columns times eps0 in eV,
+    # and the unit-free G grid is the same in both modes
     eps0 = eps0_ev(k0)
-    # the physical defaults, 50, 1000 and 50000, read times 1e-6 as physical mode reads them
-    e_c, g_min, g_max = 50.0 * 1e-6, 1000.0 * 1e-6, 50000.0 * 1e-6
+    # the physical default E_c, 50, read times 1e-6 as physical mode reads it
+    e_c = 50.0 * 1e-6
     runs = [
         (["phase-diagram", "--u-points", "3", "--g-points", "2"],
-         ["--ec", repr(e_c / eps0), "--g-min", repr(g_min), "--g-max", repr(g_max)],
+         ["--ec", repr(e_c / eps0)],
          "phase_diagram.csv", "boundary.csv"),
         (["eta", "--k-points", "16"], [], "eta.csv"),
     ]
@@ -707,6 +715,13 @@ def test_physical_mode_is_the_dimensionless_run_times_eps0(k0):
                             float(v) * eps0 for v in want[column]], (name, column)
                     else:
                         assert got[column] == want[column], (name, column)
+
+
+def test_physical_mode_writes_g_as_given(tmp_path):
+    # G is unit-free: physical mode does not read it in micro-eV
+    assert run(["phase-diagram", "--units", "physical", "--g-min", "0.01", "--g-max", "0.02",
+                "--g-points", "2", "--u-points", "1", "--out", str(tmp_path)]) == 0
+    assert _csv_columns(tmp_path / "phase_diagram.csv")["G"] == ("0.01", "0.02")
 
 
 def test_console_script_entry_point(tmp_path):

@@ -102,6 +102,14 @@ def test_bec_overlap_underflows_gracefully():
     assert value == 0.0  # exp(-10000), far below double range, no warning
 
 
+def test_bec_overlap_with_itself_is_one_at_any_amplitude():
+    # sum alpha^2 overflows at 1e200: the zero rotation still gives exactly 1,
+    # and any other rotation the limit 0, with no RuntimeWarning
+    assert bec_overlap([1e200], 0.0) == 1.0
+    assert bec_overlap([1e200, 1e200], -1.0) == 0.0
+    assert bec_overlap([1e200], 1e-10) == 0.0
+
+
 def test_bec_overlap_validation():
     with pytest.raises(ValueError):
         bec_overlap(np.array([-0.1]), 0.5)

@@ -546,6 +546,18 @@ def test_descent_budget_reports_non_convergence():
     assert (result.end_state, result.sign_pattern) == ("budget exhausted", "")
 
 
+def test_too_short_a_box_is_refused_before_the_descent():
+    # box levels (M pi/L)^2/2 whose gradient norms overflow when squared: the
+    # descent would read an inf or NaN norm as a spent budget
+    for length in (1e-80, 1e-100, 1e-160, 5e-324):
+        with pytest.raises(ValueError, match="whose squares overflow"):
+            variational_phase_lock(3, length=length)
+    # at 1e-60 the norms stay finite; the budget runs out, since the
+    # absolute stop is below rounding there
+    result = variational_phase_lock(3, length=1e-60, max_steps=50)
+    assert result.end_state == "budget exhausted" and math.isfinite(result.gradient_norm)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         variational_phase_lock(1)

@@ -12,8 +12,8 @@ because the oscillator oracle's sigma_0 overflows, a chain sized by its
 junction geometry, four runs
 configured by --config files (a gap sweep, a gap sweep whose --points flag
 beats the file's points key, an overlap with the negative value dphi = -1,
-and a physical-unit phase diagram whose keys override the unit-mode
-defaults of its energy flags), cold single-point solves at the pairing
+and a physical-unit phase diagram whose keys override the defaults,
+the unit-mode default of --ec among them), cold single-point solves at the pairing
 threshold and deep on the BEC side (at 3 U_c, at n = 1e-30, whose gap is
 near the resolution floor, and at 1e6 U_c, whose mu is near -1e12 eps0),
 the deep-BCS sweep at n = 1e-4, the same sweep from 0.1 U_c, whose first
@@ -79,7 +79,7 @@ CONFIG_FILES = {
     "sweep.cfg": "points = 3\nu-max = 2\n",
     "points4.cfg": "points = 4\n",
     "overlap.cfg": "dphi = -1\nm-max = 20\n",
-    "diagram.cfg": "ec = 80\ng-min = 500\nu-points = 3\ng-points = 3\n",
+    "diagram.cfg": "ec = 80\ng-min = 5e-4\nu-points = 3\ng-points = 3\n",
 }
 
 UNIT_AWARE = (
