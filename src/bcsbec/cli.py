@@ -15,9 +15,11 @@ all ten; --units to phase-diagram, eta and chain; --seed to oracle,
 phase-lock and checks; --tol-gap and --tol-number to the three that solve
 the gap equations, gap-sweep, phase-diagram and eta.  Any other flag, or
 config key, is unknown and exits 3; flags are never abbreviated.  A call
-that starts with its subcommand builds only that subcommand's parser; the
-full command tree serves --help, --version and every other usage error,
-a flag before the subcommand among them.
+that starts with its subcommand parses its argv once, with that
+subcommand's parser alone, which is built on first use and then reused
+for the rest of the process; the full command tree serves --help,
+--version and every other usage error, a flag before the subcommand
+among them.
 
 Configuration precedence: explicit command-line flags override values
 from an optional "key = value" config file (--config), which override the
@@ -50,6 +52,7 @@ exception is a bug and propagates with a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -286,8 +289,14 @@ def build_parser():
     return parser, sub.choices
 
 
+@functools.cache
 def _command_parser(name: str) -> _Parser:
-    """The parser of one subcommand, the same as build_parser()[1][name]."""
+    """The parser of one subcommand, the same as build_parser()[1][name].
+
+    Built on first use and shared by every later call in the process;
+    parsing leaves it unchanged, `where` aside, which `_config_namespace`
+    resets.
+    """
     parser = _Parser(prog=f"bcsbec {name}")
     _, add_flags, _ = _COMMANDS[name]
     add_flags(parser)
@@ -309,19 +318,21 @@ def _config_namespace(parser: _Parser, path: str) -> argparse.Namespace:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     namespace = argparse.Namespace()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parser.where = f"{path}:{lineno}: "
-        if "=" not in line:
-            parser.error("expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("_", "-")
-        _, unknown = parser.parse_known_args([f"--{key}={value.strip()}"], namespace)
-        if unknown or key == "config":
-            parser.error(f"unknown config key {key!r}")
-    parser.where = ""
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parser.where = f"{path}:{lineno}: "
+            if "=" not in line:
+                parser.error("expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip().replace("_", "-")
+            _, unknown = parser.parse_known_args([f"--{key}={value.strip()}"], namespace)
+            if unknown or key == "config":
+                parser.error(f"unknown config key {key!r}")
+    finally:  # the parser is shared: no later error may carry this file's prefix
+        parser.where = ""
     return namespace
 
 
@@ -785,12 +796,15 @@ def main(argv=None) -> int:
             top.error(f"unrecognized arguments: {' '.join(argv[:argv.index(name)])}")
         name, rest = argv[0], argv[1:]
         parser = _command_parser(name)
-        # first the config file; the subcommand's parser then reports what
-        # it does not know, with its own usage, and the file's values go
-        # first, so the user's flags win
-        args, _ = parser.parse_known_args(rest)
-        defaults = _config_namespace(parser, args.config) if args.config else None
-        args = parser.parse_args(rest, defaults)
+        # one parse; with --config the file's values go first and the
+        # command line is parsed again on top of them, so the user's flags
+        # win; the subcommand's parser reports what it does not know, with
+        # its own usage
+        args, unknown = parser.parse_known_args(rest)
+        if args.config:
+            args = parser.parse_args(rest, _config_namespace(parser, args.config))
+        elif unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         args.command, args.started = name, time.monotonic()
         _, _, cmd = _COMMANDS[name]
         run = cmd(args)

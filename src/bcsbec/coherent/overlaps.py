@@ -23,6 +23,8 @@ angles follow the consistent half-angle convention.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ensembles import PairEnsemble
@@ -36,22 +38,26 @@ def bec_overlap(amplitudes, dphi: float) -> complex:
     amplitudes may be any sequence of alpha_n >= 0; the return value is
     prod_n exp[-alpha_n^2 (1 - e^{i dphi})].  The exponents are
     accumulated before a single exponential, so the result underflows
-    gracefully instead of losing precision factor by factor.  Where
-    e^{i dphi} == 1 the twin is the state itself and the overlap is
-    exactly 1; otherwise a sum of alpha_n^2 that overflows gives the
-    limit 0.
+    gracefully instead of losing precision factor by factor.  The factor
+    1 - e^{i dphi} is formed as 2 sin^2(dphi/2) - i sin(dphi), whose real
+    part keeps its relative precision for tiny dphi, where 1 - cos(dphi)
+    would round to 0: the modulus is exp(-2 sum alpha_n^2 sin^2(dphi/2)).
+    At dphi = 0 the twin is the state itself and the overlap is exactly 1;
+    otherwise a sum of alpha_n^2 that overflows gives the limit 0.
     """
     alpha = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     if np.any(alpha < 0.0):
         raise ValueError("amplitudes must be >= 0")
-    rotation = np.exp(1j * float(dphi))
-    if rotation == 1.0:
+    dphi = float(dphi)
+    if dphi == 0.0:
         return complex(1.0)
+    half = math.sin(0.5 * dphi)
+    factor = complex(2.0 * half * half, -math.sin(dphi))
     with np.errstate(over="ignore"):
         total = np.sum(alpha**2)
         if total == np.inf:
             return complex(0.0)
-        return complex(np.exp(-total * (1.0 - rotation)))
+        return complex(np.exp(-total * factor))
 
 
 def bcs_overlap(thetas, dphi: float) -> complex:

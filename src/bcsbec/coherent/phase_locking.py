@@ -164,17 +164,28 @@ def _on_sphere(z):
     if not math.isfinite(norm2):
         z = z / np.abs(z).max()
         norm2 = np.vdot(z, z).real
-    return z * np.sqrt(z.size / norm2)
+    return z * math.sqrt(z.size / norm2)
+
+
+def _projected_gradient(z, G2, energies):
+    """Wirtinger gradient projected onto |z|^2 = M."""
+    grad = 2.0 * (energies * z + _pair_matrix(z, G2) @ z.conj())
+    grad -= z * (np.vdot(z, grad).real / z.size)
+    return grad
 
 
 def _tangent_gradient(z, G2, energies):
-    """Wirtinger gradient projected onto |z|^2 = M, and the joint (phi, alpha) norm."""
-    M = z.size
-    grad = 2.0 * (energies * z + _pair_matrix(z, G2) @ z.conj())
-    grad -= z * (np.vdot(z, grad).real / M)
+    """Projected Wirtinger gradient and the joint (phi, alpha) norm."""
+    grad = _projected_gradient(z, G2, energies)
     along = np.exp(-1j * np.angle(z)) * grad
     dphi, damp = np.abs(z) * along.imag, along.real
-    return grad, float(np.sqrt(dphi @ dphi + damp @ damp))
+    return grad, math.sqrt(dphi @ dphi + damp @ damp)
+
+
+def _norm(v):
+    """Euclidean norm of a complex vector, by numpy's own formula for np.linalg.norm(v)."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _hessian(z, G2, energies):
@@ -186,7 +197,11 @@ def _hessian(z, G2, energies):
     M = z.size
     B = _pair_matrix(z, G2)
     A = np.diag(energies) + 2.0 * (z.conj() @ (G2.reshape(M * M * M, M) @ z).reshape(M, M, M))
-    hess = 2.0 * np.block([[(A + B).real, (B - A).imag], [(A + B).imag, (A - B).real]])
+    total, diff = A + B, B - A
+    hess = np.empty((2 * M, 2 * M))
+    hess[:M, :M], hess[:M, M:] = total.real, diff.imag
+    hess[M:, :M], hess[M:, M:] = total.imag, -diff.real  # Re(A - B) = -Re(B - A)
+    hess *= 2.0
     return 2.0 * (energies * z + B @ z.conj()), hess
 
 
@@ -317,7 +332,7 @@ def variational_phase_lock(
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, M)
     amplitudes = rng.uniform(0.5, 1.5, M)
-    amplitudes *= np.sqrt(M / np.sum(amplitudes**2))
+    amplitudes *= math.sqrt(M / np.sum(amplitudes**2))
 
     z = amplitudes * np.exp(1j * phases)
     grad, gradient_norm = _tangent_gradient(z, G2, energies)
@@ -333,15 +348,15 @@ def variational_phase_lock(
             switch = _RETRY_FALL * gradient_norm
         step = min(step, math.sqrt(M) / gradient_norm)
         trial = _on_sphere(z - step * grad)
-        trial_grad, _ = _tangent_gradient(trial, G2, energies)
+        trial_grad = _projected_gradient(trial, G2, energies)
         steps += 1
         # Heun's error over the tolerance, both relative to the step h |g|
-        ratio = 0.5 * np.linalg.norm(trial_grad - grad) / (_STEP_TOL * np.linalg.norm(grad))
+        ratio = 0.5 * _norm(trial_grad - grad) / (_STEP_TOL * _norm(grad))
         if ratio <= 1.0 and steps < max_steps:
             z = _on_sphere(z - 0.5 * step * (grad + trial_grad))
             grad, gradient_norm = _tangent_gradient(z, G2, energies)
             steps += 1
-        step *= min(_STEP_GROWTH, _STEP_SAFETY / np.sqrt(ratio)) if ratio > 0.0 else _STEP_GROWTH
+        step *= min(_STEP_GROWTH, _STEP_SAFETY / math.sqrt(ratio)) if ratio > 0 else _STEP_GROWTH
 
     converged = gradient_norm < tol
     amplitudes = np.abs(z)

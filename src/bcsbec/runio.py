@@ -27,6 +27,8 @@ __all__ = ["format_cell", "render_csv", "write_csv", "write_meta"]
 
 def format_cell(value) -> str:
     """Render one CSV cell: floats at 17 significant digits."""
+    if type(value) is float:  # most cells: skip the isinstance chain
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -55,7 +57,6 @@ def write_csv(path, data: bytes) -> Path:
 
 
 def write_meta(path, payload: dict) -> None:
-    """Serialize one run's sidecar payload as indented, key-sorted JSON."""
+    """Serialize one run's sidecar payload as indented, key-sorted JSON, in one write."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")

@@ -101,10 +101,23 @@ def test_phase_diagram_passes_its_tolerances_to_the_solver(tmp_path, monkeypatch
 
 
 def test_determinism_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["gap-sweep", "--points", "3", "--out", str(a)]) == 0
-    assert run(["gap-sweep", "--points", "3", "--out", str(b)]) == 0
-    assert (a / "gap_sweep.csv").read_bytes() == (b / "gap_sweep.csv").read_bytes()
+    # a fixed list of calls, run twice in one process, where each subcommand
+    # parser is shared between the two runs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 3\nu-max = 2\n")
+    argvs = (["gap-sweep", "--points", "3"], ["gap-sweep", "--config", str(cfg)],
+             ["bound-state", "--u", "3"], ["overlap", "--m-max", "20"],
+             ["oracle", "--modes", "4"], ["chain", "--ec", "1", "--ej", "4"],
+             ["phase-lock", "--seed", "6"])
+
+    def csv_bytes(out):
+        for i, argv in enumerate(argvs):
+            assert run([*argv, "--out", str(out / str(i))]) == 0, argv
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+
+    first = csv_bytes(tmp_path / "first")
+    assert len(first) == len(argvs)
+    assert csv_bytes(tmp_path / "second") == first
 
 
 def test_bound_state_below_threshold_empty_cell(tmp_path):
@@ -152,8 +165,10 @@ def _actions(parser):
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_one_declaration_two_parsers(name):
-    # the parser a call builds for its subcommand is the full tree's one
+    # the parser a call builds for its subcommand is the full tree's one,
+    # built once per process
     one, tree = _command_parser(name), build_parser()[1][name]
+    assert _command_parser(name) is one
     assert one.prog == tree.prog == f"bcsbec {name}"
     assert one.format_help() == tree.format_help()
     assert _actions(one) == _actions(tree)
@@ -168,6 +183,27 @@ def test_a_subcommand_call_builds_only_its_parser(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("points = 2\n")
     assert run(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+
+
+def test_a_config_file_does_not_leak_into_the_next_call(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 2\n")
+    assert run(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert run(["gap-sweep", "--out", str(tmp_path / "b")]) == 0
+    for out, points in (("a", 2), ("b", 50)):
+        meta = json.loads((tmp_path / out / "gap_sweep.meta.json").read_text())
+        assert meta["config"]["points"] == points
+
+
+def test_a_config_error_does_not_prefix_the_next_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("points = 0\n")
+    assert run(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert f"bcsbec gap-sweep: error: {cfg}:1: " in capsys.readouterr().err
+    assert run(["gap-sweep", "--points", "0", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "bcsbec gap-sweep: error: argument --points: " in err
+    assert str(cfg) not in err
 
 
 def test_top_level_paths_keep_their_contract(capsys):

@@ -110,6 +110,13 @@ def test_bec_overlap_with_itself_is_one_at_any_amplitude():
     assert bec_overlap([1e200], 1e-10) == 0.0
 
 
+def test_bec_overlap_keeps_a_tiny_rotation():
+    # 1 - cos(1e-9) rounds to 0; 2 sin^2(dphi/2) keeps the modulus
+    # exp(-alpha^2 dphi^2 / 2) = exp(-50)
+    value = bec_overlap([1e10], 1e-9)
+    assert abs(value) == pytest.approx(np.exp(-50.0), rel=1e-12)
+
+
 def test_bec_overlap_validation():
     with pytest.raises(ValueError):
         bec_overlap(np.array([-0.1]), 0.5)
