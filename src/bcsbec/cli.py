@@ -265,7 +265,9 @@ def _phase_lock_flags(p):
     p.add_argument("--sign", choices=("attractive", "repulsive"), default="attractive")
     p.add_argument("--length", type=_POSITIVE, default=10.0, help="box length")
     p.add_argument("--step", type=_POSITIVE, default=1e-2, help="first descent step")
-    p.add_argument("--tol", type=_POSITIVE, default=1e-10, help="gradient-norm stop")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-10,
+                   help="gradient-norm stop, unit-free: relative to the gradient scale "
+                        "2 sqrt(M) E_M + 3 M^3/L over its value at L = 10")
     p.add_argument("--max-steps", type=_Range(int, 1), default=100000,
                    help="budget of gradient evaluations and Newton steps")
 
@@ -368,7 +370,9 @@ def _input_value(cfg: argparse.Namespace, key: str) -> float:
 
 # ---- output --------------------------------------------------------------
 
-# sidecar `tolerances` key of each flag that sets a stopping tolerance
+# sidecar `tolerances` key of each flag that sets a stopping tolerance;
+# descent_tol is phase-lock's unit-free --tol, the gradient-norm stop
+# relative to the free energy's scale in the default box L = 10
 _TOLERANCE_FLAGS = {"tol_gap": "tol_gap", "tol_number": "tol_number", "tol": "descent_tol"}
 
 

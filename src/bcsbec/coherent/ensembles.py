@@ -75,9 +75,10 @@ class PairEnsemble:
         self.theta = _as_float_array(self.theta, "theta")
         if not (self.k.size == self.eps.size == self.theta.size):
             raise ValueError("k, eps, theta must have equal length")
-        if np.any(self.k < 0.0):
+        # every entry is finite here, so one min and one max decide the ranges
+        if self.k.min() < 0.0:
             raise ValueError("wavevector magnitudes must be >= 0")
-        if np.any(self.theta < -1e-15) or np.any(self.theta > _HALF_PI + 1e-15):
+        if self.theta.min() < -1e-15 or self.theta.max() > _HALF_PI + 1e-15:
             raise ValueError("theta must lie in [0, pi/2]")
         self.theta = np.clip(self.theta, 0.0, _HALF_PI)
         self.phi = float(self.phi)

@@ -23,7 +23,12 @@ The paired product state with common phase phi is
     |phi> = prod_k [cos(theta_k) + e^{i phi} sin(theta_k) S+^(k)] |0>,
 
 so the amplitude on a basis state with m occupied modes carries e^{i m phi}
-and the particle-number operator acts as a phase derivative.  The identity
+and the particle-number operator acts as a phase derivative.  The state is
+built as the Kronecker product of the mode factors [cos theta_k,
+e^{i phi} sin theta_k], mode M-1 first, each new mode becoming the lowest
+bit: the cosines and sines are taken once per oracle, and each mode writes
+its two halves with `out=` into the even and odd entries of one of two
+preallocated vectors, so a build allocates nothing per mode.  The identity
 N = 2i d/dphi holds on the bra-side amplitudes <phi|n>; on the ket-side
 <n|phi> the sign flips, so the derivative check below differentiates the
 conjugated amplitudes.  Pair states carry even particle number only, so
@@ -62,6 +67,8 @@ class FockOracle:
         self.dim = 1 << self.n_modes
         self.Omega = float(np.sum(self.theta**2))
         self._weights = self.theta / np.sqrt(self.Omega)
+        self._cos = np.cos(self.theta)
+        self._sin = np.sin(self.theta)
 
     # ---- operators, applied to a state vector ------------------------
 
@@ -74,10 +81,11 @@ class FockOracle:
         if psi.shape != (self.dim,):
             raise ValueError(f"state vector must have shape ({self.dim},)")
         out = np.zeros_like(psi)
-        for k, w in enumerate(self._weights):
-            out.reshape(-1, 2, 1 << k)[:, to_bit, :] += (
-                w * psi.reshape(-1, 2, 1 << k)[:, 1 - to_bit, :]
-            )
+        from_bit = 1 - to_bit
+        for k, w in enumerate(self._weights.tolist()):
+            shape = (-1, 2, 1 << k)
+            half = out.reshape(shape)[:, to_bit]
+            half += w * psi.reshape(shape)[:, from_bit]
         return out
 
     def b(self, psi: np.ndarray) -> np.ndarray:
@@ -102,13 +110,20 @@ class FockOracle:
         """Dense vector of the paired product state at phase phi."""
         if phi is None:
             phi = self.phi
-        phase = np.exp(1j * phi)
-        psi = np.ones(1, dtype=complex)
+        occupied = np.exp(1j * phi) * self._sin
+        psi = np.empty(self.dim, dtype=complex)
+        spare = np.empty(self.dim, dtype=complex)
+        psi[0] = 1.0
         # modes M-1 down to 0, each doubling the vector as its new lowest
         # bit, keep bit k = mode k and multiply in the order of the Kronecker
-        # product of the mode factors
-        for t in self.theta[::-1]:
-            psi = np.stack((psi * np.cos(t), psi * (phase * np.sin(t))), axis=-1).ravel()
+        # product of the mode factors: the first n entries of psi go, times
+        # each factor, into the even and odd entries of spare's first 2n
+        n = 1
+        for k in range(self.n_modes - 1, -1, -1):
+            np.multiply(psi[:n], self._cos[k], out=spare[0:2 * n:2])
+            np.multiply(psi[:n], occupied[k], out=spare[1:2 * n:2])
+            psi, spare = spare, psi
+            n *= 2
         return psi
 
     def overlap(self, phi_prime: float, phi: float) -> complex:

@@ -64,17 +64,23 @@ def bcs_overlap(thetas, dphi: float) -> complex:
     """Overlap of a paired product state with its dphi-rotated twin.
 
     thetas may be any sequence of angles in [0, pi/2]; the return value is
-    prod_k (cos^2 theta_k + e^{i dphi} sin^2 theta_k).
+    prod_k (cos^2 theta_k + e^{i dphi} sin^2 theta_k).  The phase factor
+    e^{i dphi} is one Python complex, (cos dphi, sin dphi), and each square
+    is taken in place, so a call allocates only the factor array.
     """
     theta = np.atleast_1d(np.asarray(thetas, dtype=float))
     if theta.size == 0:
         return complex(1.0)
-    if np.any(theta < -1e-15) or np.any(theta > 0.5 * np.pi + 1e-15):
+    if theta.min() < -1e-15 or theta.max() > 0.5 * np.pi + 1e-15:
         raise ValueError("theta must lie in [0, pi/2]")
-    c2 = np.cos(theta) ** 2
-    s2 = np.sin(theta) ** 2
-    factors = c2 + np.exp(1j * float(dphi)) * s2
-    return complex(np.prod(factors))
+    dphi = float(dphi)
+    c2 = np.cos(theta)
+    c2 *= c2
+    s2 = np.sin(theta)
+    s2 *= s2
+    factors = s2 * complex(math.cos(dphi), math.sin(dphi))
+    factors += c2
+    return complex(factors.prod())
 
 
 def eta_statistics(ens: PairEnsemble) -> dict:

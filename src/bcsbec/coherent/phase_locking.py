@@ -57,14 +57,22 @@ step within a few evaluations, and a far too long one is cut at once:
 seed 6 of three modes takes 40 evaluations from any first step between 10
 and 1.7e308, 43 from the default.  The stop is the joint (phi, alpha)
 gradient norm, from dF/dphi = Im(conj(z) g) and projected
-dF/dalpha = Re(conj(z) g) / |z|.
+dF/dalpha = Re(conj(z) g) / |z|, measured against the free energy's own
+scale: on the sphere no gradient entry exceeds 2 sqrt(M) E_M + 3 M^3/L,
+with E_M the top box level, and the run stops once the norm is below tol
+times that scale over its value at L = 10.  tol is thus unit-free: it is
+the absolute norm in the default box, whose trajectories it leaves as they
+were, and a long box, whose gradients shrink as 1/L, no longer reads its
+seed as converged (an absolute 1e-10 stopped M = 3, seed 1234 at
+L = 1e12 after 1 evaluation, unlocked; it now locks after 69).
 The descent converges only linearly, so a Newton finish in the same
 variables, x = (Re z, Im z), takes over near a minimum: the constrained
 (KKT) step with the analytic Hessian minus the multiplier's 2 lambda,
 reduced to the complement of x (the norm) and i x (the global phase).  A
 dead mode, z_n = 0, is an ordinary point in x, so runs that end with one
 finish by Newton too.  The finish is first tried at an accepted state
-whose gradient norm is below _NEWTON_SWITCH = 1e-2.  A try takes Newton
+whose gradient norm is below _NEWTON_SWITCH = 1e-2, on the same relative
+scale as the stop.  A try takes Newton
 iterates until the norm is below the stop; it is rejected as soon as an
 iterate fails the guard (the smallest reduced eigenvalue must exceed
 _EIGEN_FLOOR = 1e-6 times the largest, so Newton cannot stop at a saddle)
@@ -147,6 +155,15 @@ def box_mode_energies(M: int, length: float = 10.0) -> np.ndarray:
     """Single-particle box levels (n pi / L)^2 / 2 for n = 1..M."""
     n = np.arange(1, M + 1)
     return (n * np.pi / length) ** 2 / 2.0
+
+
+def _gradient_scale(M, length):
+    """2 sqrt(M) E_M + 3 M^3/L, the bound on a gradient entry on |z|^2 = M.
+
+    E_M is the top box level and 3/(2L) the largest tensor entry.
+    """
+    top = (M * math.pi / length) * (M * math.pi / length) / 2.0
+    return 2.0 * math.sqrt(M) * top + 3.0 * M**3 / length
 
 
 def _pair_matrix(z, G2):
@@ -301,7 +318,8 @@ def variational_phase_lock(
     sum alpha^2 = M.  Descent follows the sphere-projected gradient flow in
     z = alpha e^{i phi} by adaptive Heun steps, the first of length step,
     and guarded Newton tries finish it (see the module docstring), until
-    the joint gradient norm drops below tol or max_steps gradient
+    the joint gradient norm drops below tol, relative to the gradient scale
+    2 sqrt(M) E_M + 3 M^3/L over its value at L = 10, or max_steps gradient
     evaluations and Newton steps are spent.  The result also
     carries the terminal phase spread (max pairwise difference of the live
     phases mod 2 pi), the Newton step count and the end state with its
@@ -317,14 +335,17 @@ def variational_phase_lock(
         raise ValueError("step, tol, max_steps must be positive")
     if not 0.0 < length < math.inf:
         raise ValueError("length must be positive and finite")
-    # On the sphere |z|^2 = M no gradient entry exceeds 2 sqrt(M) E_M + 3 M^3/L,
-    # with E_M the top box level and 3/(2L) the largest tensor entry, and the
-    # norms the descent squares are at most sqrt(4 (M + 1) M) times that.
-    top = (M * math.pi / length) * (M * math.pi / length) / 2.0
-    bound = math.sqrt(4.0 * (M + 1) * M) * (2.0 * math.sqrt(M) * top + 3.0 * M**3 / length)
+    # The norms the descent squares are at most sqrt(4 (M + 1) M) times the
+    # gradient scale; the stop and the Newton switch are measured against
+    # that scale, relative to its value in the default box L = 10.
+    scale = _gradient_scale(M, length)
+    bound = math.sqrt(4.0 * (M + 1) * M) * scale
     if not bound * bound < math.inf:
+        top = (M * math.pi / length) * (M * math.pi / length) / 2.0
         raise ValueError(f"length {length:g}: the top box level {top:.3g} allows gradient "
                          f"norms up to {bound:.3g}, whose squares overflow")
+    relative = scale / _gradient_scale(M, 10.0)
+    stop = tol * relative
 
     G2 = float(g_sign) * box_mode_tensor(M, length).reshape(M * M, M * M)
     energies = box_mode_energies(M, length)
@@ -337,10 +358,10 @@ def variational_phase_lock(
     z = amplitudes * np.exp(1j * phases)
     grad, gradient_norm = _tangent_gradient(z, G2, energies)
     steps, newton_steps = 1, 0
-    switch = _NEWTON_SWITCH
-    while gradient_norm >= tol and steps < max_steps:
+    switch = _NEWTON_SWITCH * relative
+    while gradient_norm >= stop and steps < max_steps:
         if gradient_norm < switch:
-            finish = _newton_finish(z, gradient_norm, G2, energies, tol, max_steps - steps)
+            finish = _newton_finish(z, gradient_norm, G2, energies, stop, max_steps - steps)
             if finish is not None:
                 z, gradient_norm, newton_steps = finish
                 steps += newton_steps
@@ -358,7 +379,7 @@ def variational_phase_lock(
             steps += 1
         step *= min(_STEP_GROWTH, _STEP_SAFETY / math.sqrt(ratio)) if ratio > 0 else _STEP_GROWTH
 
-    converged = gradient_norm < tol
+    converged = gradient_norm < stop
     amplitudes = np.abs(z)
     phases = _output_phases(z, phases.sum())
     live = phases[amplitudes >= _DEAD_AMPLITUDE]

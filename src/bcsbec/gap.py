@@ -82,9 +82,20 @@ pi b^3 (1+b)^4).  Hence, as n -> 0
 
 and the solver's Delta0 and nu approach both forms with relative errors
 linear in n.  A cold solve above U_c hands this pair to the Newton polish
-as its seed (_bec_seed) when that mu lies below eps_F, which no
-mean-field mu exceeds; near the threshold or at high density, where the
-expansion fails, the gate passes the solve to the crossover seed.  Deep
+as its seed (_bec_seed) when that mu lies below eps_F; near the threshold
+or at high density, where the expansion fails, the gate passes the solve
+to the crossover seed.  The gate is a heuristic, not a bound: the
+mean-field mu itself can exceed eps_F, by mu/eps_F - 1 = +8.7e-5 at
+n = 0.2116, U = 0.677 U_c, with both residuals near 1e-14 (the tests pin
+it); a probe of n in [0.01, 30] and U in [0.2, 4] U_c found mu > eps_F
+at 1,091 of 3,080 points, none at k_F below 0.88 k0.  For k_F in
+[0.31, 0.84] k0 and U in [0.5, 6] U_c, mu falls as U rises; for n in
+[1e-3, 0.3] and U in [0.3, 6] U_c, Delta0 rises with U (both are
+property tests).  At weaker gaps mu - eps_F is of order Delta0^2/eps_F,
+below what the number tolerance resolves (mu reads 2.6e-11 eps_F above
+eps_F at n = 3e-4, 0.375 U_c, with a number residual of 5e-11), and near
+the gap floor below the rounding of mu, so the free-gas verdict's probe
+at mu = eps_F does not lean on any bound.  Deep
 on the BEC side the polish returns the seed unchanged: there nu falls
 below the rounding of mu, and the seed's gap, exact there, can lie below
 the resolution floor.
@@ -428,8 +439,9 @@ def _bec_seed(Eb, n, eps_F):
     With b = sqrt(Eb/2) = U/U_c - 1, the closed forms mu = -Eb/2 + 2 pi
     (1 + 4b) n/b and Delta0 = sqrt(16 pi b n) (1 + b), exact as n -> 0
     (see the module docstring).  None below or at the threshold (Eb None
-    or 0), and when the seed's mu is not below eps_F, which no mean-field
-    solution exceeds.
+    or 0), and when the seed's mu is not below eps_F, where the expansion
+    has failed; this gate is a heuristic, since a mean-field mu can
+    exceed eps_F slightly (see the module docstring).
     """
     if not Eb:
         return None
@@ -528,8 +540,9 @@ def solve_self_consistent(U: float, n: float, *,
     Above U_c that is the molecular limit, Delta0 = sqrt(16 pi b (1+b)^2
     n) and mu = -E_b/2 + 2 pi (1+4b) n/b with b = U/U_c - 1, the first
     order of n = (Delta0^2/2) I2 and mu + E_b/2 = (Delta0^2/2) I4/I2 (see
-    the module docstring), provided that mu lies below eps_F, which no
-    mean-field mu exceeds.  Any other solve takes the universal crossover
+    the module docstring), provided that mu lies below eps_F (a heuristic
+    gate: the mean-field mu can exceed eps_F, see the module docstring).
+    Any other solve takes the universal crossover
     at 1/(k_F a) = (1 - U_c/U)/k_F (_crossover_seed), unless its gap lies
     within a factor 2 of the floor.  A converged solution with a resolved
     gap carries the tangent (dmu/dU, dDelta0/dU) of the solution branch,

@@ -353,6 +353,16 @@ def test_phase_lock_reports_its_end_state(tmp_path, capsys, argv, end_state, pat
     assert results["newton_steps"] == newton_steps
 
 
+def test_a_long_box_does_not_stop_at_its_seed(tmp_path, capsys):
+    # --tol is relative to the gradient scale, which falls as 1/L; an
+    # absolute stop ended this run after 1 evaluation, "stationary, unlocked"
+    argv = ["phase-lock", "--modes", "3", "--seed", "1234", "--length", "1e12"]
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    assert "phase-lock: locked [+-+]" in capsys.readouterr().out
+    results = json.loads((tmp_path / "phase_lock.meta.json").read_text())["results"]
+    assert results["steps"] == 69 and results["newton_steps"] == 2
+
+
 def test_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise QuadratureError("panel budget exhausted")

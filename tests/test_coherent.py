@@ -1,5 +1,7 @@
 """Pair ensembles and the closed-form overlap and eta statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,19 @@ def test_bcs_overlap_basics():
     assert bcs_overlap([], 1.0) == 1.0
     with pytest.raises(ValueError):
         bcs_overlap(np.array([2.0]), 0.3)
+
+
+def test_bcs_overlap_is_the_python_product_of_its_factors():
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 7, 12, 100, 200):
+        theta = rng.uniform(0.0, 0.5 * np.pi, m)
+        for dphi in (0.0, 0.5 * np.pi, float(rng.uniform(-7.0, 7.0))):
+            phase = complex(math.cos(dphi), math.sin(dphi))
+            product = 1.0
+            for c, s in zip(np.cos(theta).tolist(), np.sin(theta).tolist()):
+                product *= c * c + phase * (s * s)
+            value = bcs_overlap(theta, dphi)
+            assert (value.real, value.imag) == (product.real, product.imag)
 
 
 def test_bcs_overlap_multiplicative_and_conjugate():

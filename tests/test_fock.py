@@ -122,6 +122,22 @@ def test_state_normalization_and_amplitudes():
     assert psi[full] == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize("n_modes", range(1, 13))
+def test_state_is_the_kronecker_product_bit_for_bit(n_modes):
+    # modes M-1 down to 0 as the Kronecker factors, bit k = mode k
+    rng = np.random.default_rng(100 + n_modes)
+    theta = rng.uniform(0.0, 0.5 * np.pi, n_modes)
+    theta[-1] = 0.5 * np.pi
+    if n_modes > 1:
+        theta[0] = 0.0
+    orc = FockOracle(theta)
+    for phi in (0.0, 0.45, -2.7):
+        psi = np.ones(1, dtype=complex)
+        for t in theta[::-1]:
+            psi = np.kron(psi, np.array([np.cos(t), np.exp(1j * phi) * np.sin(t)]))
+        assert orc.state(phi).tobytes() == psi.tobytes()
+
+
 def test_overlap_matches_closed_form():
     rng = np.random.default_rng(21)
     ens = random_pair_ensemble(7, rng)

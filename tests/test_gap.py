@@ -160,6 +160,49 @@ def test_sweep_monotone():
     assert all(b < a for a, b in zip(mus, mus[1:]))
 
 
+def test_mean_field_mu_can_exceed_eps_F():
+    # the mean-field mu is not bounded by eps_F: here mu/eps_F - 1 = +8.7e-5,
+    # far above what the residuals allow, and at 0.474 U_c it is +2.3e-6
+    n = 0.2116
+    sol = solve_self_consistent(0.677 * U_C, n)
+    assert sol.converged and sol.note == ""
+    assert 8.5e-5 < sol.mu / fermi_energy(n) - 1.0 < 9.0e-5
+    # both equations hold at that (mu, Delta0) on the independent grid too
+    gap, number = simpson_residuals(sol.mu, sol.Delta0, sol.U, n)
+    assert abs(gap) < 1e-9 and abs(number) < 1e-9
+    assert solve_self_consistent(0.474 * U_C, n).mu > fermi_energy(n)
+
+
+# The dilute domain: k_F = (3 pi^2 n)^(1/3) in [0.31, 0.84] k0, below the
+# 0.88 k0 where a probe first found mu above eps_F.  Weaker gaps (below
+# U = 0.5 U_c at n = 1e-3) are left out: there the fall of mu over a 1% step
+# in U nears what the number tolerance resolves in mu.
+@settings(max_examples=60, deadline=None)
+@given(log_n=st.floats(-3.0, math.log10(0.02)), ratio=st.floats(0.5, 6.0),
+       log_step=st.floats(-2.0, 0.0))
+@example(log_n=-3.0, ratio=0.5, log_step=-2.0)
+@example(log_n=math.log10(0.02), ratio=0.5, log_step=-2.0)
+def test_mu_falls_as_the_coupling_rises_in_the_dilute_gas(log_n, ratio, log_step):
+    n = 10.0**log_n
+    weak = solve_self_consistent(ratio * U_C, n)
+    strong = solve_self_consistent(ratio * (1.0 + 10.0**log_step) * U_C, n)
+    assert weak.converged and strong.converged
+    assert strong.mu < weak.mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_n=st.floats(-3.0, math.log10(0.3)), ratio=st.floats(0.3, 6.0),
+       log_step=st.floats(-3.0, 0.0))
+@example(log_n=-3.0, ratio=0.3, log_step=-3.0)
+@example(log_n=math.log10(0.2116), ratio=0.474, log_step=math.log10(0.677 / 0.474 - 1.0))
+def test_gap_rises_with_the_coupling(log_n, ratio, log_step):
+    n = 10.0**log_n
+    weak = solve_self_consistent(ratio * U_C, n)
+    strong = solve_self_consistent(ratio * (1.0 + 10.0**log_step) * U_C, n)
+    assert weak.converged and strong.converged
+    assert strong.Delta0 > weak.Delta0 > 0.0
+
+
 def test_locate_mu_zero():
     u_star, sol = locate_mu_zero(REFERENCE_N, tol_rel=1e-4)
     assert abs(u_star / U_C - 1.74445063) <= 5e-4

@@ -600,10 +600,28 @@ def test_too_short_a_box_is_refused_before_the_descent():
     for length in (1e-80, 1e-100, 1e-160, 5e-324):
         with pytest.raises(ValueError, match="whose squares overflow"):
             variational_phase_lock(3, length=length)
-    # at 1e-60 the norms stay finite; the budget runs out, since the
-    # absolute stop is below rounding there
+    # at 1e-60 the norms stay finite; a budget of 50 runs out (the
+    # scale-relative stop is met after 53 steps)
     result = variational_phase_lock(3, length=1e-60, max_steps=50)
     assert result.end_state == "budget exhausted" and math.isfinite(result.gradient_norm)
+
+
+def test_the_stop_is_scale_free_in_the_box_length():
+    # the gradient shrinks as 1/L; an absolute stop of 1e-10 read the seed
+    # of a long box as a stationary point (M = 3, seed 1234 stopped unlocked
+    # after 1 evaluation at L = 1e12)
+    for M in (2, 3, 4):
+        for seed in checks.LOCKING_SEEDS:
+            for exponent in range(1, 13):
+                result = variational_phase_lock(M, seed=seed, length=10.0**exponent)
+                assert result.converged, (M, seed, exponent)
+                assert result.end_state.startswith("locked"), (M, seed, exponent)
+    result = variational_phase_lock(3, seed=1234, length=1e12)
+    assert (result.end_state, result.sign_pattern) == ("locked", "+-+")
+    assert result.steps == 69 and result.newton_steps == 2
+    # the stop at L is tol times the gradient scale over its value at L = 10
+    scale = [phase_locking._gradient_scale(3, length) for length in (1e12, 10.0)]
+    assert result.gradient_norm < 1e-10 * scale[0] / scale[1]
 
 
 def test_validation():

@@ -3,9 +3,12 @@
 The library evaluates the commutator expectation from the closed-form
 matrix elements.  `dense_operators` is the spectral build it replaced,
 kept here as the oracle: the operator algebra is checked on it, and the
-closed form is checked against it.
+closed form is checked against it.  `unflushed_report` is the Toeplitz sum
+on the full probe, subnormal coefficients included, which the library's
+flushed probe must match bit for bit.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -36,6 +39,29 @@ def dense_commutator_expectation(s, theta0, omega, state_phase):
     coeff /= np.linalg.norm(coeff)
     comm = theta_op @ number_op - number_op @ theta_op
     return complex(coeff.conj() @ comm @ coeff)
+
+
+def unflushed_report(s, theta0, omega, state_phase):
+    """(commutator, floor, truncation error, subnormal count) of the Toeplitz sum on the full probe."""
+    dim = s + 1
+    n = np.arange(dim)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    log_weight = -0.5 * omega + 0.5 * n * np.log(omega) - 0.5 * log_factorial
+    weight = np.exp(log_weight)
+    subnormals = int(np.count_nonzero((weight > 0.0) & (weight < np.finfo(float).tiny)))
+    coeff = weight * np.exp(1j * n * state_phase)
+    truncation_error = float(1.0 - np.sum(np.abs(coeff) ** 2))
+    coeff = coeff / np.linalg.norm(coeff)
+    d = np.arange(-s, dim)
+    d = d[d != 0]
+    theta_d = (
+        -1j * (np.pi / dim) * np.exp(1j * d * (theta0 - np.pi / dim))
+        / np.sin(np.pi * d / dim)
+    )
+    R = np.correlate(coeff, coeff, "full")[::-1]
+    value = complex(np.sum(theta_d * -d * R[d + s]))
+    floor = float(abs(np.sum(coeff * np.exp(-1j * n * theta0))) ** 2)
+    return value, floor, truncation_error, subnormals
 
 
 def _quiet(s, theta0=0.0, omega=4.0, state_phase=None):
@@ -77,6 +103,24 @@ def test_closed_form_matches_dense_oracle(s):
         report = _quiet(s, theta0, 4.0, state_phase)
         dense = dense_commutator_expectation(s, theta0, 4.0, phase)
         assert abs(report.commutator_expectation - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [512, 1024, 2048])
+def test_flushed_probe_is_bit_identical_to_the_full_sum(s):
+    # zeroing the probe weights below sqrt(tiny) moves no reported value
+    subnormals = 0
+    for omega in (1.0, 4.0, 16.0, 64.0):
+        for theta0, state_phase in ((0.7, None), (-1.3, 2.1)):
+            phase = theta0 + np.pi if state_phase is None else state_phase
+            report = _quiet(s, theta0, omega, state_phase)
+            value, floor, truncation_error, count = unflushed_report(s, theta0, omega, phase)
+            assert report.commutator_expectation == value
+            assert report.deviation_from_canonical == abs(value + 1j)
+            assert report.floor == floor
+            assert report.truncation_error == truncation_error
+            subnormals += count
+    # the full probe does carry subnormals at these sizes (16 at Omega = 4)
+    assert subnormals > 0
 
 
 def test_floor_is_the_branch_cut_weight():

@@ -2,11 +2,14 @@
 
 Runs every subcommand once with its default arguments, the unit-aware
 subcommands in both unit modes, and a few fixed non-default runs (the
-benchmark's five-rung Pegg-Barnett ladder, the Fock oracle at its 12-mode
-cap (dimension 4096), the longest pinned phase-lock
+benchmark's five-rung Pegg-Barnett ladder, a two-rung ladder from s = 512
+at Omega = 64, whose probe tail is flushed of subnormal weights, the Fock
+oracle at its 12-mode cap (dimension 4096), the longest pinned phase-lock
 seed, an attractive and two repulsive phase locks that end with dead modes
 (each ended by the Newton finish), a phase lock from a first step of
-1e300, which the step cap cuts before its first trial, the incoherent
+1e300, which the step cap cuts before its first trial, a phase lock in a
+box of length 1e12, whose scale-relative stop keeps it from ending at its
+seed, the incoherent
 E_J = 0 chain, a chain at E_c = 1e300, E_J = 1e-300, which exits 2
 because the oscillator oracle's sigma_0 overflows, a chain sized by its
 junction geometry, four runs
@@ -104,6 +107,7 @@ INVOCATIONS = (
     ["oracle", "--modes", "12", "--seed", "3"],
     ["pegg-barnett"],
     ["pegg-barnett", "--s", "64", "--rungs", "5"],
+    ["pegg-barnett", "--s", "512", "--omega", "64", "--rungs", "2"],
     ["phase-lock", "--seed", "6"],
     ["phase-lock", "--seed", "20"],
     ["phase-lock", "--seed", "1"],
@@ -111,6 +115,7 @@ INVOCATIONS = (
     ["phase-lock", "--modes", "2", "--sign", "repulsive", "--seed", "4"],
     ["phase-lock", "--max-steps", "5"],
     ["phase-lock", "--step", "1e300"],
+    ["phase-lock", "--seed", "1234", "--length", "1e12"],
     ["checks"],
     ["gap-sweep", "--config", "sweep.cfg"],
     ["gap-sweep", "--config", "points4.cfg", "--points", "2"],
