@@ -264,7 +264,9 @@ def _phase_lock_flags(p):
     p.add_argument("--modes", type=_Range(int, 2, 6), default=3, help="mode count (2..6)")
     p.add_argument("--sign", choices=("attractive", "repulsive"), default="attractive")
     p.add_argument("--length", type=_POSITIVE, default=10.0, help="box length")
-    p.add_argument("--step", type=_POSITIVE, default=1e-2, help="first descent step")
+    p.add_argument("--step", type=_POSITIVE, default=1e-2,
+                   help="first descent step, unit-free: divided by the gradient scale "
+                        "2 sqrt(M) E_M + 3 M^3/L over its value at L = 10")
     p.add_argument("--tol", type=_POSITIVE, default=1e-10,
                    help="gradient-norm stop, unit-free: relative to the gradient scale "
                         "2 sqrt(M) E_M + 3 M^3/L over its value at L = 10")

@@ -64,7 +64,11 @@ times that scale over its value at L = 10.  tol is thus unit-free: it is
 the absolute norm in the default box, whose trajectories it leaves as they
 were, and a long box, whose gradients shrink as 1/L, no longer reads its
 seed as converged (an absolute 1e-10 stopped M = 3, seed 1234 at
-L = 1e12 after 1 evaluation, unlocked; it now locks after 69).
+L = 1e12 after 1 evaluation, unlocked).  The first step is divided by the
+same ratio, so it moves z as far in any box as in the default one, and a
+long box spends no evaluations growing it: M = 3, seed 1234 at L = 1e12
+locks after 37 evaluations, and from L = 1e6 on every count of the
+locking seeds is independent of L.
 The descent converges only linearly, so a Newton finish in the same
 variables, x = (Re z, Im z), takes over near a minimum: the constrained
 (KKT) step with the analytic Hessian minus the multiplier's 2 lambda,
@@ -316,11 +320,12 @@ def variational_phase_lock(
     The seed fixes the whole trajectory: phases are drawn uniform on
     [0, 2 pi), amplitudes uniform on [0.5, 1.5] and renormalized to
     sum alpha^2 = M.  Descent follows the sphere-projected gradient flow in
-    z = alpha e^{i phi} by adaptive Heun steps, the first of length step,
-    and guarded Newton tries finish it (see the module docstring), until
-    the joint gradient norm drops below tol, relative to the gradient scale
-    2 sqrt(M) E_M + 3 M^3/L over its value at L = 10, or max_steps gradient
-    evaluations and Newton steps are spent.  The result also
+    z = alpha e^{i phi} by adaptive Heun steps, and guarded Newton tries
+    finish it (see the module docstring), until the joint gradient norm
+    drops below tol, relative to the gradient scale 2 sqrt(M) E_M + 3
+    M^3/L over its value at L = 10, or max_steps gradient evaluations and
+    Newton steps are spent.  The first step is step over that same ratio,
+    so both step and tol read as in the default box.  The result also
     carries the terminal phase spread (max pairwise difference of the live
     phases mod 2 pi), the Newton step count and the end state with its
     sign pattern, so callers can see whether this seed's basin locked.
@@ -346,6 +351,9 @@ def variational_phase_lock(
                          f"norms up to {bound:.3g}, whose squares overflow")
     relative = scale / _gradient_scale(M, 10.0)
     stop = tol * relative
+    # the first step in the same units: it moves z as far as `step` moves
+    # it in the default box
+    step = step / relative
 
     G2 = float(g_sign) * box_mode_tensor(M, length).reshape(M * M, M * M)
     energies = box_mode_energies(M, length)

@@ -14,7 +14,7 @@ mu = eps_F reproduces the free-gas density k_F^3/(3 pi^2).
 
 Every cold solve is one 2D Newton polish in (mu, x = log Delta0) from a
 closed-form seed, one integral per step: the residuals and their analytic
-Jacobian come from closed-form derivative integrands that ride on the
+Jacobian come from three closed-form integrands that ride on the
 panels of the residual integrands, so a slope costs no extra integral.
 The seed is the molecular limit on the BEC side and the universal
 crossover everywhere else (both below).  One-dimensional roots, the
@@ -180,17 +180,19 @@ class GapSolution:
 
 
 def _pair_integrand(mu, Delta0, column=None, centre=0.0):
-    """Integrand without the radial weight: six columns, or only `column`.
+    """Integrand without the radial weight: five columns, or only `column`.
 
     The integrand takes offsets t = k - centre and forms eps_k - mu as t (t
     + 2 centre) + (centre^2 - mu), which carries no cancellation near the
     Fermi surface when centre = sqrt(mu).  The columns are the gap g2/xi,
-    the occupancy, and the closed-form derivatives d(g2/xi)/dmu = g2
-    eps/xi^3, d(g2/xi)/dDelta0 = -Delta0 g2^2/xi^3, d occ/dmu = y2/xi^3 and
-    d occ/dDelta0 = eps Delta0 g2/xi^3 (eps = eps_k - mu, y2 = Delta0^2
-    g2).  The six columns are written into one (6, npts) buffer and
-    returned as its transpose, so each column is contiguous.  1/xi^3 is
-    formed as (1/xi)^3, which underflows where xi^3 would overflow.
+    the occupancy, and three riders A = g2 eps/xi^3, B = g2^2/xi^3 and C =
+    g2/xi^3 (eps = eps_k - mu), from which the closed-form derivatives
+    follow by constant factors: d(g2/xi)/dmu = A, d(g2/xi)/dDelta0 =
+    -Delta0 B, d occ/dmu = Delta0^2 C and d occ/dDelta0 = Delta0 A
+    (`_residuals_and_jacobian`).  C is formed as (g2/xi) (1/xi)^2, from the
+    gap column, and A and B as C eps and C g2; (1/xi)^2 underflows where
+    xi^3 would overflow.  The five columns are written into one (5, npts)
+    buffer and returned as its transpose, so each column is contiguous.
     """
     D2 = Delta0 * Delta0
     shift = centre * centre - mu
@@ -203,7 +205,7 @@ def _pair_integrand(mu, Delta0, column=None, centre=0.0):
         xi = np.sqrt(eps * eps + y2)
         if column == 0:
             return g2 / xi
-        out = np.empty((6, t.size))
+        out = np.empty((5, t.size))
         # occupancy 1 - eps/xi, in the cancellation-free form y2/(xi (xi +
         # eps)) where eps > 0; the floor on xi only matters at Delta0 = 0
         occ = out[1]
@@ -213,17 +215,12 @@ def _pair_integrand(mu, Delta0, column=None, centre=0.0):
         np.divide(y2, xi * (xi + eps), out=occ, where=eps > 0.0)
         if column == 1:
             return occ
-        np.divide(g2, xi, out=out[0])
-        inv3 = np.reciprocal(xi, out=xi)
-        inv3 *= inv3 * inv3
-        np.multiply(g2, eps, out=out[2])
-        np.multiply(g2, -Delta0, out=out[3])
-        out[3] *= g2
-        np.multiply(y2, inv3, out=out[4])
-        np.multiply(eps, Delta0, out=out[5])
-        out[5] *= g2
-        out[2:4] *= inv3
-        out[5] *= inv3
+        gap = np.divide(g2, xi, out=out[0])
+        inv2 = np.reciprocal(xi, out=xi)
+        inv2 *= inv2
+        C = np.multiply(gap, inv2, out=out[4])
+        np.multiply(C, eps, out=out[2])
+        np.multiply(C, g2, out=out[3])
         return out.T
 
     return f
@@ -258,16 +255,18 @@ def _pair_integral(mu, Delta0, steer=None, column=None):
 def _residuals_and_jacobian(mu, Delta0, U, n):
     """Residuals r = (r_gap, r_number), their Jacobian J in (mu, Delta0), and I_gap.
 
-    One radial integral: the four derivative integrands ride on the panels
-    that the gap and occupancy integrands choose (steer=2), so the residuals
-    are bit-identical to those of a (gap, occupancy) integral alone.  r is
-    a 2-tuple and J a nested 2x2 tuple of Python floats, ready for
-    `_solve_2x2`.
+    One radial integral: the three rider integrands A, B and C of
+    `_pair_integrand` ride on the panels that the gap and occupancy
+    integrands choose (steer=2), so the residuals are bit-identical to
+    those of a (gap, occupancy) integral alone.  J = ((-U A/2, U Delta0
+    B/2), (-Delta0^2 C/n, -Delta0 A/n)), the four derivatives of the
+    residuals from three integrals.  r is a 2-tuple and J a nested 2x2
+    tuple of Python floats, ready for `_solve_2x2`.
     """
-    gap, density, dgap_mu, dgap_d, docc_mu, docc_d = _pair_integral(mu, Delta0, steer=2).tolist()
+    gap, density, A, B, C = _pair_integral(mu, Delta0, steer=2).tolist()
     r = (1.0 - 0.5 * U * gap, (n - density) / n)
-    J = ((-0.5 * U * dgap_mu, -0.5 * U * dgap_d),
-         (-docc_mu / n, -docc_d / n))
+    J = ((-0.5 * U * A, 0.5 * U * Delta0 * B),
+         (-Delta0 * Delta0 * C / n, -Delta0 * A / n))
     return r, J, gap
 
 

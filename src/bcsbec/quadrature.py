@@ -50,12 +50,16 @@ numpy.polynomial stays off the import path and a patched constant gets
 tables of its own.
 
 radial_integral is the one entry point, and every integral uses the one
-rule that the module constants and the peak fix: _PANELS initial panels
-of _NODES nodes in s, tolerances _TOL_ABS and _TOL_REL, and a refinement
-budget of _MAX_PANELS panels per region.  Momenta are in units of k0 and
-integrands in natural units (eps0 = k0 = 1), so the absolute tolerance is
-one fixed fraction of the model's own scales.  It returns the integral alone: a
-converged integral is within tolerance by construction, and one that
+rule that the module constants and the peak fix: _PANELS = 12 initial
+panels in s and _TAIL_PANELS = 2 in u, each of _NODES = 12 nodes, so a
+first wave of (12 + 2) x 3 x 12 = 504 points; tolerances _TOL_ABS and
+_TOL_REL; and a refinement budget of _MAX_PANELS panels per region.  The
+first wave is sized to the error test: the tail's two panels meet it
+without refinement in every gap-solver integral probed, and the direct
+region's twelve leave about one integral in fifty to a refinement wave.
+Momenta are in units of k0 and integrands in natural units (eps0 = k0 =
+1), so the absolute tolerance is one fixed fraction of the model's own
+scales.  It returns the integral alone: a converged integral is within tolerance by construction, and one that
 cannot converge raises QuadratureError, which carries the best value and
 its error estimate.
 
@@ -83,8 +87,10 @@ __all__ = ["QuadratureError", "radial_integral"]
 # widths past the peak's centre, whichever is further out; that is the
 # boundary between the direct and the reciprocal-mapped region, not a
 # truncation.  Doubling _PANELS changes any converged integral by less
-# than _TOL_REL (both runs refine to tolerance).
-_PANELS = 16          # initial panel count of the direct region, in s
+# than _TOL_REL (both runs refine to tolerance).  The first wave's size is
+# argued in the module docstring.
+_PANELS = 12          # initial panel count of the direct region, in s
+_TAIL_PANELS = 2      # initial panel count of the tail, in u
 _K_MAX = 40.0         # lowest direct/tail boundary, units of k0
 _TOL_ABS = 1e-14
 _TOL_REL = 1e-12
@@ -234,10 +240,10 @@ def _adaptive(f, region, a, b, est, steer):
 def _tail_table(panels, nodes, k_max):
     """The tail's initial panels and first-wave momenta and weights, read-only.
 
-    Returns (a, b, half, k, weight) for max(2, panels // 4) uniform panels
-    on (0, 1], with the tail starting at k_max.
+    Returns (a, b, half, k, weight) for `panels` uniform panels on (0, 1],
+    with the tail starting at k_max.
     """
-    edges = np.linspace(0.0, 1.0, max(2, panels // 4) + 1)
+    edges = np.linspace(0.0, 1.0, panels + 1)
     a, b = edges[:-1], edges[1:]
     u, half = _layout(a, b, _rule(nodes)[0])
     table = (a, b, half, *_tail(u, k_max, 0.0))
@@ -298,7 +304,7 @@ def radial_integral(f, peak=None, steer=None):
     layout = np.dot((s_lo, s_hi), _direct_table(left, _PANELS - left, _NODES))
     m = layout.size - 2 * _PANELS - 1                    # direct points
     s, half, edges = layout[:m], layout[m:m + _PANELS], layout[m + _PANELS:]
-    ta, tb, t_half, t_k, t_weight = _tail_table(_PANELS, _NODES, _K_MAX)
+    ta, tb, t_half, t_k, t_weight = _tail_table(_TAIL_PANELS, _NODES, _K_MAX)
     # offsets and weights of both regions, the direct points first; the
     # tail's table holds k_t = _K_MAX, where scale is 1
     t, weight = np.empty((2, m + t_k.size))

@@ -360,7 +360,7 @@ def test_a_long_box_does_not_stop_at_its_seed(tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path)]) == 0
     assert "phase-lock: locked [+-+]" in capsys.readouterr().out
     results = json.loads((tmp_path / "phase_lock.meta.json").read_text())["results"]
-    assert results["steps"] == 69 and results["newton_steps"] == 2
+    assert results["steps"] == 37 and results["newton_steps"] == 2
 
 
 def test_numeric_failure_exits_two(tmp_path, monkeypatch, capsys):

@@ -413,16 +413,74 @@ def test_analytic_jacobian_matches_central_differences(ratio, n, dmu, dD):
     np.testing.assert_array_less(np.abs(J - fd), 1e-6 * np.abs(fd) + 3e-15 / np.array([hm, hd]))
 
 
+def _six_column_integrand(mu, Delta0, centre=0.0):
+    """The pair integrand with the four Jacobian integrands as columns of their own.
+
+    Columns: g2/xi, the occupancy, d(g2/xi)/dmu = g2 eps/xi^3,
+    d(g2/xi)/dDelta0 = -Delta0 g2^2/xi^3, d occ/dmu = y2/xi^3 and d
+    occ/dDelta0 = eps Delta0 g2/xi^3, each formed directly, as the oracle
+    for the five-column integrand and its Jacobian assembly.
+    """
+    def f(t):
+        p = t * (t + 2.0 * centre)
+        eps = p + (centre * centre - mu)
+        g2 = 1.0 / (p + (1.0 + centre * centre))
+        y2 = Delta0 * Delta0 * g2
+        xi = np.sqrt(eps * eps + y2)
+        inv3 = (1.0 / xi) ** 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            occ = np.where(eps > 0.0, y2 / (xi * (xi + eps)), 1.0 - eps / np.maximum(xi, 1e-300))
+        return np.column_stack([g2 / xi, occ, g2 * eps * inv3, -Delta0 * g2 * g2 * inv3,
+                                y2 * inv3, eps * Delta0 * g2 * inv3])
+
+    return f
+
+
 def test_jacobian_integrand_columns():
-    # d occ/dDelta0 = Delta0 d(g2/xi)/dmu pointwise, and the first two
-    # columns are the single-column gap and occupancy integrands bit for bit
-    mu, D = 0.35, 0.02
-    kmu = math.sqrt(mu)
-    k = np.concatenate([np.linspace(1e-3, 50.0, 4001), kmu + np.linspace(-0.1, 0.1, 401)])
-    cols = _pair_integrand(mu, D)(k)
-    assert np.array_equal(cols[:, 0], _pair_integrand(mu, D, 0)(k))
-    assert np.array_equal(cols[:, 1], _pair_integrand(mu, D, 1)(k))
-    np.testing.assert_allclose(cols[:, 5], D * cols[:, 2], rtol=1e-15, atol=0.0)
+    # the five columns give the six-column oracle's Jacobian, pointwise
+    # within 1e-14 relative and integrated on the same panels within 1e-14
+    # of each entry's scale (below); the first two columns are the
+    # single-column gap and occupancy integrands bit for bit.  At solutions
+    # deep in BCS, near and at unitarity, and on the BEC side
+    for ratio, n in ((0.5, 1e-4), (0.8, 0.02), (1.0, 0.02), (3.0, 0.1)):
+        _check_jacobian_columns(ratio * U_C, n)
+
+
+def _check_jacobian_columns(U, n):
+    sol = solve_self_consistent(U, n)
+    mu, D = sol.mu, sol.Delta0
+    centre = math.sqrt(mu) if mu > 0 else 0.0
+    width = D / (2.0 * centre * math.sqrt(1.0 + mu)) if mu > 0 else math.sqrt(D - mu)
+    t = np.concatenate([np.linspace(-centre, 50.0, 4001), np.linspace(-20.0, 20.0, 801) * width])
+    t = t[t >= -centre]
+    cols = _pair_integrand(mu, D, centre=centre)(t)
+    assert cols.shape == (t.size, 5)
+    assert np.array_equal(cols[:, 0], _pair_integrand(mu, D, 0, centre)(t))
+    assert np.array_equal(cols[:, 1], _pair_integrand(mu, D, 1, centre)(t))
+    oracle = _six_column_integrand(mu, D, centre)(t)
+    assert np.array_equal(cols[:, :2], oracle[:, :2])
+    A, B, C = cols[:, 2], cols[:, 3], cols[:, 4]
+    derivatives = np.column_stack([A, -D * B, D * D * C, D * A])
+    np.testing.assert_allclose(derivatives, oracle[:, 2:], rtol=1e-14, atol=0.0)
+    # integrated, the oracle's columns steer the same panels, so its riders
+    # sum the points that the five columns do.  Each entry of J is gated
+    # relative to the integral of its integrand's modulus, which rides
+    # along too: deep in BCS the derivatives in mu of the gap and in Delta0
+    # of the occupancy cancel to 8e-5 of that modulus (0.5 U_c, n = 1e-4),
+    # and a cancelling sum keeps its pointwise rounding on that scale only
+    # (J[1][1] differs by 9e-13 of itself there, 7e-17 of the modulus)
+    six = _six_column_integrand(mu, D, centre)
+
+    def with_moduli(t):
+        v = six(t)
+        return np.hstack([v, np.abs(v[:, 2:])])
+
+    values = bcsbec.gap.radial_integral(with_moduli, peak=(centre, width), steer=2)
+    _, J, gap_integral = _residuals_and_jacobian(mu, D, U, n)
+    assert values[0] == gap_integral
+    factors = np.array([[-0.5 * U, -0.5 * U], [-1.0 / n, -1.0 / n]])
+    oracle_J, scale = factors * values[2:6].reshape(2, 2), np.abs(factors) * values[6:].reshape(2, 2)
+    np.testing.assert_array_less(np.abs(np.array(J) - oracle_J), 1e-14 * scale)
 
 
 def test_jacobian_riders_leave_the_residuals_unchanged():

@@ -601,7 +601,7 @@ def test_too_short_a_box_is_refused_before_the_descent():
         with pytest.raises(ValueError, match="whose squares overflow"):
             variational_phase_lock(3, length=length)
     # at 1e-60 the norms stay finite; a budget of 50 runs out (the
-    # scale-relative stop is met after 53 steps)
+    # scale-relative stop is met after 55 steps)
     result = variational_phase_lock(3, length=1e-60, max_steps=50)
     assert result.end_state == "budget exhausted" and math.isfinite(result.gradient_norm)
 
@@ -618,10 +618,24 @@ def test_the_stop_is_scale_free_in_the_box_length():
                 assert result.end_state.startswith("locked"), (M, seed, exponent)
     result = variational_phase_lock(3, seed=1234, length=1e12)
     assert (result.end_state, result.sign_pattern) == ("locked", "+-+")
-    assert result.steps == 69 and result.newton_steps == 2
+    assert result.steps == 37 and result.newton_steps == 2
     # the stop at L is tol times the gradient scale over its value at L = 10
     scale = [phase_locking._gradient_scale(3, length) for length in (1e12, 10.0)]
     assert result.gradient_norm < 1e-10 * scale[0] / scale[1]
+
+
+def test_the_first_step_is_scale_free_in_the_box_length():
+    # the first step is divided by the gradient scale's ratio too, so a
+    # long box spends no evaluations growing it: from L = 1e6 on every
+    # locking seed takes as many steps as at 1e12 (with an absolute first
+    # step, M = 4, seed 7 took 59 steps at L = 10 and 87 at L = 1e12)
+    for M in (2, 3, 4):
+        for seed in checks.LOCKING_SEEDS:
+            short, long = (variational_phase_lock(M, seed=seed, length=length)
+                           for length in (1e6, 1e12))
+            assert (short.steps, short.newton_steps) == (long.steps, long.newton_steps), \
+                (M, seed)
+            assert short.sign_pattern == long.sign_pattern, (M, seed)
 
 
 def test_validation():

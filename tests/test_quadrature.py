@@ -9,7 +9,7 @@ import bcsbec.gap
 import bcsbec.quadrature
 from bcsbec.core import U_C
 from bcsbec.diagram import sweep_coupling
-from bcsbec.gap import solve_self_consistent
+from bcsbec.gap import _pair_integral, solve_self_consistent
 from bcsbec.quadrature import (
     QuadratureError,
     _direct_table,
@@ -83,11 +83,22 @@ def test_rider_columns_leave_the_steered_columns_unchanged():
 
 
 def test_panel_doubling_invariance(monkeypatch):
+    # a smooth integrand, and the gap solver's steered pair integrand at
+    # solutions deep in BCS, at unitarity and on the BEC side: gap and
+    # occupancy on 12 and on 24 initial direct panels agree within _TOL_REL
     f = lambda k: 1.0 / (1.0 + k**2) ** 2
-    v1 = radial_integral(f)
+    sols = [solve_self_consistent(ratio * U_C, n)
+            for ratio, n in ((0.5, 10**-2.5), (1.0, 0.02), (4.0, 0.1))]
+    assert bcsbec.quadrature._PANELS == 12
+
+    def integrals():
+        return [radial_integral(f)] + [_pair_integral(s.mu, s.Delta0, steer=2)[:2] for s in sols]
+
+    before = integrals()
     monkeypatch.setattr(bcsbec.quadrature, "_PANELS", 2 * bcsbec.quadrature._PANELS)
-    v2 = radial_integral(f)
-    assert abs(v1[0] - v2[0]) <= 1e-12 * abs(v1[0])
+    after = integrals()
+    for v1, v2 in zip(before, after):
+        np.testing.assert_array_less(np.abs(v1 - v2), bcsbec.quadrature._TOL_REL * np.abs(v1))
 
 
 def test_converged_value_does_not_depend_on_peak():
@@ -143,17 +154,18 @@ def test_nan_seen_only_by_the_n_node_rule_raises():
 
 def test_rule_tables_are_read_only_and_follow_the_constants(monkeypatch):
     quad = bcsbec.quadrature
-    for table in (*_rule(quad._NODES), *_tail_table(quad._PANELS, quad._NODES, quad._K_MAX),
+    for table in (*_rule(quad._NODES), *_tail_table(quad._TAIL_PANELS, quad._NODES, quad._K_MAX),
                   _direct_table(0, quad._PANELS, quad._NODES),
                   _direct_table(5, quad._PANELS - 5, quad._NODES)):
         with pytest.raises(ValueError):
             table[0] = 0.5
     # patched rule constants get tables of their own: the first wave takes
-    # 3 _NODES points on each of _PANELS direct and max(2, _PANELS // 4)
-    # tail panels, and the direct table holds their points, half widths
-    # and edges
+    # 3 _NODES points on each of _PANELS direct and _TAIL_PANELS tail
+    # panels, and the direct table holds their points, half widths and
+    # edges
     monkeypatch.setattr(quad, "_NODES", 4)
     monkeypatch.setattr(quad, "_PANELS", 8)
+    monkeypatch.setattr(quad, "_TAIL_PANELS", 3)
     first_waves = []
     for peak in (None, (0.5, 0.2)):
         sizes = []
@@ -165,7 +177,7 @@ def test_rule_tables_are_read_only_and_follow_the_constants(monkeypatch):
 
         radial_integral(f, peak=peak)
         first_waves.append(sizes[0])
-    assert first_waves == [(8 + 2) * 3 * 4] * 2
+    assert first_waves == [(8 + 3) * 3 * 4] * 2
     for left in range(8):
         assert _direct_table(left, 8 - left, 4).shape == (2, 8 * 3 * 4 + 8 + 9)
 
@@ -264,7 +276,7 @@ def test_default_sweep_panel_set(monkeypatch):
     monkeypatch.setattr(bcsbec.gap, "radial_integral", counting)
     sols = sweep_coupling(np.linspace(0.5, 4.0, 50) * U_C, 0.02)
     assert all(s.converged for s in sols)
-    assert points == 85_824
+    assert points == 60_120
     # one integral per Newton step, from Hermite-predicted warm starts
     assert calls == 119
 
@@ -291,4 +303,4 @@ def test_cold_solve_panel_set(monkeypatch):
     for ratio in (0.675, 1.025, 2.075):
         for n in (10**-2.5, 0.02, 0.1):
             assert solve_self_consistent(ratio * U_C, n).converged
-    assert (calls, points) == (45, 32_400)
+    assert (calls, points) == (45, 22_680)
