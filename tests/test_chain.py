@@ -1,5 +1,6 @@
 """Segment chains: junction energies, phase variances, ODLRO, oscillator."""
 
+import json
 import math
 
 import numpy as np
@@ -150,13 +151,11 @@ def test_oscillator_scales_with_a_common_energy_factor(E_c, E_J, exponent):
 
 
 @pytest.mark.filterwarnings("error")
-def test_oscillator_rejects_non_finite_grids_without_a_warning(tmp_path, capsys):
-    # sigma_0 = (32 E_c/E_J)^(1/4) overflows, so no grid can be laid out
-    for ec, ej in (("1e300", "1e-300"), ("1", "1e-320")):
-        assert main(["chain", "--ec", ec, "--ej", ej, "--out", str(tmp_path)]) == 2
-        assert "sigma_0" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="sigma_0"):
-        oscillator_oracle(1e-320, 1e300)
+def test_oscillator_rejects_non_finite_grids_without_a_warning():
+    # sigma_0 = (32 E_c/E_J)^(1/4) overflows or underflows, so no grid can be laid out
+    for E_c, E_J in ((1e300, 1e-300), (1.0, 1e-320), (1e-320, 1e300)):
+        with pytest.raises(ValueError, match="sigma_0"):
+            oscillator_oracle(E_c, E_J)
     for span in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="span"):
             oscillator_oracle(1.0, 1.0, span=span)
@@ -166,6 +165,31 @@ def test_oscillator_rejects_non_finite_grids_without_a_warning(tmp_path, capsys)
         oscillator_oracle(1.0, 1.0, span=1e200)
     with pytest.raises(ValueError, match="edge overflows"):
         oscillator_oracle(1e300, 1e300, span=1e10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_chain_reports_its_closed_forms_where_the_oscillator_oracle_has_no_grid(tmp_path):
+    # the oracle's sigma_0 is not finite at either ratio; sigma2 is
+    for ec, ej, sigma2 in (("1e300", "1e-300", math.sqrt(2.0) * 1e300),
+                           ("1e-300", "1e300", math.sqrt(2.0) * 1e-300)):
+        out = tmp_path / ec
+        assert main(["chain", "--ec", ec, "--ej", ej, "--out", str(out)]) == 0
+        results = json.loads((out / "chain.meta.json").read_text())["results"]
+        assert results["sigma2"] == pytest.approx(sigma2, rel=1e-15)
+        assert "oscillator_oracle" not in results
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_c=st.floats(-300.0, 300.0), log_j=st.floats(-300.0, 300.0))
+def test_variance_conventions_are_exact_multiples_of_sigma2(log_c, log_j):
+    ground = ChainGroundState.for_chain(10.0**log_c, 10.0**log_j)
+    assert 0.0 < ground.sigma2 < math.inf
+    assert ground.variance_oscillator == 2.0 * ground.sigma2
+    assert ground.variance_gaussian_form == 0.5 * ground.sigma2
+    assert 0.0 < ground.variance_gaussian_form < ground.variance_oscillator < math.inf
+    # the literal oscillator's sqrt(8 E_c/E_J), taken in logs so that it cannot overflow
+    literal = 0.5 * (math.log(8.0) + log_c * math.log(10.0) - log_j * math.log(10.0))
+    assert math.log(ground.variance_oscillator) == pytest.approx(literal, abs=1e-12)
 
 
 def test_coherence_classification():

@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import bcsbec.diagram
 from bcsbec.checks import CHECK_NAMES, CheckResult
 from bcsbec import __version__
+from bcsbec.coherent import bcs_overlap, bec_overlap
 from bcsbec.cli import _command_parser, _Range, build_parser, main
 from bcsbec.core import eps0_ev
 from bcsbec.quadrature import QuadratureError
@@ -486,7 +488,7 @@ SIDECAR_CASES = [
     (["pegg-barnett", "--s", "16", "--rungs", "2"], "pegg_barnett", {}, None),
     (["chain", "--ec", "1", "--ej", "4", "--segments", "4"], "chain", {},
      {"E_c", "E_J", "energy_unit", "sigma2", "variance_oscillator",
-      "variance_gaussian_form", "factor_discrepancy", "coherence", "oscillator_oracle"}),
+      "variance_gaussian_form", "factor_discrepancy", "coherence"}),
     (["phase-lock", "--seed", "6"], "phase_lock", {"descent_tol": 1e-10},
      {"gradient_norm", "steps", "converged", "phase_spread", "min_amplitude",
       "newton_steps", "end_state", "sign_pattern"}),
@@ -662,10 +664,27 @@ def test_failed_check_exits_one(tmp_path, monkeypatch, capsys):
 
 
 def test_overlap_csv(tmp_path):
-    assert run(["overlap", "--m-max", "3", "--out", str(tmp_path)]) == 0
+    # from M = 2045 an M-fold product of the default factors is subnormal,
+    # and a rate taken from it reads 0 from M = 2146; the closed form keeps
+    # every row's rate exact
+    assert run(["overlap", "--m-max", "2300", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "overlap.csv").read_text().splitlines()
     assert lines[0] == "M,bcs_re,bcs_im,bcs_abs,bcs_rate,bec_abs"
-    assert len(lines) == 4
+    assert len(lines) == 2301
+    rate = json.loads((tmp_path / "overlap.meta.json").read_text())["results"]["rate_exact"]
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert all(row[4] == rate for row in rows)
+    assert rows[-1][3] == 0.0
+    # the per-mode products at the default theta, dphi and alpha, up to M = 200
+    theta, dphi, alpha = 0.25 * math.pi, 0.5 * math.pi, 0.3
+    for m, _, _, bcs_abs, _, bec_abs in rows[:200]:
+        assert bcs_abs == pytest.approx(abs(bcs_overlap(np.full(int(m), theta), dphi)),
+                                        rel=1e-13)
+        assert bec_abs == pytest.approx(abs(bec_overlap(np.full(int(m), alpha), dphi)),
+                                        rel=1e-13)
+    # an unpaired mode does not decay: its rate reads 0, not -0
+    assert run(["overlap", "--theta=0", "--m-max", "1", "--out", str(tmp_path / "flat")]) == 0
+    assert (tmp_path / "flat" / "overlap.csv").read_text().splitlines()[1].split(",")[4] == "0"
 
 
 def test_oracle_roundtrip(tmp_path):
@@ -812,9 +831,10 @@ def test_gap_side_never_loads_scipy(tmp_path):
         ["bound-state"],
         ["phase-diagram", "--u-points", "2", "--g-points", "2"],
         ["eta"],
-        # E_J = 0 skips the oscillator oracle, the only chain code using scipy
         ["chain", "--ej", "0", "--epsilon-r", "10", "--area-um2", "1", "--spacing-nm", "2",
          "--units", "physical"],
+        # chain reports closed forms only; the oscillator oracle stays in checks
+        ["chain", "--ec", "1", "--ej", "4"],
     ]
     report = _scipy_probe(runs, tmp_path)
     assert report.pop("import") == []

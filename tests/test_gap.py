@@ -519,6 +519,26 @@ def test_deep_bcs_gap_integral_matches_mpmath(Delta0, expected):
     assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
+def test_bcs_end_approaches_leggetts_gap():
+    # Leggett 1980: Delta -> (8/e^2) eps_F exp(pi/(2 k_F a)) as 1/(k_F a) ->
+    # -inf, with 1/(k_F a) = (1 - U_c/U)/k_F here.  At U = 0.9 U_c the ratio
+    # Delta0 Gamma(k_F) over it reads 0.882, 0.923, 0.948, 0.964 and 0.975
+    # from n = 1e-5 to 1e-7: the shortfall is the effective-range
+    # correction, (1 - ratio)/k_F between 1.68 and 1.78
+    U = 0.9 * U_C
+    shortfalls = []
+    for n in 10.0 ** np.arange(-5.0, -7.5, -0.5):
+        sol = solve_self_consistent(U, n)
+        k_f = (3.0 * math.pi**2 * n) ** (1.0 / 3.0)
+        assert sol.converged and sol.Delta0 >= 1e4 * bcsbec.gap._GAP_FLOOR_REL
+        leggett = 8.0 / math.e**2 * fermi_energy(n) * math.exp(
+            0.5 * math.pi * (1.0 - U_C / U) / k_f)
+        shortfall = 1.0 - sol.Delta0 / math.sqrt(1.0 + k_f * k_f) / leggett
+        assert 1.65 < shortfall / k_f < 1.8
+        shortfalls.append(shortfall)
+    assert all(a > b > 0.0 for a, b in zip(shortfalls, shortfalls[1:]))
+
+
 @pytest.fixture
 def integral_count(monkeypatch):
     """A callable giving the radial integrals the gap solver has taken so far."""

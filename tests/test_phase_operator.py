@@ -11,6 +11,7 @@ flushed probe must match bit for bit.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -144,6 +145,40 @@ def test_commutator_deviation_decreases_along_the_ladder():
         devs.append(report.deviation_from_canonical)
     assert devs[0] <= 0.05
     assert devs[0] > devs[1] > devs[2]
+
+
+def _limit_floor(omega):
+    """|sum_n e^{-Omega/2} (-sqrt Omega)^n / sqrt(n!)|^2 at 40 digits, by mpmath.
+
+    The s -> infinity floor of the antipodal probe; 200 terms leave a tail
+    below 1e-40 for Omega <= 16.
+    """
+    with mpmath.workdps(40):
+        root = -mpmath.sqrt(omega)
+        total = mpmath.fsum(root**n / mpmath.sqrt(mpmath.factorial(n)) for n in range(200))
+        return float((mpmath.exp(-mpmath.mpf(omega) / 2) * total) ** 2)
+
+
+# relative miss of report.floor from the series, about 4x each measured miss
+# (2.7e-14, 2.2e-13, 4.5e-11: the alternating sum cancels more as Omega grows)
+_LIMIT_FLOOR_RTOL = {4.0: 1e-13, 8.0: 1e-12, 16.0: 2e-10}
+
+
+def test_deviation_falls_to_the_thermodynamic_limit_with_omega():
+    # [theta, N] -> -i as the probe's occupation grows: at s = 1024 >= 16
+    # Omega the deviation sits just above the series floor (at most 2.36e-6
+    # relative, at Omega = 4) and falls from 1.12e-3 to 1.01e-5 to 1.55e-9
+    deviations = []
+    for omega, rtol in _LIMIT_FLOOR_RTOL.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pegg_barnett(1024, Omega=omega)
+        limit = _limit_floor(omega)
+        assert report.floor == pytest.approx(limit, rel=rtol, abs=0.0)
+        excess = report.deviation_from_canonical / limit - 1.0
+        assert 0.0 < excess < 2.5e-6
+        deviations.append(report.deviation_from_canonical)
+    assert deviations[0] > deviations[1] > deviations[2]
 
 
 def test_truncation_warning_when_tail_not_contained():

@@ -10,9 +10,11 @@ seed, an attractive and two repulsive phase locks that end with dead modes
 1e300, which the step cap cuts before its first trial, a phase lock in a
 box of length 1e12, whose scale-relative stop keeps it from ending at its
 seed, the incoherent
-E_J = 0 chain, a chain at E_c = 1e300, E_J = 1e-300, which exits 2
-because the oscillator oracle's sigma_0 overflows, a chain sized by its
-junction geometry, four runs
+E_J = 0 chain, chains at E_c = 1e300, E_J = 1e-300 and at E_c = 1e-300,
+E_J = 1e300, whose closed-form variances stay finite where the
+oscillator's grid width would overflow or underflow, a chain sized by its
+junction geometry, an overlap out to M = 2300, well past the M = 2045
+from which an M-fold product of its default factors is subnormal, four runs
 configured by --config files (a gap sweep, a gap sweep whose --points flag
 beats the file's points key, an overlap with the negative value dphi = -1,
 and a physical-unit phase diagram whose keys override the defaults,
@@ -100,9 +102,11 @@ INVOCATIONS = (
     ["bound-state", "--u", "1"],
     ["chain", "--ec", "1", "--ej", "0"],
     ["chain", "--ec", "1e300", "--ej", "1e-300"],
+    ["chain", "--ec", "1e-300", "--ej", "1e300"],
     ["chain", "--ej", "3", "--epsilon-r", "10", "--area-um2", "0.1", "--spacing-nm", "2",
      "--units", "physical"],
     ["overlap"],
+    ["overlap", "--m-max", "2300"],
     ["oracle"],
     ["oracle", "--modes", "12", "--seed", "3"],
     ["pegg-barnett"],
